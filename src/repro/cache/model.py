@@ -97,6 +97,27 @@ class Request:
         return f"<s{self.server} t={self.time:g} {{{items}}}>"
 
 
+def _raise_invalid(i: int, r: Request, prev: float, num_servers: int) -> None:
+    """Raise the indexed :meth:`RequestSequence.validate` message for
+    ``request[i]``, checking its conditions in their documented order."""
+    where = f"request[{i}] (server {r.server}, t={r.time!r})"
+    if math.isnan(r.time):
+        raise ValueError(f"{where}: time is NaN")
+    if math.isinf(r.time):
+        raise ValueError(f"{where}: time is infinite")
+    if r.time < 0:
+        raise ValueError(f"{where}: time is negative")
+    if r.time <= prev:
+        raise ValueError(
+            f"{where}: times must be strictly increasing "
+            f"(previous was {prev!r})"
+        )
+    if not 0 <= r.server < num_servers:
+        raise ValueError(f"{where}: server id outside [0, {num_servers})")
+    if not r.items:
+        raise ValueError(f"{where}: empty item set")
+
+
 def _as_request(obj: "Request | Tuple") -> Request:
     """Coerce ``(server, time, items)`` tuples into :class:`Request`."""
     if isinstance(obj, Request):
@@ -201,26 +222,16 @@ class RequestSequence:
                 f"origin server {self.origin} outside [0, {self.num_servers})"
             )
         prev = -math.inf
+        m = self.num_servers
         for i, r in enumerate(self.requests):
-            where = f"request[{i}] (server {r.server}, t={r.time!r})"
-            if math.isnan(r.time):
-                raise ValueError(f"{where}: time is NaN")
-            if math.isinf(r.time):
-                raise ValueError(f"{where}: time is infinite")
-            if r.time < 0:
-                raise ValueError(f"{where}: time is negative")
-            if r.time <= prev:
-                raise ValueError(
-                    f"{where}: times must be strictly increasing "
-                    f"(previous was {prev!r})"
-                )
-            prev = r.time
-            if not 0 <= r.server < self.num_servers:
-                raise ValueError(
-                    f"{where}: server id outside [0, {self.num_servers})"
-                )
-            if not r.items:
-                raise ValueError(f"{where}: empty item set")
+            t = r.time
+            # one comparison chain passes exactly the rows every check
+            # below passes (NaN fails every comparison); the indexed
+            # message is only formatted for the first row that fails it
+            if not (0.0 <= t < math.inf and prev < t and 0 <= r.server < m
+                    and r.items):
+                _raise_invalid(i, r, prev, m)
+            prev = t
         return self
 
     # ------------------------------------------------------------------

@@ -37,6 +37,8 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..cache.model import (
     CostModel,
     Request,
@@ -44,7 +46,7 @@ from ..cache.model import (
     SingleItemView,
     package_rate,
 )
-from ..cache.optimal_dp import attribute_cost, solve_optimal
+from ..cache.optimal_dp import attribute_cost, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
 from ..obs.tracing import maybe_span
 from ..correlation.jaccard import (
@@ -151,6 +153,40 @@ class DPGreedyResult:
         return out
 
 
+def _solve_unit(
+    view: "RequestSequence | SingleItemView",
+    model: CostModel,
+    rate: float,
+    *,
+    build_schedule: bool,
+    attribute: bool,
+    dp_backend: str,
+) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[float, str, float], ...]]]:
+    """``(cost, schedule, attribution)`` of one unit's DP at ``rate``.
+
+    A unit that reports neither a schedule nor an attribution is priced
+    by :func:`~repro.cache.optimal_dp.optimal_cost`: the same recurrence
+    with ``O(m)`` live state and no per-event decision history to
+    backtrack, bit-identical to ``solve_optimal(...).cost``.
+    ``"batched"`` stays on :func:`solve_optimal`, which checks the
+    lockstep kernel against the sparse sweep on every call.
+    """
+    if not build_schedule and not attribute and dp_backend != "batched":
+        cost = optimal_cost(view, model, rate_multiplier=rate, backend=dp_backend)
+        return cost, None, None
+    res = solve_optimal(
+        view,
+        model,
+        build_schedule=build_schedule,
+        rate_multiplier=rate,
+        backend=dp_backend,
+    )
+    attribution = (
+        attribute_cost(view, model, res, rate_multiplier=rate) if attribute else None
+    )
+    return res.cost, res.schedule, attribution
+
+
 def serve_singleton(
     seq: RequestSequence,
     item: int,
@@ -174,8 +210,9 @@ def serve_singleton(
     exclusive with ``build_schedule=True``).  ``attribute`` additionally
     decomposes the DP cost into per-request ledger charges (with
     ``dp_cost`` injection the matching ``dp_attribution`` must be
-    supplied -- the memo stores both together).  ``dp_backend`` picks
-    the solver backend
+    supplied -- the memo stores both together).  Without a schedule or
+    an attribution to report, the DP runs cost-only (no decision path).
+    ``dp_backend`` picks the solver backend
     (``"sparse"``/``"dense"``/``"batched"``/``"compiled"``/``"auto"``).
     """
     if sub is None:
@@ -190,11 +227,14 @@ def serve_singleton(
         cost, schedule = dp_cost, None
         attribution = dp_attribution if attribute else None
     else:
-        res = solve_optimal(
-            sub, model, build_schedule=build_schedule, backend=dp_backend
+        cost, schedule, attribution = _solve_unit(
+            sub,
+            model,
+            1.0,
+            build_schedule=build_schedule,
+            attribute=attribute,
+            dp_backend=dp_backend,
         )
-        cost, schedule = res.cost, res.schedule
-        attribution = attribute_cost(sub, model, res) if attribute else None
     return GroupReport(
         group=frozenset((item,)),
         package_cost=cost,
@@ -237,29 +277,49 @@ def single_sided_decisions(
     The virtual origin node carries every item; package nodes update the
     per-item source bookkeeping but are not charged here (they belong to
     the package DP).
+
+    The walk visits only the rows carrying a package item -- the sorted
+    union of the members' cached
+    :meth:`~repro.cache.model.RequestSequence.item_indices`, with servers
+    and times read from the sequence's columns and each row's members
+    from the same index arrays -- so one package costs ``O(package
+    rows)``, not a rescan of the whole trace, on in-memory and
+    store-backed sequences alike.
     """
     mu, lam = model.mu, model.lam
     ship_cost = package_rate(len(package), alpha) * lam
-    nodes = seq.restrict_to_items(package, mode="any")
+    members = sorted(package)
+    chunks = [seq.item_indices(d) for d in members]
+    rows = np.unique(np.concatenate(chunks))
+    carried = np.zeros((len(rows), len(members)), dtype=bool)
+    for col, idx in enumerate(chunks):
+        carried[np.searchsorted(rows, idx), col] = True
 
     last_any: Dict[int, Tuple[int, float]] = {}
     last_same: Dict[Tuple[int, int], float] = {}
     origin = seq.origin
-    for d in package:
+    for d in members:
         last_any[d] = (origin, 0.0)
         last_same[(d, origin)] = 0.0
 
-    for r in nodes:
-        if r.items == package:
-            for d in package:
-                last_any[d] = (r.server, r.time)
-                last_same[(d, r.server)] = r.time
+    for server, t, full, flags in zip(
+        seq.servers_array[rows].tolist(),
+        seq.times_array[rows].tolist(),
+        carried.all(axis=1).tolist(),
+        carried.tolist(),
+    ):
+        if full:
+            for d in members:
+                last_any[d] = (server, t)
+                last_same[(d, server)] = t
             continue
-        for d in sorted(r.items):  # strict subset of the package
-            t_p = last_same.get((d, r.server))
-            cache_cost = mu * (r.time - t_p) if t_p is not None else float("inf")
+        for d, has in zip(members, flags):  # strict subset of the package
+            if not has:
+                continue
+            t_p = last_same.get((d, server))
+            cache_cost = mu * (t - t_p) if t_p is not None else float("inf")
             prev = last_any[d]
-            transfer_cost = mu * (r.time - prev[1]) + lam
+            transfer_cost = mu * (t - prev[1]) + lam
             best = min(cache_cost, transfer_cost, ship_cost)
             if best == cache_cost:
                 mode = MODE_CACHE
@@ -269,15 +329,15 @@ def single_sided_decisions(
                 mode = MODE_PACKAGE
             yield SingleSidedDecision(
                 item=d,
-                server=r.server,
-                time=r.time,
+                server=server,
+                time=t,
                 mode=mode,
                 cost=best,
                 prev_same_time=t_p,
                 prev_any=prev,
             )
-            last_any[d] = (r.server, r.time)
-            last_same[(d, r.server)] = r.time
+            last_any[d] = (server, t)
+            last_same[(d, server)] = t
 
 
 def serve_package(
@@ -302,9 +362,13 @@ def serve_package(
     option costing ``alpha * k * lam``.
 
     ``dp_cost`` injects a memoised co-occurrence DP result (cost-only:
-    incompatible with ``build_schedule=True``); the single-sided greedy
-    pass always runs, it is cheap and carries the per-node mode ledger.
-    ``attribute`` decomposes the co-occurrence DP cost into per-request
+    incompatible with ``build_schedule=True``); without a schedule or an
+    attribution to report, the DP runs cost-only (no decision path).
+    The single-sided greedy pass always runs: it carries the per-node
+    mode ledger and costs ``O(rows carrying a package item)``, a walk
+    over the members' cached index arrays
+    (:func:`single_sided_decisions`).  ``attribute`` decomposes the
+    co-occurrence DP cost into per-request
     ledger charges at package rate (the single-sided charges are already
     carried by ``modes``); with ``dp_cost`` injection the matching
     ``dp_attribution`` must be supplied.  ``co_view`` lets callers that
@@ -321,8 +385,6 @@ def serve_package(
     if k < 2:
         raise ValueError("a package needs at least two items")
     rate = package_rate(k, alpha)
-    mu, lam = model.mu, model.lam
-    ship_cost = rate * lam  # Observation 2's constant (2*alpha*lam for k=2)
 
     if co_view is None:
         co_view = seq.group_view(package)
@@ -348,18 +410,13 @@ def serve_package(
                 num_servers=co_view.num_servers,
                 origin=co_view.origin,
             )
-        dp = solve_optimal(
+        dp_total, dp_schedule, attribution = _solve_unit(
             pseudo,
             model,
+            rate,
             build_schedule=build_schedule,
-            rate_multiplier=rate,
-            backend=dp_backend,
-        )
-        dp_total, dp_schedule = dp.cost, dp.schedule
-        attribution = (
-            attribute_cost(pseudo, model, dp, rate_multiplier=rate)
-            if attribute
-            else None
+            attribute=attribute,
+            dp_backend=dp_backend,
         )
 
     # --- greedy pass over partial nodes (Observation 2) ----------------

@@ -343,7 +343,9 @@ def _assemble_unit_report(
 ) -> GroupReport:
     """Rebuild a unit's :class:`GroupReport` around a batch-solved DP
     cost (the single-sided greedy pass of packages runs here in the
-    parent -- it is cheap and carries the per-node mode ledger)."""
+    parent: it carries the per-node mode ledger and costs ``O(rows
+    carrying a package item)``, a walk over the members' cached index
+    arrays)."""
     kind, payload = spec
     if kind == "package":
         return serve_package(seq, frozenset(payload), model, alpha, dp_cost=dp_cost)

@@ -380,6 +380,15 @@ class TestSequenceValidate:
         with pytest.raises(ValueError, match=r"request\[2\].*empty item set"):
             seq.validate()
 
+    def test_first_of_two_corrupt_rows_is_reported(self):
+        seq = self._corrupt(self._seq(), 2, items=frozenset())
+        seq = self._corrupt(seq, 1, server=7)
+        with pytest.raises(ValueError) as info:
+            seq.validate()
+        assert str(info.value) == (
+            "request[1] (server 7, t=2.0): server id outside [0, 2)"
+        )
+
     def test_bad_origin(self):
         seq = self._seq()
         object.__setattr__(seq, "origin", 9)

@@ -2,16 +2,31 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tempfile
+
+import hypothesis
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cache.model import CostModel, RequestSequence
+from repro.cache import compiled_dp
+from repro.cache.model import CostModel, RequestSequence, package_rate
 from repro.cache.schedule import validate_schedule
 from repro.core.baselines import solve_optimal_nonpacking
-from repro.core.dp_greedy import serve_package, serve_singleton, solve_dp_greedy
+from repro.core.dp_greedy import (
+    SingleSidedDecision,
+    serve_package,
+    serve_singleton,
+    single_sided_decisions,
+    solve_dp_greedy,
+)
 from repro.experiments.running_example import running_example_sequence
+from repro.trace.store import TraceStore, write_store
 
 from ..conftest import cost_models, multi_item_sequences
+
+ALPHAS = st.sampled_from([0.5, 0.8, 1.0])
 
 
 @pytest.fixture
@@ -243,3 +258,111 @@ class TestLargerGroups:
             packing="groups", max_group_size=4,
         )
         assert res.plan.packages == (frozenset({1, 2, 3, 4}),)
+
+
+def _rescan_decisions(seq, package, model, alpha):
+    """Reference Observation-2 pass: the loop over
+    ``restrict_to_items(package, mode="any")``, one rescan of the whole
+    trace per package."""
+    mu, lam = model.mu, model.lam
+    ship_cost = package_rate(len(package), alpha) * lam
+    last_any = {d: (seq.origin, 0.0) for d in package}
+    last_same = {(d, seq.origin): 0.0 for d in package}
+    out = []
+    for r in seq.restrict_to_items(package, mode="any"):
+        if r.items == package:
+            for d in package:
+                last_any[d] = (r.server, r.time)
+                last_same[(d, r.server)] = r.time
+            continue
+        for d in sorted(r.items):
+            t_p = last_same.get((d, r.server))
+            cache_cost = mu * (r.time - t_p) if t_p is not None else float("inf")
+            prev = last_any[d]
+            transfer_cost = mu * (r.time - prev[1]) + lam
+            best = min(cache_cost, transfer_cost, ship_cost)
+            if best == cache_cost:
+                mode = "cache"
+            elif best == transfer_cost:
+                mode = "transfer"
+            else:
+                mode = "package"
+            out.append(SingleSidedDecision(d, r.server, r.time, mode, best, t_p, prev))
+            last_any[d] = (r.server, r.time)
+            last_same[(d, r.server)] = r.time
+    return out
+
+
+def _assert_same_decisions(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        for f in dataclasses.fields(SingleSidedDecision):
+            assert getattr(g, f.name) == getattr(w, f.name), f.name
+        assert type(g.server) is int and type(g.time) is float
+        assert type(g.prev_any[0]) is int and type(g.prev_any[1]) is float
+        assert g.prev_same_time is None or type(g.prev_same_time) is float
+
+
+class TestObservation2Walk:
+    """The per-package row walk must reproduce the whole-trace rescan
+    decision for decision, on in-memory and store-backed sequences."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seq=multi_item_sequences(max_items=4),
+        # item 4 never occurs in the trace: packages may name an absent member
+        package=st.frozensets(st.integers(0, 4), min_size=2, max_size=3),
+        model=cost_models(),
+        alpha=ALPHAS,
+    )
+    @hypothesis.example(
+        seq=running_example_sequence(),
+        package=frozenset({1, 2, 99}),
+        model=CostModel(mu=1.0, lam=1.0),
+        alpha=0.8,
+    )
+    def test_matches_rescan_oracle(self, seq, package, model, alpha):
+        want = _rescan_decisions(seq, package, model, alpha)
+        _assert_same_decisions(
+            list(single_sided_decisions(seq, package, model, alpha)), want
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            store = TraceStore.open(write_store(seq, f"{tmp}/trace.store"))
+            _assert_same_decisions(
+                list(single_sided_decisions(store, package, model, alpha)), want
+            )
+
+
+class TestCostOnlyReports:
+    """A unit that reports no schedule and no attribution takes the
+    cost-only DP; its report must equal the full solve's in every field
+    but the schedule, on every backend."""
+
+    @pytest.fixture(autouse=True)
+    def _python_kernels(self, monkeypatch):
+        # runs the compiled backend's kernel functions uncompiled, so
+        # "compiled" exercises real kernels with or without numba
+        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
+        monkeypatch.delenv("REPRO_NO_NUMBA", raising=False)
+        compiled_dp.reset()
+        yield
+        compiled_dp.reset()
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("dp_backend", ["sparse", "dense", "batched", "compiled"])
+    @settings(max_examples=40, deadline=None)
+    @given(seq=multi_item_sequences(max_items=4), model=cost_models(), alpha=ALPHAS)
+    def test_cost_only_equals_full_report(self, dp_backend, k, seq, model, alpha):
+        package = frozenset(range(k))
+        full = serve_package(
+            seq, package, model, alpha, build_schedule=True, dp_backend=dp_backend
+        )
+        cheap = serve_package(seq, package, model, alpha, dp_backend=dp_backend)
+        assert cheap.package_schedule is None
+        assert cheap == dataclasses.replace(full, package_schedule=None)
+        for d in package:
+            full = serve_singleton(
+                seq, d, model, build_schedule=True, dp_backend=dp_backend
+            )
+            cheap = serve_singleton(seq, d, model, dp_backend=dp_backend)
+            assert cheap == dataclasses.replace(full, package_schedule=None)
