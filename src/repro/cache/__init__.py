@@ -7,7 +7,6 @@ exact optimal off-line DP, the simple greedy comparator, on-line policies,
 and an exhaustive oracle for certification.
 """
 
-from . import compiled_dp as compiled
 from .bounds import BoundBreakdown, analytic_lower_bound, bound_breakdown
 from .brute_force import brute_force_cost
 from .capacity import POLICIES, CapacityCacheSimulator, CapacityReplayResult
@@ -43,7 +42,6 @@ from .schedule import (
 )
 
 __all__ = [
-    "compiled",
     "DEFAULT_ALPHA",
     "DEFAULT_THETA",
     "CostModel",

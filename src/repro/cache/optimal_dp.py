@@ -299,22 +299,10 @@ def solve_optimal(
     backend:
         ``"sparse"`` (default) runs the ``O(n * m)`` per-server sparse
         frontier; ``"dense"`` runs the historical ``O(n^2)`` dict sweep
-        kept as a cross-check reference; ``"batched"`` prices the view
-        through the lockstep kernel (:mod:`repro.cache.batched_dp`) at
-        batch size 1, taking the decision path from the sparse history
-        (the kernel is cost-only); ``"compiled"`` runs the numba-JIT
-        sparse sweep (:mod:`repro.cache.compiled_dp`), falling back to
-        sparse when numba is unavailable; ``"auto"`` picks
-        compiled -> sparse by availability.  Costs agree bit-for-bit
-        across all backends, and compiled reproduces the sparse decision
-        path exactly; on exact cost ties the chosen (equally optimal)
-        path may differ between sparse/batched/compiled and dense.
+        kept as a cross-check reference.  Costs agree bit-for-bit; on
+        exact cost ties the chosen (equally optimal) path may differ.
     """
-    if backend == "auto":
-        from . import compiled_dp
-
-        backend = compiled_dp.resolve_backend("auto")
-    if backend not in ("sparse", "dense", "batched", "compiled"):
+    if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown DP backend {backend!r}")
     if isinstance(view, RequestSequence):
         view = view.single_item_view()
@@ -330,27 +318,8 @@ def solve_optimal(
     base_transfers = _first_on_server_transfers(servers, nxt)
     base_cost = lam * len(base_transfers)
 
-    solved = None
-    if backend == "compiled":
-        from . import compiled_dp
-
-        solved = compiled_dp.unit_solve(view, model)
-        if solved is None:
-            backend = "sparse"
-
     if backend == "dense":
         dp_cost, decisions, backbone = _dense_path_sweep(servers, times, nxt, mu, lam)
-    elif solved is not None:
-        # kernel returns base + dp combined; same float ops, same total
-        combined, decisions, backbone = solved
-        total = combined * rate_multiplier
-        if not build_schedule:
-            return OptimalResult(total, None, tuple(decisions), tuple(backbone))
-        schedule = _reconstruct_schedule(
-            servers, times, nxt, decisions, list(backbone), base_transfers, lam,
-            rate_multiplier,
-        )
-        return OptimalResult(total, schedule, tuple(decisions), tuple(backbone))
     else:
         dp_cost, history = _sparse_path_sweep(servers, times, nxt, mu, lam)
         # walk the single surviving frontier state (M = n) back to event 0
@@ -365,15 +334,6 @@ def solve_optimal(
             M = pM
 
     total = (base_cost + dp_cost) * rate_multiplier
-    if backend == "batched":
-        from .batched_dp import batched_optimal_costs
-
-        total = float(
-            batched_optimal_costs([view], model, [rate_multiplier])[0]
-        )
-        # the kernel mirrors the sparse sweep's float ops exactly, so a
-        # mismatch here is a kernel bug, never rounding
-        assert total == (base_cost + dp_cost) * rate_multiplier
     if not build_schedule:
         return OptimalResult(total, None, tuple(decisions), tuple(sorted(backbone)))
 
@@ -605,35 +565,14 @@ def optimal_cost(
     ``backend="sparse"`` (default) runs the ``O(n * m)`` per-server
     sparse-frontier sweep with ``O(m)`` live state; ``backend="dense"``
     runs the historical NumPy dense cost vector (``O(n)`` work per event,
-    ``O(n^2)`` total), kept as a cross-check reference;
-    ``backend="batched"`` runs the vectorized lockstep kernel
-    (:mod:`repro.cache.batched_dp`) at batch size 1 -- its payoff is
-    many-view batches, exposed here for backend parity;
-    ``backend="compiled"`` runs the numba-JIT sweep
-    (:mod:`repro.cache.compiled_dp`), silently degrading to sparse when
-    numba is unavailable; ``backend="auto"`` picks compiled -> sparse by
-    availability.  All backends produce bit-identical costs: each
-    path's cost is the same left-to-right float sum of the same charges.
+    ``O(n^2)`` total), kept as a cross-check reference.  Both produce
+    bit-identical costs: each path's cost is the same left-to-right
+    float sum of the same charges.
     """
-    if backend == "auto":
-        from . import compiled_dp
-
-        backend = compiled_dp.resolve_backend("auto")
-    if backend not in ("sparse", "dense", "batched", "compiled"):
+    if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown DP backend {backend!r}")
     if isinstance(view, RequestSequence):
         view = view.single_item_view()
-    if backend == "compiled":
-        from . import compiled_dp
-
-        got = compiled_dp.unit_cost(view, model, rate_multiplier)
-        if got is not None:
-            return got
-        backend = "sparse"
-    if backend == "batched":
-        from .batched_dp import batched_optimal_costs
-
-        return float(batched_optimal_costs([view], model, [rate_multiplier])[0])
     servers, times = _event_arrays(view)
     n = len(times) - 1
     if n == 0:

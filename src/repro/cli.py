@@ -108,21 +108,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--dp-backend",
-        choices=("sparse", "dense", "batched", "compiled", "auto"),
-        default="sparse",
-        help=(
-            "Phase-2 single-item DP backend: 'sparse' (default) is the "
-            "O(n*m) frontier sweep, 'dense' the O(n^2*m) cross-check "
-            "table, 'batched' the lockstep numpy kernel that solves "
-            "whole length-buckets of units at once, 'compiled' the "
-            "numba-JIT kernels (falls back to sparse with a WARNING "
-            "when numba is unavailable or REPRO_NO_NUMBA=1), 'auto' "
-            "picks compiled->batched->sparse by availability and unit "
-            "count (bit-identical costs throughout)"
-        ),
-    )
-    parser.add_argument(
         "--unit-timeout",
         type=float,
         default=None,
@@ -252,7 +237,6 @@ def _engine_kwargs(
     resilience=None,
     checkpoint=None,
     resume: bool = False,
-    dp_backend: Optional[str] = None,
 ) -> Dict[str, object]:
     """Engine kwargs for harnesses that expose the knobs; {} otherwise."""
     params = inspect.signature(fn).parameters
@@ -265,8 +249,6 @@ def _engine_kwargs(
         out["metrics"] = True
     if "similarity" in params and similarity is not None:
         out["similarity"] = similarity
-    if "dp_backend" in params and dp_backend is not None and dp_backend != "sparse":
-        out["dp_backend"] = dp_backend
     if "resilience" in params and resilience is not None:
         out["resilience"] = resilience
     if "checkpoint" in params and checkpoint is not None:
@@ -503,7 +485,6 @@ def _run_one(
     resilience=None,
     checkpoint=None,
     resume: bool = False,
-    dp_backend: Optional[str] = None,
     prom: Optional[str] = None,
     progress: bool = False,
     stall_after: Optional[float] = None,
@@ -525,7 +506,6 @@ def _run_one(
             resilience=resilience,
             checkpoint=checkpoint,
             resume=resume,
-            dp_backend=dp_backend,
         )
     )
     telemetry_on = metrics or progress or stall_after is not None
@@ -670,7 +650,6 @@ def _solve_trace(args: argparse.Namespace) -> int:
                 alpha=args.alpha,
                 shards=args.shards,
                 similarity=args.similarity,
-                dp_backend=args.dp_backend,
                 workers=args.workers,
                 memo=not args.no_memo,
                 obs=obs,
@@ -685,7 +664,6 @@ def _solve_trace(args: argparse.Namespace) -> int:
                 theta=args.theta,
                 alpha=args.alpha,
                 similarity=args.similarity,
-                dp_backend=args.dp_backend,
                 workers=args.workers,
                 memo=not args.no_memo,
                 obs=obs,
@@ -704,11 +682,6 @@ def _solve_trace(args: argparse.Namespace) -> int:
             f"engine: {es.pool} pool, {es.workers} worker(s), "
             f"{es.memo_hits}/{es.memo_hits + es.memo_misses} memo hits"
         )
-        if es.batches:
-            print(
-                f"batched: {es.batches} bucket(s), "
-                f"pad waste {es.pad_waste:.1%}"
-            )
         if es.shards:
             print(f"sharded: {es.shards} shard(s) over {es.units} unit(s)")
         if es.retries or es.timeouts or es.pool_fallbacks or es.units_failed:
@@ -882,7 +855,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 trace=args.trace_out is not None,
                 similarity=args.similarity,
                 resilience=_resilience_from_args(args),
-                dp_backend=args.dp_backend,
                 prom=args.prom is not None,
             )
         print(f"report written to {path}")
@@ -905,7 +877,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         similarity=args.similarity,
                         resilience=resilience,
                         checkpoint=checkpoint, resume=args.resume,
-                        dp_backend=args.dp_backend,
                         prom=args.prom, progress=args.progress,
                         stall_after=args.stall_after,
                     ),
@@ -917,7 +888,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             trace_path, similarity=args.similarity,
             resilience=resilience,
             checkpoint=checkpoint, resume=args.resume,
-            dp_backend=args.dp_backend,
             prom=args.prom, progress=args.progress,
             stall_after=args.stall_after,
         )

@@ -160,7 +160,6 @@ def _solve_unit(
     *,
     build_schedule: bool,
     attribute: bool,
-    dp_backend: str,
 ) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[float, str, float], ...]]]:
     """``(cost, schedule, attribution)`` of one unit's DP at ``rate``.
 
@@ -168,18 +167,11 @@ def _solve_unit(
     by :func:`~repro.cache.optimal_dp.optimal_cost`: the same recurrence
     with ``O(m)`` live state and no per-event decision history to
     backtrack, bit-identical to ``solve_optimal(...).cost``.
-    ``"batched"`` stays on :func:`solve_optimal`, which checks the
-    lockstep kernel against the sparse sweep on every call.
     """
-    if not build_schedule and not attribute and dp_backend != "batched":
-        cost = optimal_cost(view, model, rate_multiplier=rate, backend=dp_backend)
-        return cost, None, None
+    if not build_schedule and not attribute:
+        return optimal_cost(view, model, rate_multiplier=rate), None, None
     res = solve_optimal(
-        view,
-        model,
-        build_schedule=build_schedule,
-        rate_multiplier=rate,
-        backend=dp_backend,
+        view, model, build_schedule=build_schedule, rate_multiplier=rate
     )
     attribution = (
         attribute_cost(view, model, res, rate_multiplier=rate) if attribute else None
@@ -197,7 +189,6 @@ def serve_singleton(
     dp_cost: Optional[float] = None,
     dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]] = None,
     attribute: bool = False,
-    dp_backend: str = "sparse",
 ) -> GroupReport:
     """Serve one unpacked item with the optimal off-line algorithm.
 
@@ -212,8 +203,6 @@ def serve_singleton(
     ``dp_cost`` injection the matching ``dp_attribution`` must be
     supplied -- the memo stores both together).  Without a schedule or
     an attribution to report, the DP runs cost-only (no decision path).
-    ``dp_backend`` picks the solver backend
-    (``"sparse"``/``"dense"``/``"batched"``/``"compiled"``/``"auto"``).
     """
     if sub is None:
         sub = seq.item_view(item)
@@ -233,7 +222,6 @@ def serve_singleton(
             1.0,
             build_schedule=build_schedule,
             attribute=attribute,
-            dp_backend=dp_backend,
         )
     return GroupReport(
         group=frozenset((item,)),
@@ -351,7 +339,6 @@ def serve_package(
     dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]] = None,
     attribute: bool = False,
     co_view: "RequestSequence | SingleItemView | None" = None,
-    dp_backend: str = "sparse",
 ) -> GroupReport:
     """Serve one package per Phase 2 of Algorithm 1.
 
@@ -378,8 +365,6 @@ def serve_package(
     bare :class:`SingleItemView`; by default the trajectory comes from
     the sequence's cached columnar projection
     (:meth:`~repro.cache.model.RequestSequence.group_view`).
-    ``dp_backend`` picks the co-occurrence solver backend
-    (``"sparse"``/``"dense"``/``"batched"``/``"compiled"``/``"auto"``).
     """
     k = len(package)
     if k < 2:
@@ -416,7 +401,6 @@ def serve_package(
             rate,
             build_schedule=build_schedule,
             attribute=attribute,
-            dp_backend=dp_backend,
         )
 
     # --- greedy pass over partial nodes (Observation 2) ----------------
@@ -441,6 +425,56 @@ def serve_package(
     )
 
 
+def _run_phase1(
+    seq: RequestSequence,
+    *,
+    theta: float,
+    packing: str,
+    max_group_size: int,
+    similarity: str,
+    plan: Optional[PackingPlan],
+    obs: "object | None",
+    tracer: "object | None",
+) -> Tuple["CorrelationStats | SparseCorrelationStats", PackingPlan]:
+    """Phase 1 of every solve driver: ``(stats, plan)`` for ``seq``.
+
+    Runs the similarity join, then packs (``"pairs"`` or ``"groups"``)
+    -- or, given a ``plan``, checks that it covers exactly ``seq``'s
+    items and returns it as-is.  The join runs either way, so the
+    result's ``stats`` is always filled (and the benchmark's
+    ``phase2_ms`` subtracts the join's time from a planned solve).
+    With ``obs`` both steps are timed into ``obs.timers`` and, when the
+    packing consumed the join, its pruning counters land in
+    ``obs.counters`` under ``phase1.``.
+    """
+    timed = obs.timers.time if obs is not None else _null_timer
+    with timed("phase1.similarity"), maybe_span(
+        tracer, "phase1.similarity", cat="phase1", backend=similarity
+    ):
+        stats = correlation_stats(seq, backend=similarity)
+    ran_join = plan is None
+    with timed("phase1.packing"), maybe_span(
+        tracer, "phase1.packing", cat="phase1"
+    ):
+        if plan is not None:
+            plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
+            if plan_items != set(seq.items):
+                raise ValueError(
+                    "externally supplied plan does not cover the sequence's items"
+                )
+        elif packing == "pairs":
+            plan = greedy_pair_packing(stats, theta)
+        elif packing == "groups":
+            plan = greedy_group_packing(stats, theta, max_group_size)
+        else:
+            raise ValueError(f"unknown packing mode {packing!r}")
+    if obs is not None and ran_join:
+        # pruning statistics of the threshold-aware similarity join
+        obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
+        obs.counters.set("phase1.similarity_backend", similarity)
+    return stats, plan
+
+
 def solve_dp_greedy(
     seq: RequestSequence,
     model: CostModel,
@@ -459,7 +493,6 @@ def solve_dp_greedy(
     obs: "object | None" = None,
     tracer: "object | None" = None,
     resilience: "object | bool | None" = None,
-    dp_backend: str = "sparse",
     telemetry: "object | None" = None,
 ) -> DPGreedyResult:
     """Run the full two-phase DP_Greedy algorithm on ``seq``.
@@ -482,10 +515,13 @@ def solve_dp_greedy(
         BLAS pass kept as a cross-check.  Both produce bit-identical
         similarities, pair order, plans, and costs.
     plan:
-        Optional externally-computed packing plan; when given, Phase 1 is
-        skipped and the plan is served as-is (used by the robustness
-        study, which plans on a *predicted* trajectory and serves the
-        true one).  The plan's items must cover exactly ``seq``'s items.
+        Optional externally-computed packing plan; when given, the
+        packing step is skipped and the plan is served as-is (used by
+        the robustness study, which plans on a *predicted* trajectory
+        and serves the true one).  The plan's items must cover exactly
+        ``seq``'s items.  The similarity join still runs, so
+        ``result.stats`` is filled either way; only its pruning counters
+        stay out of ``obs``, because no packing consumed them.
     parallel / workers / memo / pool:
         Opt-in to the Phase-2 execution engine
         (:func:`repro.engine.parallel.serve_plan`).  ``parallel=True``
@@ -525,20 +561,6 @@ def solve_dp_greedy(
         execution engine; retry/timeout/fallback counters surface on
         ``engine_stats`` and (with ``obs=``) as ``engine.*`` metrics
         counters.
-    dp_backend:
-        Phase-2 solver backend per serving unit: ``"sparse"`` (default),
-        ``"dense"`` (the cross-check reference), ``"batched"`` -- the
-        vectorized lockstep kernel of :mod:`repro.cache.batched_dp` --,
-        ``"compiled"`` -- the numba-JIT kernels of
-        :mod:`repro.cache.compiled_dp`, silently degrading to sparse
-        (one WARNING, counted on ``engine_stats.compiled_fallbacks``)
-        when numba is unavailable --, or ``"auto"``, which picks
-        compiled -> batched -> sparse by availability and unit count
-        once the packing fixes how many serving units there are.
-        ``"batched"``/``"compiled"``/``"auto"`` imply the execution
-        engine, whose scheduler buckets memo-miss units by length and
-        solves whole buckets per dispatch; all backends produce
-        bit-identical costs.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub (``None``
         picks up any process-wide hub installed via
@@ -555,8 +577,6 @@ def solve_dp_greedy(
 
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if dp_backend not in ("sparse", "dense", "batched", "compiled", "auto"):
-        raise ValueError(f"unknown DP backend {dp_backend!r}")
     # fail fast on corrupt inputs, with request indices in the message,
     # rather than deep inside a DP recurrence
     seq.validate()
@@ -575,7 +595,7 @@ def solve_dp_greedy(
             max_group_size=max_group_size, similarity=similarity,
             build_schedules=build_schedules, plan=plan, parallel=parallel,
             workers=workers, memo=memo, pool=pool, obs=obs, tracer=tracer,
-            resilience=resilience, dp_backend=dp_backend, tele=tele,
+            resilience=resilience, tele=tele,
             observe=observe, timed=timed, span_mark=span_mark,
             h_solve=H_SOLVE,
         )
@@ -587,56 +607,27 @@ def solve_dp_greedy(
 def _solve_dp_greedy_observed(
     seq, model, *, theta, alpha, packing, max_group_size, similarity,
     build_schedules, plan, parallel, workers, memo, pool, obs, tracer,
-    resilience, dp_backend, tele, observe, timed, span_mark, h_solve,
+    resilience, tele, observe, timed, span_mark, h_solve,
 ) -> DPGreedyResult:
     """The body of :func:`solve_dp_greedy`, inside the telemetry window."""
-    with timed("phase1.similarity"), maybe_span(
-        tracer, "phase1.similarity", cat="phase1", backend=similarity
-    ):
-        stats = correlation_stats(seq, backend=similarity)
-    ran_join = plan is None
-    with timed("phase1.packing"), maybe_span(
-        tracer, "phase1.packing", cat="phase1"
-    ):
-        if plan is not None:
-            plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
-            if plan_items != set(seq.items):
-                raise ValueError(
-                    "externally supplied plan does not cover the sequence's items"
-                )
-        elif packing == "pairs":
-            plan = greedy_pair_packing(stats, theta)
-        elif packing == "groups":
-            plan = greedy_group_packing(stats, theta, max_group_size)
-        else:
-            raise ValueError(f"unknown packing mode {packing!r}")
-    if observe and ran_join:
-        # pruning statistics of the threshold-aware similarity join
-        obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
-        obs.counters.set("phase1.similarity_backend", similarity)
+    from ..engine.memo import resolve_memo
 
+    stats, plan = _run_phase1(
+        seq, theta=theta, packing=packing, max_group_size=max_group_size,
+        similarity=similarity, plan=plan, obs=obs, tracer=tracer,
+    )
+    memo_obj = resolve_memo(memo)
     engine_stats = None
-    memo_obj = None
     use_engine = (
         parallel
         or workers is not None
         or pool is not None
-        or memo not in (None, False)
+        or memo_obj is not None
         or resilience not in (None, False)
-        or dp_backend in ("batched", "compiled", "auto")
     )
     if use_engine:
-        from ..engine.memo import SolverMemo, get_default_memo
         from ..engine.parallel import serve_plan
 
-        if memo is True:
-            memo_obj = get_default_memo()
-        elif memo in (None, False):
-            memo_obj = None
-        elif isinstance(memo, SolverMemo):
-            memo_obj = memo
-        else:
-            raise TypeError("memo must be a SolverMemo, True, False, or None")
         with timed("phase2.serve"), maybe_span(
             tracer, "phase2.serve", cat="phase2", engine="pool"
         ):
@@ -652,7 +643,6 @@ def _solve_dp_greedy_observed(
                 attribute=observe,
                 tracer=tracer,
                 resilience=resilience,
-                dp_backend=dp_backend,
                 telemetry=tele,
             )
     else:
@@ -680,7 +670,6 @@ def _solve_dp_greedy_observed(
                             alpha,
                             build_schedule=build_schedules,
                             attribute=observe,
-                            dp_backend=dp_backend,
                         )
                     )
                 if tele is not None:
@@ -705,7 +694,6 @@ def _solve_dp_greedy_observed(
                             model,
                             build_schedule=build_schedules,
                             attribute=observe,
-                            dp_backend=dp_backend,
                         )
                     )
                 if tele is not None:

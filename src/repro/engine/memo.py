@@ -36,7 +36,7 @@ import numpy as np
 
 from ..cache.model import CostModel, RequestSequence, SingleItemView
 
-__all__ = ["SolverMemo", "fingerprint_view", "get_default_memo"]
+__all__ = ["SolverMemo", "fingerprint_view", "get_default_memo", "resolve_memo"]
 
 
 def fingerprint_view(
@@ -215,3 +215,16 @@ _DEFAULT_MEMO = SolverMemo()
 def get_default_memo() -> SolverMemo:
     """The process-wide memo used when callers opt in with ``memo=True``."""
     return _DEFAULT_MEMO
+
+
+def resolve_memo(memo: "SolverMemo | bool | None") -> Optional[SolverMemo]:
+    """Normalise the ``memo=`` argument of the solve drivers: a
+    :class:`SolverMemo` is used as-is, ``True`` picks the process-wide
+    default memo, and ``None``/``False`` turn memoisation off."""
+    if memo is True:
+        return get_default_memo()
+    if memo in (None, False):
+        return None
+    if isinstance(memo, SolverMemo):
+        return memo
+    raise TypeError("memo must be a SolverMemo, True, False, or None")

@@ -50,16 +50,9 @@ import os
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..cache import compiled_dp
-from ..cache.batched_dp import batched_optimal_costs, length_buckets, pad_waste
-from ..cache.model import (
-    CostModel,
-    RequestSequence,
-    SingleItemView,
-    package_rate,
-)
+from ..cache.model import CostModel, RequestSequence, package_rate
 from ..correlation.packing import PackingPlan
 from ..core.dp_greedy import GroupReport, serve_package, serve_singleton
 from ..obs import telemetry as _telemetry
@@ -70,7 +63,6 @@ from .memo import SolverMemo, fingerprint_view
 __all__ = [
     "AUTO_SERIAL_NODES",
     "PROCESS_POOL_NODES",
-    "BatchResult",
     "EngineStats",
     "ShardResult",
     "serve_plan",
@@ -85,14 +77,11 @@ AUTO_SERIAL_NODES = 4_096
 PROCESS_POOL_NODES = 16_384
 
 # Unit spec shipped to workers: ("package", (d1, d2, ...)),
-# ("singleton", item), under the batched backend a whole length-bucket
-# ("batch", (spec, spec, ...)) solved in one kernel call, or -- under
-# sharded dispatch (repro.engine.sharding) -- a whole shard
-# ("shard", (spec, spec, ...)) of units served serially in one worker.
-# Tuples keep pickling cheap and deterministic.
+# ("singleton", item), or -- under sharded dispatch
+# (repro.engine.sharding) -- a whole shard ("shard", (spec, spec, ...))
+# of units served serially in one worker.  Tuples keep pickling cheap
+# and deterministic.
 _UnitSpec = Tuple[str, Union[Tuple[int, ...], int, Tuple]]
-
-_DP_BACKENDS = ("sparse", "dense", "batched", "compiled", "auto")
 
 
 @dataclass(frozen=True)
@@ -103,14 +92,7 @@ class EngineStats:
     resilient dispatch layer (:mod:`repro.engine.resilience`) and stay
     zero on the classic path; ``pool`` always records the backend the
     heuristic *picked* -- pool degradation is visible through
-    ``pool_fallbacks``.  ``batches``/``pad_waste`` are produced by the
-    batched scheduler (``dp_backend="batched"`` or ``"compiled"``):
-    bucket count dispatched through the kernel and the padded-slot
-    fraction its length bucketing wasted.  ``compiled_units`` counts
-    the pending units priced by the compiled kernels and
-    ``compiled_fallbacks`` the parent-side compiled -> sparse
-    degradations (numba missing, ``REPRO_NO_NUMBA=1``, kernel
-    rejection); ``dp_backend`` records the backend that actually ran.
+    ``pool_fallbacks``.
     """
 
     units: int
@@ -126,12 +108,7 @@ class EngineStats:
     pool_fallbacks: int = 0  # degradation-ladder steps taken
     units_failed: int = 0  # units dropped under on_unit_error="skip"
     stalls: int = 0  # dispatches flagged silent by the stall watchdog
-    batches: int = 0  # length buckets dispatched through the kernel
-    pad_waste: float = 0.0  # padded-slot fraction wasted by bucketing
     shards: int = 0  # shard dispatches of a sharded solve (0 = unsharded)
-    compiled_units: int = 0  # pending units priced by the compiled kernels
-    compiled_fallbacks: int = 0  # compiled -> sparse degradations (parent side)
-    dp_backend: str = "sparse"
 
     @property
     def memo_hit_rate(self) -> float:
@@ -140,37 +117,16 @@ class EngineStats:
 
 
 @dataclass(frozen=True)
-class BatchResult:
-    """DP costs of one ``("batch", ...)`` dispatch, in member order.
-
-    Engine-internal: the parent unpacks it back into per-unit
-    :class:`~repro.core.dp_greedy.GroupReport` objects.  It exposes a
-    ``package_cost`` field and a ``total`` property so the resilience
-    layer's finite-cost audit and the chaos corruption hook
-    (:meth:`~repro.engine.chaos.FaultPlan.corrupt_report`, which
-    replaces ``package_cost`` with NaN) apply to batch dispatches
-    unchanged.
-    """
-
-    costs: Tuple[float, ...]
-    package_cost: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.package_cost + math.fsum(self.costs)
-
-
-@dataclass(frozen=True)
 class ShardResult:
     """Reports of one ``("shard", ...)`` dispatch, in shard-member order.
 
-    Produced by :func:`_solve_shard` for the sharded driver
+    Produced by :func:`_serve_unit` for the sharded driver
     (:mod:`repro.engine.sharding`), which zips the reports back onto the
-    shard's unit indices.  Mirrors :class:`BatchResult`'s contract with
-    the resilience layer: ``package_cost`` plus a ``total`` property, so
-    the finite-cost audit and the chaos corruption hook
-    (:meth:`~repro.engine.chaos.FaultPlan.corrupt_report`) apply to
-    whole shards unchanged.
+    shard's unit indices.  It exposes a ``package_cost`` field and a
+    ``total`` property, so the resilience layer's finite-cost audit and
+    the chaos corruption hook
+    (:meth:`~repro.engine.chaos.FaultPlan.corrupt_report`, which
+    replaces ``package_cost`` with NaN) apply to whole shards unchanged.
     """
 
     reports: Tuple[GroupReport, ...]
@@ -192,92 +148,13 @@ def _plan_units(plan: PackingPlan) -> List[_UnitSpec]:
 
 def _unit_label(spec: _UnitSpec) -> str:
     """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"`` /
-    ``"batch(3u@item(7))"`` (member count + first member)."""
+    ``"shard(3u@item(7))"`` (member count + first member)."""
     kind, payload = spec
     if kind == "package":
         return "pkg(" + ",".join(str(d) for d in payload) + ")"
-    if kind == "batch":
-        return f"batch({len(payload)}u@{_unit_label(payload[0])})"
     if kind == "shard":
         return f"shard({len(payload)}u@{_unit_label(payload[0])})"
     return f"item({payload})"
-
-
-def _unit_view(seq: RequestSequence, spec: _UnitSpec) -> SingleItemView:
-    """The unit's solver trajectory from the sequence's cached columnar
-    projections (items: per-item view; packages: co-occurrence view)."""
-    kind, payload = spec
-    if kind == "package":
-        return seq.group_view(frozenset(payload))
-    return seq.item_view(payload)
-
-
-def _solve_batch(
-    seq: RequestSequence,
-    specs: Tuple[_UnitSpec, ...],
-    model: CostModel,
-    alpha: float,
-    dp_backend: str = "batched",
-) -> BatchResult:
-    """Price one length bucket through the lockstep kernel
-    (``dp_backend="compiled"`` routes it through the numba lowering,
-    degrading to the numpy kernel bit-identically)."""
-    views = [_unit_view(seq, spec) for spec in specs]
-    rates = [
-        package_rate(len(payload), alpha) if kind == "package" else 1.0
-        for kind, payload in specs
-    ]
-    kernel = "compiled" if dp_backend == "compiled" else "batched"
-    costs = batched_optimal_costs(views, model, rates, backend=kernel)
-    return BatchResult(costs=tuple(float(c) for c in costs))
-
-
-def _solve_shard(
-    seq: RequestSequence,
-    specs: Tuple[_UnitSpec, ...],
-    model: CostModel,
-    alpha: float,
-    build_schedules: bool,
-    attribute: bool,
-    dp_backend: str,
-    recorder: "object | None" = None,
-) -> ShardResult:
-    """Serve one shard's units serially inside a single worker.
-
-    Cost-only batched mode buckets the shard's own units through the
-    lockstep kernel (the same scheduling ``serve_plan`` applies
-    globally, here per shard); otherwise every unit runs its individual
-    serve.  Either way the per-unit reports are bit-identical to the
-    unsharded path's.  ``recorder`` (the latency-sink protocol of
-    :mod:`repro.obs.telemetry`) receives per-bucket / per-inner-unit
-    solve latencies.
-    """
-    if dp_backend in ("batched", "compiled") and not build_schedules and not attribute:
-        idxs = list(range(len(specs)))
-        lengths = {i: len(_unit_view(seq, specs[i])) for i in idxs}
-        costs: Dict[int, float] = {}
-        for bucket in length_buckets(idxs, lengths):
-            t0 = time.perf_counter() if recorder is not None else 0.0
-            batch = _solve_batch(
-                seq, tuple(specs[i] for i in bucket), model, alpha, dp_backend
-            )
-            if recorder is not None:
-                recorder.record(_telemetry.H_BATCH, time.perf_counter() - t0)
-            for i, cost in zip(bucket, batch.costs):
-                costs[i] = float(cost)
-        reports = tuple(
-            _assemble_unit_report(seq, specs[i], model, alpha, costs[i])
-            for i in idxs
-        )
-    else:
-        reports = tuple(
-            _serve_unit(
-                seq, spec, model, alpha, build_schedules, attribute,
-                dp_backend, recorder=recorder,
-            )
-            for spec in specs
-        )
-    return ShardResult(reports=reports)
 
 
 def _serve_unit(
@@ -287,24 +164,26 @@ def _serve_unit(
     alpha: float,
     build_schedules: bool,
     attribute: bool = False,
-    dp_backend: str = "sparse",
     *,
     recorder: "object | None" = None,
-) -> "GroupReport | BatchResult | ShardResult":
+) -> "GroupReport | ShardResult":
+    """Serve one dispatch spec.  A ``("shard", ...)`` spec serves its
+    units serially, each through the same per-unit serve as the
+    unsharded path, so its reports are bit-identical to that path's.
+    ``recorder`` (the latency-sink protocol of
+    :mod:`repro.obs.telemetry`) receives per-unit and per-shard solve
+    latencies."""
     kind, payload = spec
-    if kind == "batch":
-        # whole bucket in one kernel call; the scheduler only emits
-        # batch specs in cost-only mode (no schedules, no attribution)
-        t0 = time.perf_counter() if recorder is not None else 0.0
-        batch = _solve_batch(seq, payload, model, alpha, dp_backend)
-        if recorder is not None:
-            recorder.record(_telemetry.H_BATCH, time.perf_counter() - t0)
-        return batch
     if kind == "shard":
         t0 = time.perf_counter() if recorder is not None else 0.0
-        shard = _solve_shard(
-            seq, payload, model, alpha, build_schedules, attribute,
-            dp_backend, recorder=recorder,
+        shard = ShardResult(
+            reports=tuple(
+                _serve_unit(
+                    seq, unit, model, alpha, build_schedules, attribute,
+                    recorder=recorder,
+                )
+                for unit in payload
+            )
         )
         if recorder is not None:
             recorder.record(_telemetry.H_SHARD, time.perf_counter() - t0)
@@ -318,7 +197,6 @@ def _serve_unit(
             alpha,
             build_schedule=build_schedules,
             attribute=attribute,
-            dp_backend=dp_backend,
         )
     else:
         report = serve_singleton(
@@ -327,29 +205,10 @@ def _serve_unit(
             model,
             build_schedule=build_schedules,
             attribute=attribute,
-            dp_backend=dp_backend,
         )
     if recorder is not None:
         recorder.record(_telemetry.H_SOLVE, time.perf_counter() - t0)
     return report
-
-
-def _assemble_unit_report(
-    seq: RequestSequence,
-    spec: _UnitSpec,
-    model: CostModel,
-    alpha: float,
-    dp_cost: float,
-) -> GroupReport:
-    """Rebuild a unit's :class:`GroupReport` around a batch-solved DP
-    cost (the single-sided greedy pass of packages runs here in the
-    parent: it carries the per-node mode ledger and costs ``O(rows
-    carrying a package item)``, a walk over the members' cached index
-    arrays)."""
-    kind, payload = spec
-    if kind == "package":
-        return serve_package(seq, frozenset(payload), model, alpha, dp_cost=dp_cost)
-    return serve_singleton(seq, payload, model, dp_cost=dp_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -367,19 +226,11 @@ def _init_worker(
     build_schedules: bool,
     attribute: bool,
     trace: bool = False,
-    dp_backend: str = "sparse",
     telemetry: bool = False,
 ) -> None:
     global _WORKER_ARGS, _WORKER_TRACER
-    _WORKER_ARGS = (
-        seq, model, alpha, build_schedules, attribute, dp_backend, telemetry
-    )
+    _WORKER_ARGS = (seq, model, alpha, build_schedules, attribute, telemetry)
     _WORKER_TRACER = Tracer() if trace else None
-    if dp_backend == "compiled":
-        # fork: the parent's warm-up state is inherited and this is a
-        # no-op; spawn: the probe loads machine code from the on-disk
-        # numba cache the parent's warm-up populated, no re-JIT
-        compiled_dp.warm_up()
     # under fork the worker inherits the parent's installed telemetry
     # hub; its sampler/watchdog threads did not survive the fork, so
     # clear it -- workers record through an explicit UnitRecorder and
@@ -387,11 +238,9 @@ def _init_worker(
     _telemetry.install(None)
 
 
-def _serve_unit_in_worker(spec: _UnitSpec) -> "GroupReport | BatchResult":
-    seq, model, alpha, build_schedules, attribute, dp_backend, _ = _WORKER_ARGS
-    return _serve_unit(
-        seq, spec, model, alpha, build_schedules, attribute, dp_backend
-    )
+def _serve_unit_in_worker(spec: _UnitSpec) -> "GroupReport | ShardResult":
+    seq, model, alpha, build_schedules, attribute, _ = _WORKER_ARGS
+    return _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
 
 
 def _serve_unit_in_worker_telemetry(spec: _UnitSpec):
@@ -400,11 +249,10 @@ def _serve_unit_in_worker_telemetry(spec: _UnitSpec):
     The worker times the solve into a local :class:`UnitRecorder` and
     ships the latency entries plus its own ``getrusage`` peaks back with
     the result for the parent hub to absorb."""
-    seq, model, alpha, build_schedules, attribute, dp_backend, _ = _WORKER_ARGS
+    seq, model, alpha, build_schedules, attribute, _ = _WORKER_ARGS
     recorder = UnitRecorder()
     report = _serve_unit(
-        seq, spec, model, alpha, build_schedules, attribute, dp_backend,
-        recorder=recorder,
+        seq, spec, model, alpha, build_schedules, attribute, recorder=recorder
     )
     return report, recorder.unit_stats()
 
@@ -418,15 +266,14 @@ def _serve_unit_in_worker_traced(spec: _UnitSpec):
     :mod:`repro.obs.tracing` for the clock model).  With telemetry also
     enabled the third element carries the :class:`WorkerUnitStats`.
     """
-    (seq, model, alpha, build_schedules, attribute, dp_backend,
-     telemetry) = _WORKER_ARGS
+    seq, model, alpha, build_schedules, attribute, telemetry = _WORKER_ARGS
     recorder = UnitRecorder() if telemetry else None
     tracer = _WORKER_TRACER
     if tracer is None:  # pragma: no cover - defensive; init always ran
         return (
             _serve_unit(
                 seq, spec, model, alpha, build_schedules, attribute,
-                dp_backend, recorder=recorder,
+                recorder=recorder,
             ),
             (),
             recorder.unit_stats() if recorder is not None else None,
@@ -436,7 +283,7 @@ def _serve_unit_in_worker_traced(spec: _UnitSpec):
         "phase2.solve", cat="phase2", unit=_unit_label(spec), kind=spec[0]
     ):
         report = _serve_unit(
-            seq, spec, model, alpha, build_schedules, attribute, dp_backend,
+            seq, spec, model, alpha, build_schedules, attribute,
             recorder=recorder,
         )
     return (
@@ -507,9 +354,9 @@ def _memo_probe(
 
 
 def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
-    """Carried-request count per unit (the pool-selection size estimate,
-    also the batch scheduler's length key), served from the sequence's
-    cached per-item projections."""
+    """Carried-request count per unit (the pool-selection and shard
+    balancing size estimate), served from the sequence's cached per-item
+    projections."""
     counts = seq.item_event_counts()
     sizes: List[int] = []
     for kind, payload in units:
@@ -574,7 +421,6 @@ def _make_executor(
     build_schedules: bool,
     attribute: bool,
     trace: bool = False,
-    dp_backend: str = "sparse",
     telemetry: bool = False,
 ) -> Executor:
     if kind == "thread":
@@ -584,10 +430,7 @@ def _make_executor(
         max_workers=workers,
         mp_context=ctx,
         initializer=_init_worker,
-        initargs=(
-            seq, model, alpha, build_schedules, attribute, trace, dp_backend,
-            telemetry,
-        ),
+        initargs=(seq, model, alpha, build_schedules, attribute, trace, telemetry),
     )
 
 
@@ -604,7 +447,6 @@ def serve_plan(
     attribute: bool = False,
     tracer: Optional[Tracer] = None,
     resilience: "object | bool | None" = None,
-    dp_backend: str = "sparse",
     telemetry: Optional[Telemetry] = None,
 ) -> Tuple[List[GroupReport], EngineStats]:
     """Serve every unit of ``plan``; return reports in serial order.
@@ -644,63 +486,21 @@ def serve_plan(
         pools, re-dispatching only unfinished units), and optional
         deterministic fault injection.  ``None``/``False`` (default)
         keeps the classic dispatch path byte-for-byte.
-    dp_backend:
-        Per-unit solver backend (``"sparse"``/``"dense"``/``"batched"``/
-        ``"compiled"``/``"auto"``).  ``"compiled"`` runs the numba-JIT
-        kernels (:mod:`repro.cache.compiled_dp`): the parent warms the
-        compile up once before dispatch (recorded under the
-        ``engine.jit_compile_seconds`` telemetry family) and pool
-        workers hit the on-disk numba cache instead of re-JITting; when
-        the kernels are unavailable (numba missing, ``REPRO_NO_NUMBA=1``)
-        the call silently degrades to ``"sparse"`` with one WARNING and
-        a ``compiled_fallbacks`` count.  ``"auto"`` picks
-        compiled -> batched -> sparse by availability and unit count.
-        Under ``"batched"``/``"compiled"`` in cost-only mode (no
-        schedules, no attribution) the scheduler buckets memo-miss
-        units by length
-        (:func:`~repro.cache.batched_dp.length_buckets` over the shared
-        ``_unit_sizes`` estimate, bounding pad waste), dispatches whole
-        buckets through the same pool/resilience machinery as one
-        ``("batch", ...)`` spec each, and unpacks the kernel's costs
-        back into per-unit reports in the parent; memoisation stores the
-        per-unit costs exactly as on the classic path.  With schedules
-        or attribution requested the batch scheduler stands down and
-        every unit solves individually through
-        ``solve_optimal(backend="batched")`` (the kernel is cost-only).
-        All backends produce bit-identical reports.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub.  Per-unit
-        solve latency, per-bucket kernel latency, and dispatch/backoff
-        latency land in its histograms; dispatch progress (including
-        pool-worker completions) feeds its :class:`ProgressBoard`, and
-        process workers ship their ``getrusage`` peaks back for
+        solve latency and dispatch/backoff latency land in its
+        histograms; dispatch progress (including pool-worker
+        completions) feeds its :class:`ProgressBoard`, and process
+        workers ship their ``getrusage`` peaks back for
         :meth:`~repro.obs.telemetry.Telemetry.absorb_worker`.  Strictly
         observation-only: reports are bit-identical with or without it.
     """
     from .resilience import ResilienceConfig
 
-    if dp_backend not in _DP_BACKENDS:
-        raise ValueError(f"unknown DP backend {dp_backend!r}")
     resil = ResilienceConfig.coerce(resilience)
     units = _plan_units(plan)
     n_packages = len(plan.packages)
     use_memo = memo is not None and not build_schedules
-
-    compiled_fb_before = compiled_dp.fallback_count()
-    dp_backend = compiled_dp.resolve_backend(dp_backend, len(units))
-    if dp_backend == "compiled":
-        if not compiled_dp.available():
-            # engine-level degradation: count it and run sparse; the
-            # per-call kernels never even get asked
-            compiled_dp.note_fallback("serve_plan")
-            dp_backend = "sparse"
-        else:
-            jit_seconds = compiled_dp.warm_up()
-            if telemetry is not None and jit_seconds > 0.0:
-                telemetry.record(_telemetry.H_JIT, jit_seconds)
-
-    # one sizes pass for the whole plan: pool auto-selection and batch
-    # bucketing share it instead of re-deriving per phase
     all_sizes = _unit_sizes(seq, units)
 
     reports: List[Optional[GroupReport]] = [None] * len(units)
@@ -724,28 +524,7 @@ def serve_plan(
         pending = list(range(len(units)))
 
     pending_nodes = sum(all_sizes[i] for i in pending)
-
-    # -- batch scheduling (dp_backend="batched", cost-only mode) ---------
-    batch_mode = (
-        dp_backend in ("batched", "compiled")
-        and not build_schedules
-        and not attribute
-        and bool(pending)
-    )
-    buckets: List[List[int]] = []
-    waste = 0.0
-    if batch_mode:
-        lengths = {idx: all_sizes[idx] for idx in pending}
-        buckets = length_buckets(pending, lengths)
-        # report the padding the kernel will actually materialise (event
-        # counts of the cached views, origin included)
-        view_lengths = {idx: len(_unit_view(seq, units[idx])) for idx in pending}
-        waste = pad_waste(buckets, view_lengths)
-        dispatch_specs: List[_UnitSpec] = [
-            ("batch", tuple(units[i] for i in bucket)) for bucket in buckets
-        ]
-    else:
-        dispatch_specs = [units[i] for i in pending]
+    dispatch_specs = [units[i] for i in pending]
 
     workers_used, kind = _resolve_backend(
         workers, pending_nodes, len(dispatch_specs), pool
@@ -770,7 +549,6 @@ def serve_plan(
             pool=kind,
             workers=workers_used,
             dispatched=len(dispatch_specs),
-            batches=len(buckets),
             resilient=True,
         ):
             resolved, res_counters = dispatch_resilient(
@@ -784,7 +562,6 @@ def serve_plan(
                 units=dict(enumerate(dispatch_specs)),
                 tracer=tracer,
                 config=resil,
-                dp_backend=dp_backend,
                 telemetry=tele,
             )
     elif kind == "serial":
@@ -801,7 +578,7 @@ def serve_plan(
             ):
                 resolved[pos] = _serve_unit(
                     seq, spec, model, alpha, build_schedules, attribute,
-                    dp_backend, recorder=tele,
+                    recorder=tele,
                 )
             if tele is not None:
                 tele.board.unit_finished(label)
@@ -815,11 +592,10 @@ def serve_plan(
             pool=kind,
             workers=workers_used,
             dispatched=len(dispatch_specs),
-            batches=len(buckets),
         ):
             with _make_executor(
                 kind, workers_used, seq, model, alpha, build_schedules,
-                attribute, trace, dp_backend, tele is not None,
+                attribute, trace, tele is not None,
             ) as ex:
                 if kind == "thread":
 
@@ -840,7 +616,7 @@ def serve_plan(
                             ):
                                 return _serve_unit(
                                     seq, spec, model, alpha, build_schedules,
-                                    attribute, dp_backend, recorder=tele,
+                                    attribute, recorder=tele,
                                 )
                         finally:
                             if tele is not None:
@@ -881,19 +657,9 @@ def serve_plan(
                         resolved[pos] = report
 
     # -- map dispatch results back onto per-unit reports -----------------
-    if batch_mode:
-        for pos, bucket in enumerate(buckets):
-            batch = resolved.get(pos)
-            if batch is None:  # bucket skipped by the resilience layer
-                continue
-            for unit_idx, cost in zip(bucket, batch.costs):
-                reports[unit_idx] = _assemble_unit_report(
-                    seq, units[unit_idx], model, alpha, float(cost)
-                )
-    else:
-        for pos, unit_idx in enumerate(pending):
-            if pos in resolved:
-                reports[unit_idx] = resolved[pos]
+    for pos, unit_idx in enumerate(pending):
+        if pos in resolved:
+            reports[unit_idx] = resolved[pos]
 
     if use_memo:
         for idx in pending:
@@ -919,10 +685,5 @@ def serve_plan(
         pool_fallbacks=res_counters.pool_fallbacks if res_counters else 0,
         units_failed=res_counters.units_failed if res_counters else 0,
         stalls=(tele.board.stalls - stalls_before) if tele is not None else 0,
-        batches=len(buckets),
-        pad_waste=waste,
-        compiled_units=len(pending) if dp_backend == "compiled" else 0,
-        compiled_fallbacks=compiled_dp.fallback_count() - compiled_fb_before,
-        dp_backend=dp_backend,
     )
     return [r for r in reports if r is not None], stats

@@ -208,8 +208,7 @@ def _serve_unit_attempt_in_worker(spec, attempt, plan, trace):
     """
     from . import parallel
 
-    (seq, model, alpha, build_schedules, attribute, dp_backend,
-     telemetry) = parallel._WORKER_ARGS
+    seq, model, alpha, build_schedules, attribute, telemetry = parallel._WORKER_ARGS
     label = parallel._unit_label(spec)
     corrupt = (
         plan.before_solve(label, attempt, in_subprocess=True)
@@ -224,7 +223,7 @@ def _serve_unit_attempt_in_worker(spec, attempt, plan, trace):
         attempt=attempt,
     ):
         report = parallel._serve_unit(
-            seq, spec, model, alpha, build_schedules, attribute, dp_backend,
+            seq, spec, model, alpha, build_schedules, attribute,
             recorder=recorder,
         )
     if corrupt:
@@ -255,7 +254,6 @@ def dispatch_resilient(
     units: Dict[int, tuple],
     tracer,
     config: ResilienceConfig,
-    dp_backend: str = "sparse",
     on_result=None,
     telemetry: Optional[Telemetry] = None,
 ) -> Tuple[Dict[int, object], ResilienceCounters]:
@@ -264,10 +262,9 @@ def dispatch_resilient(
     Returns the reports by index (skipped units absent) plus the
     counters.  ``kind`` is the pool the heuristic picked; broken pools
     degrade down :data:`DEGRADATION_LADDER`, re-dispatching only
-    unresolved units.  Specs may include whole ``("batch", ...)``
-    buckets of the batched scheduler or ``("shard", ...)`` shards of
-    the sharded driver: retry, timeout, degradation, the finite-cost
-    audit, and chaos corruption then apply per *dispatch*
+    unresolved units.  Specs may include whole ``("shard", ...)``
+    shards of the sharded driver: retry, timeout, degradation, the
+    finite-cost audit, and chaos corruption then apply per *dispatch*
     (``units_failed`` counts one per skipped dispatch).
 
     ``on_result(idx, report)``, when given, fires as each unit's audited
@@ -333,7 +330,7 @@ def dispatch_resilient(
         ):
             report = _serve_unit(
                 seq, spec, model, alpha, build_schedules, attribute,
-                dp_backend, recorder=tele,
+                recorder=tele,
             )
         if corrupt:
             report = FaultPlan.corrupt_report(report)
@@ -428,7 +425,7 @@ def dispatch_resilient(
         trace = tracer is not None
         ex = _make_executor(
             rung, workers, seq, model, alpha, build_schedules, attribute, trace,
-            dp_backend, tele is not None,
+            tele is not None,
         )
         try:
             pending = deque(unresolved())

@@ -22,7 +22,7 @@ Determinism: a shard solves its units with the exact per-unit serves of
 the unsharded path, reports are zipped back onto their plan-order unit
 indices, and the final ``total`` is the same left-to-right
 ``sum(r.total for r in reports)`` -- bit-identical to
-``solve_dp_greedy`` for every backend, worker count, and shard count.
+``solve_dp_greedy`` for every pool, worker count, and shard count.
 """
 
 from __future__ import annotations
@@ -30,18 +30,12 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..cache import compiled_dp
 from ..cache.model import CostModel, RequestSequence
-from ..core.dp_greedy import DPGreedyResult, GroupReport, _null_timer
-from ..correlation.jaccard import correlation_stats
-from ..correlation.packing import (
-    PackingPlan,
-    greedy_group_packing,
-    greedy_pair_packing,
-)
-from ..obs.telemetry import H_JIT, Telemetry, active as active_telemetry
+from ..core.dp_greedy import DPGreedyResult, GroupReport, _null_timer, _run_phase1
+from ..correlation.packing import PackingPlan
+from ..obs.telemetry import Telemetry, active as active_telemetry
 from ..obs.tracing import maybe_span
-from .memo import SolverMemo, get_default_memo
+from .memo import SolverMemo, resolve_memo
 from .parallel import (
     EngineStats,
     ShardResult,
@@ -181,7 +175,6 @@ def solve_dp_greedy_sharded(
     obs: "object | None" = None,
     tracer: "object | None" = None,
     resilience: "ResilienceConfig | bool | None" = None,
-    dp_backend: str = "sparse",
     checkpoint: "object | None" = None,
     resume: bool = False,
     telemetry: Optional[Telemetry] = None,
@@ -232,8 +225,6 @@ def solve_dp_greedy_sharded(
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    if dp_backend not in ("sparse", "dense", "batched", "compiled", "auto"):
-        raise ValueError(f"unknown DP backend {dp_backend!r}")
     seq.validate()
     observe = obs is not None
     timed = obs.timers.time if observe else _null_timer
@@ -251,7 +242,7 @@ def solve_dp_greedy_sharded(
             packing=packing, max_group_size=max_group_size,
             similarity=similarity, plan=plan, workers=workers, pool=pool,
             memo=memo, obs=obs, tracer=tracer, resilience=resilience,
-            dp_backend=dp_backend, checkpoint=checkpoint, resume=resume,
+            checkpoint=checkpoint, resume=resume,
             tele=tele,
             stalls_before=stalls_before if tele is not None else 0,
             timed=timed, span_mark=span_mark, observe=observe,
@@ -263,61 +254,17 @@ def solve_dp_greedy_sharded(
 
 def _solve_sharded_inner(
     seq, model, *, theta, alpha, shards, packing, max_group_size, similarity,
-    plan, workers, pool, memo, obs, tracer, resilience, dp_backend,
+    plan, workers, pool, memo, obs, tracer, resilience,
     checkpoint, resume, tele, stalls_before, timed, span_mark, observe,
 ) -> DPGreedyResult:
-
-    # -- Phase 1: identical to solve_dp_greedy ---------------------------
-    with timed("phase1.similarity"), maybe_span(
-        tracer, "phase1.similarity", cat="phase1", backend=similarity
-    ):
-        stats = correlation_stats(seq, backend=similarity)
-    ran_join = plan is None
-    with timed("phase1.packing"), maybe_span(
-        tracer, "phase1.packing", cat="phase1"
-    ):
-        if plan is not None:
-            plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
-            if plan_items != set(seq.items):
-                raise ValueError(
-                    "externally supplied plan does not cover the sequence's items"
-                )
-        elif packing == "pairs":
-            plan = greedy_pair_packing(stats, theta)
-        elif packing == "groups":
-            plan = greedy_group_packing(stats, theta, max_group_size)
-        else:
-            raise ValueError(f"unknown packing mode {packing!r}")
-    if observe and ran_join:
-        obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
-        obs.counters.set("phase1.similarity_backend", similarity)
+    stats, plan = _run_phase1(
+        seq, theta=theta, packing=packing, max_group_size=max_group_size,
+        similarity=similarity, plan=plan, obs=obs, tracer=tracer,
+    )
 
     # -- memo probe in the parent: hits never enter a shard --------------
-    if memo is True:
-        memo_obj: Optional[SolverMemo] = get_default_memo()
-    elif memo in (None, False):
-        memo_obj = None
-    elif isinstance(memo, SolverMemo):
-        memo_obj = memo
-    else:
-        raise TypeError("memo must be a SolverMemo, True, False, or None")
-
+    memo_obj = resolve_memo(memo)
     units = _plan_units(plan)
-
-    # resolve "auto" / degrade an unavailable "compiled" exactly like
-    # serve_plan, and warm the JIT up in the parent so shard workers hit
-    # the on-disk numba cache
-    compiled_fb_before = compiled_dp.fallback_count()
-    dp_backend = compiled_dp.resolve_backend(dp_backend, len(units))
-    if dp_backend == "compiled":
-        if not compiled_dp.available():
-            compiled_dp.note_fallback("solve_dp_greedy_sharded")
-            dp_backend = "sparse"
-        else:
-            jit_seconds = compiled_dp.warm_up()
-            if tele is not None and jit_seconds > 0.0:
-                tele.record(H_JIT, jit_seconds)
-
     all_sizes = _unit_sizes(seq, units)
     reports: List[Optional[GroupReport]] = [None] * len(units)
     pending: List[int] = []
@@ -414,7 +361,6 @@ def _solve_sharded_inner(
                 units=dispatch,
                 tracer=tracer,
                 config=config,
-                dp_backend=dp_backend,
                 on_result=on_result,
                 telemetry=tele,
             )
@@ -453,9 +399,6 @@ def _solve_sharded_inner(
         units_failed=units_failed,
         stalls=(tele.board.stalls - stalls_before) if tele is not None else 0,
         shards=len(shard_specs),
-        compiled_units=len(pending) if dp_backend == "compiled" else 0,
-        compiled_fallbacks=compiled_dp.fallback_count() - compiled_fb_before,
-        dp_backend=dp_backend,
     )
 
     final_reports = [r for r in reports if r is not None]

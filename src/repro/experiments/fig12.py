@@ -52,7 +52,6 @@ def run_fig12(
     metrics: bool = False,
     trace: bool = False,
     similarity: str = "sparse",
-    dp_backend: str = "sparse",
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -66,9 +65,7 @@ def run_fig12(
     records the sweep as one span timeline in ``result.trace``.
     ``resilience`` forwards a fault-tolerance config to every DP_Greedy
     solve; ``checkpoint``/``resume`` make each completed rho point
-    durable and skip recorded ones on restart.  ``dp_backend="batched"``
-    routes Phase-2 units through the lockstep numpy kernel
-    (bit-identical costs).
+    durable and skip recorded ones on restart.
     """
     memo_obj = sweep_memo(memo)
     collector = sweep_metrics(metrics)
@@ -116,7 +113,6 @@ def run_fig12(
                     theta=theta,
                     alpha=alpha,
                     similarity=similarity,
-                    dp_backend=dp_backend,
                     workers=workers,
                     memo=memo_obj,
                     obs=obs,

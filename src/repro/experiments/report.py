@@ -48,7 +48,6 @@ def run_report(
     trace: bool = False,
     similarity: Optional[str] = None,
     resilience=None,
-    dp_backend: Optional[str] = None,
     prom: bool = False,
 ) -> Path:
     """Run all experiments, persist artefacts, and write ``REPORT.md``.
@@ -87,7 +86,6 @@ def run_report(
             _engine_kwargs(
                 fn, workers, memo, metrics, trace,
                 similarity=similarity, resilience=resilience,
-                dp_backend=dp_backend,
             )
         )
         result = fn(**kwargs)

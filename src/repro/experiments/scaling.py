@@ -7,22 +7,14 @@ fits the log-log slopes.  The paper's Section V-B bounds translate to a
 slope of ~2 for the dense service pass in ``n`` and ~1 for the pre-scan;
 the sparse frontier's slope should track the pre-scan's (linear in ``n``
 at fixed ``m``), which is the headline of the sparse-hot-paths
-optimisation.  Absolute constants are of course Python's, not the
-paper's C solver's.
-
-The batched lockstep kernel (``backend="batched"``) is timed on the
-same views for reference: single-view batched calls mostly measure the
-numpy dispatch overhead -- the kernel's win comes from amortising the
-per-event interpreter step over many units (see
-``benchmarks/test_bench_batched.py``) -- but the curve pins its
-single-instance cost and its bit-equality against the other backends.
+optimisation.  The two backends must agree bit-for-bit at every size.
+Absolute constants are of course Python's, not the paper's C solver's.
 
 Timing runs through :func:`repro.obs.bench.time_best_of`, so every
 repeat also accumulates in a :class:`~repro.obs.timers.PhaseTimers`
 (per-size phases ``scaling.dp.n<N>`` / ``scaling.dp_dense.n<N>`` /
-``scaling.dp_batched.n<N>`` / ``scaling.prescan.n<N>``), and with
-``history=`` the best-of times land in ``BENCH_history.jsonl`` as
-``scaling.dp`` / ``scaling.dp_dense`` / ``scaling.dp_batched`` /
+``scaling.prescan.n<N>``), and with ``history=`` the best-of times land
+in ``BENCH_history.jsonl`` as ``scaling.dp`` / ``scaling.dp_dense`` /
 ``scaling.prescan`` records -- the same trajectory the benchmark suite
 feeds, so scaling runs participate in the perf regression gate.
 """
@@ -64,8 +56,7 @@ def run_scaling(
 
     ``history`` (a ``BENCH_history.jsonl`` path) appends one record per
     timed curve -- bench ids ``scaling.dp`` (sparse backend),
-    ``scaling.dp_dense``, ``scaling.dp_batched``, ``scaling.prescan``,
-    seconds = total best-of
+    ``scaling.dp_dense``, ``scaling.prescan``, seconds = total best-of
     time over the sweep, per-size seconds in the counters -- so harness
     runs are tracked alongside the benchmarks.  ``checkpoint``/``resume``
     make each completed size point durable and skip recorded ones on
@@ -95,17 +86,18 @@ def run_scaling(
 
     dp_curve = []
     dense_curve = []
-    batched_curve = []
     scan_curve = []
     for n in sizes:
         point = {"n": n}
         cached = ckpt.get(point) if ckpt else None
-        if cached is not None and "t_batched" in cached:
+        if cached is not None:
             t_dp = cached["t_dp"]
             t_dense = cached["t_dense"]
-            t_batched = cached["t_batched"]
             t_scan = cached["t_scan"]
             row = cached["row"]
+            # points recorded while E9 still timed a batched-kernel curve
+            # carry its column; reuse them without it
+            row.pop("dp_batched_seconds", None)
         else:
             view = random_single_item_view(n, num_servers, seed=seed, horizon=float(n))
             t_dp = time_best_of(
@@ -116,23 +108,17 @@ def run_scaling(
                 partial(optimal_cost, backend="dense"), view, model,
                 repeats=repeats, timers=timers, phase=f"scaling.dp_dense.n{n}",
             )
-            t_batched = time_best_of(
-                partial(optimal_cost, backend="batched"), view, model,
-                repeats=repeats, timers=timers, phase=f"scaling.dp_batched.n{n}",
-            )
             t_scan = time_best_of(
                 PreScan, view,
                 repeats=repeats, timers=timers, phase=f"scaling.prescan.n{n}",
             )
-            # all backends must agree bit-for-bit at every size
+            # both backends must agree bit-for-bit at every size
             cost_sparse = optimal_cost(view, model)
             cost_dense = optimal_cost(view, model, backend="dense")
-            cost_batched = optimal_cost(view, model, backend="batched")
-            if not (cost_sparse == cost_dense == cost_batched):
+            if cost_sparse != cost_dense:
                 raise AssertionError(
                     f"DP backend mismatch at n={n}: "
-                    f"sparse {cost_sparse!r} != dense {cost_dense!r} "
-                    f"!= batched {cost_batched!r}"
+                    f"sparse {cost_sparse!r} != dense {cost_dense!r}"
                 )
             # the timers saw every repeat, so seconds/calls is the mean --
             # reported next to the best-of to expose timing noise
@@ -142,20 +128,15 @@ def run_scaling(
                 "dp_seconds": round(t_dp, 6),
                 "dp_seconds_mean": round(dp_mean, 6),
                 "dp_dense_seconds": round(t_dense, 6),
-                "dp_batched_seconds": round(t_batched, 6),
                 "prescan_seconds": round(t_scan, 6),
             }
             if ckpt:
                 ckpt.record(
                     point,
-                    {
-                        "row": row, "t_dp": t_dp, "t_dense": t_dense,
-                        "t_batched": t_batched, "t_scan": t_scan,
-                    },
+                    {"row": row, "t_dp": t_dp, "t_dense": t_dense, "t_scan": t_scan},
                 )
         dp_curve.append((float(n), t_dp))
         dense_curve.append((float(n), t_dense))
-        batched_curve.append((float(n), t_batched))
         scan_curve.append((float(n), t_scan))
         result.rows.append(row)
 
@@ -206,7 +187,6 @@ def run_scaling(
 
     result.series["optimal DP (sparse frontier, cost only)"] = dp_curve
     result.series["optimal DP (dense sweep, cost only)"] = dense_curve
-    result.series["optimal DP (batched kernel, B=1)"] = batched_curve
     result.series["pre-scan build"] = scan_curve
     if store_curve:
         result.series["DP_Greedy (store-backed, sharded)"] = store_curve
@@ -248,11 +228,6 @@ def run_scaling(
             "scaling.dp_dense",
             sum(t for _, t in dense_curve),
             {**counters, **{f"n{int(n)}": t for n, t in dense_curve}},
-        )
-        recorder.append(
-            "scaling.dp_batched",
-            sum(t for _, t in batched_curve),
-            {**counters, **{f"n{int(n)}": t for n, t in batched_curve}},
         )
         recorder.append(
             "scaling.prescan",

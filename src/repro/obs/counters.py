@@ -68,8 +68,8 @@ class CounterRegistry:
 
         The metrics v3 aggregate and the Prometheus exporter sum
         counters across runs; string-valued entries (e.g. the
-        ``engine.pool`` / ``engine.dp_backend`` labels) are skipped --
-        summing labels is meaningless.  Booleans pass through as 0/1.
+        ``engine.pool`` label) are skipped -- summing labels is
+        meaningless.  Booleans pass through as 0/1.
         """
         return {
             name: value

@@ -72,18 +72,13 @@ __all__ = [
 #: Per-unit Phase-2 solve latency (packages/singletons, including units
 #: served inside shard workers).
 H_SOLVE = "phase2.solve_seconds"
-#: Per length-bucket batched-kernel call latency.
-H_BATCH = "phase2.batch_seconds"
 #: Whole-shard solve latency inside the worker.
 H_SHARD = "phase2.shard_seconds"
 #: Parent-side dispatch roundtrip (submit -> audited result) of the
-#: resilient dispatcher, per dispatch unit (unit/batch/shard).
+#: resilient dispatcher, per dispatch unit (unit or shard).
 H_DISPATCH = "engine.dispatch_seconds"
 #: Backoff delays scheduled between a unit's retries.
 H_BACKOFF = "engine.backoff_seconds"
-#: One-time numba warm-up compile of the compiled DP kernels (recorded
-#: by the engine before dispatch when ``dp_backend="compiled"``).
-H_JIT = "engine.jit_compile_seconds"
 
 # -- histogram names recorded by the serving engine (repro.serve) -----------
 #: Admission roundtrip: submit -> request enqueued (token-bucket wait
@@ -477,9 +472,10 @@ class WorkerUnitStats:
     """Telemetry shipped back with one dispatched unit's result.
 
     ``entries`` carry ``(histogram name, seconds)`` latency observations
-    recorded inside the worker (per inner unit of a shard, per kernel
-    call of a batch); the resource fields are the worker *process*
-    peaks, keyed by ``pid`` in the parent's snapshot.
+    recorded inside the worker (the unit's solve; for a shard, every
+    inner unit's solve plus the whole shard's); the resource fields are
+    the worker *process* peaks, keyed by ``pid`` in the parent's
+    snapshot.
     """
 
     pid: int

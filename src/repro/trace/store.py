@@ -34,10 +34,10 @@ in-memory ``_item_projections`` cache builds by scanning requests)::
 Opening (:meth:`TraceStore.open`) yields a :class:`StoreSequence` -- a
 ``RequestSequence``-compatible facade whose ``servers_array`` /
 ``times_array`` / ``item_view`` / ``group_view`` serve slices straight
-off the mmap.  ``solve_dp_greedy``, the batched DP backend, and the
-memo fingerprints consume it unchanged (fingerprints normalise int32
-columns through ``np.asarray(..., int64)``, so store-backed and
-in-memory views share memo entries bit-for-bit).  Pickling a facade
+off the mmap.  ``solve_dp_greedy`` and the memo fingerprints consume
+it unchanged (fingerprints normalise int32 columns through
+``np.asarray(..., int64)``, so store-backed and in-memory views share
+memo entries bit-for-bit).  Pickling a facade
 ships only the store *path*: pool workers re-open the mmap instead of
 receiving a pickled payload.
 

@@ -93,11 +93,15 @@ class TestSparseDenseEquivalence:
             assert optimal_cost(v, unit_model, backend=backend) == 0.0
 
     def test_unknown_backend_rejected(self, unit_model):
+        # the names of removed kernels fail loudly, never fall back
         v = SingleItemView(servers=(0,), times=(1.0,), num_servers=1, origin=0)
-        with pytest.raises(ValueError, match="backend"):
-            solve_optimal(v, unit_model, backend="blocked")
-        with pytest.raises(ValueError, match="backend"):
-            optimal_cost(v, unit_model, backend="blocked")
+        for backend in (
+            "blocked", "batched", "BATCHED", "compiled", "COMPILED", "auto", ""
+        ):
+            with pytest.raises(ValueError, match="backend"):
+                solve_optimal(v, unit_model, backend=backend)
+            with pytest.raises(ValueError, match="backend"):
+                optimal_cost(v, unit_model, backend=backend)
 
     @given(v=single_item_views(min_requests=1), model=cost_models())
     @settings(max_examples=60, deadline=None)

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cache import compiled_dp
 from repro.cache.model import CostModel, RequestSequence, package_rate
+from repro.cache.optimal_dp import optimal_cost
 from repro.cache.schedule import validate_schedule
 from repro.core.baselines import solve_optimal_nonpacking
 from repro.core.dp_greedy import (
@@ -336,33 +336,29 @@ class TestObservation2Walk:
 class TestCostOnlyReports:
     """A unit that reports no schedule and no attribution takes the
     cost-only DP; its report must equal the full solve's in every field
-    but the schedule, on every backend."""
-
-    @pytest.fixture(autouse=True)
-    def _python_kernels(self, monkeypatch):
-        # runs the compiled backend's kernel functions uncompiled, so
-        # "compiled" exercises real kernels with or without numba
-        monkeypatch.setenv("REPRO_COMPILED_FORCE", "python")
-        monkeypatch.delenv("REPRO_NO_NUMBA", raising=False)
-        compiled_dp.reset()
-        yield
-        compiled_dp.reset()
+    but the schedule, and its DP cost must equal each reference sweep's
+    (sparse and dense) run directly on the same unit view."""
 
     @pytest.mark.parametrize("k", [2, 3])
-    @pytest.mark.parametrize("dp_backend", ["sparse", "dense", "batched", "compiled"])
+    @pytest.mark.parametrize("reference", ["sparse", "dense"])
     @settings(max_examples=40, deadline=None)
     @given(seq=multi_item_sequences(max_items=4), model=cost_models(), alpha=ALPHAS)
-    def test_cost_only_equals_full_report(self, dp_backend, k, seq, model, alpha):
+    def test_cost_only_equals_full_report(self, reference, k, seq, model, alpha):
         package = frozenset(range(k))
-        full = serve_package(
-            seq, package, model, alpha, build_schedule=True, dp_backend=dp_backend
-        )
-        cheap = serve_package(seq, package, model, alpha, dp_backend=dp_backend)
+        full = serve_package(seq, package, model, alpha, build_schedule=True)
+        cheap = serve_package(seq, package, model, alpha)
         assert cheap.package_schedule is None
         assert cheap == dataclasses.replace(full, package_schedule=None)
+        assert cheap.package_cost == optimal_cost(
+            seq.group_view(package),
+            model,
+            rate_multiplier=package_rate(k, alpha),
+            backend=reference,
+        )
         for d in package:
-            full = serve_singleton(
-                seq, d, model, build_schedule=True, dp_backend=dp_backend
-            )
-            cheap = serve_singleton(seq, d, model, dp_backend=dp_backend)
+            full = serve_singleton(seq, d, model, build_schedule=True)
+            cheap = serve_singleton(seq, d, model)
             assert cheap == dataclasses.replace(full, package_schedule=None)
+            assert cheap.package_cost == optimal_cost(
+                seq.item_view(d), model, backend=reference
+            )

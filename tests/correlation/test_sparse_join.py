@@ -168,6 +168,10 @@ class TestEndToEnd:
         plan = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8).plan
         collector = MetricsCollector()
         obs = collector.observe(case="external-plan")
-        solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, plan=plan, obs=obs)
+        res = solve_dp_greedy(
+            seq, model, theta=0.3, alpha=0.8, plan=plan, obs=obs
+        )
         counters = collector.snapshot()["runs"][0]["counters"]
         assert "phase1.pairs_total" not in counters
+        # the join still runs: the result carries its statistics
+        assert res.stats is not None

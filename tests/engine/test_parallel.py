@@ -171,13 +171,11 @@ class TestExecutorHardening:
                 return False
 
         def fake_make(kind, workers, seq, model, alpha, build_schedules,
-                      attribute, trace=False, dp_backend="sparse",
-                      telemetry=False):
+                      attribute, trace=False, telemetry=False):
             # run the worker initializer in-process so _serve_unit_in_worker
             # finds its globals
             parallel._init_worker(
-                seq, model, alpha, build_schedules, attribute, trace,
-                dp_backend, telemetry,
+                seq, model, alpha, build_schedules, attribute, trace, telemetry
             )
             return _RecordingExecutor()
 

@@ -46,20 +46,6 @@ def test_parallel_path_runs_on_two_workers():
     assert got.total_cost == ref.total_cost
 
 
-def test_batched_backend_buckets_and_matches():
-    from repro.core.dp_greedy import solve_dp_greedy
-
-    seq = zipf_item_workload(150, 10, 8, seed=9, cooccurrence=0.4)
-    model = CostModel(mu=1.0, lam=1.0)
-    got = solve_dp_greedy(
-        seq, model, theta=0.3, alpha=0.8, dp_backend="batched"
-    )
-    ref = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
-    assert got.total_cost == ref.total_cost
-    assert got.engine_stats.batches >= 1
-    assert 0.0 <= got.engine_stats.pad_waste < 1.0
-
-
 def test_memo_skips_pool_dispatch_on_rerun():
     from repro.core.dp_greedy import solve_dp_greedy
 

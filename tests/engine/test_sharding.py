@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cache.model import CostModel
+from repro.cache.model import CostModel, package_rate
+from repro.cache.optimal_dp import optimal_cost
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
@@ -62,11 +63,26 @@ class TestBitIdentity:
         assert got.plan == baseline.plan
         assert got.reports == baseline.reports
 
-    @pytest.mark.parametrize("backend", ["sparse", "dense", "batched"])
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
     def test_every_dp_backend_matches_serial(self, seq, baseline, backend):
-        got = _solve(seq, shards=3, dp_backend=backend)
+        # every sharded unit's DP cost is what the reference sweep gives
+        # on that unit's view, bit for bit
+        got = _solve(seq, shards=3)
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
+        for rep in got.reports:
+            k = len(rep.group)
+            if k >= 2:
+                want = optimal_cost(
+                    seq.group_view(rep.group),
+                    _MODEL,
+                    rate_multiplier=package_rate(k, ALPHA),
+                    backend=backend,
+                )
+            else:
+                (d,) = rep.group
+                want = optimal_cost(seq.item_view(d), _MODEL, backend=backend)
+            assert rep.package_cost == want
 
     @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
     def test_every_pool_matches_serial(self, seq, baseline, pool):
@@ -283,10 +299,6 @@ class TestApi:
         with pytest.raises(ValueError, match="alpha"):
             solve_dp_greedy_sharded(seq, _MODEL, theta=0.3, alpha=0.0)
 
-    def test_bad_dp_backend_rejected(self, seq):
-        with pytest.raises(ValueError, match="backend"):
-            _solve(seq, dp_backend="gpu")
-
     def test_bad_packing_rejected(self, seq):
         with pytest.raises(ValueError, match="packing"):
             _solve(seq, packing="magic")
@@ -306,7 +318,6 @@ class TestApi:
         assert es.units == es.packages + es.singletons == len(got.reports)
         assert es.dispatched == es.units
         assert es.units_failed == 0
-        assert es.dp_backend == "sparse"
 
 
 class TestObservability:

@@ -182,6 +182,27 @@ class TestScaling:
         assert res.params["prescan_loglog_slope"] < 2.0
         assert res.params["dp_speedup_at_largest_n"] > 0
 
+    def test_resumes_checkpoints_that_carry_a_batched_curve(self, tmp_path):
+        # checkpoints written while E9 still timed a batched-kernel curve
+        # carry t_batched / dp_batched_seconds; they must be reused, not
+        # re-timed, and the extra column must not leak into the rows
+        import json
+
+        first = run_scaling(sizes=(60, 120), num_servers=6, checkpoint=tmp_path)
+        path = tmp_path / "CHECKPOINT_scaling.jsonl"
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        for rec in records:
+            rec["payload"]["t_batched"] = 1.0
+            rec["payload"]["row"]["dp_batched_seconds"] = 1.0
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+
+        resumed = run_scaling(
+            sizes=(60, 120), num_servers=6, checkpoint=tmp_path, resume=True
+        )
+        assert "resumed from checkpoint: 2 point(s) reused" in resumed.notes
+        assert resumed.rows == first.rows
+        assert resumed.series == first.series
+
     def test_store_curve_rides_along(self, tmp_path):
         # store=True adds a store-backed sharded curve (asserted
         # bit-identical to the in-memory solver inside the harness),

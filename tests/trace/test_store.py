@@ -361,7 +361,7 @@ class TestMixedViewEquivalence:
                 seq.item_view(d), model
             )
 
-    @pytest.mark.parametrize("backend", ["sparse", "dense", "batched"])
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
     def test_dp_backends_bit_identical_off_the_store(
         self, tmp_path: Path, backend
     ):
