@@ -1,8 +1,8 @@
 """Benchmark of the Phase-2 execution engine (pool + solver memo).
 
 The headline comparison mirrors how the engine is used by the sweep
-harnesses: a theta sweep over a fixed Zipf workload, classic serial loop
-vs the 4-worker memoized engine.  On a theta sweep the memo is the
+harnesses: a theta sweep over a fixed Zipf workload, the default serial
+solve vs the 4-worker memoized engine.  On a theta sweep the memo is the
 dominant win -- singleton sub-problems are identical across sweep points,
 so every point after the first serves mostly from cache -- which also
 makes the >= 2x acceptance bar meaningful on a single-core box (pool

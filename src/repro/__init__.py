@@ -101,7 +101,6 @@ from .engine import (
     FaultPlan,
     PreScan,
     ResilienceConfig,
-    ShardResult,
     SolverMemo,
     chaos_from_env,
     fingerprint_view,
@@ -194,7 +193,6 @@ __all__ = [
     "StoreSequence",
     "write_store",
     "convert_csv_to_store",
-    "ShardResult",
     "shard_by_items",
     "solve_dp_greedy_sharded",
     # resilience + chaos

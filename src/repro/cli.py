@@ -69,7 +69,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "Phase-2 pool width (1 = exact serial path, default: "
+            "Phase-2 pool width (1 = serial, in-process; default: "
             "auto-detect from workload size and CPU count)"
         ),
     )
@@ -113,8 +113,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-unit Phase-2 solve deadline; an overdue unit is abandoned "
-            "and re-dispatched (enables the resilient dispatcher)"
+            "per-dispatch Phase-2 deadline (a dispatch is one unit, or a "
+            "group of units on a pool); an overdue dispatch is abandoned "
+            "and retried"
         ),
     )
     parser.add_argument(
@@ -123,9 +124,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "re-dispatches per failed/timed-out Phase-2 unit before the "
-            "unit is declared failed (enables the resilient dispatcher; "
-            "its default is 2)"
+            "re-dispatches of a failed/timed-out Phase-2 dispatch before it "
+            "is declared failed (default 0; 2 once any of --unit-timeout/"
+            "--retries/--on-unit-error is set, and for --shards)"
         ),
     )
     parser.add_argument(
@@ -133,10 +134,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         choices=("raise", "degrade", "skip"),
         default=None,
         help=(
-            "what to do when a Phase-2 unit exhausts its retries: 'raise' "
-            "a UnitSolveError/UnitTimeoutError, 'degrade' to one final "
-            "in-process serial attempt, or 'skip' the unit and count it "
-            "(enables the resilient dispatcher)"
+            "what to do when a Phase-2 dispatch exhausts its retries: "
+            "'raise' a UnitSolveError/UnitTimeoutError (default), 'degrade' "
+            "to one final in-process serial attempt, or 'skip' its units "
+            "and count them"
         ),
     )
     parser.add_argument(
@@ -206,8 +207,8 @@ def _telemetry_session(
 def _resilience_from_args(args: argparse.Namespace):
     """Build a :class:`ResilienceConfig` when any resilience flag is set.
 
-    Leaving all three flags at their defaults keeps the classic
-    non-resilient dispatch path (returns ``None``).
+    Leaving all three flags at their defaults returns ``None``: the
+    solver's own default (no retries for ``solve_dp_greedy``).
     """
     if (
         args.unit_timeout is None
@@ -676,22 +677,21 @@ def _solve_trace(args: argparse.Namespace) -> int:
     opt = solve_optimal_nonpacking(seq, model)
     pkg = solve_package_served(seq, model, theta=args.theta, alpha=args.alpha)
     print(f"packages: {[sorted(p) for p in dpg.plan.packages]}")
-    if dpg.engine_stats is not None:
-        es = dpg.engine_stats
+    es = dpg.engine_stats
+    print(
+        f"engine: {es.pool} pool, {es.workers} worker(s), "
+        f"{es.memo_hits}/{es.memo_hits + es.memo_misses} memo hits"
+    )
+    if es.shards:
+        print(f"sharded: {es.shards} shard(s) over {es.units} unit(s)")
+    if es.retries or es.timeouts or es.pool_fallbacks or es.units_failed:
         print(
-            f"engine: {es.pool} pool, {es.workers} worker(s), "
-            f"{es.memo_hits}/{es.memo_hits + es.memo_misses} memo hits"
+            f"resilience: {es.retries} retr(y/ies), {es.timeouts} "
+            f"timeout(s), {es.pool_fallbacks} pool fallback(s), "
+            f"{es.units_failed} unit(s) skipped"
         )
-        if es.shards:
-            print(f"sharded: {es.shards} shard(s) over {es.units} unit(s)")
-        if es.retries or es.timeouts or es.pool_fallbacks or es.units_failed:
-            print(
-                f"resilience: {es.retries} retr(y/ies), {es.timeouts} "
-                f"timeout(s), {es.pool_fallbacks} pool fallback(s), "
-                f"{es.units_failed} unit(s) skipped"
-            )
-        if es.stalls:
-            print(f"watchdog: {es.stalls} stall(s) flagged")
+    if es.stalls:
+        print(f"watchdog: {es.stalls} stall(s) flagged")
     print()
     print(format_table([
         {"algorithm": "DP_Greedy", "total_cost": dpg.total_cost,

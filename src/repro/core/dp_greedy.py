@@ -32,7 +32,6 @@ The reported metric is ``ave_cost`` -- the total cost divided by
 
 from __future__ import annotations
 
-import time as _time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -115,10 +114,9 @@ class GroupReport:
 class DPGreedyResult:
     """Full outcome of DP_Greedy on a request sequence.
 
-    ``engine_stats`` is populated only when Phase 2 ran through the
-    parallel execution engine (``parallel=``/``workers=``/``memo=`` of
-    :func:`solve_dp_greedy`); it records pool choice, worker count, and
-    memo hit/miss counters for observability.
+    ``engine_stats`` (a :class:`repro.engine.parallel.EngineStats`)
+    records how Phase 2 ran: pool choice, worker count, memo hit/miss
+    counters, and the dispatcher's retry/timeout/fallback counters.
     """
 
     plan: PackingPlan
@@ -523,16 +521,17 @@ def solve_dp_greedy(
         ``result.stats`` is filled either way; only its pruning counters
         stay out of ``obs``, because no packing consumed them.
     parallel / workers / memo / pool:
-        Opt-in to the Phase-2 execution engine
-        (:func:`repro.engine.parallel.serve_plan`).  ``parallel=True``
-        auto-detects the pool from the workload; ``workers`` pins the
-        pool width (``workers=1`` reproduces the serial loop
-        bit-for-bit); ``memo`` is a
-        :class:`~repro.engine.memo.SolverMemo` shared across calls (or
-        ``True`` for the process-wide default memo); ``pool`` forces a
-        backend (``"serial"``/``"thread"``/``"process"``) instead of the
-        size heuristic.  With all four at their defaults the classic
-        serial path runs untouched.
+        Phase-2 execution-engine knobs
+        (:func:`repro.engine.parallel.serve_plan`, which runs every
+        solve).  With all four at their defaults Phase 2 runs serially
+        in this process (``workers=1``).  ``parallel=True`` auto-detects
+        the pool from the workload; ``workers`` pins the pool width;
+        ``memo`` is a :class:`~repro.engine.memo.SolverMemo` shared
+        across calls (or ``True`` for the process-wide default memo);
+        ``pool`` forces a backend (``"serial"``/``"thread"``/
+        ``"process"``) instead of the size heuristic.  Once any engine
+        knob or ``resilience=`` is set, an unset ``workers`` lets the
+        engine pick the width.
     obs:
         Optional :class:`~repro.obs.RunObservation`.  When given, Phase-1
         and Phase-2 wall times are accumulated in ``obs.timers``, every
@@ -544,44 +543,74 @@ def solve_dp_greedy(
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer`.  Phase 1 and
         Phase 2 are recorded as nested spans, the execution engine adds
-        memo-probe (hit/miss attributed), pool-dispatch, and per-unit
-        solve spans -- including spans captured *inside* thread/process
-        pool workers -- and, when ``obs`` is also given, the run's span
+        memo-probe (hit/miss attributed), dispatch, and per-unit solve
+        spans -- including spans captured *inside* thread/process pool
+        workers -- and, when ``obs`` is also given, the run's span
         aggregates land in the metrics snapshot's ``spans`` section.
         Export with ``tracer.write(path)`` (Chrome trace-event JSON).
         With ``tracer=None`` (default) no spans are recorded.
     resilience:
-        Opt-in fault tolerance for Phase 2
+        Fault tolerance for Phase 2
         (:class:`~repro.engine.resilience.ResilienceConfig`, or ``True``
-        for the defaults): per-unit timeouts, bounded retry with
-        backoff, pool degradation on broken process pools, an
-        ``on_unit_error`` policy (``raise``/``degrade``/``skip``), and
-        deterministic fault injection via the ``REPRO_CHAOS`` knob or an
-        explicit :class:`~repro.engine.chaos.FaultPlan`.  Implies the
-        execution engine; retry/timeout/fallback counters surface on
-        ``engine_stats`` and (with ``obs=``) as ``engine.*`` metrics
-        counters.
+        for its defaults): per-dispatch timeouts, bounded retry with
+        backoff, an ``on_unit_error`` policy (``raise``/``degrade``/
+        ``skip``), and deterministic fault injection via the
+        ``REPRO_CHAOS`` knob or an explicit
+        :class:`~repro.engine.chaos.FaultPlan`.  ``None`` (default) runs
+        the dispatcher with no retries, no timeout and no fault
+        injection: a failing unit raises
+        :class:`~repro.errors.UnitSolveError`, and a broken process pool
+        degrades to threads, then to serial.  Retry/timeout/fallback
+        counters surface on ``engine_stats`` and (with ``obs=``) as
+        ``engine.*`` metrics counters.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub (``None``
         picks up any process-wide hub installed via
         :func:`repro.obs.telemetry.install`, e.g. by the CLI's
         ``--progress``/``--prom`` flags).  Per-unit Phase-2 solve
         latencies land in its log-bucket histograms (p50/p90/p99 in
-        METRICS v3), unit completions in its progress board, and -- on
-        the engine paths -- pool workers ship resource peaks back.  An
-        un-started hub is started for the duration of this solve; a
-        started one is left running.  Strictly observation-only: costs,
-        plans, and reports are bit-identical with or without it.
+        METRICS v3), dispatch completions in its progress board, and
+        pool workers ship resource peaks back.  An un-started hub is
+        started for the duration of this solve; a started one is left
+        running.  Strictly observation-only: costs, plans, and reports
+        are bit-identical with or without it.
     """
-    from ..obs.telemetry import H_SOLVE, active as _active_telemetry
+    # without any engine knob, Phase 2 stays serial in this process
+    engine_args = (
+        parallel
+        or workers is not None
+        or pool is not None
+        or memo not in (None, False)
+        or resilience not in (None, False)
+    )
+    return _solve(
+        seq, model, theta=theta, alpha=alpha, packing=packing,
+        max_group_size=max_group_size, similarity=similarity,
+        build_schedules=build_schedules, plan=plan,
+        workers=workers if engine_args else 1, memo=memo, pool=pool,
+        obs=obs, tracer=tracer, resilience=resilience, telemetry=telemetry,
+    )
+
+
+def _solve(
+    seq, model, *, theta, alpha, packing, max_group_size, similarity,
+    build_schedules, plan, workers, memo, pool, obs, tracer, resilience,
+    telemetry, shards=None, checkpoint=None,
+) -> DPGreedyResult:
+    """The driver body shared by :func:`solve_dp_greedy` and
+    :func:`repro.engine.sharding.solve_dp_greedy_sharded`: Phase 1, then
+    :func:`repro.engine.parallel.serve_plan`, inside one telemetry
+    window."""
+    from ..engine.memo import resolve_memo
+    from ..engine.parallel import serve_plan
+    from ..obs.telemetry import active as _active_telemetry
 
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     # fail fast on corrupt inputs, with request indices in the message,
     # rather than deep inside a DP recurrence
     seq.validate()
-    observe = obs is not None
-    timed = obs.timers.time if observe else _null_timer
+    timed = obs.timers.time if obs is not None else _null_timer
     span_mark = tracer.mark() if tracer is not None else 0
     tele = telemetry if telemetry is not None else _active_telemetry()
     tele_owned = tele is not None and not tele.started
@@ -590,47 +619,14 @@ def solve_dp_greedy(
     if tele is not None:
         tele.begin_run()
     try:
-        return _solve_dp_greedy_observed(
-            seq, model, theta=theta, alpha=alpha, packing=packing,
-            max_group_size=max_group_size, similarity=similarity,
-            build_schedules=build_schedules, plan=plan, parallel=parallel,
-            workers=workers, memo=memo, pool=pool, obs=obs, tracer=tracer,
-            resilience=resilience, tele=tele,
-            observe=observe, timed=timed, span_mark=span_mark,
-            h_solve=H_SOLVE,
+        stats, plan = _run_phase1(
+            seq, theta=theta, packing=packing, max_group_size=max_group_size,
+            similarity=similarity, plan=plan, obs=obs, tracer=tracer,
         )
-    finally:
-        if tele_owned:
-            tele.stop()
-
-
-def _solve_dp_greedy_observed(
-    seq, model, *, theta, alpha, packing, max_group_size, similarity,
-    build_schedules, plan, parallel, workers, memo, pool, obs, tracer,
-    resilience, tele, observe, timed, span_mark, h_solve,
-) -> DPGreedyResult:
-    """The body of :func:`solve_dp_greedy`, inside the telemetry window."""
-    from ..engine.memo import resolve_memo
-
-    stats, plan = _run_phase1(
-        seq, theta=theta, packing=packing, max_group_size=max_group_size,
-        similarity=similarity, plan=plan, obs=obs, tracer=tracer,
-    )
-    memo_obj = resolve_memo(memo)
-    engine_stats = None
-    use_engine = (
-        parallel
-        or workers is not None
-        or pool is not None
-        or memo_obj is not None
-        or resilience not in (None, False)
-    )
-    if use_engine:
-        from ..engine.parallel import serve_plan
-
+        memo_obj = resolve_memo(memo)
         with timed("phase2.serve"), maybe_span(
-            tracer, "phase2.serve", cat="phase2", engine="pool"
-        ):
+            tracer, "phase2.serve", cat="phase2"
+        ) as span:
             reports, engine_stats = serve_plan(
                 seq,
                 plan,
@@ -640,84 +636,39 @@ def _solve_dp_greedy_observed(
                 memo=memo_obj,
                 build_schedules=build_schedules,
                 pool=pool,
-                attribute=observe,
+                attribute=obs is not None,
                 tracer=tracer,
                 resilience=resilience,
                 telemetry=tele,
+                shards=shards,
+                checkpoint=checkpoint,
             )
-    else:
-        reports = []
-        if tele is not None:
-            tele.board.begin(len(plan.packages) + len(plan.singletons))
-        with maybe_span(tracer, "phase2.serve", cat="phase2", engine="serial"):
-            for pkg in plan.packages:
-                label = "pkg(" + ",".join(str(d) for d in sorted(pkg)) + ")"
-                if tele is not None:
-                    tele.board.unit_started(label)
-                    t0 = _time.perf_counter()
-                with timed("phase2.serve"), maybe_span(
-                    tracer,
-                    "phase2.solve",
-                    cat="phase2",
-                    unit=label,
-                    kind="package",
-                ):
-                    reports.append(
-                        serve_package(
-                            seq,
-                            pkg,
-                            model,
-                            alpha,
-                            build_schedule=build_schedules,
-                            attribute=observe,
-                        )
-                    )
-                if tele is not None:
-                    tele.record(h_solve, _time.perf_counter() - t0)
-                    tele.board.unit_finished(label)
-            for d in plan.singletons:
-                label = f"item({d})"
-                if tele is not None:
-                    tele.board.unit_started(label)
-                    t0 = _time.perf_counter()
-                with timed("phase2.serve"), maybe_span(
-                    tracer,
-                    "phase2.solve",
-                    cat="phase2",
-                    unit=label,
-                    kind="singleton",
-                ):
-                    reports.append(
-                        serve_singleton(
-                            seq,
-                            d,
-                            model,
-                            build_schedule=build_schedules,
-                            attribute=observe,
-                        )
-                    )
-                if tele is not None:
-                    tele.record(h_solve, _time.perf_counter() - t0)
-                    tele.board.unit_finished(label)
-
-    total = sum(r.total for r in reports)
-    if observe:
-        obs.finalize(
-            seq,
-            reports,
-            total,
+            span.set("engine", engine_stats.pool)
+        total = sum(r.total for r in reports)
+        if obs is not None:
+            obs.finalize(
+                seq,
+                reports,
+                total,
+                engine_stats=engine_stats,
+                memo=memo_obj,
+                spans=(
+                    tracer.aggregate(since=span_mark)
+                    if tracer is not None
+                    else None
+                ),
+                telemetry=tele,
+            )
+        return DPGreedyResult(
+            plan=plan,
+            stats=stats,
+            reports=tuple(reports),
+            total_cost=total,
+            denominator=seq.total_item_requests(),
+            theta=theta,
+            alpha=alpha,
             engine_stats=engine_stats,
-            memo=memo_obj,
-            spans=tracer.aggregate(since=span_mark) if tracer is not None else None,
-            telemetry=tele,
         )
-    return DPGreedyResult(
-        plan=plan,
-        stats=stats,
-        reports=tuple(reports),
-        total_cost=total,
-        denominator=seq.total_item_requests(),
-        theta=theta,
-        alpha=alpha,
-        engine_stats=engine_stats,
-    )
+    finally:
+        if tele_owned:
+            tele.stop()

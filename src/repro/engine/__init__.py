@@ -5,7 +5,7 @@ sharded driver for out-of-core trace stores."""
 
 from .chaos import ChaosError, FaultPlan, chaos_from_env
 from .memo import SolverMemo, fingerprint_view, get_default_memo
-from .parallel import EngineStats, ShardResult, serve_plan
+from .parallel import EngineStats, serve_plan
 from .prescan import PreScan
 from .resilience import ResilienceConfig, dispatch_resilient
 from .service import greedy_service_pass, package_service_pass, prev_same_server
@@ -20,7 +20,6 @@ __all__ = [
     "fingerprint_view",
     "get_default_memo",
     "EngineStats",
-    "ShardResult",
     "serve_plan",
     "shard_by_items",
     "solve_dp_greedy_sharded",

@@ -36,8 +36,9 @@ set the ``REPRO_CHAOS`` env knob, e.g.::
 
     REPRO_CHAOS="seed=7,crash=0.2,delay=0.1,delay_seconds=0.02"
 
-The env knob is only consulted when a run opts into the resilience
-layer; un-resilient runs never inject.
+The env knob is only consulted by a dispatch config that leaves
+``chaos=None`` -- an explicit ``ResilienceConfig``, or the sharded
+driver's default; solves that pass no ``resilience=`` never inject.
 """
 
 from __future__ import annotations

@@ -1,11 +1,13 @@
-"""Parallel Phase-2 execution engine.
+"""The Phase-2 execution engine: the one driver of Phase 2.
 
 Phase 2 of DP_Greedy serves every *serving unit* (package or singleton)
 over its own disjoint sub-sequence -- the units share no state, so the
-phase is embarrassingly parallel by construction.  This module fans the
-units of a :class:`~repro.correlation.packing.PackingPlan` out over a
-``concurrent.futures`` pool and funnels repeated sub-problems through the
-content-addressed :class:`~repro.engine.memo.SolverMemo`.
+phase is embarrassingly parallel by construction.  :func:`serve_plan`
+is the only Phase-2 driver: it probes the content-addressed
+:class:`~repro.engine.memo.SolverMemo` in the parent, groups the memo
+misses into dispatches, and hands those to
+:func:`repro.engine.resilience.dispatch_resilient`, the only code that
+runs Phase-2 work (serially, or on a ``concurrent.futures`` pool).
 
 Pool selection heuristic
 ------------------------
@@ -14,23 +16,34 @@ requests carried by un-memoised units and picks the cheapest adequate
 backend:
 
 * ``workers=1`` (or a workload below :data:`AUTO_SERIAL_NODES` under
-  auto-detection) runs the exact same ``serve_package`` /
-  ``serve_singleton`` calls, in the same order, as the classic serial
-  loop -- bit-for-bit identical output;
+  auto-detection) runs the serial rung in the parent, unit by unit in
+  plan order;
 * a *thread* pool is used for mid-size workloads (cheap to spin up; the
   solvers release no GIL, so this mainly overlaps the numpy portions);
 * a *process* pool (fork when available) takes over above
   :data:`PROCESS_POOL_NODES`, where per-unit DP time dwarfs the
   fork/pickle overhead.
 
+Grouping
+--------
+A pool dispatches at most :data:`GROUPS_PER_WORKER` x ``workers``
+groups of units, balanced longest-processing-time first by carried
+request count (a package is one unit, never split), because one future
+per unit costs more than most units' solves.  A one-unit group travels
+as the bare unit: same label, same chaos draw, same error message.  A
+sharded solve (:mod:`repro.engine.sharding`) asks for its ``shards``
+groups instead, on every rung.  Retries, timeouts, the finite-cost
+audit and ``on_unit_error`` apply per dispatch.
+
 Determinism guarantee
 ---------------------
-Results are collected with order-preserving ``Executor.map`` and every
-serve function is pure, so the report list is identical -- including
-float bit patterns -- across serial, thread, and process execution, and
-across any ``workers`` value.  Memoisation preserves this too: a memo
-hit returns the exact float the solver produced when the entry was
-stored, and the miss path stores whatever the real solver returned.
+Every serve function is pure and each dispatch's reports are put back
+at their units' plan-order indices, so the report list is identical --
+including float bit patterns -- across serial, thread, and process
+execution, any ``workers`` value, and any grouping.  Memoisation
+preserves this too: a memo hit returns the exact float the solver
+produced when the entry was stored, and the miss path stores whatever
+the real solver returned.
 
 Memoisation
 -----------
@@ -44,7 +57,7 @@ per call through :class:`EngineStats`.
 
 from __future__ import annotations
 
-import math
+import heapq
 import multiprocessing
 import os
 import time
@@ -58,13 +71,14 @@ from ..core.dp_greedy import GroupReport, serve_package, serve_singleton
 from ..obs import telemetry as _telemetry
 from ..obs.telemetry import Telemetry, UnitRecorder
 from ..obs.tracing import Tracer, maybe_span
+from .chaos import FaultPlan
 from .memo import SolverMemo, fingerprint_view
 
 __all__ = [
     "AUTO_SERIAL_NODES",
+    "GROUPS_PER_WORKER",
     "PROCESS_POOL_NODES",
     "EngineStats",
-    "ShardResult",
     "serve_plan",
 ]
 
@@ -76,23 +90,25 @@ AUTO_SERIAL_NODES = 4_096
 #: process pool over threads.
 PROCESS_POOL_NODES = 16_384
 
-# Unit spec shipped to workers: ("package", (d1, d2, ...)),
-# ("singleton", item), or -- under sharded dispatch
-# (repro.engine.sharding) -- a whole shard ("shard", (spec, spec, ...))
-# of units served serially in one worker.  Tuples keep pickling cheap
-# and deterministic.
-_UnitSpec = Tuple[str, Union[Tuple[int, ...], int, Tuple]]
+#: A pool dispatches at most this many groups of units per worker.
+GROUPS_PER_WORKER = 4
+
+# Unit spec shipped to workers: ("package", (d1, d2, ...)) or
+# ("singleton", item).  A dispatch is a tuple of unit specs served in
+# order by one worker.  Tuples keep pickling cheap and deterministic.
+_UnitSpec = Tuple[str, Union[Tuple[int, ...], int]]
+_Group = Tuple[_UnitSpec, ...]
 
 
 @dataclass(frozen=True)
 class EngineStats:
     """Observability record of one :func:`serve_plan` call.
 
-    The retry/timeout/fallback/failed counters are produced by the
-    resilient dispatch layer (:mod:`repro.engine.resilience`) and stay
-    zero on the classic path; ``pool`` always records the backend the
-    heuristic *picked* -- pool degradation is visible through
-    ``pool_fallbacks``.
+    The retry/timeout/fallback counters come from the resilient
+    dispatcher (:mod:`repro.engine.resilience`), ``units_failed`` counts
+    the units it skipped, and all four stay zero on a fault-free run;
+    ``pool`` always records the backend the heuristic *picked* -- pool
+    degradation is visible through ``pool_fallbacks``.
     """
 
     units: int
@@ -100,11 +116,11 @@ class EngineStats:
     singletons: int
     workers: int
     pool: str  # "serial" | "thread" | "process"
-    dispatched: int  # units actually sent to the pool (memo misses)
+    dispatched: int  # units actually sent to the dispatcher (memo misses)
     memo_hits: int
     memo_misses: int
-    retries: int = 0  # unit re-dispatches after failures/timeouts
-    timeouts: int = 0  # per-unit deadline expiries
+    retries: int = 0  # re-dispatches after failures/timeouts
+    timeouts: int = 0  # per-dispatch deadline expiries
     pool_fallbacks: int = 0  # degradation-ladder steps taken
     units_failed: int = 0  # units dropped under on_unit_error="skip"
     stalls: int = 0  # dispatches flagged silent by the stall watchdog
@@ -116,29 +132,8 @@ class EngineStats:
         return self.memo_hits / total if total else 0.0
 
 
-@dataclass(frozen=True)
-class ShardResult:
-    """Reports of one ``("shard", ...)`` dispatch, in shard-member order.
-
-    Produced by :func:`_serve_unit` for the sharded driver
-    (:mod:`repro.engine.sharding`), which zips the reports back onto the
-    shard's unit indices.  It exposes a ``package_cost`` field and a
-    ``total`` property, so the resilience layer's finite-cost audit and
-    the chaos corruption hook
-    (:meth:`~repro.engine.chaos.FaultPlan.corrupt_report`, which
-    replaces ``package_cost`` with NaN) apply to whole shards unchanged.
-    """
-
-    reports: Tuple[GroupReport, ...]
-    package_cost: float = 0.0
-
-    @property
-    def total(self) -> float:
-        return self.package_cost + math.fsum(r.total for r in self.reports)
-
-
 def _plan_units(plan: PackingPlan) -> List[_UnitSpec]:
-    """Serving units in the classic serial order: packages, then singletons."""
+    """Serving units in plan order: packages, then singletons."""
     units: List[_UnitSpec] = [
         ("package", tuple(sorted(pkg))) for pkg in plan.packages
     ]
@@ -147,14 +142,19 @@ def _plan_units(plan: PackingPlan) -> List[_UnitSpec]:
 
 
 def _unit_label(spec: _UnitSpec) -> str:
-    """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"`` /
-    ``"shard(3u@item(7))"`` (member count + first member)."""
+    """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"``."""
     kind, payload = spec
     if kind == "package":
         return "pkg(" + ",".join(str(d) for d in payload) + ")"
-    if kind == "shard":
-        return f"shard({len(payload)}u@{_unit_label(payload[0])})"
     return f"item({payload})"
+
+
+def _group_label(group: _Group) -> str:
+    """A dispatch's label: its unit's own for a one-unit group, else
+    ``"shard(3u@item(7))"`` (member count + first member)."""
+    if len(group) == 1:
+        return _unit_label(group[0])
+    return f"shard({len(group)}u@{_unit_label(group[0])})"
 
 
 def _serve_unit(
@@ -163,34 +163,11 @@ def _serve_unit(
     model: CostModel,
     alpha: float,
     build_schedules: bool,
-    attribute: bool = False,
-    *,
-    recorder: "object | None" = None,
-) -> "GroupReport | ShardResult":
-    """Serve one dispatch spec.  A ``("shard", ...)`` spec serves its
-    units serially, each through the same per-unit serve as the
-    unsharded path, so its reports are bit-identical to that path's.
-    ``recorder`` (the latency-sink protocol of
-    :mod:`repro.obs.telemetry`) receives per-unit and per-shard solve
-    latencies."""
+    attribute: bool,
+) -> GroupReport:
     kind, payload = spec
-    if kind == "shard":
-        t0 = time.perf_counter() if recorder is not None else 0.0
-        shard = ShardResult(
-            reports=tuple(
-                _serve_unit(
-                    seq, unit, model, alpha, build_schedules, attribute,
-                    recorder=recorder,
-                )
-                for unit in payload
-            )
-        )
-        if recorder is not None:
-            recorder.record(_telemetry.H_SHARD, time.perf_counter() - t0)
-        return shard
-    t0 = time.perf_counter() if recorder is not None else 0.0
     if kind == "package":
-        report = serve_package(
+        return serve_package(
             seq,
             frozenset(payload),
             model,
@@ -198,22 +175,63 @@ def _serve_unit(
             build_schedule=build_schedules,
             attribute=attribute,
         )
-    else:
-        report = serve_singleton(
-            seq,
-            payload,
-            model,
-            build_schedule=build_schedules,
-            attribute=attribute,
-        )
-    if recorder is not None:
-        recorder.record(_telemetry.H_SOLVE, time.perf_counter() - t0)
-    return report
+    return serve_singleton(
+        seq, payload, model, build_schedule=build_schedules, attribute=attribute
+    )
+
+
+def _serve_group(
+    seq: RequestSequence,
+    group: _Group,
+    model: CostModel,
+    alpha: float,
+    build_schedules: bool,
+    attribute: bool,
+    *,
+    attempt: int,
+    plan: Optional[FaultPlan],
+    in_subprocess: bool,
+    tracer: Optional[Tracer],
+    recorder: "object | None",
+) -> Tuple[GroupReport, ...]:
+    """One attempt at a dispatch: its units' reports, in group order.
+
+    Fires the fault ``plan``'s draw for the dispatch first; every unit
+    then solves inside its own ``phase2.solve`` span and records its
+    latency into ``recorder`` (the latency-sink protocol of
+    :mod:`repro.obs.telemetry`), and a multi-unit group also records its
+    whole solve.  A ``corrupt`` draw poisons the first report.
+    """
+    corrupt = plan is not None and plan.before_solve(
+        _group_label(group), attempt, in_subprocess=in_subprocess
+    )
+    t_group = time.perf_counter()
+    reports = []
+    for spec in group:
+        t0 = time.perf_counter()
+        if tracer is None:  # no span helper or label on the default hot path
+            report = _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
+        else:
+            with tracer.span(
+                "phase2.solve", cat="phase2", unit=_unit_label(spec),
+                kind=spec[0], attempt=attempt,
+            ):
+                report = _serve_unit(
+                    seq, spec, model, alpha, build_schedules, attribute
+                )
+        if recorder is not None:
+            recorder.record(_telemetry.H_SOLVE, time.perf_counter() - t0)
+        reports.append(report)
+    if recorder is not None and len(group) > 1:
+        recorder.record(_telemetry.H_SHARD, time.perf_counter() - t_group)
+    if corrupt:
+        reports[0] = FaultPlan.corrupt_report(reports[0])
+    return tuple(reports)
 
 
 # ---------------------------------------------------------------------------
 # process-pool worker side: the sequence is shipped once per worker via the
-# initializer (with fork it is inherited copy-on-write), not per unit.
+# initializer (with fork it is inherited copy-on-write), not per dispatch.
 # ---------------------------------------------------------------------------
 _WORKER_ARGS: Tuple = ()
 _WORKER_TRACER: Optional[Tracer] = None
@@ -238,57 +256,27 @@ def _init_worker(
     _telemetry.install(None)
 
 
-def _serve_unit_in_worker(spec: _UnitSpec) -> "GroupReport | ShardResult":
-    seq, model, alpha, build_schedules, attribute, _ = _WORKER_ARGS
-    return _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
+def _serve_in_worker(group: _Group, attempt: int, plan: Optional[FaultPlan]):
+    """The process-pool entry: one attempt at ``group`` in this worker.
 
-
-def _serve_unit_in_worker_telemetry(spec: _UnitSpec):
-    """Telemetry variant: returns ``(report, WorkerUnitStats)``.
-
-    The worker times the solve into a local :class:`UnitRecorder` and
-    ships the latency entries plus its own ``getrusage`` peaks back with
-    the result for the parent hub to absorb."""
-    seq, model, alpha, build_schedules, attribute, _ = _WORKER_ARGS
-    recorder = UnitRecorder()
-    report = _serve_unit(
-        seq, spec, model, alpha, build_schedules, attribute, recorder=recorder
-    )
-    return report, recorder.unit_stats()
-
-
-def _serve_unit_in_worker_traced(spec: _UnitSpec):
-    """Traced variant: returns ``(report, spans, stats_or_None)``.
-
-    The worker records the solve into its process-local tracer and ships
-    the new records back with the result; their wall-anchored timestamps
-    and real pid/tid merge directly into the parent trace (see
-    :mod:`repro.obs.tracing` for the clock model).  With telemetry also
-    enabled the third element carries the :class:`WorkerUnitStats`.
+    Returns ``(reports, spans, worker_stats)``: the spans the worker's
+    tracer recorded (wall-anchored, with the worker's pid/tid, merged
+    straight into the parent trace -- see :mod:`repro.obs.tracing`) and,
+    with telemetry on, the worker's latency entries and resource peaks
+    (:class:`~repro.obs.telemetry.WorkerUnitStats`, else ``None``).
     """
     seq, model, alpha, build_schedules, attribute, telemetry = _WORKER_ARGS
-    recorder = UnitRecorder() if telemetry else None
     tracer = _WORKER_TRACER
-    if tracer is None:  # pragma: no cover - defensive; init always ran
-        return (
-            _serve_unit(
-                seq, spec, model, alpha, build_schedules, attribute,
-                recorder=recorder,
-            ),
-            (),
-            recorder.unit_stats() if recorder is not None else None,
-        )
-    mark = tracer.mark()
-    with tracer.span(
-        "phase2.solve", cat="phase2", unit=_unit_label(spec), kind=spec[0]
-    ):
-        report = _serve_unit(
-            seq, spec, model, alpha, build_schedules, attribute,
-            recorder=recorder,
-        )
+    recorder = UnitRecorder() if telemetry else None
+    mark = tracer.mark() if tracer is not None else 0
+    reports = _serve_group(
+        seq, group, model, alpha, build_schedules, attribute,
+        attempt=attempt, plan=plan, in_subprocess=True, tracer=tracer,
+        recorder=recorder,
+    )
     return (
-        report,
-        tracer.records(since=mark),
+        reports,
+        tracer.records(since=mark) if tracer is not None else (),
         recorder.unit_stats() if recorder is not None else None,
     )
 
@@ -354,8 +342,8 @@ def _memo_probe(
 
 
 def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
-    """Carried-request count per unit (the pool-selection and shard
-    balancing size estimate), served from the sequence's cached per-item
+    """Carried-request count per unit (the pool-selection and grouping
+    size estimate), served from the sequence's cached per-item
     projections."""
     counts = seq.item_event_counts()
     sizes: List[int] = []
@@ -365,6 +353,30 @@ def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
         else:
             sizes.append(sum(counts.get(d, 0) for d in payload))
     return sizes
+
+
+def _lpt_partition(sizes: Sequence[int], shards: int) -> List[List[int]]:
+    """Longest-processing-time partition of unit indices into at most
+    ``shards`` balanced groups.
+
+    Deterministic: units are placed largest-first (ties by index) onto
+    the least-loaded group (ties by group number), and each group is
+    returned in ascending unit-index order -- i.e. plan order -- so a
+    group serves its units in the same relative order as the serial
+    rung.  Empty groups are dropped.
+    """
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    groups: List[List[int]] = [[] for _ in range(shards)]
+    heap = [(0, j) for j in range(shards)]
+    heapq.heapify(heap)
+    order = sorted(range(len(sizes)), key=lambda i: (-sizes[i], i))
+    for i in order:
+        load, j = heapq.heappop(heap)
+        groups[j].append(i)
+        # empty units still cost a dispatch slot: weigh them as 1
+        heapq.heappush(heap, (load + max(int(sizes[i]), 1), j))
+    return [sorted(g) for g in groups if g]
 
 
 def _resolve_backend(
@@ -434,6 +446,51 @@ def _make_executor(
     )
 
 
+# ---------------------------------------------------------------------------
+# checkpoint (de)serialisation: GroupReports <-> JSON payloads
+# ---------------------------------------------------------------------------
+def _report_to_json(report: GroupReport) -> dict:
+    """JSON-safe encoding of a cost-only :class:`GroupReport`.
+
+    Floats survive exactly (JSON emits the shortest round-tripping
+    decimal), so a resumed solve reproduces the original total bit for
+    bit.  Schedules are not serialised -- the sharded driver is
+    cost-only, matching the memo's contract.
+    """
+    return {
+        "group": sorted(int(d) for d in report.group),
+        "package_cost": report.package_cost,
+        "single_sided_cost": report.single_sided_cost,
+        "num_cooccurrence": report.num_cooccurrence,
+        "num_single_sided": report.num_single_sided,
+        "modes": [[t, m, c] for t, m, c in report.modes],
+        "attribution": (
+            None
+            if report.attribution is None
+            else [[t, a, c] for t, a, c in report.attribution]
+        ),
+    }
+
+
+def _report_from_json(payload: dict) -> GroupReport:
+    attribution = payload.get("attribution")
+    return GroupReport(
+        group=frozenset(int(d) for d in payload["group"]),
+        package_cost=float(payload["package_cost"]),
+        single_sided_cost=float(payload["single_sided_cost"]),
+        num_cooccurrence=int(payload["num_cooccurrence"]),
+        num_single_sided=int(payload["num_single_sided"]),
+        modes=tuple(
+            (float(t), str(m), float(c)) for t, m, c in payload["modes"]
+        ),
+        attribution=(
+            None
+            if attribution is None
+            else tuple((float(t), str(a), float(c)) for t, a, c in attribution)
+        ),
+    )
+
+
 def serve_plan(
     seq: RequestSequence,
     plan: PackingPlan,
@@ -448,15 +505,17 @@ def serve_plan(
     tracer: Optional[Tracer] = None,
     resilience: "object | bool | None" = None,
     telemetry: Optional[Telemetry] = None,
+    shards: Optional[int] = None,
+    checkpoint: "object | None" = None,
 ) -> Tuple[List[GroupReport], EngineStats]:
-    """Serve every unit of ``plan``; return reports in serial order.
+    """Serve every unit of ``plan``; return reports in plan order.
 
     Parameters
     ----------
     workers:
-        ``1`` forces the classic serial loop (bit-for-bit identical to
-        the pre-engine path); ``None`` auto-detects from the workload
-        size and CPU count; any other value caps the pool width.
+        ``1`` runs the serial rung in the parent; ``None`` auto-detects
+        from the workload size and CPU count; any other value caps the
+        pool width.
     memo:
         Optional :class:`SolverMemo`.  Hits are served in the parent;
         only misses are dispatched, and their DP costs are stored back.
@@ -472,20 +531,20 @@ def serve_plan(
     tracer:
         Optional :class:`~repro.obs.tracing.Tracer`.  Memo probes are
         recorded as ``engine.memo_probe`` spans with a ``memo=hit|miss``
-        attribute, pool execution as an ``engine.dispatch`` span, and
+        attribute, the dispatch as an ``engine.dispatch`` span, and
         every per-unit solve as a ``phase2.solve`` span -- including
         solves inside thread workers (distinct ``tid``) and process
         workers (distinct ``pid``; their spans are shipped back with the
         results and merged).  ``None`` leaves the hot path untouched.
     resilience:
-        Opt-in fault tolerance: a
-        :class:`~repro.engine.resilience.ResilienceConfig` (or ``True``
-        for the defaults) replaces the bare ``Executor.map`` consumption
-        with per-unit futures carrying timeouts, bounded retry with
-        backoff, pool degradation (process → thread → serial on broken
-        pools, re-dispatching only unfinished units), and optional
+        The dispatcher's :class:`~repro.engine.resilience.ResilienceConfig`
+        (``True`` for its defaults): per-dispatch timeouts, bounded
+        retry with backoff, an ``on_unit_error`` policy, and
         deterministic fault injection.  ``None``/``False`` (default)
-        keeps the classic dispatch path byte-for-byte.
+        is :data:`~repro.engine.resilience.NO_RETRY`: no retries, no
+        timeout, no fault injection -- a failing unit raises
+        :class:`~repro.errors.UnitSolveError` -- while a broken pool
+        still degrades process → thread → serial.
     telemetry:
         Optional :class:`~repro.obs.telemetry.Telemetry` hub.  Per-unit
         solve latency and dispatch/backoff latency land in its
@@ -494,14 +553,19 @@ def serve_plan(
         workers ship their ``getrusage`` peaks back for
         :meth:`~repro.obs.telemetry.Telemetry.absorb_worker`.  Strictly
         observation-only: reports are bit-identical with or without it.
+    shards / checkpoint:
+        Set by :func:`~repro.engine.sharding.solve_dp_greedy_sharded`:
+        group the memo misses into ``shards`` balanced shards on every
+        rung (``EngineStats.shards`` counts them), and replay/record each
+        shard's reports through a
+        :class:`~repro.experiments.base.SweepCheckpoint`.
     """
-    from .resilience import ResilienceConfig
+    from .resilience import NO_RETRY, ResilienceConfig, dispatch_resilient
 
-    resil = ResilienceConfig.coerce(resilience)
+    config = ResilienceConfig.coerce(resilience) or NO_RETRY
     units = _plan_units(plan)
-    n_packages = len(plan.packages)
     use_memo = memo is not None and not build_schedules
-    all_sizes = _unit_sizes(seq, units)
+    sizes = _unit_sizes(seq, units)
 
     reports: List[Optional[GroupReport]] = [None] * len(units)
     pending: List[int] = []
@@ -523,147 +587,89 @@ def serve_plan(
     else:
         pending = list(range(len(units)))
 
-    pending_nodes = sum(all_sizes[i] for i in pending)
-    dispatch_specs = [units[i] for i in pending]
+    # -- group the memo misses into dispatches ----------------------------
+    pending_sizes = [sizes[i] for i in pending]
+    pending_nodes = sum(pending_sizes)
 
-    workers_used, kind = _resolve_backend(
-        workers, pending_nodes, len(dispatch_specs), pool
-    )
+    def lpt_groups(n: int) -> List[List[int]]:
+        return [[pending[j] for j in g] for g in _lpt_partition(pending_sizes, n)]
+
+    if shards is not None:
+        groups = lpt_groups(shards)
+    else:
+        workers_used, kind = _resolve_backend(
+            workers, pending_nodes, len(pending), pool
+        )
+        cap = GROUPS_PER_WORKER * workers_used
+        if kind == "serial" or len(pending) <= cap:
+            groups = [[i] for i in pending]  # one unit per dispatch, plan order
+        else:
+            groups = lpt_groups(cap)
+
+    # -- checkpoint: replay completed shards, record new ones --------------
+    resolved: Dict[int, Tuple[GroupReport, ...]] = {}
+    points: List[dict] = []
+    if checkpoint is not None:
+        points = [
+            {"shard": pos, "units": [_unit_label(units[i]) for i in group]}
+            for pos, group in enumerate(groups)
+        ]
+        for pos, point in enumerate(points):
+            payload = checkpoint.get(point)
+            if payload is not None:
+                resolved[pos] = tuple(
+                    _report_from_json(r) for r in payload["reports"]
+                )
+    dispatch = {
+        pos: tuple(map(units.__getitem__, group))
+        for pos, group in enumerate(groups)
+        if pos not in resolved
+    }
+    if shards is not None:
+        workers_used, kind = _resolve_backend(
+            workers, pending_nodes, len(dispatch), pool
+        )
+
+    def on_result(pos: int, group_reports: Tuple[GroupReport, ...]) -> None:
+        checkpoint.record(
+            points[pos], {"reports": [_report_to_json(r) for r in group_reports]}
+        )
 
     tele = telemetry
     stalls_before = tele.board.stalls if tele is not None else 0
-    if tele is not None and dispatch_specs and resil is None:
-        # the resilient dispatcher announces its own units (it is also
-        # entered directly by the sharded driver)
-        tele.board.begin(len(dispatch_specs))
-
-    resolved: Dict[int, object] = {}
-    res_counters = None
-    if resil is not None:
-        from .resilience import dispatch_resilient
-
-        with maybe_span(
-            tracer,
-            "engine.dispatch",
-            cat="engine",
-            pool=kind,
+    with maybe_span(
+        tracer,
+        "engine.dispatch",
+        cat="engine",
+        pool=kind,
+        workers=workers_used,
+        dispatched=len(pending),
+        groups=len(dispatch),
+    ):
+        results, counters = dispatch_resilient(
+            kind=kind,
             workers=workers_used,
-            dispatched=len(dispatch_specs),
-            resilient=True,
-        ):
-            resolved, res_counters = dispatch_resilient(
-                kind=kind,
-                workers=workers_used,
-                seq=seq,
-                model=model,
-                alpha=alpha,
-                build_schedules=build_schedules,
-                attribute=attribute,
-                units=dict(enumerate(dispatch_specs)),
-                tracer=tracer,
-                config=resil,
-                telemetry=tele,
-            )
-    elif kind == "serial":
-        for pos, spec in enumerate(dispatch_specs):
-            label = _unit_label(spec)
-            if tele is not None:
-                tele.board.unit_started(label)
-            with maybe_span(
-                tracer,
-                "phase2.solve",
-                cat="phase2",
-                unit=label,
-                kind=spec[0],
-            ):
-                resolved[pos] = _serve_unit(
-                    seq, spec, model, alpha, build_schedules, attribute,
-                    recorder=tele,
-                )
-            if tele is not None:
-                tele.board.unit_finished(label)
-    else:
-        chunksize = max(1, len(dispatch_specs) // (4 * workers_used))
-        trace = tracer is not None
-        with maybe_span(
-            tracer,
-            "engine.dispatch",
-            cat="engine",
-            pool=kind,
-            workers=workers_used,
-            dispatched=len(dispatch_specs),
-        ):
-            with _make_executor(
-                kind, workers_used, seq, model, alpha, build_schedules,
-                attribute, trace, tele is not None,
-            ) as ex:
-                if kind == "thread":
+            seq=seq,
+            model=model,
+            alpha=alpha,
+            build_schedules=build_schedules,
+            attribute=attribute,
+            units=dispatch,
+            tracer=tracer,
+            config=config,
+            on_result=on_result if checkpoint is not None else None,
+            telemetry=tele,
+        )
+    resolved.update(results)
 
-                    def _serve_traced(spec: _UnitSpec):
-                        # worker threads record straight into the shared
-                        # tracer/telemetry hub (both are thread-safe);
-                        # each span stamps its own tid
-                        label = _unit_label(spec)
-                        if tele is not None:
-                            tele.board.unit_started(label)
-                        try:
-                            with maybe_span(
-                                tracer,
-                                "phase2.solve",
-                                cat="phase2",
-                                unit=label,
-                                kind=spec[0],
-                            ):
-                                return _serve_unit(
-                                    seq, spec, model, alpha, build_schedules,
-                                    attribute, recorder=tele,
-                                )
-                        finally:
-                            if tele is not None:
-                                tele.board.unit_finished(label)
-
-                    results = ex.map(_serve_traced, dispatch_specs)
-                    for pos, report in enumerate(results):
-                        resolved[pos] = report
-                elif trace:
-                    results = ex.map(
-                        _serve_unit_in_worker_traced,
-                        dispatch_specs,
-                        chunksize=chunksize,
-                    )
-                    for pos, (report, spans, wstats) in enumerate(results):
-                        resolved[pos] = report
-                        tracer.extend(spans)
-                        if tele is not None:
-                            tele.absorb_worker(wstats)
-                            tele.board.unit_finished(
-                                _unit_label(dispatch_specs[pos])
-                            )
-                elif tele is not None:
-                    results = ex.map(
-                        _serve_unit_in_worker_telemetry,
-                        dispatch_specs,
-                        chunksize=chunksize,
-                    )
-                    for pos, (report, wstats) in enumerate(results):
-                        resolved[pos] = report
-                        tele.absorb_worker(wstats)
-                        tele.board.unit_finished(_unit_label(dispatch_specs[pos]))
-                else:
-                    results = ex.map(
-                        _serve_unit_in_worker, dispatch_specs, chunksize=chunksize
-                    )
-                    for pos, report in enumerate(results):
-                        resolved[pos] = report
-
-    # -- map dispatch results back onto per-unit reports -----------------
-    for pos, unit_idx in enumerate(pending):
-        if pos in resolved:
-            reports[unit_idx] = resolved[pos]
+    # -- put each dispatch's reports back at their plan-order indices ------
+    for pos, group in enumerate(groups):
+        for idx, report in zip(group, resolved.get(pos, ())):
+            reports[idx] = report
 
     if use_memo:
         for idx in pending:
-            if reports[idx] is None:  # unit skipped by the resilience layer
+            if reports[idx] is None:  # unit skipped by the dispatcher
                 continue
             memo.put(
                 miss_keys[idx],
@@ -673,17 +679,18 @@ def serve_plan(
 
     stats = EngineStats(
         units=len(units),
-        packages=n_packages,
+        packages=len(plan.packages),
         singletons=len(plan.singletons),
         workers=workers_used,
         pool=kind,
         dispatched=len(pending),
         memo_hits=hits,
         memo_misses=len(pending) if use_memo else 0,
-        retries=res_counters.retries if res_counters else 0,
-        timeouts=res_counters.timeouts if res_counters else 0,
-        pool_fallbacks=res_counters.pool_fallbacks if res_counters else 0,
-        units_failed=res_counters.units_failed if res_counters else 0,
+        retries=counters.retries,
+        timeouts=counters.timeouts,
+        pool_fallbacks=counters.pool_fallbacks,
+        units_failed=sum(1 for idx in pending if reports[idx] is None),
         stalls=(tele.board.stalls - stalls_before) if tele is not None else 0,
+        shards=len(groups) if shards is not None else 0,
     )
     return [r for r in reports if r is not None], stats

@@ -1,54 +1,61 @@
-"""Fault-tolerant dispatch for the Phase-2 execution engine.
+"""Fault-tolerant dispatch: the one executor of Phase-2 work.
 
-The bare pool of :mod:`repro.engine.parallel` is fast but brittle: one
-crashed worker (``BrokenProcessPool``), one hung DP solve, or one
-corrupted unit result aborts the whole ``serve_plan`` call -- and with
-it a multi-hour sweep.  This module wraps the same per-unit solves in
-the retry/timeout/degradation shape a production serving stack uses:
+Every Phase-2 solve runs through :func:`dispatch_resilient`.  The
+driver (:func:`repro.engine.parallel.serve_plan`) hands it dispatches
+-- single units or groups of units -- and it runs them serially in the
+parent or on a ``concurrent.futures`` pool, in the retry/timeout/
+degradation shape a production serving stack uses, so one crashed
+worker (``BrokenProcessPool``), one hung DP solve, or one corrupted
+result does not abort a multi-hour sweep:
 
-* **per-unit futures** replace order-preserving ``Executor.map``, so a
-  single unit's failure is *that unit's* problem, not the batch's;
+* **per-dispatch futures** with at most ``workers`` in flight, so a
+  single dispatch's failure is *that dispatch's* problem;
 * **bounded retry with exponential backoff + jitter**: a failed or
-  timed-out unit is re-dispatched up to ``retries`` times (solves are
-  pure, so a retried unit returns the bit-identical report);
+  timed-out dispatch is re-run up to ``retries`` times (solves are
+  pure, so a retried dispatch returns bit-identical reports);
 * **pool degradation**: a broken process pool (worker death,
   initializer failure) falls back process → thread → serial,
-  re-dispatching only the unfinished units -- completed
-  ``GroupReport``s and memo entries are never recomputed;
-* **result auditing**: a unit report with a non-finite cost is treated
-  as corrupt and retried;
+  re-dispatching only the unfinished work -- completed reports and
+  memo entries are never recomputed;
+* **result auditing**: a report with a non-finite cost is treated as
+  corrupt and retried;
 * **an error taxonomy** (:mod:`repro.errors`) carrying unit labels and
   attempt counts, so the failure that finally surfaces says *which*
   unit died *how many times*, not just where a recurrence indexed.
 
+Solves that pass no ``resilience=`` run under :data:`NO_RETRY`: no
+retries, no timeout, no fault injection (``REPRO_CHAOS`` is ignored),
+so a failing unit raises :class:`~repro.errors.UnitSolveError` at once,
+while a broken pool still degrades.
+
 Everything is observable: ``engine.retry`` / ``engine.pool_fallback`` /
 ``engine.unit_failed`` spans land in the tracer, and the
 ``retries`` / ``timeouts`` / ``pool_fallbacks`` / ``units_failed``
-counters ride :class:`~repro.engine.parallel.EngineStats` into the v2
+counters ride :class:`~repro.engine.parallel.EngineStats` into the
 metrics schema as ``engine.*`` counters.
 
 Semantics worth pinning down:
 
-* The per-unit timeout is measured from dispatch, and the dispatcher
-  keeps at most ``workers`` units in flight so dispatch coincides with
-  execution start -- queue wait never eats a unit's budget.  A
-  timed-out future is cancelled if still queued and *abandoned* if
-  running (Python pools cannot preempt); an abandoned future keeps
-  occupying its worker until it finishes on its own, so it counts
-  against dispatch capacity.  The serial rung cannot time out (there is
-  nothing to abandon it from).
-* Retry attempt counts are charged on *unit* failures only.  When a
-  whole pool breaks, in-flight units are re-dispatched on the next rung
-  with their attempt counters untouched -- a dying neighbour is not the
-  unit's fault.
-* ``on_unit_error`` decides what happens once a unit exhausts its
+* The timeout is measured from dispatch, and the dispatcher keeps at
+  most ``workers`` dispatches in flight so dispatch coincides with
+  execution start -- queue wait never eats a budget.  A timed-out
+  future is cancelled if still queued and *abandoned* if running
+  (Python pools cannot preempt); an abandoned future keeps occupying
+  its worker until it finishes on its own, so it counts against
+  dispatch capacity.  The serial rung cannot time out (there is nothing
+  to abandon it from).
+* Retry attempt counts are charged on *dispatch* failures only.  When a
+  whole pool breaks, in-flight dispatches are re-run on the next rung
+  with their attempt counters untouched -- a dying neighbour is not
+  their fault.
+* ``on_unit_error`` decides what happens once a dispatch exhausts its
   retries: ``"raise"`` surfaces :class:`~repro.errors.UnitSolveError` /
-  :class:`~repro.errors.UnitTimeoutError`; ``"degrade"`` gives the unit
-  one final serial in-parent attempt on the trusted substrate (with
-  fault injection disabled -- chaos models infrastructure faults, and
-  the parent's own solve is the ground truth the injected faults are
-  measured against); ``"skip"`` drops the unit from the result and
-  counts it in ``units_failed``.
+  :class:`~repro.errors.UnitTimeoutError`; ``"degrade"`` gives it one
+  final serial in-parent attempt on the trusted substrate (with fault
+  injection disabled -- chaos models infrastructure faults, and the
+  parent's own solve is the ground truth the injected faults are
+  measured against); ``"skip"`` drops its units from the result and
+  counts them in ``units_failed``.
 
 Fault injection (:mod:`repro.engine.chaos`) threads through every
 backend so all of the above is provable under test.
@@ -69,13 +76,13 @@ from typing import Dict, Optional, Tuple
 from ..errors import PoolBrokenError, ReproError, UnitSolveError, UnitTimeoutError
 from ..logutil import new_run_id
 from ..obs import telemetry as _telemetry
-from ..obs.telemetry import Telemetry, UnitRecorder
+from ..obs.telemetry import Telemetry
 from ..obs.tracing import maybe_span
 from .chaos import FaultPlan, chaos_from_env
 
 log = logging.getLogger(__name__)
 
-__all__ = ["ResilienceConfig", "ResilienceCounters", "dispatch_resilient"]
+__all__ = ["NO_RETRY", "ResilienceConfig", "ResilienceCounters", "dispatch_resilient"]
 
 #: The degradation ladder, most- to least-parallel.  A broken pool
 #: falls to the next rung; the serial rung cannot break.
@@ -91,14 +98,15 @@ class ResilienceConfig:
     Parameters
     ----------
     unit_timeout:
-        Per-unit wall-clock budget in seconds, measured from dispatch;
+        Per-dispatch wall-clock budget in seconds (a dispatch is one
+        unit, or a group of units on a pool), measured from dispatch;
         ``None`` disables timeouts.  Serial execution cannot enforce it.
     retries:
-        How many times a failed/timed-out/corrupt unit is re-dispatched
+        How many times a failed/timed-out/corrupt dispatch is re-run
         before the ``on_unit_error`` policy applies (total tries =
         ``retries + 1``).
     backoff / backoff_max / jitter:
-        Exponential backoff between a unit's retries:
+        Exponential backoff between a dispatch's retries:
         ``min(backoff * 2**(k-1), backoff_max)`` seconds before retry
         ``k``, stretched by a seeded uniform jitter of up to
         ``±jitter`` of itself (decorrelates retry storms without
@@ -106,7 +114,7 @@ class ResilienceConfig:
     on_unit_error:
         Policy once retries are exhausted: ``"raise"`` (default),
         ``"degrade"`` (one final serial in-parent attempt), or
-        ``"skip"`` (drop the unit, count it in ``units_failed``).
+        ``"skip"`` (drop its units, count them in ``units_failed``).
     degrade_pool:
         Walk the process → thread → serial ladder when a pool breaks
         (default); ``False`` surfaces
@@ -169,20 +177,24 @@ class ResilienceConfig:
         return self.chaos
 
 
+#: The dispatch config of solves that pass no ``resilience=``: one
+#: attempt per dispatch, no timeout, no fault injection.
+NO_RETRY = ResilienceConfig(retries=0, chaos=False)
+
+
 @dataclass
 class ResilienceCounters:
     """What the dispatch layer absorbed; folded into
-    :class:`~repro.engine.parallel.EngineStats` (hence the v2 metrics
+    :class:`~repro.engine.parallel.EngineStats` (hence the metrics
     counters ``engine.retries`` etc.)."""
 
     retries: int = 0
     timeouts: int = 0
     pool_fallbacks: int = 0
-    units_failed: int = 0
 
 
 class _CorruptResult(ReproError):
-    """Internal: a unit report failed the finite-cost audit."""
+    """Internal: a report failed the finite-cost audit."""
 
 
 class _PoolBroken(Exception):
@@ -194,45 +206,7 @@ class _PoolBroken(Exception):
         super().__init__(f"{pool} pool broke: {cause!r}")
 
 
-_TIMEOUT = "timeout"  # sentinel in the per-unit last-error slot
-
-
-def _serve_unit_attempt_in_worker(spec, attempt, plan, trace):
-    """Process-pool worker side of one resilient attempt.
-
-    Mirrors ``parallel._serve_unit_in_worker_traced`` but threads the
-    attempt number and the fault plan through; always returns
-    ``(report, spans, stats_or_None)`` so the parent has one collection
-    path (``stats`` carries the worker's latency entries and resource
-    peaks when telemetry is on).
-    """
-    from . import parallel
-
-    seq, model, alpha, build_schedules, attribute, telemetry = parallel._WORKER_ARGS
-    label = parallel._unit_label(spec)
-    corrupt = (
-        plan.before_solve(label, attempt, in_subprocess=True)
-        if plan is not None
-        else False
-    )
-    recorder = UnitRecorder() if telemetry else None
-    tracer = parallel._WORKER_TRACER if trace else None
-    mark = tracer.mark() if tracer is not None else 0
-    with maybe_span(
-        tracer, "phase2.solve", cat="phase2", unit=label, kind=spec[0],
-        attempt=attempt,
-    ):
-        report = parallel._serve_unit(
-            seq, spec, model, alpha, build_schedules, attribute,
-            recorder=recorder,
-        )
-    if corrupt:
-        report = FaultPlan.corrupt_report(report)
-    return (
-        report,
-        (tracer.records(since=mark) if tracer is not None else ()),
-        recorder.unit_stats() if recorder is not None else None,
-    )
+_TIMEOUT = "timeout"  # sentinel in the per-dispatch last-error slot
 
 
 def _backoff_delay(config: ResilienceConfig, retry_no: int, rng: random.Random) -> float:
@@ -256,38 +230,37 @@ def dispatch_resilient(
     config: ResilienceConfig,
     on_result=None,
     telemetry: Optional[Telemetry] = None,
-) -> Tuple[Dict[int, object], ResilienceCounters]:
-    """Serve ``units`` (``index -> spec``) fault-tolerantly.
+) -> Tuple[Dict[int, tuple], ResilienceCounters]:
+    """Serve ``units`` (``index -> group``) fault-tolerantly.
 
-    Returns the reports by index (skipped units absent) plus the
-    counters.  ``kind`` is the pool the heuristic picked; broken pools
-    degrade down :data:`DEGRADATION_LADDER`, re-dispatching only
-    unresolved units.  Specs may include whole ``("shard", ...)``
-    shards of the sharded driver: retry, timeout, degradation, the
-    finite-cost audit, and chaos corruption then apply per *dispatch*
-    (``units_failed`` counts one per skipped dispatch).
+    A group is a tuple of unit specs served in order by one worker (see
+    :mod:`repro.engine.parallel`); retry, timeout, degradation, the
+    finite-cost audit, and chaos draws apply per group.  Returns each
+    group's reports by index (skipped groups absent) plus the counters.
+    ``kind`` is the pool the heuristic picked; broken pools degrade down
+    :data:`DEGRADATION_LADDER`, re-dispatching only unresolved groups.
 
-    ``on_result(idx, report)``, when given, fires as each unit's audited
-    result lands -- including results recovered on a degraded rung --
-    and never for skipped units.  The sharded driver uses it to record
-    completed shards into a crash-safe checkpoint as they finish.
+    ``on_result(idx, reports)``, when given, fires as each group's
+    audited reports land -- including results recovered on a degraded
+    rung -- and never for skipped groups.  The sharded driver uses it to
+    record completed shards into a crash-safe checkpoint as they finish.
 
     ``telemetry`` plugs the dispatch into the runtime telemetry plane:
     dispatch roundtrips and backoff delays land in its histograms,
     completions/retries/degradations in its :class:`ProgressBoard` (the
-    stall watchdog flags silent in-flight units via the same board),
+    stall watchdog flags silent in-flight dispatches via the same board),
     and process workers ship latency entries + resource peaks back.
     Every retry/timeout/degradation/skip also emits a WARNING-level
     ``repro.engine.resilience`` log record tagged with a per-dispatch
     run id.
     """
-    from .parallel import _make_executor, _serve_unit, _unit_label
+    from .parallel import _group_label, _make_executor, _serve_group, _serve_in_worker
 
     plan = config.resolve_chaos()
     counters = ResilienceCounters()
     rng = random.Random(plan.seed if plan is not None else 0)
     attempts: Dict[int, int] = {idx: 0 for idx in units}  # failed tries so far
-    results: Dict[int, object] = {}
+    results: Dict[int, tuple] = {}
     skipped: set = set()
     run_id = new_run_id()
     tele = telemetry
@@ -296,52 +269,40 @@ def dispatch_resilient(
         board.begin(len(units))
 
     def label(idx: int) -> str:
-        return _unit_label(units[idx])
+        return _group_label(units[idx])
 
-    def record_result(idx: int, report) -> None:
-        results[idx] = report
+    def record_result(idx: int, reports: tuple) -> None:
+        results[idx] = reports
         if board is not None:
             board.unit_finished(label(idx), ok=True)
         if on_result is not None:
-            on_result(idx, report)
+            on_result(idx, reports)
 
     def unresolved():
         return [idx for idx in units if idx not in results and idx not in skipped]
 
-    def check_finite(report, idx: int):
-        if not math.isfinite(report.total):
-            raise _CorruptResult(
-                f"unit {label(idx)} returned non-finite cost {report.total!r}"
-            )
-        return report
+    def check_finite(reports, idx: int):
+        for report in reports:
+            if not math.isfinite(report.total):
+                raise _CorruptResult(
+                    f"unit {label(idx)} returned non-finite cost {report.total!r}"
+                )
+        return reports
 
     def serial_attempt(idx: int, attempt: int, with_chaos: bool):
-        spec = units[idx]
         if board is not None:
             board.unit_started(label(idx))
-        corrupt = (
-            plan.before_solve(label(idx), attempt, in_subprocess=False)
-            if with_chaos and plan is not None
-            else False
+        return _serve_group(
+            seq, units[idx], model, alpha, build_schedules, attribute,
+            attempt=attempt, plan=plan if with_chaos else None,
+            in_subprocess=False, tracer=tracer, recorder=tele,
         )
-        with maybe_span(
-            tracer, "phase2.solve", cat="phase2", unit=label(idx),
-            kind=spec[0], attempt=attempt,
-        ):
-            report = _serve_unit(
-                seq, spec, model, alpha, build_schedules, attribute,
-                recorder=tele,
-            )
-        if corrupt:
-            report = FaultPlan.corrupt_report(report)
-        return report
 
     def finalize_failure(idx: int, error) -> None:
         """Retries exhausted: apply the ``on_unit_error`` policy."""
         n = attempts[idx]
         if config.on_unit_error == "skip":
             skipped.add(idx)
-            counters.units_failed += 1
             log.warning(
                 "unit failed [run=%s unit=%s attempts=%d]: dropped "
                 "(on_unit_error=skip)", run_id, label(idx), n,
@@ -420,12 +381,11 @@ def dispatch_resilient(
             except Exception as exc:
                 on_failure(idx, exc, backlog)
 
-    # -- one pool rung ---------------------------------------------------
+    # -- one pool rung: the only place Phase-2 work meets an executor ----
     def run_pool_rung(rung: str) -> None:
-        trace = tracer is not None
         ex = _make_executor(
-            rung, workers, seq, model, alpha, build_schedules, attribute, trace,
-            tele is not None,
+            rung, workers, seq, model, alpha, build_schedules, attribute,
+            tracer is not None, tele is not None,
         )
         try:
             pending = deque(unresolved())
@@ -434,7 +394,7 @@ def dispatch_resilient(
             # timed-out-but-running futures: they cannot be preempted,
             # so they keep occupying a worker until they finish on
             # their own; counting them against capacity keeps the
-            # per-unit deadline measuring *execution*, not queue wait
+            # per-dispatch deadline measuring *execution*, not queue wait
             abandoned: set = set()
             while pending or backlog or inflight:
                 now = time.monotonic()
@@ -446,17 +406,13 @@ def dispatch_resilient(
                 while pending and capacity > 0:
                     idx = pending.popleft()
                     attempt = attempts[idx] + 1
-                    spec = units[idx]
                     try:
                         if rung == "process":
                             fut = ex.submit(
-                                _serve_unit_attempt_in_worker, spec, attempt,
-                                plan, trace,
+                                _serve_in_worker, units[idx], attempt, plan
                             )
                         else:
-                            fut = ex.submit(
-                                serial_attempt, idx, attempt, True
-                            )
+                            fut = ex.submit(serial_attempt, idx, attempt, True)
                     except BrokenExecutor as exc:
                         raise _PoolBroken(rung, exc) from exc
                     submitted = time.monotonic()
@@ -519,15 +475,15 @@ def dispatch_resilient(
                         on_failure(idx, exc, backlog)
                         continue
                     if rung == "process":
-                        report, spans, wstats = payload
-                        if trace and spans:
+                        reports, spans, wstats = payload
+                        if spans:
                             tracer.extend(spans)
                         if tele is not None:
                             tele.absorb_worker(wstats)
                     else:
-                        report = payload
+                        reports = payload
                     try:
-                        record_result(idx, check_finite(report, idx))
+                        record_result(idx, check_finite(reports, idx))
                     except _CorruptResult as exc:
                         on_failure(idx, exc, backlog)
                 # deadline sweep: cancel overdue futures still queued;

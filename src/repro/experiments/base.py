@@ -125,7 +125,7 @@ def sweep_memo(memo: bool):
 
     Sweep harnesses share a single memo across every sweep point so that
     sub-problems unchanged by the swept knob (theta/alpha) are solved
-    once; ``memo=False`` returns ``None`` (the legacy serial path)."""
+    once; ``memo=False`` returns ``None`` (no memo)."""
     if not memo:
         return None
     from ..engine.memo import SolverMemo

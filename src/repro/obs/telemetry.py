@@ -70,12 +70,13 @@ __all__ = [
 
 # -- histogram names recorded by the engine (pinned by tests/docs) ----------
 #: Per-unit Phase-2 solve latency (packages/singletons, including units
-#: served inside shard workers).
+#: served inside pooled groups and shards).
 H_SOLVE = "phase2.solve_seconds"
-#: Whole-shard solve latency inside the worker.
+#: Whole-group solve latency inside the worker: a shard, or a pooled
+#: group of several units.
 H_SHARD = "phase2.shard_seconds"
-#: Parent-side dispatch roundtrip (submit -> audited result) of the
-#: resilient dispatcher, per dispatch unit (unit or shard).
+#: Parent-side roundtrip (submit -> audited result) of one pool dispatch
+#: (a unit, or a group of units) of the resilient dispatcher.
 H_DISPATCH = "engine.dispatch_seconds"
 #: Backoff delays scheduled between a unit's retries.
 H_BACKOFF = "engine.backoff_seconds"

@@ -4,8 +4,9 @@ DP_Greedy has three hot phases -- Phase 1's similarity scan, Phase 1's
 greedy packing, and Phase 2's per-unit solves -- and tuning any of them
 starts with knowing where the time goes.  :class:`PhaseTimers` is a tiny
 named-accumulator: each :meth:`PhaseTimers.time` context adds one timed
-interval to its phase, so ``seconds / calls`` gives per-unit latency
-when the serial loop times each serving unit individually.
+interval to its phase (the solvers time each phase once per solve;
+per-unit latency comes from the ``phase2.solve`` spans and latency
+histograms).
 
 The accumulators are guarded by a lock: besides the coordinating thread
 (which times phases and pool dispatch), worker-side aggregates -- span

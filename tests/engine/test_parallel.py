@@ -13,12 +13,14 @@ from hypothesis import given, settings
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
+from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
 from repro.engine.parallel import (
     AUTO_SERIAL_NODES,
     _resolve_backend,
     serve_plan,
 )
+from repro.engine.resilience import ResilienceConfig
 from repro.trace.workload import zipf_item_workload
 
 from ..conftest import cost_models, multi_item_sequences
@@ -107,10 +109,16 @@ class TestEquivalence:
 
 
 class TestEngineApi:
-    def test_serial_path_has_no_engine_stats(self, unit_model):
+    def test_default_path_reports_engine_stats(self, unit_model):
+        # every solve runs through the engine: the default one on the
+        # serial rung, one dispatch per unit
         seq = _workload(n=40, items=3)
-        assert _serial(seq, unit_model).engine_stats is None
-        assert _serial(seq, unit_model, workers=1).engine_stats is not None
+        got = _serial(seq, unit_model)
+        es = got.engine_stats
+        assert es.pool == "serial"
+        assert es.workers == 1
+        assert es.dispatched == es.units == len(got.reports)
+        assert _serial(seq, unit_model, workers=1).engine_stats == es
 
     def test_memo_true_uses_default_memo(self, unit_model):
         from repro.engine.memo import get_default_memo
@@ -149,41 +157,55 @@ class TestEngineApi:
 
 
 class TestExecutorHardening:
-    """_make_executor must behave identically on fork-less platforms and
-    must actually batch process-pool dispatch via ``chunksize``."""
+    """_make_executor must behave identically on fork-less platforms, and
+    pool rungs must group units instead of paying one future per unit."""
 
-    def test_chunksize_reaches_process_pool_map(self, unit_model, monkeypatch):
-        # regression guard: ex.map(..., chunksize=) silently ignores a
-        # typo'd kwarg only if we never assert it arrives
+    @pytest.mark.parametrize("pool", ["thread", "process"])
+    @pytest.mark.parametrize(
+        "chaos", [None, FaultPlan(seed=7, crash=0.5)], ids=["clean", "crash"]
+    )
+    def test_pool_rungs_dispatch_at_most_four_groups_per_worker(
+        self, unit_model, monkeypatch, pool, chaos
+    ):
         import repro.engine.parallel as parallel
 
-        seen = {}
+        real_make = parallel._make_executor
+        submitted = []
 
-        class _RecordingExecutor:
-            def map(self, fn, *iterables, **kwargs):
-                seen.update(kwargs)
-                return map(fn, *iterables)
+        class _CountingExecutor:
+            def __init__(self, ex):
+                self._ex = ex
 
-            def __enter__(self):
-                return self
+            def submit(self, fn, *args, **kwargs):
+                # the dispatch: a group (process rung) or its index
+                # (thread rung)
+                submitted.append(args[0])
+                return self._ex.submit(fn, *args, **kwargs)
 
-            def __exit__(self, *exc):
-                return False
+            def shutdown(self, *args, **kwargs):
+                self._ex.shutdown(*args, **kwargs)
 
-        def fake_make(kind, workers, seq, model, alpha, build_schedules,
-                      attribute, trace=False, telemetry=False):
-            # run the worker initializer in-process so _serve_unit_in_worker
-            # finds its globals
-            parallel._init_worker(
-                seq, model, alpha, build_schedules, attribute, trace, telemetry
-            )
-            return _RecordingExecutor()
-
-        monkeypatch.setattr(parallel, "_make_executor", fake_make)
-        seq = _workload(n=60, items=5)
-        plan = _serial(seq, unit_model).plan
-        serve_plan(seq, plan, unit_model, ALPHA, workers=2, pool="process")
-        assert seen.get("chunksize", 0) >= 1
+        monkeypatch.setattr(
+            parallel,
+            "_make_executor",
+            lambda *a, **kw: _CountingExecutor(real_make(*a, **kw)),
+        )
+        seq = zipf_item_workload(400, 12, 40, seed=3, cooccurrence=0.2)
+        ref = _serial(seq, unit_model)
+        assert len(ref.reports) > 4 * 2
+        got = _serial(
+            seq, unit_model, workers=2, pool=pool,
+            resilience=ResilienceConfig(chaos=chaos) if chaos else None,
+        )
+        assert got.total_cost == ref.total_cost
+        assert got.reports == ref.reports
+        es = got.engine_stats
+        assert (es.pool, es.workers, es.dispatched) == (pool, 2, es.units)
+        assert 0 < len(set(submitted)) <= 4 * 2
+        if chaos is None:
+            assert len(submitted) <= 4 * 2
+        else:
+            assert es.retries > 0
 
     def test_start_method_defaults_to_fork_when_available(self, monkeypatch):
         import multiprocessing

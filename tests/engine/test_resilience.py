@@ -207,6 +207,52 @@ class TestDegradationLadder:
         assert got.engine_stats.retries > 0
 
 
+class TestDefaultPath:
+    """Solves without ``resilience=`` run the dispatcher with no retries,
+    no timeout and no fault injection."""
+
+    def test_unit_failure_surfaces_as_unit_solve_error(self, seq, baseline,
+                                                       unit_model, monkeypatch):
+        import repro.engine.parallel as parallel
+
+        def broken_solver(*args, **kwargs):
+            raise RuntimeError("solver bug")
+
+        monkeypatch.setattr(parallel, "serve_singleton", broken_solver)
+        with pytest.raises(UnitSolveError) as info:
+            _solve(seq, unit_model)
+        err = info.value
+        # the serial rung runs plan order: packages, then singletons
+        assert err.unit == f"item({baseline.plan.singletons[0]})"
+        assert err.attempts == 1
+        assert isinstance(err.__cause__, RuntimeError)
+
+    def test_dead_process_pool_degrades(self, seq, baseline, unit_model,
+                                        monkeypatch):
+        import repro.engine.parallel as parallel
+
+        real_make = parallel._make_executor
+
+        class _DeadExecutor:
+            def submit(self, *a, **k):
+                raise BrokenExecutor("process rung is down")
+
+            def shutdown(self, *a, **k):
+                pass
+
+        def broken_process(kind, *args, **kw):
+            if kind == "process":
+                return _DeadExecutor()
+            return real_make(kind, *args, **kw)
+
+        monkeypatch.setattr(parallel, "_make_executor", broken_process)
+        got = _solve(seq, unit_model, workers=2, pool="process")
+        assert got.total_cost == baseline.total_cost
+        assert got.reports == baseline.reports
+        es = got.engine_stats
+        assert (es.pool, es.pool_fallbacks, es.retries) == ("process", 1, 0)
+
+
 class TestOnUnitError:
     # attempts=99 means the fault never heals: retries are guaranteed
     # exhausted, which is exactly what these policies are about
@@ -326,6 +372,22 @@ class TestConfig:
             workers=2, pool="thread",
         )
         assert got.total_cost == baseline.total_cost
+        assert got.engine_stats.retries == 0
+
+    @pytest.mark.parametrize(
+        "engine",
+        [dict(), dict(workers=2, pool="thread"), dict(workers=2, pool="process")],
+        ids=["default", "thread", "process"],
+    )
+    def test_env_chaos_stays_out_of_solves_without_resilience(
+        self, seq, baseline, unit_model, monkeypatch, engine
+    ):
+        # every solve runs through the dispatcher, but only one that
+        # asked for resilience may inherit the env fault plan
+        monkeypatch.setenv("REPRO_CHAOS", "seed=7,crash=1.0,attempts=99")
+        got = _solve(seq, unit_model, **engine)
+        assert got.total_cost == baseline.total_cost
+        assert got.reports == baseline.reports
         assert got.engine_stats.retries == 0
 
 

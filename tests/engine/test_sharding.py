@@ -311,6 +311,22 @@ class TestApi:
         with pytest.raises(ValueError, match="cover"):
             _solve(seq, plan=other_plan)
 
+    @pytest.mark.parametrize("shards", [0, -3])
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-memo"])
+    def test_nonpositive_shards_rejected(self, seq, shards, warm):
+        from repro.obs.tracing import Tracer
+
+        memo = SolverMemo()
+        if warm:
+            # every unit a memo hit: nothing is left to shard, and the
+            # bad count must still be refused
+            again = _solve(seq, memo=memo)
+            assert again.engine_stats.memo_misses == again.engine_stats.units
+        tracer = Tracer()
+        with pytest.raises(ValueError, match="shards"):
+            _solve(seq, shards=shards, memo=memo, tracer=tracer)
+        assert len(tracer) == 0  # refused before Phase 1
+
     def test_engine_stats_shape(self, seq):
         got = _solve(seq, shards=3)
         es = got.engine_stats

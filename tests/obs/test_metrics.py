@@ -113,12 +113,54 @@ class TestReconciliationProperty:
 
 class TestRunObservation:
     def test_phase_timers_cover_both_phases(self):
+        from repro.obs.tracing import Tracer
+
         seq = correlated_pair_sequence(80, 6, 0.5, seed=1)
-        _, obs, _ = _solve_observed(seq, CostModel(mu=1, lam=1), 0.3, 0.8, "serial")
+        obs = MetricsCollector().observe()
+        solve_dp_greedy(
+            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, obs=obs,
+            tracer=Tracer(),
+        )
         for phase in ("phase1.similarity", "phase1.packing", "phase2.serve"):
             assert phase in obs.timers, phase
-        # the serial loop times each serving unit individually
-        assert obs.timers.calls("phase2.serve") == obs.counters.get("phase2.units")
+        # Phase 2 is timed once per solve; its units, once each, by
+        # their solve spans
+        assert obs.timers.calls("phase2.serve") == 1
+        assert obs.spans["phase2.solve"]["calls"] == obs.counters.get("phase2.units")
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            dict(),
+            dict(workers=2, pool="thread"),
+            dict(workers=2, pool="process"),
+            dict(shards=3, workers=2, pool="process"),
+        ],
+        ids=["default", "thread-groups", "process-groups", "shards"],
+    )
+    def test_span_aggregates_count_each_unit_once(self, route):
+        # one phase2.solve span per unit on every route, including units
+        # solved inside a pooled group or a shard, and none nested in
+        # another -- so the aggregate's call count is the unit count
+        from repro.engine.sharding import solve_dp_greedy_sharded
+        from repro.obs.tracing import Tracer
+        from repro.trace.workload import zipf_item_workload
+
+        seq = zipf_item_workload(400, 12, 40, seed=3, cooccurrence=0.2)
+        solver = solve_dp_greedy_sharded if "shards" in route else solve_dp_greedy
+        tracer = Tracer()
+        obs = MetricsCollector().observe()
+        result = solver(
+            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, obs=obs,
+            tracer=tracer, **route,
+        )
+        assert len(result.reports) > 4 * 2  # more units than a pool's group cap
+        labels = [
+            r.args["unit"] for r in tracer.records() if r.name == "phase2.solve"
+        ]
+        assert len(set(labels)) == len(labels) == len(result.reports)
+        assert all(label.startswith(("pkg(", "item(")) for label in labels)
+        assert obs.spans["phase2.solve"]["calls"] == len(labels)
 
     def test_counters_absorb_engine_and_memo(self):
         seq = correlated_pair_sequence(80, 6, 0.5, seed=2)

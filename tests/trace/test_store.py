@@ -386,6 +386,36 @@ class TestSolveOffTheStore:
         assert got.plan == ref.plan
         assert got.reports == ref.reports
 
+    def test_resumed_sharded_solve_dispatches_nothing(
+        self, tmp_path: Path, monkeypatch
+    ):
+        # every shard replays from the checkpoint: the dispatcher the
+        # shared driver calls must receive no unit
+        import repro.engine.resilience as resilience
+        from repro.engine.sharding import solve_dp_greedy_sharded
+
+        model = CostModel(mu=1.0, lam=1.0)
+        sseq = TraceStore.open(write_store(_workload(n=160), tmp_path / "s"))
+        first = solve_dp_greedy_sharded(
+            sseq, model, theta=0.3, alpha=0.8, shards=3, checkpoint=tmp_path
+        )
+        real = resilience.dispatch_resilient
+        dispatched = []
+
+        def recording(**kwargs):
+            dispatched.extend(kwargs["units"].values())
+            return real(**kwargs)
+
+        monkeypatch.setattr(resilience, "dispatch_resilient", recording)
+        again = solve_dp_greedy_sharded(
+            sseq, model, theta=0.3, alpha=0.8, shards=3, checkpoint=tmp_path,
+            resume=True,
+        )
+        assert dispatched == []
+        assert again.total_cost == first.total_cost
+        assert again.reports == first.reports
+        assert again.engine_stats.shards == 3
+
     def test_csv_and_store_paths_agree(self, tmp_path: Path):
         seq = _workload(n=100)
         model = CostModel(mu=1.0, lam=1.0)
