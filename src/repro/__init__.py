@@ -25,8 +25,8 @@ Subpackages
     Phase 2 and the full two-phase DP_Greedy algorithm, the evaluation
     baselines (Optimal, Package_Served), and approximation-ratio tools.
 ``repro.engine``
-    The O(mn) pre-scan index structures of Section V, vectorized Phase-2
-    service passes, and the parallel/memoized execution engine.
+    The O(mn) pre-scan index structures of Section V and the
+    parallel/memoized, fault-tolerant execution engine.
 ``repro.trace``
     Synthetic Shenzhen-like taxi mobility traces and correlated-item
     workload generators (substitute for the proprietary trace of [20]).
@@ -104,9 +104,6 @@ from .engine import (
     SolverMemo,
     chaos_from_env,
     fingerprint_view,
-    greedy_service_pass,
-    package_service_pass,
-    prev_same_server,
     serve_plan,
     shard_by_items,
     solve_dp_greedy_sharded,
@@ -181,9 +178,6 @@ __all__ = [
     "lemma1_lower_bound",
     # engine
     "PreScan",
-    "greedy_service_pass",
-    "package_service_pass",
-    "prev_same_server",
     "SolverMemo",
     "fingerprint_view",
     "EngineStats",

@@ -8,7 +8,11 @@ built on:
   paper).
 * :class:`RequestSequence` -- an immutable, time-ordered sequence of
   requests together with the server universe and the origin server that
-  initially stores every data item.
+  initially stores every data item.  Every pass over the trace (the
+  audit, Phase 1's counts, the per-item and per-group projections)
+  reads one columnar layout, :class:`TraceColumns`, which an in-memory
+  sequence builds once from its requests and a trace store maps from
+  disk.
 * :class:`CostModel` -- the homogeneous cost model of Section III-B:
   caching one item costs ``mu`` per time unit, transferring one item
   between any pair of servers costs ``lam``, and a package of ``k`` packed
@@ -25,13 +29,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "Request",
     "RequestSequence",
+    "TraceColumns",
     "SingleItemView",
     "CostModel",
     "package_rate",
@@ -97,25 +102,94 @@ class Request:
         return f"<s{self.server} t={self.time:g} {{{items}}}>"
 
 
-def _raise_invalid(i: int, r: Request, prev: float, num_servers: int) -> None:
+def _raise_invalid(
+    i: int, server: int, t: float, prev: float, num_servers: int, empty: bool
+) -> None:
     """Raise the indexed :meth:`RequestSequence.validate` message for
     ``request[i]``, checking its conditions in their documented order."""
-    where = f"request[{i}] (server {r.server}, t={r.time!r})"
-    if math.isnan(r.time):
+    where = f"request[{i}] (server {server}, t={t!r})"
+    if math.isnan(t):
         raise ValueError(f"{where}: time is NaN")
-    if math.isinf(r.time):
+    if math.isinf(t):
         raise ValueError(f"{where}: time is infinite")
-    if r.time < 0:
+    if t < 0:
         raise ValueError(f"{where}: time is negative")
-    if r.time <= prev:
+    if t <= prev:
         raise ValueError(
             f"{where}: times must be strictly increasing "
             f"(previous was {prev!r})"
         )
-    if not 0 <= r.server < num_servers:
+    if not 0 <= server < num_servers:
         raise ValueError(f"{where}: server id outside [0, {num_servers})")
-    if not r.items:
+    if empty:
         raise ValueError(f"{where}: empty item set")
+
+
+class TraceColumns(NamedTuple):
+    """The one columnar layout behind every :class:`RequestSequence`.
+
+    Request-major columns mirror the sequence; row ``i``'s item set is
+    ``item_ids[item_offsets[i]:item_offsets[i + 1]]``, sorted ascending
+    and de-duplicated.  The item-major *inverted* columns list, for each
+    distinct item ``inv_items[a]``, the ascending request positions
+    carrying it (``inv_positions[inv_offsets[a]:inv_offsets[a + 1]]``)
+    and those requests' servers and times.  In-memory sequences build
+    these once from their requests (:func:`columns_of`); a trace store
+    maps the same columns from disk (:mod:`repro.trace.store`).
+    """
+
+    servers: np.ndarray
+    times: np.ndarray
+    item_offsets: np.ndarray
+    item_ids: np.ndarray
+    inv_items: np.ndarray
+    inv_offsets: np.ndarray
+    inv_positions: np.ndarray
+    inv_servers: np.ndarray
+    inv_times: np.ndarray
+
+
+def invert_items(
+    item_offsets: np.ndarray, item_ids: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(inv_items, inv_offsets, inv_positions)`` of a request-major CSR.
+
+    One stable argsort of the item ids groups every item's memberships
+    in ascending request order.
+    """
+    rows_of = np.repeat(
+        np.arange(len(item_offsets) - 1, dtype=np.int64), np.diff(item_offsets)
+    )
+    order = np.argsort(item_ids, kind="stable")
+    positions = rows_of[order]
+    del rows_of
+    sorted_ids = item_ids[order]
+    del order
+    first = np.ones(len(sorted_ids), dtype=bool)
+    first[1:] = sorted_ids[1:] != sorted_ids[:-1]
+    starts = np.flatnonzero(first)
+    return sorted_ids[starts], np.append(starts, len(sorted_ids)), positions
+
+
+def columns_of(requests: Sequence[Request]) -> TraceColumns:
+    """Build the :class:`TraceColumns` of a tuple of requests."""
+    n = len(requests)
+    rows = [sorted(r.items) for r in requests]
+    item_offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=item_offsets[1:])
+    item_ids = np.fromiter(
+        itertools.chain.from_iterable(rows), np.int64, int(item_offsets[-1])
+    )
+    servers = np.fromiter((r.server for r in requests), np.int64, n)
+    times = np.fromiter((r.time for r in requests), np.float64, n)
+    inv_items, inv_offsets, inv_positions = invert_items(item_offsets, item_ids)
+    cols = TraceColumns(
+        servers, times, item_offsets, item_ids, inv_items, inv_offsets,
+        inv_positions, servers[inv_positions], times[inv_positions],
+    )
+    for arr in cols:
+        arr.setflags(write=False)
+    return cols
 
 
 def _as_request(obj: "Request | Tuple") -> Request:
@@ -193,11 +267,50 @@ class RequestSequence:
 
     @property
     def times(self) -> Tuple[float, ...]:
-        return tuple(r.time for r in self.requests)
+        return tuple(self.times_array.tolist())
 
     @property
     def servers(self) -> Tuple[int, ...]:
-        return tuple(r.server for r in self.requests)
+        return tuple(self.servers_array.tolist())
+
+    # ------------------------------------------------------------------
+    # the columnar layout (built lazily, once)
+    # ------------------------------------------------------------------
+    #
+    # Every derived operation below reads :class:`TraceColumns`.  An
+    # in-memory sequence builds them from its requests on first use --
+    # not in the constructor, so :meth:`validate` audits the requests
+    # as they are when it runs -- and keeps them, with the per-item and
+    # per-group views, in the instance ``__dict__`` (the dataclass is
+    # frozen but not slotted).  The caches are dropped on pickling: pool
+    # workers rebuild them on first use instead of paying the ship
+    # cost.  Concurrent first calls from pool threads can at worst
+    # duplicate a build; the results are equivalent, so the race is
+    # benign.
+
+    def _columns(self) -> TraceColumns:
+        cols = self.__dict__.get("_cols_cache")
+        if cols is None:
+            cols = columns_of(self.requests)
+            object.__setattr__(self, "_cols_cache", cols)
+        return cols
+
+    @property
+    def servers_array(self) -> np.ndarray:
+        """Whole-sequence server ids as a read-only integer column."""
+        return self._columns().servers
+
+    @property
+    def times_array(self) -> np.ndarray:
+        """Whole-sequence timestamps as a read-only ``float64`` column."""
+        return self._columns().times
+
+    def item_csr(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The request-major CSR ``(item_offsets, item_ids)``: row ``i``'s
+        item set is ``item_ids[item_offsets[i]:item_offsets[i + 1]]``,
+        sorted ascending and de-duplicated."""
+        cols = self._columns()
+        return cols.item_offsets, cols.item_ids
 
     # ------------------------------------------------------------------
     # integrity audit
@@ -209,11 +322,13 @@ class RequestSequence:
         The constructor already enforces these for sequences built the
         normal way, but corrupt data can still arrive -- deserialised
         payloads, hand-built tuples mutated after the fact, NaN times
-        smuggled in through numpy scalars.  :func:`solve_dp_greedy`
-        calls this once at entry so such inputs fail fast with a
-        precise, indexed message instead of surfacing as an opaque
-        IndexError or a silently wrong cost deep inside a DP recurrence.
-        Returns ``self`` so call sites can chain.
+        smuggled in through numpy scalars, tampered store columns.
+        :func:`solve_dp_greedy` calls this once at entry so such inputs
+        fail fast with a precise, indexed message instead of surfacing
+        as an opaque IndexError or a silently wrong cost deep inside a
+        DP recurrence.  The message names the first failing row and,
+        for that row, the first failing check.  Returns ``self`` so
+        call sites can chain.
         """
         if self.num_servers <= 0:
             raise ValueError(f"num_servers must be positive, got {self.num_servers}")
@@ -221,17 +336,25 @@ class RequestSequence:
             raise ValueError(
                 f"origin server {self.origin} outside [0, {self.num_servers})"
             )
-        prev = -math.inf
-        m = self.num_servers
-        for i, r in enumerate(self.requests):
-            t = r.time
-            # one comparison chain passes exactly the rows every check
-            # below passes (NaN fails every comparison); the indexed
-            # message is only formatted for the first row that fails it
-            if not (0.0 <= t < math.inf and prev < t and 0 <= r.server < m
-                    and r.items):
-                _raise_invalid(i, r, prev, m)
-            prev = t
+        cols = self._columns()
+        times, servers = cols.times, cols.servers
+        prev = np.empty(len(times))
+        prev[:1] = -math.inf
+        prev[1:] = times[:-1]
+        empty = np.diff(cols.item_offsets) <= 0
+        # one mask passes exactly the rows every check passes (NaN fails
+        # every comparison); the message is formatted for the first row
+        # that fails it
+        with np.errstate(invalid="ignore"):
+            ok = (times >= 0) & (times < math.inf) & (times > prev)
+        ok &= (servers >= 0) & (servers < self.num_servers) & ~empty
+        bad = np.flatnonzero(~ok)
+        if len(bad):
+            i = int(bad[0])
+            _raise_invalid(
+                i, int(servers[i]), float(times[i]), float(prev[i]),
+                self.num_servers, bool(empty[i]),
+            )
         return self
 
     # ------------------------------------------------------------------
@@ -239,21 +362,21 @@ class RequestSequence:
     # ------------------------------------------------------------------
     def item_counts(self) -> Dict[int, int]:
         """``|d_i|`` of Eq. (5): number of requests containing each item."""
-        counts: Dict[int, int] = {}
-        for r in self.requests:
-            for d in r.items:
-                counts[d] = counts.get(d, 0) + 1
-        return counts
+        cols = self._columns()
+        return dict(zip(cols.inv_items.tolist(), np.diff(cols.inv_offsets).tolist()))
 
     def cooccurrence(self, d_i: int, d_j: int) -> int:
         """``|(d_i, d_j)|`` of Eq. (5): requests where both items co-exist."""
         if d_i == d_j:
             raise ValueError("co-occurrence is defined for distinct items")
-        return sum(1 for r in self.requests if d_i in r.items and d_j in r.items)
+        common = np.intersect1d(
+            self.item_indices(d_i), self.item_indices(d_j), assume_unique=True
+        )
+        return len(common)
 
     def total_item_requests(self) -> int:
         """``|d_1| + |d_2| + ... + |d_k|``, the ``ave_cost`` denominator."""
-        return sum(len(r.items) for r in self.requests)
+        return len(self._columns().item_ids)
 
     # ------------------------------------------------------------------
     # projections
@@ -265,10 +388,11 @@ class RequestSequence:
         this is the per-item view on which the single-item optimal off-line
         algorithm of [6] operates.
         """
+        view = self.item_view(item)
+        only = frozenset((int(item),))
         reqs = tuple(
-            Request(r.server, r.time, frozenset((item,)))
-            for r in self.requests
-            if item in r.items
+            Request(s, t, only)
+            for s, t in zip(view.servers.tolist(), view.times.tolist())
         )
         return RequestSequence(reqs, self.num_servers, self.origin)
 
@@ -285,37 +409,40 @@ class RequestSequence:
         view of Observation 2).
 
         Surviving requests keep the intersection of their item set with the
-        group.
+        group.  Only the rows carrying a group item are visited: the
+        union of the members' :meth:`item_indices`.
         """
-        group = frozenset(items)
-        if not group:
+        members = sorted({int(d) for d in items})
+        if not members:
             raise ValueError("item group must be non-empty")
-        keep: List[Request] = []
-        for r in self.requests:
-            inter = r.items & group
-            if not inter:
-                continue
-            if mode == "any":
-                pass
-            elif mode == "all":
-                if inter != group:
-                    continue
-            elif mode == "exactly-one":
-                if len(inter) != 1:
-                    continue
-            else:
-                raise ValueError(f"unknown mode {mode!r}")
-            keep.append(Request(r.server, r.time, inter))
-        return RequestSequence(tuple(keep), self.num_servers, self.origin)
+        if mode not in ("any", "all", "exactly-one"):
+            raise ValueError(f"unknown mode {mode!r}")
+        chunks = [self.item_indices(d) for d in members]
+        rows = np.unique(np.concatenate(chunks))
+        carried = np.zeros((len(rows), len(members)), dtype=bool)
+        for col, idx in enumerate(chunks):
+            carried[np.searchsorted(rows, idx), col] = True
+        if mode != "any":
+            hits = carried.sum(axis=1)
+            keep = hits == (len(members) if mode == "all" else 1)
+            rows, carried = rows[keep], carried[keep]
+        reqs = tuple(
+            Request(s, t, frozenset(d for d, has in zip(members, flags) if has))
+            for s, t, flags in zip(
+                self.servers_array[rows].tolist(),
+                self.times_array[rows].tolist(),
+                carried.tolist(),
+            )
+        )
+        return RequestSequence(reqs, self.num_servers, self.origin)
 
     def single_item_view(self) -> "SingleItemView":
-        """Flatten to (servers, times) arrays for the single-item solvers.
+        """Flatten to (servers, times) tuples for the single-item solvers.
 
         Only valid when every request accesses the same single item (i.e.
         the sequence is a per-item projection).
         """
-        if any(len(r.items) != 1 for r in self.requests):
-            raise ValueError("single_item_view requires single-item requests")
+        self._check_single_item()
         return SingleItemView(
             servers=self.servers,
             times=self.times,
@@ -323,79 +450,28 @@ class RequestSequence:
             origin=self.origin,
         )
 
+    def _check_single_item(self) -> None:
+        if np.any(np.diff(self._columns().item_offsets) != 1):
+            raise ValueError("single_item_view requires single-item requests")
+
     # ------------------------------------------------------------------
-    # columnar projections (lazily cached)
+    # per-item and per-group views (cached)
     # ------------------------------------------------------------------
-    #
-    # The whole-sequence (servers, times) columns and the per-item event
-    # projections are materialised once per sequence and handed out as
-    # read-only numpy array views, so every serving unit stops paying a
-    # full Python rescan of ``requests``.  The caches live in the
-    # instance ``__dict__`` (the dataclass is frozen but not slotted)
-    # and are dropped on pickling -- pool workers rebuild them on first
-    # use instead of paying the ship cost.  Concurrent first calls from
-    # pool threads can at worst duplicate the build; the results are
-    # equivalent, so the race is benign.
-
-    def _columnar(self) -> Tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_cols_cache")
-        if cached is None:
-            n = len(self.requests)
-            servers = np.fromiter(
-                (r.server for r in self.requests), dtype=np.int64, count=n
-            )
-            times = np.fromiter(
-                (r.time for r in self.requests), dtype=np.float64, count=n
-            )
-            servers.setflags(write=False)
-            times.setflags(write=False)
-            cached = (servers, times)
-            object.__setattr__(self, "_cols_cache", cached)
-        return cached
-
-    @property
-    def servers_array(self) -> np.ndarray:
-        """Whole-sequence server ids as a read-only ``int64`` column."""
-        return self._columnar()[0]
-
-    @property
-    def times_array(self) -> np.ndarray:
-        """Whole-sequence timestamps as a read-only ``float64`` column."""
-        return self._columnar()[1]
-
     def _item_projections(self) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``item -> (positions, servers, times)``: one pass over the
-        requests gathers every per-item projection; each entry is a
-        zero-copy slice of the three concatenated arrays."""
+        """``item -> (positions, servers, times)``: zero-copy slices of
+        the inverted columns."""
         proj = self.__dict__.get("_proj_cache")
         if proj is None:
-            servers, times = self._columnar()
-            positions: Dict[int, List[int]] = {}
-            for i, r in enumerate(self.requests):
-                for d in r.items:
-                    positions.setdefault(d, []).append(i)
-            proj = {}
-            if positions:
-                order = sorted(positions)
-                total = sum(len(positions[d]) for d in order)
-                flat = np.fromiter(
-                    (i for d in order for i in positions[d]),
-                    dtype=np.int64,
-                    count=total,
+            cols = self._columns()
+            offs = cols.inv_offsets.tolist()
+            proj = {
+                d: (
+                    cols.inv_positions[offs[a] : offs[a + 1]],
+                    cols.inv_servers[offs[a] : offs[a + 1]],
+                    cols.inv_times[offs[a] : offs[a + 1]],
                 )
-                proj_servers = servers[flat]
-                proj_times = times[flat]
-                for arr in (flat, proj_servers, proj_times):
-                    arr.setflags(write=False)
-                offset = 0
-                for d in order:
-                    end = offset + len(positions[d])
-                    proj[d] = (
-                        flat[offset:end],
-                        proj_servers[offset:end],
-                        proj_times[offset:end],
-                    )
-                    offset = end
+                for a, d in enumerate(cols.inv_items.tolist())
+            }
             object.__setattr__(self, "_proj_cache", proj)
         return proj
 
@@ -404,14 +480,10 @@ class RequestSequence:
         entry = self._item_projections().get(item)
         return _EMPTY_INT if entry is None else entry[0]
 
-    def item_event_counts(self) -> Dict[int, int]:
-        """:meth:`item_counts` served from the cached projections."""
-        return {d: len(e[0]) for d, e in self._item_projections().items()}
-
     def item_view(self, item: int) -> SingleItemView:
         """Cached columnar per-item view: the ``(servers, times)``
-        trajectory of :meth:`restrict_to_item` without the per-call
-        tuple rebuild (array-backed, built at most once per item)."""
+        trajectory of :meth:`restrict_to_item` as read-only array
+        slices, built at most once per item."""
         cache = self.__dict__.get("_iview_cache")
         if cache is None:
             cache = {}
@@ -453,9 +525,8 @@ class RequestSequence:
                 if not len(idx):
                     break
                 idx = np.intersect1d(idx, self.item_indices(d), assume_unique=True)
-            servers, times = self._columnar()
-            g_servers = servers[idx]
-            g_times = times[idx]
+            g_servers = self.servers_array[idx]
+            g_times = self.times_array[idx]
             g_servers.setflags(write=False)
             g_times.setflags(write=False)
             view = SingleItemView(

@@ -98,16 +98,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         ),
     )
     parser.add_argument(
-        "--similarity",
-        choices=("sparse", "dense"),
-        default="sparse",
-        help=(
-            "Phase-1 similarity-join backend: 'sparse' (default) builds "
-            "co-occurrence from an inverted index and prunes sub-threshold "
-            "pairs; 'dense' is the incidence-matrix cross-check path"
-        ),
-    )
-    parser.add_argument(
         "--unit-timeout",
         type=float,
         default=None,
@@ -234,7 +224,6 @@ def _engine_kwargs(
     memo: bool,
     metrics: bool = False,
     trace: bool = False,
-    similarity: Optional[str] = None,
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -248,8 +237,6 @@ def _engine_kwargs(
         out["memo"] = True
     if "metrics" in params and metrics:
         out["metrics"] = True
-    if "similarity" in params and similarity is not None:
-        out["similarity"] = similarity
     if "resilience" in params and resilience is not None:
         out["resilience"] = resilience
     if "checkpoint" in params and checkpoint is not None:
@@ -482,7 +469,6 @@ def _run_one(
     metrics: bool = False,
     trace_path: Optional[str] = None,
     multi_trace: bool = False,
-    similarity: Optional[str] = None,
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -503,7 +489,6 @@ def _run_one(
             memo,
             metrics,
             trace=trace_path is not None,
-            similarity=similarity,
             resilience=resilience,
             checkpoint=checkpoint,
             resume=resume,
@@ -566,7 +551,7 @@ def _solve_trace(args: argparse.Namespace) -> int:
     from .cache.model import CostModel
     from .core.baselines import solve_optimal_nonpacking, solve_package_served
     from .core.dp_greedy import solve_dp_greedy
-    from .correlation import correlation_stats
+    from .correlation import sparse_correlation_stats
     from .trace.io import LoadReport, load_sequence_report
     from .viz import format_table
 
@@ -592,7 +577,7 @@ def _solve_trace(args: argparse.Namespace) -> int:
         for line, message in load_report.errors[:5]:
             print(f"  line {line}: {message}")
 
-    stats = correlation_stats(seq, backend=args.similarity)
+    stats = sparse_correlation_stats(seq)
     # threshold=0.0 keeps the listing candidate-sized (zero-similarity
     # pairs are uninformative and, sparsely, O(k^2) to enumerate)
     top = stats.pairs_by_similarity(threshold=0.0)[:5]
@@ -650,7 +635,6 @@ def _solve_trace(args: argparse.Namespace) -> int:
                 theta=args.theta,
                 alpha=args.alpha,
                 shards=args.shards,
-                similarity=args.similarity,
                 workers=args.workers,
                 memo=not args.no_memo,
                 obs=obs,
@@ -664,7 +648,6 @@ def _solve_trace(args: argparse.Namespace) -> int:
                 model,
                 theta=args.theta,
                 alpha=args.alpha,
-                similarity=args.similarity,
                 workers=args.workers,
                 memo=not args.no_memo,
                 obs=obs,
@@ -853,7 +836,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 memo=not args.no_memo,
                 metrics=args.metrics,
                 trace=args.trace_out is not None,
-                similarity=args.similarity,
                 resilience=_resilience_from_args(args),
                 prom=args.prom is not None,
             )
@@ -874,7 +856,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     _run_one(
                         name, args.out, args.quick, workers, memo, metrics,
                         trace_path, multi_trace=True,
-                        similarity=args.similarity,
                         resilience=resilience,
                         checkpoint=checkpoint, resume=args.resume,
                         prom=args.prom, progress=args.progress,
@@ -885,8 +866,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return rc
         return _run_one(
             args.experiment, args.out, args.quick, workers, memo, metrics,
-            trace_path, similarity=args.similarity,
-            resilience=resilience,
+            trace_path, resilience=resilience,
             checkpoint=checkpoint, resume=args.resume,
             prom=args.prom, progress=args.progress,
             stall_after=args.stall_after,

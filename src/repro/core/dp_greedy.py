@@ -48,11 +48,7 @@ from ..cache.model import (
 from ..cache.optimal_dp import attribute_cost, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
 from ..obs.tracing import maybe_span
-from ..correlation.jaccard import (
-    CorrelationStats,
-    SparseCorrelationStats,
-    correlation_stats,
-)
+from ..correlation.jaccard import SparseCorrelationStats, sparse_correlation_stats
 from ..correlation.packing import (
     PackingPlan,
     greedy_group_packing,
@@ -120,7 +116,7 @@ class DPGreedyResult:
     """
 
     plan: PackingPlan
-    stats: "CorrelationStats | SparseCorrelationStats"
+    stats: SparseCorrelationStats
     reports: Tuple[GroupReport, ...]
     total_cost: float
     denominator: int
@@ -429,11 +425,10 @@ def _run_phase1(
     theta: float,
     packing: str,
     max_group_size: int,
-    similarity: str,
     plan: Optional[PackingPlan],
     obs: "object | None",
     tracer: "object | None",
-) -> Tuple["CorrelationStats | SparseCorrelationStats", PackingPlan]:
+) -> Tuple[SparseCorrelationStats, PackingPlan]:
     """Phase 1 of every solve driver: ``(stats, plan)`` for ``seq``.
 
     Runs the similarity join, then packs (``"pairs"`` or ``"groups"``)
@@ -447,9 +442,9 @@ def _run_phase1(
     """
     timed = obs.timers.time if obs is not None else _null_timer
     with timed("phase1.similarity"), maybe_span(
-        tracer, "phase1.similarity", cat="phase1", backend=similarity
+        tracer, "phase1.similarity", cat="phase1"
     ):
-        stats = correlation_stats(seq, backend=similarity)
+        stats = sparse_correlation_stats(seq)
     ran_join = plan is None
     with timed("phase1.packing"), maybe_span(
         tracer, "phase1.packing", cat="phase1"
@@ -469,7 +464,6 @@ def _run_phase1(
     if obs is not None and ran_join:
         # pruning statistics of the threshold-aware similarity join
         obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
-        obs.counters.set("phase1.similarity_backend", similarity)
     return stats, plan
 
 
@@ -481,7 +475,6 @@ def solve_dp_greedy(
     alpha: float,
     packing: str = "pairs",
     max_group_size: int = 3,
-    similarity: str = "sparse",
     build_schedules: bool = False,
     plan: Optional[PackingPlan] = None,
     parallel: bool = False,
@@ -505,13 +498,6 @@ def solve_dp_greedy(
         ``"pairs"`` for the paper's Algorithm 1; ``"groups"`` enables the
         multi-item extension of the Remarks (min-linkage groups up to
         ``max_group_size``).
-    similarity:
-        Phase-1 join backend.  ``"sparse"`` (default) builds co-occurrence
-        from an inverted index over the requests and feeds packing only
-        threshold-surviving candidate pairs (``O(sum |D_i|^2)``, catalog-
-        width independent); ``"dense"`` is the historical incidence-matrix
-        BLAS pass kept as a cross-check.  Both produce bit-identical
-        similarities, pair order, plans, and costs.
     plan:
         Optional externally-computed packing plan; when given, the
         packing step is skipped and the plan is served as-is (used by
@@ -585,7 +571,7 @@ def solve_dp_greedy(
     )
     return _solve(
         seq, model, theta=theta, alpha=alpha, packing=packing,
-        max_group_size=max_group_size, similarity=similarity,
+        max_group_size=max_group_size,
         build_schedules=build_schedules, plan=plan,
         workers=workers if engine_args else 1, memo=memo, pool=pool,
         obs=obs, tracer=tracer, resilience=resilience, telemetry=telemetry,
@@ -593,7 +579,7 @@ def solve_dp_greedy(
 
 
 def _solve(
-    seq, model, *, theta, alpha, packing, max_group_size, similarity,
+    seq, model, *, theta, alpha, packing, max_group_size,
     build_schedules, plan, workers, memo, pool, obs, tracer, resilience,
     telemetry, shards=None, checkpoint=None,
 ) -> DPGreedyResult:
@@ -621,7 +607,7 @@ def _solve(
     try:
         stats, plan = _run_phase1(
             seq, theta=theta, packing=packing, max_group_size=max_group_size,
-            similarity=similarity, plan=plan, obs=obs, tracer=tracer,
+            plan=plan, obs=obs, tracer=tracer,
         )
         memo_obj = resolve_memo(memo)
         with timed("phase2.serve"), maybe_span(

@@ -17,11 +17,13 @@ Two interchangeable backends compute the statistics:
   co-occurrence counts are ``B^T B`` in one BLAS product -- ``O(n * k)``
   memory and ``O(n * k^2)`` flops for ``k`` items;
 * **sparse** (:func:`sparse_correlation_stats`, or
-  ``correlation_stats(seq, backend="sparse")``): an inverted pass over
-  the requests accumulates only the *nonzero* co-occurrence cells in
-  ``O(sum |D_i|^2)`` time and memory -- requests carry a handful of items
-  each, so this is effectively linear in the trace and independent of the
-  catalog width ``k``.
+  ``correlation_stats(seq, backend="sparse")``): a pass over the
+  sequence's request-major item CSR accumulates only the *nonzero*
+  co-occurrence cells in ``O(sum |D_i|^2)`` time and memory -- requests
+  carry a handful of items each, so this is effectively linear in the
+  trace and independent of the catalog width ``k``.  This is the join
+  every solve runs; the dense pass is kept as the test oracle and for
+  Fig. 10's matrices.
 
 Both backends produce bit-identical Jaccard values (the same integer
 ``co / union`` division) and the same deterministic pair ordering, which
@@ -317,19 +319,24 @@ def correlation_stats(
     )
 
 
-def _stats_from_csr(offsets, ids) -> SparseCorrelationStats:
-    """The sparse join off a request-major CSR (offsets, item ids).
+def sparse_correlation_stats(seq: RequestSequence) -> SparseCorrelationStats:
+    """Build the statistics from the sequence's request-major item CSR.
 
-    Store-backed sequences (:class:`repro.trace.store.StoreSequence`)
-    expose their membership CSR directly; the store schema guarantees
-    every row's ids are sorted and deduplicated, so per-row sets equal
-    the raw slices and item counts are one ``bincount``.  Rows of
-    exactly two items -- the overwhelming majority in the paper's
-    workloads -- are folded through a vectorised pair-encode +
-    ``unique``; only wider rows fall back to the per-row Python loop.
-    Produces the identical ``items``/``counts``/``co_counts`` content
-    as the request-iterating path.
+    Each request contributes ``|D_i| choose 2`` co-occurrence increments,
+    so the whole join is ``O(sum |D_i|^2)`` -- linear in the trace for the
+    bounded request sizes of the paper's workloads, and independent of the
+    catalog width ``k``.  No ``n x k`` incidence or ``k x k`` product is
+    ever formed.
+
+    Every sequence exposes its membership CSR
+    (:meth:`~repro.cache.model.RequestSequence.item_csr`), whose rows are
+    sorted and de-duplicated, so per-row sets equal the raw slices and
+    item counts are one ``bincount``.  Rows of exactly two items -- the
+    overwhelming majority in the paper's workloads -- are folded through
+    a vectorised pair-encode + ``unique``; only wider rows take a per-row
+    Python loop.
     """
+    offsets, ids = seq.item_csr()
     offsets = np.asarray(offsets, dtype=np.int64)
     ids64 = np.asarray(ids, dtype=np.int64)
     items_arr = np.unique(ids64)
@@ -342,7 +349,7 @@ def _stats_from_csr(offsets, ids) -> SparseCorrelationStats:
     two = np.flatnonzero(lengths == 2)
     if two.size:
         starts = offsets[two]
-        enc = codes[starts] * k + codes[starts + 1]  # a < b per schema
+        enc = codes[starts] * k + codes[starts + 1]  # a < b: rows are sorted
         uniq, cnt = np.unique(enc, return_counts=True)
         for e, c in zip(uniq.tolist(), cnt.tolist()):
             co[divmod(e, k)] = c
@@ -356,46 +363,7 @@ def _stats_from_csr(offsets, ids) -> SparseCorrelationStats:
                 co[key] = co_get(key, 0) + 1
 
     return SparseCorrelationStats(
-        items=tuple(int(d) for d in items_arr), counts=counts, co_counts=co
-    )
-
-
-def sparse_correlation_stats(seq: RequestSequence) -> SparseCorrelationStats:
-    """Build the statistics from an inverted pass over the requests.
-
-    Each request contributes ``|D_i| choose 2`` co-occurrence increments,
-    so the whole join is ``O(sum |D_i|^2)`` -- linear in the trace for the
-    bounded request sizes of the paper's workloads, and independent of the
-    catalog width ``k``.  No ``n x k`` incidence or ``k x k`` product is
-    ever formed.
-
-    Sequences exposing a request-major membership CSR (duck-typed
-    ``item_csr()``; the memory-mapped :class:`~repro.trace.store.StoreSequence`
-    does) take a vectorised path with the same output -- no per-request
-    materialisation at all.
-    """
-    csr = getattr(seq, "item_csr", None)
-    if csr is not None:
-        offsets, ids = csr()
-        return _stats_from_csr(offsets, ids)
-    items = tuple(sorted(seq.items))
-    idx = {d: a for a, d in enumerate(items)}
-    # plain-int accumulators: per-element numpy indexing is an order of
-    # magnitude slower than list stores in this per-request loop
-    counts = [0] * len(items)
-    co: Dict[Tuple[int, int], int] = {}
-    co_get = co.get
-    for r in seq:
-        # requests may repeat an item; membership counts are set-based,
-        # matching the dense incidence matrix's 0/1 entries
-        ids = sorted({idx[d] for d in r.items})
-        for u, a in enumerate(ids):
-            counts[a] += 1
-            for b in ids[u + 1 :]:
-                key = (a, b)
-                co[key] = co_get(key, 0) + 1
-    return SparseCorrelationStats(
-        items=items, counts=np.asarray(counts, dtype=np.int64), co_counts=co
+        items=tuple(items_arr.tolist()), counts=counts, co_counts=co
     )
 
 

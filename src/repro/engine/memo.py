@@ -70,8 +70,8 @@ def fingerprint_view(
     if isinstance(view, RequestSequence):
         cols = view.__dict__.get("_cols_cache")
         if cols is not None and len(view.items) <= 1:
-            servers_bytes = cols[0].tobytes()
-            times_bytes = cols[1].tobytes()
+            servers_bytes = cols.servers.tobytes()
+            times_bytes = cols.times.tobytes()
         else:
             view = view.single_item_view()
             servers_bytes = np.asarray(view.servers, dtype=np.int64).tobytes()

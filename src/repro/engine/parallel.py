@@ -345,7 +345,7 @@ def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
     """Carried-request count per unit (the pool-selection and grouping
     size estimate), served from the sequence's cached per-item
     projections."""
-    counts = seq.item_event_counts()
+    counts = seq.item_counts()
     sizes: List[int] = []
     for kind, payload in units:
         if kind == "singleton":

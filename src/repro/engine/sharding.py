@@ -35,9 +35,7 @@ from ..correlation.packing import PackingPlan
 from ..obs.telemetry import Telemetry
 from .memo import SolverMemo
 from .parallel import _lpt_partition, _plan_units, _unit_sizes
-# ``sharding.dispatch_resilient`` predates the shared driver and stays
-# importable; shards run through the dispatcher inside serve_plan
-from .resilience import ResilienceConfig, dispatch_resilient  # noqa: F401
+from .resilience import ResilienceConfig
 
 __all__ = ["shard_by_items", "solve_dp_greedy_sharded"]
 
@@ -88,7 +86,6 @@ def solve_dp_greedy_sharded(
     shards: Optional[int] = None,
     packing: str = "pairs",
     max_group_size: int = 3,
-    similarity: str = "sparse",
     plan: Optional[PackingPlan] = None,
     workers: Optional[int] = None,
     pool: Optional[str] = None,
@@ -154,7 +151,7 @@ def solve_dp_greedy_sharded(
 
     return _solve(
         seq, model, theta=theta, alpha=alpha, packing=packing,
-        max_group_size=max_group_size, similarity=similarity,
+        max_group_size=max_group_size,
         build_schedules=False, plan=plan, workers=workers, memo=memo,
         pool=pool, obs=obs, tracer=tracer,
         resilience=ResilienceConfig.coerce(resilience) or ResilienceConfig(),

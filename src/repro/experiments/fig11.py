@@ -51,7 +51,6 @@ def run_fig11(
     memo: bool = False,
     metrics: bool = False,
     trace: bool = False,
-    similarity: str = "sparse",
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -120,7 +119,6 @@ def run_fig11(
                     model,
                     theta=0.0,
                     alpha=alpha,
-                    similarity=similarity,
                     workers=workers,
                     memo=memo_obj,
                     obs=obs,

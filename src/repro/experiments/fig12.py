@@ -51,7 +51,6 @@ def run_fig12(
     memo: bool = False,
     metrics: bool = False,
     trace: bool = False,
-    similarity: str = "sparse",
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -112,7 +111,6 @@ def run_fig12(
                     model,
                     theta=theta,
                     alpha=alpha,
-                    similarity=similarity,
                     workers=workers,
                     memo=memo_obj,
                     obs=obs,

@@ -53,7 +53,6 @@ def run_fig13(
     memo: bool = False,
     metrics: bool = False,
     trace: bool = False,
-    similarity: str = "sparse",
     resilience=None,
     checkpoint=None,
     resume: bool = False,
@@ -125,7 +124,6 @@ def run_fig13(
                         model,
                         theta=theta,
                         alpha=alpha,
-                        similarity=similarity,
                         workers=workers,
                         memo=memo_obj,
                         obs=obs,

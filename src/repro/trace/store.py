@@ -1,11 +1,10 @@
 """Out-of-core columnar trace store: mmap-backed request sequences.
 
-The in-memory :class:`~repro.cache.model.RequestSequence` holds every
-request as a Python object -- fine for the paper's figures, a hard wall
-for the "millions of users" regime the north star targets.  This module
-promotes PR 6's lazy columnar caches to the *storage format itself*: a
-trace store is a directory of raw little-endian numpy column files plus
-a JSON sidecar, memory-mappable as-is, so a 10^7-request trace opens in
+Every :class:`~repro.cache.model.RequestSequence` runs on one columnar
+layout, :class:`~repro.cache.model.TraceColumns`.  An in-memory sequence
+builds it from its Python requests; a trace store *is* that layout on
+disk: a directory of raw little-endian numpy column files plus a JSON
+sidecar, memory-mappable as-is, so a 10^7-request trace opens in
 milliseconds and only the pages a solve actually touches become
 resident.
 
@@ -20,10 +19,9 @@ column manifest.  Request-major columns mirror the sequence::
     item_ids.bin      int32    (nnz,)  per-request item sets, each row
                                        sorted ascending and de-duplicated
 
-Item-major *inverted* columns are written once at convert time so the
+Item-major *inverted* columns are written once at convert time, so the
 per-item projections the Phase-2 solvers consume are literal zero-copy
-mmap slices (the exact ``(positions, servers, times)`` triples the
-in-memory ``_item_projections`` cache builds by scanning requests)::
+mmap slices::
 
     inv_items.bin     int32    (k,)    sorted distinct item ids
     inv_offsets.bin   int64    (k+1,)  CSR pointers into the inv_* rows
@@ -31,15 +29,13 @@ in-memory ``_item_projections`` cache builds by scanning requests)::
     inv_servers.bin   int32    (nnz,)  gathered servers per item
     inv_times.bin     float64  (nnz,)  gathered times per item
 
-Opening (:meth:`TraceStore.open`) yields a :class:`StoreSequence` -- a
-``RequestSequence``-compatible facade whose ``servers_array`` /
-``times_array`` / ``item_view`` / ``group_view`` serve slices straight
-off the mmap.  ``solve_dp_greedy`` and the memo fingerprints consume
-it unchanged (fingerprints normalise int32 columns through
-``np.asarray(..., int64)``, so store-backed and in-memory views share
-memo entries bit-for-bit).  Pickling a facade
-ships only the store *path*: pool workers re-open the mmap instead of
-receiving a pickled payload.
+Opening (:meth:`TraceStore.open`) yields a :class:`StoreSequence`: the
+shared sequence class over the mapped columns.  ``solve_dp_greedy`` and
+the memo fingerprints consume it unchanged (fingerprints normalise int32
+columns through ``np.asarray(..., int64)``, so store-backed and
+in-memory views share memo entries bit-for-bit).  Pickling a store
+sequence ships only the store *path*: pool workers re-open the mmap
+instead of receiving a pickled payload.
 
 The streaming converter (:func:`convert_csv_to_store`) parses the CSV
 dialect of :mod:`repro.trace.io` row by row and appends fixed-size
@@ -54,11 +50,17 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from ..cache.model import Request, RequestSequence, SingleItemView
+from ..cache.model import (
+    Request,
+    RequestSequence,
+    SingleItemView,
+    TraceColumns,
+    invert_items,
+)
 from .io import LoadReport
 
 __all__ = [
@@ -139,15 +141,15 @@ def _reopen_sequence(path: str, mmap: bool) -> "StoreSequence":
 
 
 class StoreSequence(RequestSequence):
-    """A :class:`RequestSequence` facade over an opened trace store.
+    """A :class:`RequestSequence` over an opened trace store.
 
-    All columnar entry points (``servers_array`` / ``times_array`` /
-    ``item_view`` / ``group_view`` / ``item_indices`` /
-    ``item_event_counts``) serve zero-copy slices of the store's mmap
-    columns; the tuple-of-:class:`Request` surface (iteration, indexing,
-    ``restrict_to_*``) materialises Python objects lazily and only for
-    the rows actually touched.  Pickling ships the store path, not the
-    data -- pool workers re-open the mmap on their side.
+    The store's files *are* the sequence's :class:`TraceColumns`, so
+    every derived operation -- validation, Phase 1's join, the per-item
+    and per-group views, ``restrict_to_*`` -- runs the shared
+    implementation on zero-copy mmap slices.  What differs is kept
+    here: ``Request`` objects are built on demand and only for the rows
+    actually touched, and pickling ships the store path, not the data
+    -- pool workers re-open the mmap on their side.
     """
 
     # Not a @dataclass: instances are assembled field-by-field from the
@@ -160,22 +162,27 @@ class StoreSequence(RequestSequence):
         object.__setattr__(self, "num_servers", store.num_servers)
         object.__setattr__(self, "origin", store.origin)
         object.__setattr__(
-            self,
-            "_item_universe",
-            frozenset(int(d) for d in store.inv_items),
+            self, "_item_universe", frozenset(store.columns.inv_items.tolist())
         )
+
+    def _columns(self) -> TraceColumns:
+        # int32 servers straight off the store; every consumer
+        # normalises through np.asarray(..., int64) (solvers, memo
+        # fingerprints), so the narrower dtype is observationally
+        # identical and stays zero-copy
+        return self._store.columns
 
     # -- container protocol over lazy Request objects -------------------
     def __len__(self) -> int:
         return self._store.num_requests
 
     def _request_at(self, i: int) -> Request:
-        st = self._store
-        lo, hi = int(st.item_offsets[i]), int(st.item_offsets[i + 1])
+        cols = self._store.columns
+        lo, hi = int(cols.item_offsets[i]), int(cols.item_offsets[i + 1])
         return Request(
-            server=int(st.servers[i]),
-            time=float(st.times[i]),
-            items=frozenset(int(d) for d in st.item_ids[lo:hi]),
+            server=int(cols.servers[i]),
+            time=float(cols.times[i]),
+            items=frozenset(cols.item_ids[lo:hi].tolist()),
         )
 
     def __iter__(self) -> Iterator[Request]:
@@ -202,14 +209,6 @@ class StoreSequence(RequestSequence):
             object.__setattr__(self, "_req_cache", reqs)
         return reqs
 
-    @property
-    def times(self) -> Tuple[float, ...]:
-        return tuple(self._store.times.tolist())
-
-    @property
-    def servers(self) -> Tuple[int, ...]:
-        return tuple(int(s) for s in self._store.servers)
-
     def __repr__(self) -> str:
         st = self._store
         return (
@@ -218,163 +217,16 @@ class StoreSequence(RequestSequence):
             f"mmap={st.mmap})"
         )
 
-    # -- columnar layer: mmap slices instead of rebuilt caches ----------
-    def _columnar(self) -> Tuple[np.ndarray, np.ndarray]:
-        # int32 servers straight off the store; every consumer
-        # normalises through np.asarray(..., int64) (solvers, memo
-        # fingerprints), so the narrower dtype is observationally
-        # identical and stays zero-copy
-        return self._store.servers, self._store.times
-
-    def _item_projections(
-        self,
-    ) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        proj = self.__dict__.get("_proj_cache")
-        if proj is None:
-            st = self._store
-            proj = {}
-            offs = st.inv_offsets
-            for a, d in enumerate(st.inv_items):
-                lo, hi = int(offs[a]), int(offs[a + 1])
-                proj[int(d)] = (
-                    st.inv_positions[lo:hi],
-                    st.inv_servers[lo:hi],
-                    st.inv_times[lo:hi],
-                )
-            object.__setattr__(self, "_proj_cache", proj)
-        return proj
-
-    def item_csr(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The raw request-major CSR columns ``(item_offsets, item_ids)``.
-
-        Row ``i``'s item set is ``item_ids[item_offsets[i] :
-        item_offsets[i+1]]``, sorted ascending and de-duplicated (a
-        schema invariant).  Phase 1's sparse similarity join fast-path
-        consumes this directly instead of iterating Python requests.
-        """
-        return self._store.item_offsets, self._store.item_ids
-
-    # -- derived statistics without materialising requests --------------
-    def item_counts(self) -> Dict[int, int]:
-        return self.item_event_counts()
-
-    def cooccurrence(self, d_i: int, d_j: int) -> int:
-        if d_i == d_j:
-            raise ValueError("co-occurrence is defined for distinct items")
-        common = np.intersect1d(
-            self.item_indices(d_i), self.item_indices(d_j), assume_unique=True
-        )
-        return int(len(common))
-
-    def total_item_requests(self) -> int:
-        return int(len(self._store.item_ids))
-
-    # -- projections -----------------------------------------------------
-    def restrict_to_item(self, item: int) -> RequestSequence:
-        entry = self._item_projections().get(int(item))
-        if entry is None:
-            reqs: Tuple[Request, ...] = ()
-        else:
-            _, servers, times = entry
-            only = frozenset((int(item),))
-            reqs = tuple(
-                Request(int(s), float(t), only)
-                for s, t in zip(servers.tolist(), times.tolist())
-            )
-        return RequestSequence(reqs, self.num_servers, self.origin)
-
-    def restrict_to_items(
-        self, items: Iterable[int], mode: str = "any"
-    ) -> RequestSequence:
-        group = frozenset(int(d) for d in items)
-        if not group:
-            raise ValueError("item group must be non-empty")
-        if mode not in ("any", "all", "exactly-one"):
-            raise ValueError(f"unknown mode {mode!r}")
-        st = self._store
-        chunks = [self.item_indices(d) for d in sorted(group)]
-        rows = (
-            np.unique(np.concatenate(chunks)) if chunks else np.empty(0, np.int64)
-        )
-        keep: List[Request] = []
-        offs = st.item_offsets
-        for i in rows.tolist():
-            row_items = st.item_ids[int(offs[i]) : int(offs[i + 1])]
-            inter = group.intersection(int(d) for d in row_items)
-            if not inter:  # pragma: no cover - rows come from the index
-                continue
-            if mode == "all" and inter != group:
-                continue
-            if mode == "exactly-one" and len(inter) != 1:
-                continue
-            keep.append(
-                Request(int(st.servers[i]), float(st.times[i]), frozenset(inter))
-            )
-        return RequestSequence(tuple(keep), self.num_servers, self.origin)
-
     def single_item_view(self) -> SingleItemView:
-        st = self._store
-        if len(st.item_ids) != st.num_requests:
-            raise ValueError("single_item_view requires single-item requests")
+        """The whole trajectory as the store's own columns (the parent
+        returns tuples)."""
+        self._check_single_item()
         return SingleItemView(
-            servers=st.servers,
-            times=st.times,
+            servers=self.servers_array,
+            times=self.times_array,
             num_servers=self.num_servers,
             origin=self.origin,
         )
-
-    # -- vectorised integrity audit --------------------------------------
-    def validate(self) -> "StoreSequence":
-        """Vectorised re-audit of every sequence invariant; raises
-        ``ValueError`` with the offending row index on the first
-        violation (same contract as the parent's Python loop, O(n)
-        numpy instead of O(n) object construction)."""
-        st = self._store
-        if self.num_servers <= 0:
-            raise ValueError(
-                f"num_servers must be positive, got {self.num_servers}"
-            )
-        if not 0 <= self.origin < self.num_servers:
-            raise ValueError(
-                f"origin server {self.origin} outside [0, {self.num_servers})"
-            )
-        times = st.times
-        servers = st.servers
-
-        def where(i: int) -> str:
-            return (
-                f"request[{i}] (server {int(servers[i])}, "
-                f"t={float(times[i])!r})"
-            )
-
-        bad = np.flatnonzero(np.isnan(times))
-        if len(bad):
-            raise ValueError(f"{where(int(bad[0]))}: time is NaN")
-        bad = np.flatnonzero(np.isinf(times))
-        if len(bad):
-            raise ValueError(f"{where(int(bad[0]))}: time is infinite")
-        bad = np.flatnonzero(times < 0)
-        if len(bad):
-            raise ValueError(f"{where(int(bad[0]))}: time is negative")
-        if len(times) > 1:
-            bad = np.flatnonzero(np.diff(times) <= 0)
-            if len(bad):
-                i = int(bad[0]) + 1
-                raise ValueError(
-                    f"{where(i)}: times must be strictly increasing "
-                    f"(previous was {float(times[i - 1])!r})"
-                )
-        bad = np.flatnonzero((servers < 0) | (servers >= self.num_servers))
-        if len(bad):
-            i = int(bad[0])
-            raise ValueError(
-                f"{where(i)}: server id outside [0, {self.num_servers})"
-            )
-        lens = np.diff(st.item_offsets)
-        bad = np.flatnonzero(lens <= 0)
-        if len(bad):
-            raise ValueError(f"{where(int(bad[0]))}: empty item set")
-        return self
 
     # -- pickling: ship the path, re-open on the other side --------------
     def __reduce__(self):
@@ -385,10 +237,11 @@ class TraceStore:
     """Handle over one on-disk columnar trace store directory.
 
     ``TraceStore.open(path, mmap=True)`` is the main entry point and
-    returns the :class:`StoreSequence` facade directly; constructing a
-    ``TraceStore`` keeps the raw columns accessible for tooling.  With
-    ``mmap=False`` every column is loaded into RAM up front (the
-    zero-copy slicing behaviour is identical; only residency differs).
+    returns the :class:`StoreSequence` directly; constructing a
+    ``TraceStore`` keeps the raw :class:`TraceColumns` accessible for
+    tooling.  With ``mmap=False`` every column is loaded into RAM up
+    front (the zero-copy slicing behaviour is identical; only residency
+    differs).
     """
 
     def __init__(self, path: Union[str, Path], *, mmap: bool = True):
@@ -412,21 +265,21 @@ class TraceStore:
         self.nnz = int(meta["nnz"])
         self.num_items = int(meta["num_items"])
         n, nnz, k = self.num_requests, self.nnz, self.num_items
-        self.servers = _read_column(self.path, "servers", n, mmap)
-        self.times = _read_column(self.path, "times", n, mmap)
-        self.item_offsets = _read_column(self.path, "item_offsets", n + 1, mmap)
-        self.item_ids = _read_column(self.path, "item_ids", nnz, mmap)
-        self.inv_items = _read_column(self.path, "inv_items", k, mmap)
-        self.inv_offsets = _read_column(self.path, "inv_offsets", k + 1, mmap)
-        self.inv_positions = _read_column(self.path, "inv_positions", nnz, mmap)
-        self.inv_servers = _read_column(self.path, "inv_servers", nnz, mmap)
-        self.inv_times = _read_column(self.path, "inv_times", nnz, mmap)
+        counts = {
+            "servers": n, "times": n, "item_offsets": n + 1, "item_ids": nnz,
+            "inv_items": k, "inv_offsets": k + 1, "inv_positions": nnz,
+            "inv_servers": nnz, "inv_times": nnz,
+        }
+        self.columns = TraceColumns(**{
+            name: _read_column(self.path, name, count, mmap)
+            for name, count in counts.items()
+        })
 
     @classmethod
     def open(
         cls, path: Union[str, Path], mmap: bool = True
     ) -> StoreSequence:
-        """Open a store directory as a :class:`RequestSequence` facade."""
+        """Open a store directory as a :class:`RequestSequence`."""
         return cls(path, mmap=mmap).sequence()
 
     def sequence(self) -> StoreSequence:
@@ -494,22 +347,12 @@ class _StoreBuilder:
         inv_srv_w = _ColumnWriter(self.dest, "inv_servers")
         inv_tim_w = _ColumnWriter(self.dest, "inv_times")
         if nnz:
-            ids = np.fromfile(self.dest / "item_ids.bin", dtype=_COLUMNS["item_ids"])
-            offsets = np.fromfile(
-                self.dest / "item_offsets.bin", dtype=_COLUMNS["item_offsets"]
+            inv_items, inv_offsets, inv_positions = invert_items(
+                np.fromfile(
+                    self.dest / "item_offsets.bin", dtype=_COLUMNS["item_offsets"]
+                ),
+                np.fromfile(self.dest / "item_ids.bin", dtype=_COLUMNS["item_ids"]),
             )
-            lens = np.diff(offsets)
-            rows_of = np.repeat(np.arange(n, dtype=np.int64), lens)
-            del offsets, lens
-            order = np.argsort(ids, kind="stable")
-            inv_positions = rows_of[order]
-            del rows_of
-            sorted_ids = ids[order]
-            del ids, order
-            cuts = np.flatnonzero(np.diff(sorted_ids)) + 1
-            inv_items = sorted_ids[np.concatenate(([0], cuts))]
-            inv_offsets = np.concatenate(([0], cuts, [nnz]))
-            del sorted_ids, cuts
             inv_pos_w.append(inv_positions)
             servers_col = np.memmap(
                 self.dest / "servers.bin", dtype=_COLUMNS["servers"], mode="r"

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.model import (
@@ -15,6 +15,8 @@ from repro.cache.model import (
     SingleItemView,
     package_rate,
 )
+
+from ..conftest import multi_item_sequences
 
 
 class TestRequest:
@@ -211,7 +213,7 @@ class TestColumnarViews:
     def test_item_indices_and_event_counts(self):
         seq = self._seq()
         assert seq.item_indices(1).tolist() == [0, 1, 3]
-        assert seq.item_event_counts() == seq.item_counts()
+        assert seq.item_counts() == {1: 3, 2: 3, 3: 1}
 
     def test_pickle_drops_caches_and_rebuilds(self):
         import pickle
@@ -388,6 +390,54 @@ class TestSequenceValidate:
         assert str(info.value) == (
             "request[1] (server 7, t=2.0): server id outside [0, 2)"
         )
+
+    @staticmethod
+    def _audit_row_by_row(seq):
+        """Reference audit: the first failing row's first failing check."""
+        prev = -math.inf
+        m = seq.num_servers
+        for i, r in enumerate(seq.requests):
+            checks = (
+                (math.isnan(r.time), "time is NaN"),
+                (math.isinf(r.time), "time is infinite"),
+                (r.time < 0, "time is negative"),
+                (
+                    r.time <= prev,
+                    f"times must be strictly increasing (previous was {prev!r})",
+                ),
+                (not 0 <= r.server < m, f"server id outside [0, {m})"),
+                (not r.items, "empty item set"),
+            )
+            for failed, what in checks:
+                if failed:
+                    return f"request[{i}] (server {r.server}, t={r.time!r}): {what}"
+            prev = r.time
+        return None
+
+    @given(seq=multi_item_sequences(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_row_by_row_audit(self, seq, data):
+        damage = st.sampled_from(
+            [
+                ("time", math.nan),
+                ("time", math.inf),
+                ("time", -1.0),
+                ("time", 0.0),
+                ("server", seq.num_servers),
+                ("server", -1),
+                ("items", frozenset()),
+            ]
+        )
+        rows = st.integers(0, len(seq) - 1)
+        for idx, (key, value) in data.draw(st.lists(st.tuples(rows, damage), max_size=3)):
+            self._corrupt(seq, idx, **{key: value})
+        expected = self._audit_row_by_row(seq)
+        if expected is None:
+            assert seq.validate() is seq
+        else:
+            with pytest.raises(ValueError) as info:
+                seq.validate()
+            assert str(info.value) == expected
 
     def test_bad_origin(self):
         seq = self._seq()

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
 import pytest
 from hypothesis import strategies as st
 
 from repro.cache.model import CostModel, Request, RequestSequence, SingleItemView
+from repro.trace.store import TraceStore, write_store
 
 
 @pytest.fixture
@@ -18,6 +23,14 @@ def unit_model() -> CostModel:
 def paper_model() -> CostModel:
     """The Fig. 12/13 scale: mu + lam = 6 at rho = 1."""
     return CostModel(mu=3.0, lam=3.0)
+
+
+@contextmanager
+def stored(seq: RequestSequence):
+    """``seq`` written to a temporary trace store and opened off disk
+    (usable inside hypothesis examples, unlike ``tmp_path``)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        yield TraceStore.open(write_store(seq, Path(tmp) / "store"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""Equivalence of the sparse inverted-index join against the dense pass.
+"""Equivalence of the sparse CSR join against the dense pass.
 
 The sparse backend must reproduce the dense `correlation_stats` output
 *exactly*: same counts, same co-occurrence, bit-identical Jaccard values
 (both divide the same integers), the same deterministic pair ordering
 including identifier tie-breaks, and therefore the same packing plans --
-at every threshold, including the unfiltered back-compat path.
+at every threshold, including the unfiltered back-compat path.  The
+equivalence properties run the join on each drawn in-memory sequence
+and on a trace store written from it.
 """
 
 from __future__ import annotations
@@ -24,9 +26,19 @@ from repro.correlation import (
 from repro.correlation.jaccard import pair_similarities
 from repro.core.dp_greedy import solve_dp_greedy
 
-from ..conftest import multi_item_sequences
+from ..conftest import multi_item_sequences, stored
 
 THRESHOLDS = (0.0, 0.3, 0.9)
+
+
+def _sparse_joins(seq):
+    """The sparse join of ``seq`` in memory and off a store written
+    from it."""
+    with stored(seq) as sseq:
+        return [
+            correlation_stats(seq, backend="sparse"),
+            correlation_stats(sseq, backend="sparse"),
+        ]
 
 
 class TestBackendEquivalence:
@@ -34,56 +46,58 @@ class TestBackendEquivalence:
     @settings(max_examples=120, deadline=None)
     def test_matrices_identical(self, seq):
         d = correlation_stats(seq)
-        s = correlation_stats(seq, backend="sparse")
-        assert isinstance(s, SparseCorrelationStats)
-        assert s.items == d.items
-        assert np.array_equal(s.counts, d.counts)
-        assert np.array_equal(s.cooccurrence, d.cooccurrence)
-        # bit-identical: both are the same int/int float64 division
-        assert np.array_equal(s.jaccard, d.jaccard)
+        for s in _sparse_joins(seq):
+            assert isinstance(s, SparseCorrelationStats)
+            assert s.items == d.items
+            assert np.array_equal(s.counts, d.counts)
+            assert np.array_equal(s.cooccurrence, d.cooccurrence)
+            # bit-identical: both are the same int/int float64 division
+            assert np.array_equal(s.jaccard, d.jaccard)
 
     @given(seq=multi_item_sequences())
     @settings(max_examples=120, deadline=None)
     def test_pair_ordering_identical_at_every_threshold(self, seq):
         d = correlation_stats(seq)
-        s = sparse_correlation_stats(seq)
-        assert s.pairs_by_similarity() == d.pairs_by_similarity()
-        for theta in THRESHOLDS:
-            assert s.pairs_by_similarity(threshold=theta) == d.pairs_by_similarity(
-                threshold=theta
-            )
+        for s in _sparse_joins(seq):
+            assert s.pairs_by_similarity() == d.pairs_by_similarity()
+            for theta in THRESHOLDS:
+                assert s.pairs_by_similarity(
+                    threshold=theta
+                ) == d.pairs_by_similarity(threshold=theta)
 
     @given(seq=multi_item_sequences())
     @settings(max_examples=80, deadline=None)
     def test_packing_plans_identical(self, seq):
         d = correlation_stats(seq)
-        s = sparse_correlation_stats(seq)
-        for theta in THRESHOLDS:
-            assert greedy_pair_packing(s, theta) == greedy_pair_packing(d, theta)
-            assert greedy_group_packing(s, theta) == greedy_group_packing(d, theta)
+        for s in _sparse_joins(seq):
+            for theta in THRESHOLDS:
+                assert greedy_pair_packing(s, theta) == greedy_pair_packing(d, theta)
+                assert greedy_group_packing(s, theta) == greedy_group_packing(
+                    d, theta
+                )
 
     @given(seq=multi_item_sequences())
     @settings(max_examples=60, deadline=None)
     def test_point_queries_identical(self, seq):
         d = correlation_stats(seq)
-        s = sparse_correlation_stats(seq)
-        for a in d.items:
-            for b in d.items:
-                assert s.similarity(a, b) == d.similarity(a, b)
-                assert s.frequency(a, b) == d.frequency(a, b)
+        for s in _sparse_joins(seq):
+            for a in d.items:
+                for b in d.items:
+                    assert s.similarity(a, b) == d.similarity(a, b)
+                    assert s.frequency(a, b) == d.frequency(a, b)
 
     @given(seq=multi_item_sequences())
     @settings(max_examples=60, deadline=None)
     def test_join_counters_identical(self, seq):
         d = correlation_stats(seq)
-        s = sparse_correlation_stats(seq)
-        for theta in (None, *THRESHOLDS):
-            cd, cs = d.join_counters(theta), s.join_counters(theta)
-            assert cd == cs
-            k = len(d.items)
-            assert cd["pairs_total"] == k * (k - 1) // 2
-            assert 0 <= cd["candidates_emitted"] <= cd["pairs_total"]
-            assert 0 <= cd["pairs_pruned"] <= cd["pairs_total"]
+        for s in _sparse_joins(seq):
+            for theta in (None, *THRESHOLDS):
+                cd, cs = d.join_counters(theta), s.join_counters(theta)
+                assert cd == cs
+                k = len(d.items)
+                assert cd["pairs_total"] == k * (k - 1) // 2
+                assert 0 <= cd["candidates_emitted"] <= cd["pairs_total"]
+                assert 0 <= cd["pairs_pruned"] <= cd["pairs_total"]
 
 
 class TestThresholdSemantics:
@@ -128,15 +142,16 @@ class TestEndToEnd:
     @given(seq=multi_item_sequences())
     @settings(max_examples=40, deadline=None)
     def test_solve_dp_greedy_backends_agree(self, seq):
+        # a plan packed off the dense oracle solves exactly like the
+        # default solve, whose join is the sparse one
         model = CostModel(mu=1.0, lam=1.0)
-        r_sparse = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
-        r_dense = solve_dp_greedy(
-            seq, model, theta=0.3, alpha=0.8, similarity="dense"
-        )
-        assert r_sparse.plan == r_dense.plan
-        assert r_sparse.reports == r_dense.reports
-        assert r_sparse.total_cost == r_dense.total_cost
-        assert isinstance(r_sparse.stats, SparseCorrelationStats)
+        ref = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
+        plan = greedy_pair_packing(correlation_stats(seq, backend="dense"), 0.3)
+        got = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, plan=plan)
+        assert got.plan == ref.plan
+        assert got.reports == ref.reports
+        assert got.total_cost == ref.total_cost
+        assert isinstance(ref.stats, SparseCorrelationStats)
 
     def test_join_counters_reach_metrics(self):
         from repro.obs import MetricsCollector
@@ -148,7 +163,6 @@ class TestEndToEnd:
         obs = collector.observe(case="sparse-join")
         solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, obs=obs)
         counters = collector.snapshot()["runs"][0]["counters"]
-        assert counters["phase1.similarity_backend"] == "sparse"
         k = len(seq.items)
         assert counters["phase1.pairs_total"] == k * (k - 1) // 2
         assert counters["phase1.candidates_emitted"] >= len(

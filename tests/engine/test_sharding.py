@@ -253,14 +253,20 @@ class TestCheckpoint:
         first = _solve(seq, shards=3, checkpoint=tmp_path)
         assert first.reports == baseline.reports
 
-        # a resumed run must not solve anything: poison the dispatcher
-        import repro.engine.sharding as sharding
+        # a resumed run must not solve anything: the dispatcher the
+        # shared driver calls must receive no unit
+        import repro.engine.resilience as resilience
 
-        def _boom(*a, **kw):
-            raise AssertionError("resume must not re-dispatch solved shards")
+        real = resilience.dispatch_resilient
+        dispatched = []
 
-        monkeypatch.setattr(sharding, "dispatch_resilient", _boom)
+        def recording(**kwargs):
+            dispatched.extend(kwargs["units"].values())
+            return real(**kwargs)
+
+        monkeypatch.setattr(resilience, "dispatch_resilient", recording)
         second = _solve(seq, shards=3, checkpoint=tmp_path, resume=True)
+        assert dispatched == []
         assert second.total_cost == baseline.total_cost
         assert second.reports == baseline.reports
 

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import asyncio
+import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import pytest
@@ -21,13 +23,22 @@ def run(coro):
     return asyncio.run(coro)
 
 
+def stepping_clock(step: float):
+    """A fake clock that advances ``step`` seconds per reading: a batch
+    opened at one reading is past its ``max_wait=step`` cutoff at the
+    next, so a collector never waits out the wait after its drain."""
+    return partial(next, itertools.count(0.0, step))
+
+
 class TestBatchCollector:
     def test_greedy_drain_of_queued_items(self):
         async def go():
             queue: asyncio.Queue = asyncio.Queue()
             for i in range(5):
                 queue.put_nowait(Item(f"r{i}"))
-            collector = BatchCollector(queue, max_batch=8, max_wait=10.0)
+            collector = BatchCollector(
+                queue, max_batch=8, max_wait=10.0, clock=stepping_clock(10.0)
+            )
             batch = await collector.collect()
             return [it.name for it in batch]
 
@@ -82,7 +93,9 @@ class TestBatchCollector:
             queue.put_nowait(Item("a"))
             queue.put_nowait(None)
             queue.put_nowait(Item("b"))
-            collector = BatchCollector(queue, max_batch=8, max_wait=10.0)
+            collector = BatchCollector(
+                queue, max_batch=8, max_wait=10.0, clock=stepping_clock(10.0)
+            )
             first = await collector.collect()
             second = await collector.collect()
             return [it.name for it in first], [it.name for it in second]

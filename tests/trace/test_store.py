@@ -10,11 +10,14 @@ down to float bit patterns, same memo fingerprints.
 from __future__ import annotations
 
 import json
+import math
 import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.model import CostModel, Request, RequestSequence, SingleItemView
 from repro.cache.optimal_dp import optimal_cost
@@ -29,6 +32,8 @@ from repro.trace.store import (
     write_store,
 )
 from repro.trace.workload import zipf_item_workload
+
+from ..conftest import multi_item_sequences, stored
 
 
 def _workload(n=120, servers=8, items=9, seed=7):
@@ -317,6 +322,98 @@ class TestFacade:
         text = repr(sseq)
         assert "StoreSequence" in text
         assert "mmap=True" in text
+
+
+def _corrupt_requests(seq, tmp_path, server, time):
+    """Mutate the in-memory requests before the columns are built."""
+    reqs = list(seq.requests)
+    object.__setattr__(reqs[server[0]], "server", server[1])
+    object.__setattr__(reqs[time[0]], "time", time[1])
+    object.__setattr__(seq, "requests", tuple(reqs))
+    return seq
+
+
+def _corrupt_store_columns(seq, tmp_path, server, time):
+    """Rewrite the store's server and time columns on disk."""
+    path = write_store(seq, tmp_path / "s")
+    servers = np.fromfile(path / "servers.bin", dtype="<i4")
+    servers[server[0]] = server[1]
+    servers.tofile(path / "servers.bin")
+    times = np.fromfile(path / "times.bin", dtype="<f8")
+    times[time[0]] = time[1]
+    times.tofile(path / "times.bin")
+    return TraceStore.open(path)
+
+
+def _restrict_by_loop(seq, group, mode):
+    """``restrict_to_items`` as a plain loop over ``seq.requests``."""
+    out = []
+    for r in seq.requests:
+        inter = r.items & group
+        if not inter:
+            continue
+        if mode == "all" and inter != group:
+            continue
+        if mode == "exactly-one" and len(inter) != 1:
+            continue
+        out.append(Request(r.server, r.time, inter))
+    return tuple(out)
+
+
+class TestSharedColumns:
+    """In-memory and store-backed sequences run one implementation over
+    the same columns, so they fail, and restrict, the same way."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [_corrupt_requests, _corrupt_store_columns],
+        ids=["memory", "store"],
+    )
+    def test_validate_reports_the_first_failing_row(self, tmp_path, corrupt):
+        seq = RequestSequence(
+            [(i % 2, float(i + 1), {1}) for i in range(10)], num_servers=2
+        )
+        seq = corrupt(seq, tmp_path, server=(3, 5), time=(7, math.nan))
+        with pytest.raises(ValueError) as info:
+            seq.validate()
+        assert str(info.value) == (
+            "request[3] (server 5, t=4.0): server id outside [0, 2)"
+        )
+
+    @pytest.mark.parametrize("layout", ["memory", "store"])
+    def test_unknown_mode_rejected_for_an_absent_item(self, tmp_path, layout):
+        seq = _workload(n=30)
+        if layout == "store":
+            seq = TraceStore.open(write_store(seq, tmp_path / "s"))
+        absent = max(seq.items) + 1
+        with pytest.raises(ValueError, match="unknown mode"):
+            seq.restrict_to_items([absent], mode="some")
+
+    @given(seq=multi_item_sequences(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_restrictions_match_a_plain_loop(self, seq, data):
+        universe = sorted(seq.items) + [max(seq.items) + 1]
+        group = frozenset(
+            data.draw(st.sets(st.sampled_from(universe), min_size=1, max_size=3))
+        )
+        with stored(seq) as sseq:
+            for got in (seq, sseq):
+                for d in universe:
+                    sub = got.restrict_to_item(d)
+                    assert sub.requests == tuple(
+                        Request(r.server, r.time, frozenset((d,)))
+                        for r in seq.requests
+                        if d in r.items
+                    )
+                    assert (sub.num_servers, sub.origin) == (
+                        seq.num_servers, seq.origin,
+                    )
+                for mode in ("any", "all", "exactly-one"):
+                    sub = got.restrict_to_items(group, mode=mode)
+                    assert sub.requests == _restrict_by_loop(seq, group, mode)
+                    assert (sub.num_servers, sub.origin) == (
+                        seq.num_servers, seq.origin,
+                    )
 
 
 class TestMixedViewEquivalence:
