@@ -29,14 +29,14 @@ them together on random instances up to ``n = 200``.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from .model import CostModel, RequestSequence, SingleItemView
-from .optimal_dp import _event_arrays, _first_on_server_transfers, _next_same_server
+from .optimal_dp import _events
 
 __all__ = ["ilp_optimal_cost"]
 
@@ -46,19 +46,15 @@ def ilp_optimal_cost(
     model: CostModel,
 ) -> float:
     """Exact single-item optimum via the keep/backbone covering ILP."""
-    if isinstance(view, RequestSequence):
-        view = view.single_item_view()
-    servers, times = _event_arrays(view)
+    _servers, times, nxt, first_copies = _events(view)
     n = len(times) - 1
     if n == 0:
         return 0.0
     mu, lam = model.mu, model.lam
-
-    nxt = _next_same_server(servers)
-    base = lam * len(_first_on_server_transfers(servers, nxt))
+    base = lam * len(first_copies)
 
     # decision variables: one k_i per event with a successor, one b_g per gap
-    keep_events: List[int] = [i for i in range(n + 1) if nxt[i] is not None]
+    keep_events: List[int] = [i for i in range(n + 1) if nxt[i] >= 0]
     n_keep = len(keep_events)
     n_gaps = n  # gaps (t_0, t_1) .. (t_{n-1}, t_n)
 
@@ -68,7 +64,6 @@ def ilp_optimal_cost(
     c = np.empty(n_keep + n_gaps)
     for col, i in enumerate(keep_events):
         j = nxt[i]
-        assert j is not None
         c[col] = mu * (times[j] - times[i]) - lam
     for g in range(n_gaps):
         c[n_keep + g] = mu * (times[g + 1] - times[g])
@@ -79,9 +74,7 @@ def ilp_optimal_cost(
     rows: List[int] = []
     cols: List[int] = []
     for col, i in enumerate(keep_events):
-        j = nxt[i]
-        assert j is not None
-        for g in range(i, j):
+        for g in range(i, nxt[i]):
             rows.append(g)
             cols.append(col)
     for g in range(n_gaps):

@@ -19,6 +19,11 @@ built on:
   items is cached/transferred at ``alpha * k * mu`` / ``alpha * k * lam``
   (Table II).
 
+Section V's pre-scan -- each request's same-server predecessor ``p(i)``
+and successor -- is one index over the inverted columns
+(:meth:`RequestSequence.same_server_index`), computed by
+:func:`same_server_links`, the only code that derives these links.
+
 The paper assumes at most one request per time instant; the sequence
 constructor enforces strictly increasing timestamps so that ``t_i`` can be
 used interchangeably with the request index, exactly as the paper does.
@@ -29,7 +34,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, NamedTuple, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -38,6 +45,10 @@ __all__ = [
     "RequestSequence",
     "TraceColumns",
     "SingleItemView",
+    "ViewLinks",
+    "SameServerIndex",
+    "same_server_links",
+    "trajectory_links",
     "CostModel",
     "package_rate",
     "DEFAULT_ALPHA",
@@ -58,7 +69,9 @@ _EMPTY_FLOAT.setflags(write=False)
 
 #: Instance-dict keys of the lazily built columnar caches; dropped on
 #: pickling (cheap to rebuild, heavy to ship to pool workers).
-_CACHE_KEYS = ("_cols_cache", "_proj_cache", "_iview_cache", "_gview_cache")
+_CACHE_KEYS = (
+    "_cols_cache", "_proj_cache", "_links_cache", "_iview_cache", "_gview_cache",
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -192,6 +205,88 @@ def columns_of(requests: Sequence[Request]) -> TraceColumns:
     return cols
 
 
+def same_server_links(
+    servers: "Sequence[int] | np.ndarray",
+    segments: "np.ndarray | None" = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(prev, nxt)``: each event's same-server predecessor and successor.
+
+    Events are positions of ``servers`` in time order; with
+    ``segments`` (a non-decreasing segment id per event) links stay
+    within a segment.  One stable sort by ``(segment, server)`` lays
+    every server's events out contiguously in time order, so adjacent
+    entries of a run are each other's neighbours -- the paper's
+    per-server lists ``Q_j``.  Both arrays hold event positions, ``-1``
+    where there is no such event.
+    """
+    key = np.asarray(servers, dtype=np.int64)
+    n = len(key)
+    prev = np.full(n, -1, dtype=np.int64)
+    nxt = np.full(n, -1, dtype=np.int64)
+    if n < 2:
+        return prev, nxt
+    if segments is not None:
+        key = segments * (int(key.max()) + 1) + key
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    same = ordered[1:] == ordered[:-1]
+    earlier, later = order[:-1][same], order[1:][same]
+    prev[later] = earlier
+    nxt[earlier] = later
+    return prev, nxt
+
+
+class ViewLinks(NamedTuple):
+    """The same-server links of one trajectory, event 0 being the
+    virtual origin event ``(origin, t = 0)``.
+
+    ``nxt[i]`` is the event index of event ``i``'s same-server
+    successor (``-1`` when none); ``first_copies`` lists the events with
+    no same-server predecessor, whose first copy must arrive by transfer
+    (the origin event's successor is preceded by the origin itself).
+    """
+
+    nxt: np.ndarray
+    first_copies: np.ndarray
+
+
+def _view_links(prev: np.ndarray, nxt: np.ndarray) -> ViewLinks:
+    """:class:`ViewLinks` of one trajectory's event-level links."""
+    return ViewLinks(nxt, np.flatnonzero(prev[1:] < 0) + 1)
+
+
+def trajectory_links(origin: int, servers: "Sequence[int] | np.ndarray") -> ViewLinks:
+    """:class:`ViewLinks` of one ``servers`` trajectory, origin event
+    prepended -- for views no :class:`SameServerIndex` covers."""
+    events = np.empty(len(servers) + 1, dtype=np.int64)
+    events[0] = origin
+    events[1:] = servers
+    return _view_links(*same_server_links(events))
+
+
+class SameServerIndex(NamedTuple):
+    """Section V's pre-scan over a sequence's inverted columns.
+
+    Every item's trajectory is laid out as its own events: the virtual
+    origin event at slot ``starts[a]``, then its requests in time order,
+    so the request at inverted position ``e`` sits at slot ``e + a + 1``.
+    ``prev``/``nxt`` give each slot's same-server predecessor and
+    successor as an event index *within the item* (0 is the origin
+    event, ``-1`` means none): ``p(i)`` of Definition 1 with the origin
+    carrying every item at ``t = 0``.
+    """
+
+    starts: np.ndarray
+    prev: np.ndarray
+    nxt: np.ndarray
+
+    def item_links(self, a: int, count: int) -> ViewLinks:
+        """The :class:`ViewLinks` of the ``a``-th inverted item, which
+        has ``count`` requests (zero-copy ``nxt``)."""
+        lo = int(self.starts[a])
+        return _view_links(self.prev[lo : lo + count + 1], self.nxt[lo : lo + count + 1])
+
+
 def _as_request(obj: "Request | Tuple") -> Request:
     """Coerce ``(server, time, items)`` tuples into :class:`Request`."""
     if isinstance(obj, Request):
@@ -294,6 +389,11 @@ class RequestSequence:
             cols = columns_of(self.requests)
             object.__setattr__(self, "_cols_cache", cols)
         return cols
+
+    @property
+    def columns(self) -> TraceColumns:
+        """The sequence's :class:`TraceColumns` (read-only)."""
+        return self._columns()
 
     @property
     def servers_array(self) -> np.ndarray:
@@ -457,15 +557,18 @@ class RequestSequence:
     # ------------------------------------------------------------------
     # per-item and per-group views (cached)
     # ------------------------------------------------------------------
-    def _item_projections(self) -> Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """``item -> (positions, servers, times)``: zero-copy slices of
-        the inverted columns."""
+    def _item_projections(
+        self,
+    ) -> Dict[int, Tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+        """``item -> (a, positions, servers, times)``: the item's rank
+        ``a`` in the inverted columns and zero-copy slices of them."""
         proj = self.__dict__.get("_proj_cache")
         if proj is None:
             cols = self._columns()
             offs = cols.inv_offsets.tolist()
             proj = {
                 d: (
+                    a,
                     cols.inv_positions[offs[a] : offs[a + 1]],
                     cols.inv_servers[offs[a] : offs[a + 1]],
                     cols.inv_times[offs[a] : offs[a + 1]],
@@ -475,15 +578,46 @@ class RequestSequence:
             object.__setattr__(self, "_proj_cache", proj)
         return proj
 
+    def same_server_index(self) -> SameServerIndex:
+        """Section V's pre-scan: every item's same-server links, built
+        once by one :func:`same_server_links` sort over the inverted
+        columns (each item's trajectory with its origin event first)
+        and cached.  Every Phase-2 DP prologue and the Observation-2
+        pass read it."""
+        index = self.__dict__.get("_links_cache")
+        if index is None:
+            cols = self._columns()
+            heads = cols.inv_offsets[:-1]
+            starts = heads + np.arange(len(heads))
+            events = np.insert(
+                np.asarray(cols.inv_servers, dtype=np.int64), heads, self.origin
+            )
+            item_of = np.repeat(
+                np.arange(len(heads)), np.diff(cols.inv_offsets) + 1
+            )
+            prev, nxt = same_server_links(events, item_of)
+            base = starts[item_of]
+            del events, item_of
+            index = SameServerIndex(
+                starts,
+                np.where(prev >= 0, prev - base, -1),
+                np.where(nxt >= 0, nxt - base, -1),
+            )
+            for arr in index:
+                arr.setflags(write=False)
+            object.__setattr__(self, "_links_cache", index)
+        return index
+
     def item_indices(self, item: int) -> np.ndarray:
         """Ascending request positions whose item set contains ``item``."""
         entry = self._item_projections().get(item)
-        return _EMPTY_INT if entry is None else entry[0]
+        return _EMPTY_INT if entry is None else entry[1]
 
     def item_view(self, item: int) -> SingleItemView:
         """Cached columnar per-item view: the ``(servers, times)``
         trajectory of :meth:`restrict_to_item` as read-only array
-        slices, built at most once per item."""
+        slices, with its links from :meth:`same_server_index`, built at
+        most once per item."""
         cache = self.__dict__.get("_iview_cache")
         if cache is None:
             cache = {}
@@ -493,13 +627,16 @@ class RequestSequence:
             entry = self._item_projections().get(item)
             if entry is None:
                 servers, times = _EMPTY_INT, _EMPTY_FLOAT
+                links = trajectory_links(self.origin, servers)
             else:
-                _, servers, times = entry
+                a, _, servers, times = entry
+                links = self.same_server_index().item_links(a, len(times))
             view = SingleItemView(
                 servers=servers,
                 times=times,
                 num_servers=self.num_servers,
                 origin=self.origin,
+                links=links,
             )
             cache[item] = view
         return view
@@ -507,7 +644,8 @@ class RequestSequence:
     def group_view(self, items: Iterable[int]) -> SingleItemView:
         """Cached co-occurrence view of an item group: the trajectory of
         ``restrict_to_items(mode="all")`` (requests containing *every*
-        item), computed by intersecting the per-item position arrays."""
+        item), computed by intersecting the per-item position arrays,
+        with its links."""
         group = frozenset(items)
         if not group:
             raise ValueError("item group must be non-empty")
@@ -534,6 +672,7 @@ class RequestSequence:
                 times=g_times,
                 num_servers=self.num_servers,
                 origin=self.origin,
+                links=trajectory_links(self.origin, g_servers),
             )
             cache[group] = view
         return view
@@ -562,13 +701,16 @@ class SingleItemView:
     cached :meth:`RequestSequence.item_view` / ``group_view``
     projections.  Both spellings fingerprint to identical memo keys
     (:func:`repro.engine.memo.fingerprint_view` normalises through
-    ``np.asarray``); array-backed views are not hashable.
+    ``np.asarray``); array-backed views are not hashable.  ``links``
+    carries the trajectory's same-server links when a projection
+    already knows them; the solvers derive them otherwise.
     """
 
     servers: "Tuple[int, ...] | np.ndarray"
     times: "Tuple[float, ...] | np.ndarray"
     num_servers: int
     origin: int
+    links: Optional[ViewLinks] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.times)

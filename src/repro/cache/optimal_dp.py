@@ -63,7 +63,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import CostModel, RequestSequence, SingleItemView
+from .model import CostModel, RequestSequence, SingleItemView, trajectory_links
 from .schedule import CacheInterval, Schedule, Transfer
 
 __all__ = ["OptimalResult", "solve_optimal", "optimal_cost", "attribute_cost"]
@@ -99,15 +99,24 @@ class OptimalResult:
     backbone_gaps: Tuple[int, ...]
 
 
-def _event_arrays(view: SingleItemView) -> Tuple[List[int], List[float]]:
-    """Prepend the virtual origin event; validate positivity of times.
+def _events(
+    view: "SingleItemView | RequestSequence",
+) -> Tuple[List[int], List[float], List[int], np.ndarray]:
+    """The DP prologue: ``(servers, times, nxt, first_copies)``.
 
-    Array-backed views (the cached columnar projections of
-    :class:`~repro.cache.model.RequestSequence`) are unpacked through
-    ``tolist()`` so the scalar sweeps keep operating on plain Python
-    ints/floats -- same values bitwise, no numpy scalars leaking into
-    solver outputs.
+    ``servers``/``times`` list the events with the virtual origin event
+    ``(origin, t = 0)`` first; ``nxt[i]`` is event ``i``'s same-server
+    successor (``-1`` when none) and ``first_copies`` the events whose
+    first copy must arrive by transfer (:class:`~repro.cache.model.ViewLinks`).  A view
+    projected from a sequence carries its links from the sequence's
+    :meth:`~repro.cache.model.RequestSequence.same_server_index`; any
+    other view gets them from the same links function here.
+    Array-backed views are unpacked through ``tolist()`` so the scalar
+    sweeps keep operating on plain Python ints/floats -- same values
+    bitwise, no numpy scalars leaking into solver outputs.
     """
+    if isinstance(view, RequestSequence):
+        view = view.single_item_view()
     view_servers, view_times = view.servers, view.times
     if isinstance(view_servers, np.ndarray):
         view_servers = view_servers.tolist()
@@ -118,30 +127,12 @@ def _event_arrays(view: SingleItemView) -> Tuple[List[int], List[float]]:
             "single-item solvers require strictly positive request times "
             "(time 0 is the initial placement instant)"
         )
+    links = view.links
+    if links is None:
+        links = trajectory_links(view.origin, view_servers)
     servers = [view.origin, *view_servers]
     times = [0.0, *view_times]
-    return servers, times
-
-
-def _next_same_server(servers: List[int]) -> List[Optional[int]]:
-    """``next[i]`` = next event index on the same server, else ``None``."""
-    nxt: List[Optional[int]] = [None] * len(servers)
-    last_seen: Dict[int, int] = {}
-    for i in range(len(servers) - 1, -1, -1):
-        nxt[i] = last_seen.get(servers[i])
-        last_seen[servers[i]] = i
-    return nxt
-
-
-def _first_on_server_transfers(
-    servers: List[int], nxt: List[Optional[int]]
-) -> List[int]:
-    """Events with no same-server predecessor: they must pay one transfer."""
-    preceded = set()
-    for i, j in enumerate(nxt):
-        if j is not None:
-            preceded.add(j)
-    return [i for i in range(1, len(servers)) if i not in preceded]
+    return servers, times, links.nxt.tolist(), links.first_copies
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +155,7 @@ def _first_on_server_transfers(
 def _sparse_cost_sweep(
     servers: Sequence[int],
     times: Sequence[float],
-    nxt: Sequence[Optional[int]],
+    nxt: Sequence[int],
     mu: float,
     lam: float,
 ) -> float:
@@ -175,7 +166,7 @@ def _sparse_cost_sweep(
     pend: Dict[int, List] = {}
     for i in range(n + 1):
         j = nxt[i]
-        if j is not None:
+        if j >= 0:
             keep_cost = mu * (times[j] - times[i])
             best = base_cost
             if keep_cost <= lam:
@@ -208,7 +199,7 @@ def _sparse_cost_sweep(
 def _sparse_path_sweep(
     servers: Sequence[int],
     times: Sequence[float],
-    nxt: Sequence[Optional[int]],
+    nxt: Sequence[int],
     mu: float,
     lam: float,
 ) -> Tuple[float, List[Dict[int, Tuple[int, int, bool]]]]:
@@ -227,7 +218,7 @@ def _sparse_path_sweep(
     history: List[Dict[int, Tuple[int, int, bool]]] = []
     for i in range(n + 1):
         j = nxt[i]
-        if j is None:
+        if j < 0:
             base_parent, base_dec = base_M, _NODECISION
             for rec in pend.values():
                 rec[2], rec[3] = rec[0], _NODECISION
@@ -304,9 +295,7 @@ def solve_optimal(
     """
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown DP backend {backend!r}")
-    if isinstance(view, RequestSequence):
-        view = view.single_item_view()
-    servers, times = _event_arrays(view)
+    servers, times, nxt, first_copies = _events(view)
     n = len(times) - 1  # number of real requests
     mu, lam = model.mu, model.lam
 
@@ -314,8 +303,7 @@ def solve_optimal(
         sched = Schedule((), (), rate_multiplier) if build_schedule else None
         return OptimalResult(0.0, sched, (_NODECISION,), ())
 
-    nxt = _next_same_server(servers)
-    base_transfers = _first_on_server_transfers(servers, nxt)
+    base_transfers = first_copies.tolist()
     base_cost = lam * len(base_transfers)
 
     if backend == "dense":
@@ -350,7 +338,7 @@ def solve_optimal(
 def _dense_path_sweep(
     servers: List[int],
     times: List[float],
-    nxt: List[Optional[int]],
+    nxt: List[int],
     mu: float,
     lam: float,
 ) -> Tuple[float, List[int], List[int]]:
@@ -365,7 +353,7 @@ def _dense_path_sweep(
         # -- decision at event i -------------------------------------
         j = nxt[i]
         after_decision: Dict[int, Entry] = {}
-        if j is None:
+        if j < 0:
             for M, (c, *_rest) in frontier.items():
                 after_decision[M] = (c, M, _NODECISION, False)
         else:
@@ -417,7 +405,7 @@ def _dense_path_sweep(
 def _reconstruct_schedule(
     servers: List[int],
     times: List[float],
-    nxt: List[Optional[int]],
+    nxt: List[int],
     decisions: List[int],
     backbone_gaps: List[int],
     base_transfers: List[int],
@@ -429,7 +417,7 @@ def _reconstruct_schedule(
     for i, dec in enumerate(decisions):
         if dec == _KEEP:
             j = nxt[i]
-            assert j is not None
+            assert j >= 0
             intervals.append(CacheInterval(servers[i], times[i], times[j]))
     for i in backbone_gaps:
         intervals.append(CacheInterval(servers[i], times[i], times[i + 1]))
@@ -439,7 +427,7 @@ def _reconstruct_schedule(
     for i, dec in enumerate(decisions):
         if dec == _DROP:
             j = nxt[i]
-            assert j is not None
+            assert j >= 0
             transfer_served.add(j)
 
     # queries arrive in time order (event indices ascending), so one
@@ -525,24 +513,21 @@ def attribute_cost(
     over the amounts reconciles with ``result.cost`` to float precision.
     The consumer is the cost ledger (:mod:`repro.obs.ledger`).
     """
-    if isinstance(view, RequestSequence):
-        view = view.single_item_view()
-    servers, times = _event_arrays(view)
+    servers, times, nxt, first_copies = _events(view)
     n = len(times) - 1
     if n == 0:
         return ()
     mu, lam = model.mu, model.lam
     r = rate_multiplier
 
-    nxt = _next_same_server(servers)
     entries: List[Tuple[float, str, float]] = []
-    for j in _first_on_server_transfers(servers, nxt):
+    for j in first_copies.tolist():
         entries.append((times[j], "first-copy", lam * r))
     for i, dec in enumerate(result.decisions):
         if dec == _NODECISION:
             continue
         j = nxt[i]
-        assert j is not None, "keep/drop decision at an event with no successor"
+        assert j >= 0, "keep/drop decision at an event with no successor"
         if dec == _KEEP:
             entries.append((times[j], "cache", mu * (times[j] - times[i]) * r))
         else:
@@ -571,16 +556,12 @@ def optimal_cost(
     """
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown DP backend {backend!r}")
-    if isinstance(view, RequestSequence):
-        view = view.single_item_view()
-    servers, times = _event_arrays(view)
+    servers, times, nxt, first_copies = _events(view)
     n = len(times) - 1
     if n == 0:
         return 0.0
     mu, lam = model.mu, model.lam
-
-    nxt = _next_same_server(servers)
-    base_cost = lam * len(_first_on_server_transfers(servers, nxt))
+    base_cost = lam * len(first_copies)
 
     if backend == "sparse":
         dp_cost = _sparse_cost_sweep(servers, times, nxt, mu, lam)
@@ -594,7 +575,7 @@ def optimal_cost(
 
     for i in range(n + 1):
         j = nxt[i]
-        if j is not None:
+        if j >= 0:
             keep_cost = mu * (t[j] - t[i])
             # keep: M' = max(M, j)  -> states M <= j collapse onto j
             collapsed = C[: j + 1].min() + keep_cost

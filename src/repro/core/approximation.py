@@ -98,10 +98,10 @@ def lemma1_lower_bound(
     lb = 0.0
     for pkg in result.plan.packages:
         lb += alpha * sum(
-            optimal_cost(seq.restrict_to_item(d), model) for d in sorted(pkg)
+            optimal_cost(seq.item_view(d), model) for d in sorted(pkg)
         )
     for d in result.plan.singletons:
-        lb += singleton_factor * optimal_cost(seq.restrict_to_item(d), model)
+        lb += singleton_factor * optimal_cost(seq.item_view(d), model)
     return lb
 
 

@@ -59,7 +59,7 @@ def solve_optimal_nonpacking(
     per_group: Dict[FrozenSet[int], float] = {}
     total = 0.0
     for d in sorted(seq.items):
-        c = optimal_cost(seq.restrict_to_item(d), model)
+        c = optimal_cost(seq.item_view(d), model)
         per_group[frozenset((d,))] = c
         total += c
     return BaselineResult(
@@ -153,7 +153,7 @@ def solve_package_served(
         per_group[pkg] = c
         total += c
     for d in plan.singletons:
-        c = optimal_cost(seq.restrict_to_item(d), model)
+        c = optimal_cost(seq.item_view(d), model)
         per_group[frozenset((d,))] = c
         total += c
 

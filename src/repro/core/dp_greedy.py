@@ -25,6 +25,9 @@ Phase 2 serves each serving unit:
 
 The virtual origin node ``(origin, t=0)`` carries every item, exactly as
 in the paper's running example (``Tr(0.5) = C(0) + 0.5*mu + lam``).
+No option depends on an earlier decision, so one vectorised pass
+(:func:`single_sided_pass`) decides every package's single-sided nodes
+at once, reading ``p(i)`` from the sequence's same-server index.
 
 The reported metric is ``ave_cost`` -- the total cost divided by
 ``|d_1| + ... + |d_k|`` (Algorithm 1, line 50).
@@ -32,19 +35,16 @@ The reported metric is ``ave_cost`` -- the total cost divided by
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache.model import (
-    CostModel,
-    Request,
-    RequestSequence,
-    SingleItemView,
-    package_rate,
-)
+from ..cache.model import CostModel, RequestSequence, SingleItemView, package_rate
 from ..cache.optimal_dp import attribute_cost, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
 from ..obs.tracing import maybe_span
@@ -58,7 +58,9 @@ from ..correlation.packing import (
 __all__ = [
     "GroupReport",
     "SingleSidedDecision",
+    "SingleSidedPass",
     "single_sided_decisions",
+    "single_sided_pass",
     "DPGreedyResult",
     "solve_dp_greedy",
     "serve_package",
@@ -173,6 +175,47 @@ def _solve_unit(
     return res.cost, res.schedule, attribution
 
 
+def _unit_report(
+    group: FrozenSet[int],
+    view: "RequestSequence | SingleItemView",
+    model: CostModel,
+    rate: float,
+    *,
+    build_schedule: bool,
+    dp_cost: Optional[float],
+    dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]],
+    attribute: bool,
+) -> GroupReport:
+    """The DP half of a unit's report: ``view`` priced at ``rate`` (or
+    the injected ``dp_cost``), with no single-sided charges.  The
+    Phase-2 engine dispatches this for a package and adds the
+    single-sided charges of every package from one
+    :func:`single_sided_pass` in the parent."""
+    if dp_cost is not None:
+        if build_schedule:
+            raise ValueError("dp_cost injection is cost-only")
+        if attribute and dp_attribution is None:
+            raise ValueError(
+                "attribution requested but the injected dp_cost carries none"
+            )
+        cost, schedule = dp_cost, None
+        attribution = dp_attribution if attribute else None
+    else:
+        cost, schedule, attribution = _solve_unit(
+            view, model, rate, build_schedule=build_schedule, attribute=attribute
+        )
+    return GroupReport(
+        group=group,
+        package_cost=cost,
+        single_sided_cost=0.0,
+        num_cooccurrence=len(view),
+        num_single_sided=0,
+        modes=(),
+        package_schedule=schedule,
+        attribution=attribution,
+    )
+
+
 def serve_singleton(
     seq: RequestSequence,
     item: int,
@@ -198,34 +241,15 @@ def serve_singleton(
     supplied -- the memo stores both together).  Without a schedule or
     an attribution to report, the DP runs cost-only (no decision path).
     """
-    if sub is None:
-        sub = seq.item_view(item)
-    if dp_cost is not None:
-        if build_schedule:
-            raise ValueError("dp_cost injection is cost-only")
-        if attribute and dp_attribution is None:
-            raise ValueError(
-                "attribution requested but the injected dp_cost carries none"
-            )
-        cost, schedule = dp_cost, None
-        attribution = dp_attribution if attribute else None
-    else:
-        cost, schedule, attribution = _solve_unit(
-            sub,
-            model,
-            1.0,
-            build_schedule=build_schedule,
-            attribute=attribute,
-        )
-    return GroupReport(
-        group=frozenset((item,)),
-        package_cost=cost,
-        single_sided_cost=0.0,
-        num_cooccurrence=len(sub),
-        num_single_sided=0,
-        modes=(),
-        package_schedule=schedule,
-        attribution=attribution,
+    return _unit_report(
+        frozenset((item,)),
+        seq.item_view(item) if sub is None else sub,
+        model,
+        1.0,
+        build_schedule=build_schedule,
+        dp_cost=dp_cost,
+        dp_attribution=dp_attribution,
+        attribute=attribute,
     )
 
 
@@ -247,6 +271,166 @@ class SingleSidedDecision:
     prev_any: Tuple[int, float]  # (server, time) of the last node with item
 
 
+_MODE_NAMES = np.array([MODE_CACHE, MODE_TRANSFER, MODE_PACKAGE], dtype=object)
+
+
+@dataclass(frozen=True)
+class SingleSidedPass:
+    """Observation 2 over a list of packages, as columns.
+
+    One entry per single-sided ``(row, member)`` pair: package ``p``'s
+    decisions are ``offsets[p]:offsets[p + 1]``, in (row, member) order,
+    and ``rows[p]`` counts its single-sided rows.  ``options`` holds each
+    entry's (cache, transfer, package) option costs as three rows, cache
+    ``inf`` where the server never held the item; ``costs`` is their
+    minimum and ``modes`` the row index of the winner, ties going to the
+    first.  ``prev_same`` is ``NaN`` where the server never held the item.
+    """
+
+    offsets: Tuple[int, ...]
+    rows: Tuple[int, ...]
+    items: np.ndarray
+    servers: np.ndarray
+    times: np.ndarray
+    options: np.ndarray
+    modes: np.ndarray
+    costs: np.ndarray
+    prev_same: np.ndarray
+    prev_any_servers: np.ndarray
+    prev_any_times: np.ndarray
+
+    def fill(self, reports: Sequence[Optional[GroupReport]]) -> List[Optional[GroupReport]]:
+        """``reports[p]`` -- the DP half of package ``p``'s report, or
+        ``None`` for a skipped unit -- with its single-sided fields.
+        ``single_sided_cost`` is the left-to-right float sum of the
+        package's decisions in (row, member) order."""
+        times, costs = self.times.tolist(), self.costs.tolist()
+        modes = _MODE_NAMES[self.modes].tolist()
+        filled: List[Optional[GroupReport]] = []
+        for p, r in enumerate(reports):
+            lo, hi = self.offsets[p], self.offsets[p + 1]
+            charged = costs[lo:hi]
+            filled.append(
+                None
+                if r is None
+                else GroupReport(
+                    r.group,
+                    r.package_cost,
+                    reduce(add, charged, 0.0),
+                    r.num_cooccurrence,
+                    self.rows[p],
+                    tuple(zip(times[lo:hi], modes[lo:hi], charged)),
+                    r.package_schedule,
+                    r.attribution,
+                )
+            )
+        return filled
+
+
+def single_sided_pass(
+    seq: RequestSequence,
+    packages: Sequence[FrozenSet[int]],
+    model: CostModel,
+    alpha: float,
+) -> SingleSidedPass:
+    """Observation 2 for every package at once, in one vectorised pass.
+
+    A single-sided request of item ``d`` weighs three options, and no
+    option depends on an earlier decision: cache from the previous
+    request carrying ``d`` on the same server (``p(i)``, read from
+    :meth:`~repro.cache.model.RequestSequence.same_server_index`),
+    transfer from the previous request carrying ``d`` on any server, or
+    ship the package at the constant ``alpha * k * lam``.  The virtual
+    origin event carries every item at ``t = 0``, and ties go cache,
+    then transfer, then ship.  The pass gathers each member's requests
+    from the inverted columns, orders them by (package, row) to find the
+    rows carrying the whole package -- the co-occurrence rows, which the
+    package DP prices -- and decides every other pair at once.  A
+    package touches only its members' rows, in memory and on a store
+    alike.
+    """
+    cols = seq.columns
+    index = seq.same_server_index()
+    members: List[int] = []
+    owner: List[int] = []
+    sizes: List[int] = []
+    ship: List[float] = []
+    for p, package in enumerate(packages):
+        ordered = sorted(package)
+        members += ordered
+        owner += [p] * len(ordered)
+        sizes.append(len(ordered))
+        ship.append(package_rate(len(ordered), alpha) * model.lam)
+    member_ids = np.array(members, dtype=np.int64)
+    owner_of = np.array(owner, dtype=np.int64)
+
+    # each member's run of inverted entries (none for an absent item)
+    rank = np.searchsorted(cols.inv_items, member_ids)
+    known = rank < len(cols.inv_items)
+    known[known] = cols.inv_items[rank[known]] == member_ids[known]
+    first_entry = np.zeros_like(rank)
+    count = np.zeros_like(rank)
+    first_entry[known] = cols.inv_offsets[rank[known]]
+    count[known] = cols.inv_offsets[rank[known] + 1] - first_entry[known]
+    member = np.repeat(np.arange(len(members)), count)
+    entry = np.arange(len(member)) + np.repeat(
+        first_entry - np.cumsum(count) + count, count
+    )
+
+    # order the pairs by (package, row); the stable sort keeps a row's
+    # members in item order.  A row is single-sided when fewer than all
+    # of its package's members carry it.
+    row = cols.inv_positions[entry]
+    order = np.lexsort((row, owner_of[member]))
+    member, entry, row = member[order], entry[order], row[order]
+    package = owner_of[member]
+    opens = np.ones(len(row), dtype=bool)
+    opens[1:] = (row[1:] != row[:-1]) | (package[1:] != package[:-1])
+    row_start = np.flatnonzero(opens)
+    row_package = package[row_start]
+    carried = np.diff(np.append(row_start, len(row)))
+    partial = carried < np.asarray(sizes, dtype=np.int64)[row_package]
+    single = partial[np.cumsum(opens) - 1]
+    member, entry, package = member[single], entry[single], package[single]
+
+    # transfer source: the item's previous request, or the origin event;
+    # cache source: p(i) as an event of the item (0 = origin, -1 = none)
+    t = cols.inv_times[entry]
+    first = entry == first_entry[member]
+    before = np.where(first, entry, entry - 1)
+    any_t = np.where(first, 0.0, cols.inv_times[before])
+    any_s = np.where(first, seq.origin, cols.inv_servers[before])
+    p_i = index.prev[entry + rank[member] + 1]
+    p_entry = np.where(p_i > 0, first_entry[member] + p_i - 1, entry)
+    same_t = np.where(p_i > 0, cols.inv_times[p_entry], 0.0)
+    mu, lam = model.mu, model.lam
+    options = np.array(
+        [
+            np.where(p_i >= 0, mu * (t - same_t), np.inf),
+            mu * (t - any_t) + lam,
+            np.asarray(ship)[package],
+        ]
+    )
+    cache, transfer, _ = options
+    cost = options.min(axis=0)
+    n = len(sizes)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(package, minlength=n), out=offsets[1:])
+    return SingleSidedPass(
+        offsets=tuple(offsets.tolist()),
+        rows=tuple(np.bincount(row_package[partial], minlength=n).tolist()),
+        items=member_ids[member],
+        servers=cols.inv_servers[entry],
+        times=t,
+        options=options,
+        modes=np.where(cost == cache, 0, np.where(cost == transfer, 1, 2)),
+        costs=cost,
+        prev_same=np.where(p_i >= 0, same_t, np.nan),
+        prev_any_servers=any_s,
+        prev_any_times=any_t,
+    )
+
+
 def single_sided_decisions(
     seq: RequestSequence,
     package: FrozenSet[int],
@@ -254,72 +438,33 @@ def single_sided_decisions(
     alpha: float,
 ):
     """Yield the Observation-2 greedy decisions for ``package``'s
-    single-sided requests, in time order.
+    single-sided requests, in time order (members ascending within a
+    request): a view over :func:`single_sided_pass`.
 
     The virtual origin node carries every item; package nodes update the
-    per-item source bookkeeping but are not charged here (they belong to
-    the package DP).
-
-    The walk visits only the rows carrying a package item -- the sorted
-    union of the members' cached
-    :meth:`~repro.cache.model.RequestSequence.item_indices`, with servers
-    and times read from the sequence's columns and each row's members
-    from the same index arrays -- so one package costs ``O(package
-    rows)``, not a rescan of the whole trace, on in-memory and
-    store-backed sequences alike.
+    per-item sources but are not charged here (they belong to the
+    package DP).
     """
-    mu, lam = model.mu, model.lam
-    ship_cost = package_rate(len(package), alpha) * lam
-    members = sorted(package)
-    chunks = [seq.item_indices(d) for d in members]
-    rows = np.unique(np.concatenate(chunks))
-    carried = np.zeros((len(rows), len(members)), dtype=bool)
-    for col, idx in enumerate(chunks):
-        carried[np.searchsorted(rows, idx), col] = True
-
-    last_any: Dict[int, Tuple[int, float]] = {}
-    last_same: Dict[Tuple[int, int], float] = {}
-    origin = seq.origin
-    for d in members:
-        last_any[d] = (origin, 0.0)
-        last_same[(d, origin)] = 0.0
-
-    for server, t, full, flags in zip(
-        seq.servers_array[rows].tolist(),
-        seq.times_array[rows].tolist(),
-        carried.all(axis=1).tolist(),
-        carried.tolist(),
+    ss = single_sided_pass(seq, [package], model, alpha)
+    for d, server, t, mode, cost, t_p, prev_server, prev_t in zip(
+        ss.items.tolist(),
+        ss.servers.tolist(),
+        ss.times.tolist(),
+        _MODE_NAMES[ss.modes].tolist(),
+        ss.costs.tolist(),
+        ss.prev_same.tolist(),
+        ss.prev_any_servers.tolist(),
+        ss.prev_any_times.tolist(),
     ):
-        if full:
-            for d in members:
-                last_any[d] = (server, t)
-                last_same[(d, server)] = t
-            continue
-        for d, has in zip(members, flags):  # strict subset of the package
-            if not has:
-                continue
-            t_p = last_same.get((d, server))
-            cache_cost = mu * (t - t_p) if t_p is not None else float("inf")
-            prev = last_any[d]
-            transfer_cost = mu * (t - prev[1]) + lam
-            best = min(cache_cost, transfer_cost, ship_cost)
-            if best == cache_cost:
-                mode = MODE_CACHE
-            elif best == transfer_cost:
-                mode = MODE_TRANSFER
-            else:
-                mode = MODE_PACKAGE
-            yield SingleSidedDecision(
-                item=d,
-                server=server,
-                time=t,
-                mode=mode,
-                cost=best,
-                prev_same_time=t_p,
-                prev_any=prev,
-            )
-            last_any[d] = (server, t)
-            last_same[(d, server)] = t
+        yield SingleSidedDecision(
+            item=d,
+            server=server,
+            time=t,
+            mode=mode,
+            cost=cost,
+            prev_same_time=None if math.isnan(t_p) else t_p,
+            prev_any=(prev_server, prev_t),
+        )
 
 
 def serve_package(
@@ -345,78 +490,44 @@ def serve_package(
     ``dp_cost`` injects a memoised co-occurrence DP result (cost-only:
     incompatible with ``build_schedule=True``); without a schedule or an
     attribution to report, the DP runs cost-only (no decision path).
-    The single-sided greedy pass always runs: it carries the per-node
-    mode ledger and costs ``O(rows carrying a package item)``, a walk
-    over the members' cached index arrays
-    (:func:`single_sided_decisions`).  ``attribute`` decomposes the
-    co-occurrence DP cost into per-request
-    ledger charges at package rate (the single-sided charges are already
-    carried by ``modes``); with ``dp_cost`` injection the matching
-    ``dp_attribution`` must be supplied.  ``co_view`` lets callers that
-    already restricted the sequence to the package's co-occurrence nodes
-    (the execution engine restricts once to fingerprint the sub-problem)
-    inject the restriction -- a projected :class:`RequestSequence` or a
-    bare :class:`SingleItemView`; by default the trajectory comes from
-    the sequence's cached columnar projection
+    The single-sided charges and their per-node mode ledger are
+    :func:`single_sided_pass` over this one package (a solve runs that
+    pass once over every package instead).  ``attribute`` decomposes
+    the co-occurrence DP cost into per-request ledger charges at package
+    rate (the single-sided charges are already carried by ``modes``);
+    with ``dp_cost`` injection the matching ``dp_attribution`` must be
+    supplied.  ``co_view`` lets callers that already restricted the
+    sequence to the package's co-occurrence nodes inject the
+    restriction -- a projected :class:`RequestSequence` or a bare
+    :class:`SingleItemView`; by default the trajectory comes from the
+    sequence's cached columnar projection
     (:meth:`~repro.cache.model.RequestSequence.group_view`).
     """
     k = len(package)
     if k < 2:
         raise ValueError("a package needs at least two items")
-    rate = package_rate(k, alpha)
-
     if co_view is None:
         co_view = seq.group_view(package)
-    if dp_cost is not None:
-        if build_schedule:
-            raise ValueError("dp_cost injection is cost-only")
-        if attribute and dp_attribution is None:
-            raise ValueError(
-                "attribution requested but the injected dp_cost carries none"
-            )
-        dp_total, dp_schedule = dp_cost, None
-        attribution = dp_attribution if attribute else None
-    else:
-        # The package is one pseudo-item: project the co-occurrence nodes
-        # to a bare (server, time) trajectory and run the optimal DP at
-        # package rate.
-        if isinstance(co_view, SingleItemView):
-            pseudo = co_view
-        else:
-            pseudo = SingleItemView(
-                servers=co_view.servers,
-                times=co_view.times,
-                num_servers=co_view.num_servers,
-                origin=co_view.origin,
-            )
-        dp_total, dp_schedule, attribution = _solve_unit(
-            pseudo,
-            model,
-            rate,
-            build_schedule=build_schedule,
-            attribute=attribute,
+    elif not isinstance(co_view, SingleItemView):
+        # the package is one pseudo-item: a bare (server, time) trajectory
+        co_view = SingleItemView(
+            servers=co_view.servers,
+            times=co_view.times,
+            num_servers=co_view.num_servers,
+            origin=co_view.origin,
         )
-
-    # --- greedy pass over partial nodes (Observation 2) ----------------
-    single_cost = 0.0
-    modes: List[Tuple[float, str, float]] = []
-    partial_times = set()
-    for dec in single_sided_decisions(seq, package, model, alpha):
-        single_cost += dec.cost
-        modes.append((dec.time, dec.mode, dec.cost))
-        partial_times.add(dec.time)
-    n_partial = len(partial_times)
-
-    return GroupReport(
-        group=package,
-        package_cost=dp_total,
-        single_sided_cost=single_cost,
-        num_cooccurrence=len(co_view),
-        num_single_sided=n_partial,
-        modes=tuple(modes),
-        package_schedule=dp_schedule,
-        attribution=attribution,
+    report = _unit_report(
+        package,
+        co_view,
+        model,
+        package_rate(k, alpha),
+        build_schedule=build_schedule,
+        dp_cost=dp_cost,
+        dp_attribution=dp_attribution,
+        attribute=attribute,
     )
+    (filled,) = single_sided_pass(seq, [package], model, alpha).fill([report])
+    return filled
 
 
 def _run_phase1(
@@ -596,6 +707,15 @@ def _solve(
     # fail fast on corrupt inputs, with request indices in the message,
     # rather than deep inside a DP recurrence
     seq.validate()
+    # time 0 is the initial placement instant, so every request must come
+    # after it; times are non-negative and strictly increasing, so only
+    # row 0 can sit there
+    if len(seq) and seq.times_array[0] == 0.0:
+        raise ValueError(
+            f"request[0] (server {int(seq.servers_array[0])}, t=0.0): time is "
+            "zero, the initial placement instant (DP_Greedy needs strictly "
+            "positive times)"
+        )
     timed = obs.timers.time if obs is not None else _null_timer
     span_mark = tracer.mark() if tracer is not None else 0
     tele = telemetry if telemetry is not None else _active_telemetry()

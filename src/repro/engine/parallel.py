@@ -3,11 +3,16 @@
 Phase 2 of DP_Greedy serves every *serving unit* (package or singleton)
 over its own disjoint sub-sequence -- the units share no state, so the
 phase is embarrassingly parallel by construction.  :func:`serve_plan`
-is the only Phase-2 driver: it probes the content-addressed
-:class:`~repro.engine.memo.SolverMemo` in the parent, groups the memo
-misses into dispatches, and hands those to
+is the only Phase-2 driver: it runs Observation 2 for every package in
+one pass in the parent (:func:`~repro.core.dp_greedy.single_sided_pass`,
+which builds the sequence's same-server index before any worker
+starts), probes the content-addressed
+:class:`~repro.engine.memo.SolverMemo`, groups the memo misses into
+dispatches, and hands those to
 :func:`repro.engine.resilience.dispatch_resilient`, the only code that
-runs Phase-2 work (serially, or on a ``concurrent.futures`` pool).
+runs the units' DPs (serially, or on a ``concurrent.futures`` pool).
+The parent then adds each package's single-sided charges to its
+report.
 
 Pool selection heuristic
 ------------------------
@@ -67,7 +72,12 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..cache.model import CostModel, RequestSequence, package_rate
 from ..correlation.packing import PackingPlan
-from ..core.dp_greedy import GroupReport, serve_package, serve_singleton
+from ..core.dp_greedy import (
+    GroupReport,
+    _unit_report,
+    serve_singleton,
+    single_sided_pass,
+)
 from ..obs import telemetry as _telemetry
 from ..obs.telemetry import Telemetry, UnitRecorder
 from ..obs.tracing import Tracer, maybe_span
@@ -165,14 +175,18 @@ def _serve_unit(
     build_schedules: bool,
     attribute: bool,
 ) -> GroupReport:
+    """One unit's report; for a package only its DP half --
+    :func:`serve_plan` adds the single-sided charges in the parent."""
     kind, payload = spec
     if kind == "package":
-        return serve_package(
-            seq,
+        return _unit_report(
             frozenset(payload),
+            seq.group_view(payload),
             model,
-            alpha,
+            package_rate(len(payload), alpha),
             build_schedule=build_schedules,
+            dp_cost=None,
+            dp_attribution=None,
             attribute=attribute,
         )
     return serve_singleton(
@@ -292,7 +306,7 @@ def _memo_probe(
     memo: SolverMemo,
     attribute: bool = False,
 ) -> Tuple[Optional[GroupReport], Optional[bytes]]:
-    """Try to serve one unit from the memo.
+    """Try to serve one unit from the memo (a package's DP half only).
 
     Returns ``(report, None)`` on a hit and ``(None, key)`` on a miss;
     the key is re-used after the real solve to store the DP cost.  Under
@@ -321,21 +335,22 @@ def _memo_probe(
         )
     package = frozenset(payload)
     pseudo = seq.group_view(package)  # cached columnar co-occurrence view
-    key = fingerprint_view(pseudo, model, package_rate(len(package), alpha))
+    rate = package_rate(len(package), alpha)
+    key = fingerprint_view(pseudo, model, rate)
     entry = memo.get(key, with_attribution=attribute)
     if entry is None:
         return None, key
     cost, attr = entry if attribute else (entry, None)
     return (
-        serve_package(
-            seq,
+        _unit_report(
             package,
+            pseudo,
             model,
-            alpha,
+            rate,
+            build_schedule=False,
             dp_cost=cost,
             dp_attribution=attr,
             attribute=attribute,
-            co_view=pseudo,  # the probe already projected: skip the rescan
         ),
         None,
     )
@@ -529,10 +544,11 @@ def serve_plan(
         cost and attribution together, and only entries carrying an
         attribution count as hits.
     tracer:
-        Optional :class:`~repro.obs.tracing.Tracer`.  Memo probes are
-        recorded as ``engine.memo_probe`` spans with a ``memo=hit|miss``
+        Optional :class:`~repro.obs.tracing.Tracer`.  The Observation-2
+        pass is recorded as a ``phase2.single_sided`` span, memo probes
+        as ``engine.memo_probe`` spans with a ``memo=hit|miss``
         attribute, the dispatch as an ``engine.dispatch`` span, and
-        every per-unit solve as a ``phase2.solve`` span -- including
+        every per-unit DP as a ``phase2.solve`` span -- including
         solves inside thread workers (distinct ``tid``) and process
         workers (distinct ``pid``; their spans are shipped back with the
         results and merged).  ``None`` leaves the hot path untouched.
@@ -566,6 +582,16 @@ def serve_plan(
     units = _plan_units(plan)
     use_memo = memo is not None and not build_schedules
     sizes = _unit_sizes(seq, units)
+
+    # Observation 2 for every package in one pass, in the parent and
+    # before any dispatch: the pass builds the sequence's same-server
+    # index, which fork workers then inherit, and dispatched units price
+    # only their DP
+    with maybe_span(
+        tracer, "phase2.single_sided", cat="phase2", packages=len(plan.packages)
+    ) as span:
+        single_sided = single_sided_pass(seq, plan.packages, model, alpha)
+        span.set("decisions", single_sided.offsets[-1])
 
     reports: List[Optional[GroupReport]] = [None] * len(units)
     pending: List[int] = []
@@ -666,6 +692,9 @@ def serve_plan(
     for pos, group in enumerate(groups):
         for idx, report in zip(group, resolved.get(pos, ())):
             reports[idx] = report
+    # units are planned packages first: add their single-sided charges
+    n_packages = len(plan.packages)
+    reports[:n_packages] = single_sided.fill(reports[:n_packages])
 
     if use_memo:
         for idx in pending:

@@ -16,8 +16,12 @@ server.  This module reproduces those structures faithfully:
 
 With these, ``p(i)`` (Definition 1: the most recent request on the same
 server) and the set of cache intervals covering a request (Fig. 8) are
-O(1)/O(m) lookups.  :class:`PreScan` accepts multi-item sequences; the
-per-item solvers use it through single-item projections.
+O(1)/O(m) lookups.  :class:`PreScan` indexes one trajectory (a
+multi-item sequence is indexed by its request order) and keeps the
+paper's ``n x m`` pointer array for the Fig. 8 query.  Phase 2 runs on
+the production form of the same links,
+:meth:`~repro.cache.model.RequestSequence.same_server_index`: one sort
+over every item's trajectory, without the ``n x m`` matrix.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache.model import RequestSequence, SingleItemView
+from ..cache.model import RequestSequence, SingleItemView, same_server_links
 
 __all__ = ["PreScan"]
 
@@ -51,7 +55,10 @@ class PreScan:
     prev_same:
         ``p(i)`` of Definition 1 as an index array (``-1`` when none).
     next_same:
-        Forward counterpart used by the optimal DP.
+        Forward counterpart.  Both come from
+        :func:`~repro.cache.model.same_server_links`, the function
+        behind the Phase-2 index
+        (:meth:`~repro.cache.model.RequestSequence.same_server_index`).
     """
 
     def __init__(self, view: "RequestSequence | SingleItemView") -> None:
@@ -77,26 +84,22 @@ class PreScan:
         # All structures fall out of two vectorised passes (no per-request
         # Python loop):
         #
-        # 1. a stable argsort by server groups each Q_j contiguously in
-        #    time order, so adjacent positions within a group are exactly
-        #    the linked-list neighbours: ll_prev == prev_same (the paper's
-        #    p(i)) and ll_next == next_same come from one pass, and the
-        #    old separate reverse sweep for next_same disappears;
+        # 1. the same-server links (the production Phase-2 index's
+        #    function, :func:`~repro.cache.model.same_server_links`)
+        #    thread each Q_j in time order: ll_prev == prev_same (the
+        #    paper's p(i)) and ll_next == next_same;
         # 2. the pLast snapshots (recent[i, :]) are a running maximum:
         #    recent[i, j] = max index i' < i with servers[i'] == j, i.e.
         #    a shifted ``np.maximum.accumulate`` over the one-hot hit
         #    matrix.
         rows = np.arange(n, dtype=np.int32)
-        prev_same = np.full(n, -1, dtype=np.int32)
-        next_same = np.full(n, -1, dtype=np.int32)
+        prev_links, next_links = same_server_links(self.servers)
+        prev_same = prev_links.astype(np.int32)
+        next_same = next_links.astype(np.int32)
         q_head = np.full(m, -1, dtype=np.int32)
         q_tail = np.full(m, -1, dtype=np.int32)
         recent = np.full((n, m), -1, dtype=np.int32)
         if n:
-            order = np.argsort(self.servers, kind="stable")
-            same = self.servers[order[1:]] == self.servers[order[:-1]]
-            prev_same[order[1:][same]] = order[:-1][same]
-            next_same[order[:-1][same]] = order[1:][same]
             # duplicate fancy indices: last write wins, so reversed order
             # leaves the *earliest* request per server in q_head
             q_head[self.servers[::-1]] = rows[::-1]

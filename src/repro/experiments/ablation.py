@@ -17,15 +17,26 @@ measurable:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Optional, Sequence
+from functools import reduce
+from operator import add
+from typing import FrozenSet, Optional, Sequence
 
-from ..cache.model import CostModel, RequestSequence, package_rate
+from ..cache.model import CostModel, RequestSequence
 from ..core.baselines import solve_optimal_nonpacking, solve_package_served
-from ..core.dp_greedy import solve_dp_greedy
+from ..core.dp_greedy import (
+    MODE_CACHE,
+    MODE_PACKAGE,
+    MODE_TRANSFER,
+    single_sided_pass,
+    solve_dp_greedy,
+)
 from ..trace.workload import correlated_pair_sequence, zipf_item_workload
 from .base import ExperimentResult, record_engine_stats, sweep_memo
 
 __all__ = ["run_theta_ablation", "run_option_ablation", "run_packing_ablation"]
+
+#: Observation 2's options, in the row order of ``SingleSidedPass.options``.
+_OPTIONS = (MODE_CACHE, MODE_TRANSFER, MODE_PACKAGE)
 
 
 def _mixed_similarity_workload(seed: int, n_per_pair: int, num_servers: int):
@@ -133,12 +144,11 @@ def run_option_ablation(
 ) -> ExperimentResult:
     """Disable each Observation-2 greedy option and measure the damage.
 
-    Implemented by re-running the single-sided pass with a restricted
-    option set (the package DP part is identical across variants, so the
-    delta isolates the greedy choice rule).
+    Implemented by re-deciding the single-sided pass's requests over a
+    restricted option set (the package DP part is identical across
+    variants, so the delta isolates the greedy choice rule).
     """
     model = model or CostModel(mu=3.0, lam=3.0)
-    mu, lam = model.mu, model.lam
 
     result = ExperimentResult(
         experiment_id="ablation_options",
@@ -157,33 +167,12 @@ def run_option_ablation(
         n_requests, num_servers, jaccard, seed=seed, hotspot_skew=0.15
     )
     pkg = frozenset((1, 2))
-    nodes = seq.restrict_to_items(pkg, mode="any")
 
     def greedy_pass(alpha: float, options: FrozenSet[str]) -> float:
-        ship = package_rate(2, alpha) * lam
-        last_any: Dict[int, tuple] = {d: (seq.origin, 0.0) for d in (1, 2)}
-        last_same: Dict[tuple, float] = {(d, seq.origin): 0.0 for d in (1, 2)}
-        total = 0.0
-        for r in nodes:
-            if r.items == pkg:
-                for d in pkg:
-                    last_any[d] = (r.server, r.time)
-                    last_same[(d, r.server)] = r.time
-                continue
-            for d in r.items:
-                cands = []
-                t_p = last_same.get((d, r.server))
-                if "cache" in options and t_p is not None:
-                    cands.append(mu * (r.time - t_p))
-                if "transfer" in options:
-                    _ps, prev_t = last_any[d]
-                    cands.append(mu * (r.time - prev_t) + lam)
-                if "package" in options:
-                    cands.append(ship)
-                total += min(cands)
-                last_any[d] = (r.server, r.time)
-                last_same[(d, r.server)] = r.time
-        return total
+        costs = single_sided_pass(seq, [pkg], model, alpha).options
+        allowed = [i for i, name in enumerate(_OPTIONS) if name in options]
+        # left to right in request order, as a solve totals a package
+        return reduce(add, costs[allowed].min(axis=0).tolist(), 0.0)
 
     variants = {
         "all options": frozenset({"cache", "transfer", "package"}),

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,7 +18,7 @@ from repro.cache.model import (
     package_rate,
 )
 
-from ..conftest import multi_item_sequences
+from ..conftest import multi_item_sequences, stored
 
 
 class TestRequest:
@@ -250,6 +252,69 @@ class TestColumnarViews:
             assert optimal_cost(seq.item_view(d), unit_model) == optimal_cost(
                 ref, unit_model
             )
+
+
+def _next_same_server(servers):
+    """Reference loop: ``next[i]`` = next event index on the same
+    server, else ``None``."""
+    nxt = [None] * len(servers)
+    last_seen = {}
+    for i in range(len(servers) - 1, -1, -1):
+        nxt[i] = last_seen.get(servers[i])
+        last_seen[servers[i]] = i
+    return nxt
+
+
+def _first_on_server_transfers(servers, nxt):
+    """Reference loop: events with no same-server predecessor."""
+    preceded = set()
+    for i, j in enumerate(nxt):
+        if j is not None:
+            preceded.add(j)
+    return [i for i in range(1, len(servers)) if i not in preceded]
+
+
+def _assert_links_match_loop(view):
+    servers = [view.origin, *np.asarray(view.servers).tolist()]
+    want = _next_same_server(servers)
+    assert view.links.nxt.tolist() == [-1 if j is None else j for j in want]
+    assert view.links.first_copies.tolist() == _first_on_server_transfers(
+        servers, want
+    )
+
+
+class TestSameServerIndex:
+    """Every item view reads its links from the sequence's same-server
+    index, every co-occurrence view from the same links function; both
+    must match the plain per-event reference loops above."""
+
+    @settings(max_examples=60, deadline=None)
+    # item 5 never occurs in the trace: views of absent items and groups
+    @given(seq=multi_item_sequences(max_items=5))
+    def test_view_links_match_a_plain_loop(self, seq):
+        items = sorted(seq.items | {5})
+        groups = [
+            frozenset(g) for k in (2, 3) for g in itertools.combinations(items, k)
+        ]
+        with stored(seq) as store:
+            for s in (seq, store):
+                for d in items:
+                    _assert_links_match_loop(s.item_view(d))
+                for g in groups:
+                    _assert_links_match_loop(s.group_view(g))
+
+    def test_index_is_cached_and_dropped_on_pickling(self):
+        import pickle
+
+        seq = RequestSequence(
+            [(0, 1.0, {1, 2}), (1, 2.0, {1}), (0, 3.0, {2})], num_servers=2
+        )
+        index = seq.same_server_index()
+        assert seq.same_server_index() is index
+        assert not index.prev.flags.writeable
+        clone = pickle.loads(pickle.dumps(seq))
+        assert "_links_cache" not in vars(clone)
+        assert clone.same_server_index().prev.tolist() == index.prev.tolist()
 
 
 class TestCostModel:

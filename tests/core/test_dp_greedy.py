@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
+from functools import reduce
+from operator import add
 
 import hypothesis
 import pytest
@@ -21,10 +23,16 @@ from repro.core.dp_greedy import (
     single_sided_decisions,
     solve_dp_greedy,
 )
+from repro.core.online_dpg import solve_online_dp_greedy
+from repro.correlation.packing import PackingPlan
+from repro.engine.parallel import serve_plan
+from repro.engine.resilience import ResilienceConfig
+from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.experiments.running_example import running_example_sequence
+from repro.obs.tracing import Tracer
 from repro.trace.store import TraceStore, write_store
 
-from ..conftest import cost_models, multi_item_sequences
+from ..conftest import cost_models, multi_item_sequences, stored
 
 ALPHAS = st.sampled_from([0.5, 0.8, 1.0])
 
@@ -321,6 +329,15 @@ class TestObservation2Walk:
         model=CostModel(mu=1.0, lam=1.0),
         alpha=0.8,
     )
+    @hypothesis.example(
+        # t=2.0 ties all three options at 2.0: the tie goes to cache
+        seq=RequestSequence(
+            [(1, 1.0, {1}), (0, 2.0, {1}), (0, 3.0, {1, 2})], num_servers=2
+        ),
+        package=frozenset({1, 2}),
+        model=CostModel(mu=1.0, lam=1.0),
+        alpha=1.0,
+    )
     def test_matches_rescan_oracle(self, seq, package, model, alpha):
         want = _rescan_decisions(seq, package, model, alpha)
         _assert_same_decisions(
@@ -331,6 +348,85 @@ class TestObservation2Walk:
             _assert_same_decisions(
                 list(single_sided_decisions(store, package, model, alpha)), want
             )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seq=multi_item_sequences(max_items=6),
+        # items 6 and 7 never occur in the trace
+        packages=st.lists(
+            st.integers(2, 3), min_size=2, max_size=3
+        ).flatmap(
+            lambda sizes: st.permutations(range(8)).map(
+                lambda items: [
+                    frozenset(items[sum(sizes[:i]) : sum(sizes[: i + 1])])
+                    for i in range(len(sizes))
+                ]
+            )
+        ),
+        model=cost_models(),
+        alpha=ALPHAS,
+    )
+    def test_solve_reports_match_rescan_oracle(self, seq, packages, model, alpha):
+        """One batched pass prices every package of a plan: each report's
+        single-sided fields equal the rescan oracle's, its costs summed
+        left to right."""
+        packed = frozenset().union(*packages)
+        plan = PackingPlan(
+            tuple(packages), tuple(sorted(seq.items - packed)), {}
+        )
+        with stored(seq) as store:
+            for s in (seq, store):
+                if packed <= seq.items:
+                    reports = solve_dp_greedy(
+                        s, model, theta=0.3, alpha=alpha, plan=plan
+                    ).reports
+                else:
+                    # the solve rejects a plan naming an absent item, so
+                    # run the Phase-2 driver it calls directly
+                    reports, _ = serve_plan(s, plan, model, alpha)
+                for package, report in zip(packages, reports):
+                    want = _rescan_decisions(seq, package, model, alpha)
+                    assert report.group == package
+                    assert report.single_sided_cost == reduce(
+                        add, (d.cost for d in want), 0.0
+                    )
+                    assert report.modes == tuple((d.time, d.mode, d.cost) for d in want)
+                    assert report.num_single_sided == len({d.time for d in want})
+
+
+class TestZeroTimeRequest:
+    """Time 0 is the initial placement instant: every solve route rejects
+    a request there up front, with the request's index, before Phase 1
+    records a span or Phase 2 dispatches a unit."""
+
+    ROWS = [(1, 0.0, {1}), (2, 1.0, {1}), (0, 2.0, {2}), (0, 3.0, {2})]
+
+    @pytest.mark.parametrize("route", ["default", "sharded", "skip"])
+    def test_rejected_before_any_span(self, route, unit_model):
+        seq = RequestSequence(self.ROWS, num_servers=3)
+        with stored(seq) as store:
+            for s in (seq, store):
+                tracer = Tracer()
+                kwargs = dict(theta=0.3, alpha=0.8, tracer=tracer)
+                with pytest.raises(
+                    ValueError, match=r"^request\[0\] \(server 1, t=0\.0\): "
+                ):
+                    if route == "sharded":
+                        solve_dp_greedy_sharded(s, unit_model, shards=2, **kwargs)
+                    elif route == "skip":
+                        solve_dp_greedy(
+                            s, unit_model,
+                            resilience=ResilienceConfig(on_unit_error="skip"),
+                            **kwargs,
+                        )
+                    else:
+                        solve_dp_greedy(s, unit_model, **kwargs)
+                assert len(tracer) == 0
+
+    def test_online_solver_still_accepts_time_zero(self, unit_model):
+        seq = RequestSequence(self.ROWS, num_servers=3)
+        res = solve_online_dp_greedy(seq, unit_model, theta=0.3, alpha=0.8)
+        assert res.total_cost > 0
 
 
 class TestCostOnlyReports:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.model import RequestSequence, SingleItemView
+from repro.cache.model import RequestSequence, SingleItemView, same_server_links
 from repro.engine.prescan import PreScan
 
 from ..conftest import multi_item_sequences, single_item_views
@@ -61,6 +61,23 @@ class TestAgainstNaive:
         for server in range(v.num_servers):
             expected = [i for i, s in enumerate(v.servers) if s == server]
             assert ps.requests_on_server(server) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(seq=multi_item_sequences(max_items=3))
+    def test_links_are_the_phase2_index_links(self, seq):
+        """PreScan threads Q_j with the links function behind Phase 2's
+        index: each item's links there are PreScan's over that item's
+        trajectory, shifted past the origin event."""
+        for d in seq.items:
+            view = seq.item_view(d)
+            ps = PreScan(view)
+            prev, nxt = same_server_links(view.servers)
+            assert ps.prev_same.tolist() == prev.tolist()
+            assert ps.next_same.tolist() == nxt.tolist()
+            index = seq.same_server_index()
+            lo = int(index.starts[sorted(seq.items).index(d)])
+            own = index.nxt[lo + 1 : lo + 1 + len(view)]
+            assert ps.next_same.tolist() == [j - 1 if j > 0 else -1 for j in own.tolist()]
 
 
 class TestQueries:
