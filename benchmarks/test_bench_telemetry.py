@@ -1,11 +1,11 @@
-"""Benchmark of the telemetry plane's observation overhead.
+"""Benchmark of the observer's runtime-leg overhead.
 
-The telemetry hub meters every Phase-2 unit solve (a perf_counter pair,
-a histogram record, two progress-board updates), so its cost scales
-with unit count, not workload size.  This benchmark solves a ~1k-unit
-workload with and without an attached hub (best of 3 each, interleaved
-to dodge thermal drift) and pins the overhead at <= 5% -- the ISSUE's
-acceptance bar -- while re-asserting bit-identical costs.
+A runtime observer meters every Phase-2 unit solve (its span, a
+histogram record, two progress-board updates), so its cost scales with
+unit count, not workload size.  This benchmark solves a ~1k-unit
+workload with and without a runtime observer (best of 3 each,
+interleaved to dodge thermal drift) and pins the overhead at <= 5%
+while re-asserting bit-identical costs.
 
 Results land in ``results/BENCH_telemetry.json``; the measured run also
 feeds ``results/BENCH_history.jsonl`` for the regression gate.
@@ -19,7 +19,7 @@ from pathlib import Path
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
-from repro.obs.telemetry import Telemetry
+from repro.obs import Observer
 from repro.trace.workload import zipf_item_workload
 
 MODEL = CostModel(mu=2.0, lam=3.0)
@@ -44,10 +44,10 @@ def _solve_plain(seq):
 
 
 def _solve_metered(seq):
-    with Telemetry(sample_interval=10.0) as tele:
+    with Observer(runtime=True, sample_interval=10.0) as observer:
         return solve_dp_greedy(
-            seq, MODEL, theta=THETA, alpha=ALPHA, telemetry=tele
-        ), tele
+            seq, MODEL, theta=THETA, alpha=ALPHA, observer=observer
+        ), observer
 
 
 def test_bench_telemetry_overhead_1k_units(benchmark):
@@ -68,7 +68,7 @@ def test_bench_telemetry_overhead_1k_units(benchmark):
     assert got.total_cost == ref.total_cost
     assert got.reports == ref.reports
 
-    # ... with real measurements in the hub ...
+    # ... with real measurements in the observer ...
     lat = tele.cumulative_latency()["phase2.solve_seconds"]
     assert lat["count"] >= 990  # ~1k units (Zipf may skip a tail item)
     assert tele.board.done == tele.board.total >= 990
@@ -84,7 +84,7 @@ def test_bench_telemetry_overhead_1k_units(benchmark):
     RESULTS.mkdir(parents=True, exist_ok=True)
     (RESULTS / "BENCH_telemetry.json").write_text(json.dumps({
         "experiment_id": "bench_telemetry",
-        "title": "Telemetry plane overhead on a ~1k-unit solve",
+        "title": "Runtime observer overhead on a ~1k-unit solve",
         "params": {
             "n_requests": len(seq),
             "num_items": len(seq.items),

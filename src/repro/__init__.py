@@ -33,9 +33,10 @@ Subpackages
 ``repro.experiments``
     One harness per paper figure (Figs. 9-13) plus the running example.
 ``repro.obs``
-    Structured observability: the per-request cost ledger (with a
-    reconciliation self-audit), phase wall-time accumulators, and the
-    counter registry behind the ``METRICS_*.json`` artefacts.
+    Structured observability through one span-based ``Observer``: span
+    traces, runtime latency/resource telemetry, and the per-request
+    cost ledger (with a reconciliation self-audit) behind the
+    ``METRICS_*.json`` artefacts.
 """
 
 from . import logutil as _logutil  # installs the NullHandler on "repro"
@@ -118,9 +119,7 @@ from .obs import (
     CostLedger,
     LedgerEntry,
     LedgerReconciliationError,
-    MetricsCollector,
-    RunObservation,
-    Telemetry,
+    Observer,
 )
 from .trace import (
     StoreSequence,
@@ -202,9 +201,7 @@ __all__ = [
     "CostLedger",
     "LedgerEntry",
     "LedgerReconciliationError",
-    "RunObservation",
-    "MetricsCollector",
-    "Telemetry",
+    "Observer",
     # extensions
     "HeteroCostModel",
     "hetero_brute_force",

@@ -626,10 +626,10 @@ class RequestSequence:
         if view is None:
             entry = self._item_projections().get(item)
             if entry is None:
-                servers, times = _EMPTY_INT, _EMPTY_FLOAT
+                rows, servers, times = _EMPTY_INT, _EMPTY_INT, _EMPTY_FLOAT
                 links = trajectory_links(self.origin, servers)
             else:
-                a, _, servers, times = entry
+                a, rows, servers, times = entry
                 links = self.same_server_index().item_links(a, len(times))
             view = SingleItemView(
                 servers=servers,
@@ -637,6 +637,7 @@ class RequestSequence:
                 num_servers=self.num_servers,
                 origin=self.origin,
                 links=links,
+                rows=rows,
             )
             cache[item] = view
         return view
@@ -673,6 +674,7 @@ class RequestSequence:
                 num_servers=self.num_servers,
                 origin=self.origin,
                 links=trajectory_links(self.origin, g_servers),
+                rows=idx,
             )
             cache[group] = view
         return view
@@ -703,7 +705,9 @@ class SingleItemView:
     (:func:`repro.engine.memo.fingerprint_view` normalises through
     ``np.asarray``); array-backed views are not hashable.  ``links``
     carries the trajectory's same-server links when a projection
-    already knows them; the solvers derive them otherwise.
+    already knows them; the solvers derive them otherwise.  ``rows``
+    holds a projection's request positions in its sequence (what the
+    cost ledger keys charges by).
     """
 
     servers: "Tuple[int, ...] | np.ndarray"
@@ -711,6 +715,7 @@ class SingleItemView:
     num_servers: int
     origin: int
     links: Optional[ViewLinks] = field(default=None, compare=False, repr=False)
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.times)

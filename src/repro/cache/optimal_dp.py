@@ -66,7 +66,13 @@ import numpy as np
 from .model import CostModel, RequestSequence, SingleItemView, trajectory_links
 from .schedule import CacheInterval, Schedule, Transfer
 
-__all__ = ["OptimalResult", "solve_optimal", "optimal_cost", "attribute_cost"]
+__all__ = [
+    "OptimalResult",
+    "solve_optimal",
+    "optimal_cost",
+    "attribute_cost",
+    "attribute_positions",
+]
 
 _KEEP, _DROP, _NODECISION = 1, 0, -1
 
@@ -511,31 +517,47 @@ def attribute_cost(
     All amounts carry ``rate_multiplier`` (pass the Table-II package rate
     used for the solve).  Entries are sorted by time; :func:`math.fsum`
     over the amounts reconciles with ``result.cost`` to float precision.
-    The consumer is the cost ledger (:mod:`repro.obs.ledger`).
+    :func:`attribute_positions` is the same decomposition keyed by the
+    charged request's position in ``view`` -- what the cost ledger
+    (:mod:`repro.obs.ledger`) records.
     """
-    servers, times, nxt, first_copies = _events(view)
-    n = len(times) - 1
-    if n == 0:
-        return ()
-    mu, lam = model.mu, model.lam
-    r = rate_multiplier
+    times, charges = _charged_events(view, model, result, rate_multiplier)
+    return tuple((times[j], action, amount) for j, action, amount in charges)
 
-    entries: List[Tuple[float, str, float]] = []
-    for j in first_copies.tolist():
-        entries.append((times[j], "first-copy", lam * r))
+
+def attribute_positions(
+    view: "SingleItemView | RequestSequence",
+    model: CostModel,
+    result: OptimalResult,
+    *,
+    rate_multiplier: float = 1.0,
+) -> Tuple[Tuple[int, str, float], ...]:
+    """:func:`attribute_cost` with each charge at the 0-based position of
+    its request in ``view``, sorted by position."""
+    _, charges = _charged_events(view, model, result, rate_multiplier)
+    # event j is the view's request j - 1 (event 0 is the origin)
+    return tuple((j - 1, action, amount) for j, action, amount in charges)
+
+
+def _charged_events(view, model, result, r):
+    """``(times, charges)``: the decomposition of :func:`attribute_cost`
+    as ``(event, action, amount)`` charges, sorted by event."""
+    servers, times, nxt, first_copies = _events(view)
+    mu, lam = model.mu, model.lam
+    entries = [(j, "first-copy", lam * r) for j in first_copies.tolist()]
     for i, dec in enumerate(result.decisions):
         if dec == _NODECISION:
             continue
         j = nxt[i]
         assert j >= 0, "keep/drop decision at an event with no successor"
         if dec == _KEEP:
-            entries.append((times[j], "cache", mu * (times[j] - times[i]) * r))
+            entries.append((j, "cache", mu * (times[j] - times[i]) * r))
         else:
-            entries.append((times[j], "transfer", lam * r))
+            entries.append((j, "transfer", lam * r))
     for i in result.backbone_gaps:
-        entries.append((times[i + 1], "backbone", mu * (times[i + 1] - times[i]) * r))
+        entries.append((i + 1, "backbone", mu * (times[i + 1] - times[i]) * r))
     entries.sort(key=lambda e: e[0])
-    return tuple(entries)
+    return times, entries
 
 
 def optimal_cost(

@@ -83,7 +83,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help=(
             "emit the repro.obs cost-attribution metrics (ledger + phase "
-            "timers + counters) as a METRICS_*.json artefact"
+            "spans + counters + latency) as a METRICS_*.json artefact"
         ),
     )
     parser.add_argument(
@@ -164,33 +164,48 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-@contextlib.contextmanager
-def _telemetry_session(
-    enabled: bool, stall_after: Optional[float], progress: bool
+def _make_observer(
+    *, metrics: bool, trace: bool, progress: bool, stall_after: Optional[float]
 ):
-    """Install and run a process-wide telemetry hub for the duration.
+    """The one :class:`~repro.obs.observer.Observer` the observation
+    flags ask for, or ``None`` when none is set: ``--metrics`` keeps
+    the cost ledger and (with the runtime leg) the latency/resource
+    sections, ``--trace`` keeps span records, and ``--progress`` /
+    ``--stall-after`` need the runtime leg."""
+    runtime = metrics or progress or stall_after is not None
+    if not (runtime or trace):
+        return None
+    from .obs.observer import Observer
 
-    Solvers that are not handed an explicit ``telemetry=`` pick the hub
-    up via :func:`repro.obs.telemetry.active`, which is how the CLI
-    flags reach solves buried inside experiment harnesses.  Yields the
-    hub (``None`` when no telemetry flag is set); with ``progress`` a
-    live status line paints on stderr until the session closes.
+    return Observer(
+        spans=trace, runtime=runtime, ledger=metrics, stall_after=stall_after
+    )
+
+
+@contextlib.contextmanager
+def _observer_session(observer, progress: bool):
+    """Install and start ``observer`` process-wide for the duration.
+
+    Solves that are not handed an ``observer=`` pick it up via
+    :func:`repro.obs.observer.active`, which is how the CLI flags reach
+    solves buried inside experiment harnesses; with ``progress`` a live
+    status line paints on stderr until the session closes.
     """
-    if not enabled:
+    if observer is None:
         yield None
         return
-    from .obs.telemetry import ProgressRenderer, Telemetry, install
+    from .obs.observer import install
+    from .obs.telemetry import ProgressRenderer
 
-    tele = Telemetry(stall_after=stall_after)
-    previous = install(tele)
-    tele.start()
-    renderer = ProgressRenderer(tele).start() if progress else None
+    previous = install(observer)
+    observer.start()
+    renderer = ProgressRenderer(observer).start() if progress else None
     try:
-        yield tele
+        yield observer
     finally:
         if renderer is not None:
             renderer.stop()
-        tele.stop()
+        observer.stop()
         install(previous)
 
 
@@ -494,19 +509,22 @@ def _run_one(
             resume=resume,
         )
     )
-    telemetry_on = metrics or progress or stall_after is not None
-    with _telemetry_session(telemetry_on, stall_after, progress) as tele:
+    observer = _make_observer(
+        metrics=metrics, trace=trace_path is not None, progress=progress,
+        stall_after=stall_after,
+    )
+    with _observer_session(observer, progress):
         result = fn(**kwargs)
     if prom is not None and result.metrics is not None:
         from .obs.telemetry import render_prometheus
 
         result.prom = render_prometheus(result.metrics)
     print(result.report())
-    if progress and tele is not None:
+    if progress:
         from .obs.telemetry import render_dashboard
 
         print()
-        print(render_dashboard(tele))
+        print(render_dashboard(observer))
     if out is None and result.metrics is not None:
         # --metrics promises a METRICS_*.json artefact even without --out.
         out = "results"
@@ -524,7 +542,7 @@ def _run_one(
         if result.trace is None:
             print(f"note: {name} does not support span tracing; no trace written")
         else:
-            from .obs.tracing import write_chrome_trace
+            from .obs.observer import write_chrome_trace
 
             dest = write_chrome_trace(
                 result.trace,
@@ -586,75 +604,45 @@ def _solve_trace(args: argparse.Namespace) -> int:
             f"J(d{a},d{b})={j:.3f}" for j, a, b in top
         ))
 
-    obs = None
-    collector = None
     if args.prom is not None:
         args.metrics = True  # exposition needs a metrics snapshot
-    if args.metrics:
-        from .obs import MetricsCollector
-
-        collector = MetricsCollector()
-        obs = collector.observe(
-            trace=args.trace, theta=args.theta, alpha=args.alpha
-        )
-        obs.counters.set("trace.rows_total", load_report.rows_total)
-        obs.counters.set("trace.rows_skipped", load_report.rows_skipped)
-    tracer = None
-    if args.trace_out is not None:
-        from .obs.tracing import Tracer
-
-        tracer = Tracer()
-
-    telemetry_on = (
-        args.metrics or args.progress or args.stall_after is not None
+    observer = _make_observer(
+        metrics=args.metrics, trace=args.trace_out is not None,
+        progress=args.progress, stall_after=args.stall_after,
     )
-    with _telemetry_session(
-        telemetry_on, args.stall_after, args.progress
-    ) as tele:
+    with _observer_session(observer, args.progress):
         flusher = None
-        if (
-            args.prom is not None
-            and args.prom_interval is not None
-            and tele is not None
-        ):
+        if args.metrics:
+            run = observer.begin_run(
+                trace=args.trace, theta=args.theta, alpha=args.alpha
+            )
+            run.counters["trace.rows_total"] = load_report.rows_total
+            run.counters["trace.rows_skipped"] = load_report.rows_skipped
+        if args.prom is not None and args.prom_interval is not None:
             # interval exposition: a scraper watching PATH sees live
             # mid-solve quantiles, atomically re-written
-            from .obs.telemetry import PrometheusFlusher, live_snapshot
+            from .obs.metrics import live_snapshot
+            from .obs.telemetry import PrometheusFlusher
 
             flusher = PrometheusFlusher(
-                lambda: live_snapshot(tele),
+                lambda: live_snapshot(observer),
                 args.prom,
                 interval=args.prom_interval,
             ).start()
+        engine = dict(
+            theta=args.theta,
+            alpha=args.alpha,
+            workers=args.workers,
+            memo=not args.no_memo,
+            resilience=_resilience_from_args(args),
+            observer=observer,
+        )
         if args.shards is not None:
             from .engine.sharding import solve_dp_greedy_sharded
 
-            dpg = solve_dp_greedy_sharded(
-                seq,
-                model,
-                theta=args.theta,
-                alpha=args.alpha,
-                shards=args.shards,
-                workers=args.workers,
-                memo=not args.no_memo,
-                obs=obs,
-                tracer=tracer,
-                resilience=_resilience_from_args(args),
-                telemetry=tele,
-            )
+            dpg = solve_dp_greedy_sharded(seq, model, shards=args.shards, **engine)
         else:
-            dpg = solve_dp_greedy(
-                seq,
-                model,
-                theta=args.theta,
-                alpha=args.alpha,
-                workers=args.workers,
-                memo=not args.no_memo,
-                obs=obs,
-                tracer=tracer,
-                resilience=_resilience_from_args(args),
-                telemetry=tele,
-            )
+            dpg = solve_dp_greedy(seq, model, **engine)
     if flusher is not None:
         flusher.stop()
     opt = solve_optimal_nonpacking(seq, model)
@@ -684,15 +672,16 @@ def _solve_trace(args: argparse.Namespace) -> int:
         {"algorithm": "Package_Served", "total_cost": pkg.total_cost,
          "ave_cost": pkg.ave_cost},
     ]))
-    if args.progress and tele is not None:
+    if args.progress:
         from .obs.telemetry import render_dashboard
 
         print()
-        print(render_dashboard(tele))
-    if collector is not None:
+        print(render_dashboard(observer))
+    if args.metrics:
         from .obs import write_metrics
 
-        actions = obs.ledger.by_action()
+        run = observer.runs[-1]
+        actions = run.ledger.by_action()
         print(
             "\ncost attribution: "
             + ", ".join(f"{a}={v:.3f}" for a, v in actions.items())
@@ -701,25 +690,27 @@ def _solve_trace(args: argparse.Namespace) -> int:
             "phase wall-times: "
             + ", ".join(
                 f"{name}={rec['seconds'] * 1000:.2f}ms"
-                for name, rec in obs.timers.snapshot().items()
+                for name, rec in run.phases.items()
             )
         )
-        snap = collector.snapshot()
+        snap = observer.metrics()
         path = write_metrics(snap, "results/METRICS_solve.json")
         print(
             f"metrics: {path} (reconciliation error "
-            f"{obs.reconciliation_error:.2e})"
+            f"{run.reconciliation_error:.2e})"
         )
         if args.prom is not None:
             from .obs.telemetry import write_prometheus
 
             dest = write_prometheus(snap, args.prom)
             print(f"prometheus: {dest}")
-    if tracer is not None:
-        dest = tracer.write(args.trace_out)
+    if args.trace_out is not None:
+        from .obs.observer import write_chrome_trace
+
+        dest = write_chrome_trace(observer.to_chrome(), args.trace_out)
         print(
-            f"trace: {dest} ({len(tracer)} spans; open in Perfetto or "
-            "chrome://tracing)"
+            f"trace: {dest} ({len(observer.records())} spans; open in "
+            "Perfetto or chrome://tracing)"
         )
     return 0
 
@@ -820,15 +811,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "report":
         from .experiments.report import run_report
 
-        telemetry_on = (
-            args.metrics
-            or args.prom is not None
-            or args.progress
-            or args.stall_after is not None
+        observer = _make_observer(
+            metrics=args.metrics or args.prom is not None,
+            trace=args.trace_out is not None,
+            progress=args.progress,
+            stall_after=args.stall_after,
         )
-        with _telemetry_session(
-            telemetry_on, args.stall_after, args.progress
-        ):
+        with _observer_session(observer, args.progress):
             path = run_report(
                 args.out,
                 quick=args.quick,

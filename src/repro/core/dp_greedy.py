@@ -36,7 +36,6 @@ The reported metric is ``ave_cost`` -- the total cost divided by
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import reduce
 from operator import add
@@ -45,9 +44,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..cache.model import CostModel, RequestSequence, SingleItemView, package_rate
-from ..cache.optimal_dp import attribute_cost, optimal_cost, solve_optimal
+from ..cache.optimal_dp import attribute_positions, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
-from ..obs.tracing import maybe_span
+from ..obs.observer import maybe_span
 from ..correlation.jaccard import SparseCorrelationStats, sparse_correlation_stats
 from ..correlation.packing import (
     PackingPlan,
@@ -71,11 +70,6 @@ __all__ = [
 MODE_CACHE, MODE_TRANSFER, MODE_PACKAGE = "cache", "transfer", "package"
 
 
-def _null_timer(name: str):
-    """Stand-in for ``obs.timers.time`` when observability is off."""
-    return nullcontext()
-
-
 @dataclass(frozen=True)
 class GroupReport:
     """Cost breakdown for one serving unit (package or singleton).
@@ -86,12 +80,14 @@ class GroupReport:
     package (zero for singletons).  ``modes`` records, per single-sided
     node in time order, which Observation-2 option won.
 
-    ``attribution`` (opt-in, ``attribute=True`` on the serve functions)
-    decomposes ``package_cost`` into per-request ``(time, action,
-    amount)`` ledger charges via
-    :func:`repro.cache.optimal_dp.attribute_cost`; together with
-    ``modes`` it accounts for every unit of ``total`` (the cost ledger
-    of :mod:`repro.obs` consumes both).
+    ``attribution`` (opt-in, ``attribute=True`` on the serve functions,
+    which an observer's cost ledger asks for) decomposes
+    ``package_cost`` into ``(k, action, amount)`` ledger charges via
+    :func:`repro.cache.optimal_dp.attribute_positions`, ``k`` being the
+    charged request's position among the unit's own requests (the
+    item's rows for a singleton, the co-occurrence rows for a package);
+    together with the single-sided charges it accounts for every unit
+    of ``total``.
     """
 
     group: FrozenSet[int]
@@ -101,7 +97,7 @@ class GroupReport:
     num_single_sided: int
     modes: Tuple[Tuple[float, str, float], ...]  # (time, mode, cost)
     package_schedule: Optional[Schedule] = None
-    attribution: Optional[Tuple[Tuple[float, str, float], ...]] = None
+    attribution: Optional[Tuple[Tuple[int, str, float], ...]] = None
 
     @property
     def total(self) -> float:
@@ -156,7 +152,7 @@ def _solve_unit(
     *,
     build_schedule: bool,
     attribute: bool,
-) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[float, str, float], ...]]]:
+) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[int, str, float], ...]]]:
     """``(cost, schedule, attribution)`` of one unit's DP at ``rate``.
 
     A unit that reports neither a schedule nor an attribution is priced
@@ -170,7 +166,9 @@ def _solve_unit(
         view, model, build_schedule=build_schedule, rate_multiplier=rate
     )
     attribution = (
-        attribute_cost(view, model, res, rate_multiplier=rate) if attribute else None
+        attribute_positions(view, model, res, rate_multiplier=rate)
+        if attribute
+        else None
     )
     return res.cost, res.schedule, attribution
 
@@ -183,7 +181,7 @@ def _unit_report(
     *,
     build_schedule: bool,
     dp_cost: Optional[float],
-    dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]],
+    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]],
     attribute: bool,
 ) -> GroupReport:
     """The DP half of a unit's report: ``view`` priced at ``rate`` (or
@@ -224,7 +222,7 @@ def serve_singleton(
     build_schedule: bool = False,
     sub: "RequestSequence | SingleItemView | None" = None,
     dp_cost: Optional[float] = None,
-    dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]] = None,
+    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]] = None,
     attribute: bool = False,
 ) -> GroupReport:
     """Serve one unpacked item with the optimal off-line algorithm.
@@ -284,11 +282,14 @@ class SingleSidedPass:
     entry's (cache, transfer, package) option costs as three rows, cache
     ``inf`` where the server never held the item; ``costs`` is their
     minimum and ``modes`` the row index of the winner, ties going to the
-    first.  ``prev_same`` is ``NaN`` where the server never held the item.
+    first.  ``positions`` are the decisions' request positions in the
+    sequence.  ``prev_same`` is ``NaN`` where the server never held the
+    item.
     """
 
     offsets: Tuple[int, ...]
     rows: Tuple[int, ...]
+    positions: np.ndarray
     items: np.ndarray
     servers: np.ndarray
     times: np.ndarray
@@ -391,7 +392,9 @@ def single_sided_pass(
     carried = np.diff(np.append(row_start, len(row)))
     partial = carried < np.asarray(sizes, dtype=np.int64)[row_package]
     single = partial[np.cumsum(opens) - 1]
-    member, entry, package = member[single], entry[single], package[single]
+    member, entry, package, row = (
+        member[single], entry[single], package[single], row[single]
+    )
 
     # transfer source: the item's previous request, or the origin event;
     # cache source: p(i) as an event of the item (0 = origin, -1 = none)
@@ -419,6 +422,7 @@ def single_sided_pass(
     return SingleSidedPass(
         offsets=tuple(offsets.tolist()),
         rows=tuple(np.bincount(row_package[partial], minlength=n).tolist()),
+        positions=row,
         items=member_ids[member],
         servers=cols.inv_servers[entry],
         times=t,
@@ -475,7 +479,7 @@ def serve_package(
     *,
     build_schedule: bool = False,
     dp_cost: Optional[float] = None,
-    dp_attribution: Optional[Tuple[Tuple[float, str, float], ...]] = None,
+    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]] = None,
     attribute: bool = False,
     co_view: "RequestSequence | SingleItemView | None" = None,
 ) -> GroupReport:
@@ -537,8 +541,7 @@ def _run_phase1(
     packing: str,
     max_group_size: int,
     plan: Optional[PackingPlan],
-    obs: "object | None",
-    tracer: "object | None",
+    observer: "object | None",
 ) -> Tuple[SparseCorrelationStats, PackingPlan]:
     """Phase 1 of every solve driver: ``(stats, plan)`` for ``seq``.
 
@@ -547,34 +550,31 @@ def _run_phase1(
     items and returns it as-is.  The join runs either way, so the
     result's ``stats`` is always filled (and the benchmark's
     ``phase2_ms`` subtracts the join's time from a planned solve).
-    With ``obs`` both steps are timed into ``obs.timers`` and, when the
-    packing consumed the join, its pruning counters land in
-    ``obs.counters`` under ``phase1.``.
+    With an ``observer`` both steps are spans and, when the packing
+    consumed the join and the observer keeps a ledger (the METRICS
+    leg), the join's pruning counters land in the open run's counters
+    under ``phase1.``.
     """
-    timed = obs.timers.time if obs is not None else _null_timer
-    with timed("phase1.similarity"), maybe_span(
-        tracer, "phase1.similarity", cat="phase1"
-    ):
+    with maybe_span(observer, "phase1.similarity", cat="phase1"):
         stats = sparse_correlation_stats(seq)
-    ran_join = plan is None
-    with timed("phase1.packing"), maybe_span(
-        tracer, "phase1.packing", cat="phase1"
-    ):
+    with maybe_span(observer, "phase1.packing", cat="phase1"):
         if plan is not None:
             plan_items = {d for p in plan.packages for d in p} | set(plan.singletons)
             if plan_items != set(seq.items):
                 raise ValueError(
                     "externally supplied plan does not cover the sequence's items"
                 )
-        elif packing == "pairs":
+            return stats, plan
+        if packing == "pairs":
             plan = greedy_pair_packing(stats, theta)
         elif packing == "groups":
             plan = greedy_group_packing(stats, theta, max_group_size)
         else:
             raise ValueError(f"unknown packing mode {packing!r}")
-    if obs is not None and ran_join:
+    if observer is not None and observer.ledger:
         # pruning statistics of the threshold-aware similarity join
-        obs.counters.absorb(stats.join_counters(theta), prefix="phase1.")
+        for key, value in stats.join_counters(theta).items():
+            observer.run.counters[f"phase1.{key}"] = value
     return stats, plan
 
 
@@ -588,14 +588,11 @@ def solve_dp_greedy(
     max_group_size: int = 3,
     build_schedules: bool = False,
     plan: Optional[PackingPlan] = None,
-    parallel: bool = False,
     workers: Optional[int] = None,
     memo: "object | bool | None" = None,
     pool: Optional[str] = None,
-    obs: "object | None" = None,
-    tracer: "object | None" = None,
     resilience: "object | bool | None" = None,
-    telemetry: "object | None" = None,
+    observer: "object | None" = None,
 ) -> DPGreedyResult:
     """Run the full two-phase DP_Greedy algorithm on ``seq``.
 
@@ -616,36 +613,18 @@ def solve_dp_greedy(
         and serves the true one).  The plan's items must cover exactly
         ``seq``'s items.  The similarity join still runs, so
         ``result.stats`` is filled either way; only its pruning counters
-        stay out of ``obs``, because no packing consumed them.
-    parallel / workers / memo / pool:
+        stay out of the run record, because no packing consumed them.
+    workers / memo / pool:
         Phase-2 execution-engine knobs
         (:func:`repro.engine.parallel.serve_plan`, which runs every
-        solve).  With all four at their defaults Phase 2 runs serially
-        in this process (``workers=1``).  ``parallel=True`` auto-detects
-        the pool from the workload; ``workers`` pins the pool width;
-        ``memo`` is a :class:`~repro.engine.memo.SolverMemo` shared
-        across calls (or ``True`` for the process-wide default memo);
-        ``pool`` forces a backend (``"serial"``/``"thread"``/
+        solve).  With all three at their defaults Phase 2 runs serially
+        in this process (``workers=1``).  ``workers`` pins the pool
+        width; ``memo`` is a :class:`~repro.engine.memo.SolverMemo`
+        shared across calls (or ``True`` for the process-wide default
+        memo); ``pool`` forces a backend (``"serial"``/``"thread"``/
         ``"process"``) instead of the size heuristic.  Once any engine
         knob or ``resilience=`` is set, an unset ``workers`` lets the
-        engine pick the width.
-    obs:
-        Optional :class:`~repro.obs.RunObservation`.  When given, Phase-1
-        and Phase-2 wall times are accumulated in ``obs.timers``, every
-        serving unit is asked for its per-request cost attribution, the
-        resulting ledger is reconciled against ``total_cost`` (raising
-        :class:`~repro.obs.LedgerReconciliationError` on any gap), and
-        engine/memo counters are absorbed into ``obs.counters``.  With
-        ``obs=None`` (default) no attribution work happens at all.
-    tracer:
-        Optional :class:`~repro.obs.tracing.Tracer`.  Phase 1 and
-        Phase 2 are recorded as nested spans, the execution engine adds
-        memo-probe (hit/miss attributed), dispatch, and per-unit solve
-        spans -- including spans captured *inside* thread/process pool
-        workers -- and, when ``obs`` is also given, the run's span
-        aggregates land in the metrics snapshot's ``spans`` section.
-        Export with ``tracer.write(path)`` (Chrome trace-event JSON).
-        With ``tracer=None`` (default) no spans are recorded.
+        engine pick the pool and its width from the workload.
     resilience:
         Fault tolerance for Phase 2
         (:class:`~repro.engine.resilience.ResilienceConfig`, or ``True``
@@ -658,24 +637,25 @@ def solve_dp_greedy(
         injection: a failing unit raises
         :class:`~repro.errors.UnitSolveError`, and a broken process pool
         degrades to threads, then to serial.  Retry/timeout/fallback
-        counters surface on ``engine_stats`` and (with ``obs=``) as
-        ``engine.*`` metrics counters.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` hub (``None``
-        picks up any process-wide hub installed via
-        :func:`repro.obs.telemetry.install`, e.g. by the CLI's
-        ``--progress``/``--prom`` flags).  Per-unit Phase-2 solve
-        latencies land in its log-bucket histograms (p50/p90/p99 in
-        METRICS v3), dispatch completions in its progress board, and
-        pool workers ship resource peaks back.  An un-started hub is
-        started for the duration of this solve; a started one is left
-        running.  Strictly observation-only: costs, plans, and reports
-        are bit-identical with or without it.
+        counters surface on ``engine_stats`` and as ``engine.*`` run
+        counters.
+    observer:
+        Optional :class:`~repro.obs.observer.Observer` (``None`` picks
+        up any process-wide observer installed via
+        :func:`repro.obs.observer.install`, e.g. by the CLI's
+        observation flags).  Phase 1 and Phase 2 run as spans; the
+        engine adds memo-probe, dispatch and per-unit solve spans --
+        including units solved inside pool workers -- as the
+        observer's legs ask.  With the ledger leg every unit reports its
+        cost attribution, and the solve appends one run record (whose
+        ledger must reconcile with ``total_cost``) to
+        ``observer.runs``.  Strictly observation-only: plans, costs and
+        reports are bit-identical without it, apart from the
+        ``attribution`` the ledger asks for.
     """
     # without any engine knob, Phase 2 stays serial in this process
     engine_args = (
-        parallel
-        or workers is not None
+        workers is not None
         or pool is not None
         or memo not in (None, False)
         or resilience not in (None, False)
@@ -685,22 +665,21 @@ def solve_dp_greedy(
         max_group_size=max_group_size,
         build_schedules=build_schedules, plan=plan,
         workers=workers if engine_args else 1, memo=memo, pool=pool,
-        obs=obs, tracer=tracer, resilience=resilience, telemetry=telemetry,
+        resilience=resilience, observer=observer,
     )
 
 
 def _solve(
     seq, model, *, theta, alpha, packing, max_group_size,
-    build_schedules, plan, workers, memo, pool, obs, tracer, resilience,
-    telemetry, shards=None, checkpoint=None,
+    build_schedules, plan, workers, memo, pool, resilience, observer,
+    shards=None, checkpoint=None,
 ) -> DPGreedyResult:
     """The driver body shared by :func:`solve_dp_greedy` and
     :func:`repro.engine.sharding.solve_dp_greedy_sharded`: Phase 1, then
-    :func:`repro.engine.parallel.serve_plan`, inside one telemetry
-    window."""
+    :func:`repro.engine.parallel.serve_plan`, inside one observed run."""
     from ..engine.memo import resolve_memo
     from ..engine.parallel import serve_plan
-    from ..obs.telemetry import active as _active_telemetry
+    from ..obs.observer import active
 
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -716,23 +695,21 @@ def _solve(
             "zero, the initial placement instant (DP_Greedy needs strictly "
             "positive times)"
         )
-    timed = obs.timers.time if obs is not None else _null_timer
-    span_mark = tracer.mark() if tracer is not None else 0
-    tele = telemetry if telemetry is not None else _active_telemetry()
-    tele_owned = tele is not None and not tele.started
-    if tele_owned:
-        tele.start()
-    if tele is not None:
-        tele.begin_run()
+    if observer is None:
+        observer = active()
+    owned = observer is not None and observer.runtime and not observer.started
+    metrics = observer is not None and observer.ledger
+    if owned:
+        observer.start()
     try:
+        if metrics and observer.run is None:
+            observer.begin_run()
         stats, plan = _run_phase1(
             seq, theta=theta, packing=packing, max_group_size=max_group_size,
-            plan=plan, obs=obs, tracer=tracer,
+            plan=plan, observer=observer,
         )
         memo_obj = resolve_memo(memo)
-        with timed("phase2.serve"), maybe_span(
-            tracer, "phase2.serve", cat="phase2"
-        ) as span:
+        with maybe_span(observer, "phase2.serve", cat="phase2") as span:
             reports, engine_stats = serve_plan(
                 seq,
                 plan,
@@ -742,28 +719,16 @@ def _solve(
                 memo=memo_obj,
                 build_schedules=build_schedules,
                 pool=pool,
-                attribute=obs is not None,
-                tracer=tracer,
                 resilience=resilience,
-                telemetry=tele,
+                observer=observer,
                 shards=shards,
                 checkpoint=checkpoint,
             )
             span.set("engine", engine_stats.pool)
         total = sum(r.total for r in reports)
-        if obs is not None:
-            obs.finalize(
-                seq,
-                reports,
-                total,
-                engine_stats=engine_stats,
-                memo=memo_obj,
-                spans=(
-                    tracer.aggregate(since=span_mark)
-                    if tracer is not None
-                    else None
-                ),
-                telemetry=tele,
+        if metrics:
+            observer.end_run(
+                total, units=len(reports), engine_stats=engine_stats, memo=memo_obj
             )
         return DPGreedyResult(
             plan=plan,
@@ -776,5 +741,7 @@ def _solve(
             engine_stats=engine_stats,
         )
     finally:
-        if tele_owned:
-            tele.stop()
+        if metrics:
+            observer.run = None  # a failed solve leaves no open run
+        if owned:
+            observer.stop()

@@ -19,7 +19,7 @@ solver returned*, it never recomputes costs a different way).
 Hit/miss counters are exposed for observability; the engine surfaces
 them through :class:`repro.engine.parallel.EngineStats` and the CLI
 prints them per harness run.  Under span tracing
-(:mod:`repro.obs.tracing`) every individual probe additionally appears
+(:mod:`repro.obs.observer`) every individual probe additionally appears
 as an ``engine.memo_probe`` span whose ``memo`` attribute records the
 per-lookup ``hit``/``miss`` outcome -- the counters aggregate what the
 spans itemise.

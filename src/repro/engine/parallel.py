@@ -65,22 +65,27 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..cache.model import CostModel, RequestSequence, package_rate
 from ..correlation.packing import PackingPlan
 from ..core.dp_greedy import (
+    MODE_CACHE,
+    MODE_PACKAGE,
+    MODE_TRANSFER,
     GroupReport,
+    SingleSidedPass,
     _unit_report,
     serve_singleton,
     single_sided_pass,
 )
-from ..obs import telemetry as _telemetry
-from ..obs.telemetry import Telemetry, UnitRecorder
-from ..obs.tracing import Tracer, maybe_span
+from ..obs.ledger import MODE_ACTIONS, CostLedger, action_codes
+from ..obs.observer import Observer, clock, install, maybe_span
+from ..obs.telemetry import H_SHARD
 from .chaos import FaultPlan
 from .memo import SolverMemo, fingerprint_view
 
@@ -194,50 +199,59 @@ def _serve_unit(
     )
 
 
+#: The attributes of a unit span no span record keeps (runtime leg only).
+_NO_ARGS: Dict[str, object] = {}
+
+
 def _serve_group(
     seq: RequestSequence,
     group: _Group,
     model: CostModel,
     alpha: float,
     build_schedules: bool,
-    attribute: bool,
     *,
     attempt: int,
     plan: Optional[FaultPlan],
     in_subprocess: bool,
-    tracer: Optional[Tracer],
-    recorder: "object | None",
+    observer: Optional[Observer],
 ) -> Tuple[GroupReport, ...]:
     """One attempt at a dispatch: its units' reports, in group order.
 
-    Fires the fault ``plan``'s draw for the dispatch first; every unit
-    then solves inside its own ``phase2.solve`` span and records its
-    latency into ``recorder`` (the latency-sink protocol of
-    :mod:`repro.obs.telemetry`), and a multi-unit group also records its
-    whole solve.  A ``corrupt`` draw poisons the first report.
+    Fires the fault ``plan``'s draw for the dispatch first.  When the
+    ``observer`` records spans or runtime telemetry, every unit solves
+    inside its own ``phase2.solve`` span, added with no span object per
+    unit (:meth:`~repro.obs.observer.Observer.add_span`), and a
+    multi-unit group records its whole solve, first span start to last
+    span end, as ``phase2.shard_seconds``.  A ledger observer makes
+    every unit report its cost attribution.  A ``corrupt`` draw poisons
+    the first report.
     """
     corrupt = plan is not None and plan.before_solve(
         _group_label(group), attempt, in_subprocess=in_subprocess
     )
-    t_group = time.perf_counter()
+    attribute = observer is not None and observer.ledger
+    timed = observer is not None and (observer.spans or observer.runtime)
     reports = []
+    first = None
     for spec in group:
-        t0 = time.perf_counter()
-        if tracer is None:  # no span helper or label on the default hot path
-            report = _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
-        else:
-            with tracer.span(
-                "phase2.solve", cat="phase2", unit=_unit_label(spec),
-                kind=spec[0], attempt=attempt,
-            ):
-                report = _serve_unit(
-                    seq, spec, model, alpha, build_schedules, attribute
-                )
-        if recorder is not None:
-            recorder.record(_telemetry.H_SOLVE, time.perf_counter() - t0)
-        reports.append(report)
-    if recorder is not None and len(group) > 1:
-        recorder.record(_telemetry.H_SHARD, time.perf_counter() - t_group)
+        if timed:  # no span or label on the default and ledger paths
+            args = (
+                {"unit": _unit_label(spec), "kind": spec[0], "attempt": attempt}
+                if observer.spans
+                else _NO_ARGS
+            )
+            start = clock()
+            first = start if first is None else first
+        try:
+            reports.append(
+                _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
+            )
+        finally:
+            if timed:
+                end = clock()
+                observer.add_span("phase2.solve", "phase2", start, end, args)
+    if timed and observer.runtime and len(group) > 1:
+        observer.record(H_SHARD, end - first)
     if corrupt:
         reports[0] = FaultPlan.corrupt_report(reports[0])
     return tuple(reports)
@@ -248,7 +262,7 @@ def _serve_group(
 # initializer (with fork it is inherited copy-on-write), not per dispatch.
 # ---------------------------------------------------------------------------
 _WORKER_ARGS: Tuple = ()
-_WORKER_TRACER: Optional[Tracer] = None
+_WORKER_OBSERVER: Optional[Observer] = None
 
 
 def _init_worker(
@@ -256,43 +270,41 @@ def _init_worker(
     model: CostModel,
     alpha: float,
     build_schedules: bool,
-    attribute: bool,
-    trace: bool = False,
-    telemetry: bool = False,
+    legs: Optional[Tuple[bool, bool, bool]] = None,
 ) -> None:
-    global _WORKER_ARGS, _WORKER_TRACER
-    _WORKER_ARGS = (seq, model, alpha, build_schedules, attribute, telemetry)
-    _WORKER_TRACER = Tracer() if trace else None
-    # under fork the worker inherits the parent's installed telemetry
-    # hub; its sampler/watchdog threads did not survive the fork, so
-    # clear it -- workers record through an explicit UnitRecorder and
-    # ship stats back instead.
-    _telemetry.install(None)
+    """Process-pool initializer; ``legs`` are the parent observer's
+    ``(spans, runtime, ledger)`` settings (``None`` unobserved)."""
+    global _WORKER_ARGS, _WORKER_OBSERVER
+    _WORKER_ARGS = (seq, model, alpha, build_schedules)
+    _WORKER_OBSERVER = (
+        None
+        if legs is None
+        else Observer(spans=legs[0], runtime=legs[1], ledger=legs[2])
+    )
+    # under fork the worker inherits the parent's installed observer;
+    # its sampler/watchdog threads did not survive the fork, so clear
+    # it -- the worker observes through its own observer instead
+    install(None)
 
 
 def _serve_in_worker(group: _Group, attempt: int, plan: Optional[FaultPlan]):
     """The process-pool entry: one attempt at ``group`` in this worker.
 
-    Returns ``(reports, spans, worker_stats)``: the spans the worker's
-    tracer recorded (wall-anchored, with the worker's pid/tid, merged
-    straight into the parent trace -- see :mod:`repro.obs.tracing`) and,
-    with telemetry on, the worker's latency entries and resource peaks
-    (:class:`~repro.obs.telemetry.WorkerUnitStats`, else ``None``).
+    Returns ``(reports, payload)``: ``payload`` is the worker
+    observer's :meth:`~repro.obs.observer.Observer.handoff` -- the
+    spans and latency this dispatch recorded plus the worker's resource
+    peaks, cleared from the worker as they ship -- or ``None`` when the
+    solve is unobserved or keeps only a ledger.
     """
-    seq, model, alpha, build_schedules, attribute, telemetry = _WORKER_ARGS
-    tracer = _WORKER_TRACER
-    recorder = UnitRecorder() if telemetry else None
-    mark = tracer.mark() if tracer is not None else 0
+    seq, model, alpha, build_schedules = _WORKER_ARGS
+    observer = _WORKER_OBSERVER
     reports = _serve_group(
-        seq, group, model, alpha, build_schedules, attribute,
-        attempt=attempt, plan=plan, in_subprocess=True, tracer=tracer,
-        recorder=recorder,
+        seq, group, model, alpha, build_schedules,
+        attempt=attempt, plan=plan, in_subprocess=True, observer=observer,
     )
-    return (
-        reports,
-        tracer.records(since=mark) if tracer is not None else (),
-        recorder.unit_stats() if recorder is not None else None,
-    )
+    if observer is None or not (observer.spans or observer.runtime):
+        return reports, None
+    return reports, observer.handoff()
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +433,7 @@ def _pool_start_method() -> str:
     """The multiprocessing start method the process pool uses.
 
     Prefers ``fork`` (workers inherit the sequence copy-on-write and the
-    tracer's wall anchor byte-for-byte) and falls back to ``spawn``
+    span clock's wall anchor byte-for-byte) and falls back to ``spawn``
     explicitly where fork is unavailable (macOS default, Windows) --
     never to the ambient platform default, so the choice is testable.
     The ``REPRO_START_METHOD`` env knob forces a method (tests exercise
@@ -446,9 +458,7 @@ def _make_executor(
     model: CostModel,
     alpha: float,
     build_schedules: bool,
-    attribute: bool,
-    trace: bool = False,
-    telemetry: bool = False,
+    legs: Optional[Tuple[bool, bool, bool]] = None,
 ) -> Executor:
     if kind == "thread":
         return ThreadPoolExecutor(max_workers=workers)
@@ -457,7 +467,7 @@ def _make_executor(
         max_workers=workers,
         mp_context=ctx,
         initializer=_init_worker,
-        initargs=(seq, model, alpha, build_schedules, attribute, trace, telemetry),
+        initargs=(seq, model, alpha, build_schedules, legs),
     )
 
 
@@ -482,7 +492,7 @@ def _report_to_json(report: GroupReport) -> dict:
         "attribution": (
             None
             if report.attribution is None
-            else [[t, a, c] for t, a, c in report.attribution]
+            else [[k, a, c] for k, a, c in report.attribution]
         ),
     }
 
@@ -501,8 +511,53 @@ def _report_from_json(payload: dict) -> GroupReport:
         attribution=(
             None
             if attribution is None
-            else tuple((float(t), str(a), float(c)) for t, a, c in attribution)
+            else tuple((int(k), str(a), float(c)) for k, a, c in attribution)
         ),
+    )
+
+
+#: Observation-2 mode index (cache, transfer, package) -> ledger action code
+_MODE_CODES = action_codes(
+    MODE_ACTIONS[m] for m in (MODE_CACHE, MODE_TRANSFER, MODE_PACKAGE)
+)
+
+
+def _charge(
+    ledger: CostLedger,
+    seq: RequestSequence,
+    units: Sequence[_UnitSpec],
+    reports: Sequence[Optional[GroupReport]],
+    single_sided: SingleSidedPass,
+) -> None:
+    """Record a solve's charges in ``ledger`` at their request positions:
+    each unit's DP attribution at the unit's own rows, each package's
+    single-sided decisions at the rows the Observation-2 pass decided
+    them on.  Skipped units charge nothing."""
+    kept = [i for i, r in enumerate(reports) if r is not None]
+    slot = np.full(len(units), -1)
+    slot[kept] = np.arange(len(kept))
+    # units are planned packages first: package p's decisions are unit p's
+    counts = np.diff(single_sided.offsets)
+    owner = slot[np.repeat(np.arange(len(counts)), counts)]
+    live = owner >= 0
+    unit_of, positions = [owner[live]], [single_sided.positions[live]]
+    actions, amounts = [_MODE_CODES[single_sided.modes[live]]], [single_sided.costs[live]]
+    for j, i in enumerate(kept):
+        if reports[i].attribution:
+            kind, payload = units[i]
+            rows = (
+                seq.group_view(payload).rows
+                if kind == "package"
+                else seq.item_indices(payload)
+            )
+            k, action, amount = zip(*reports[i].attribution)
+            unit_of.append(np.full(len(k), j))
+            positions.append(rows[list(k)])
+            actions.append(action_codes(action))
+            amounts.append(amount)
+    ledger.extend(
+        [reports[i].group for i in kept],
+        *(np.concatenate(col) for col in (unit_of, positions, actions, amounts)),
     )
 
 
@@ -516,10 +571,8 @@ def serve_plan(
     memo: Optional[SolverMemo] = None,
     build_schedules: bool = False,
     pool: Optional[str] = None,
-    attribute: bool = False,
-    tracer: Optional[Tracer] = None,
     resilience: "object | bool | None" = None,
-    telemetry: Optional[Telemetry] = None,
+    observer: Optional[Observer] = None,
     shards: Optional[int] = None,
     checkpoint: "object | None" = None,
 ) -> Tuple[List[GroupReport], EngineStats]:
@@ -538,20 +591,6 @@ def serve_plan(
     pool:
         Force a backend (``"serial"``/``"thread"``/``"process"``)
         instead of the size heuristic; used by tests and benchmarks.
-    attribute:
-        Ask every serving unit for its per-request cost attribution (the
-        ledger charges of :mod:`repro.obs`).  Memo entries then store
-        cost and attribution together, and only entries carrying an
-        attribution count as hits.
-    tracer:
-        Optional :class:`~repro.obs.tracing.Tracer`.  The Observation-2
-        pass is recorded as a ``phase2.single_sided`` span, memo probes
-        as ``engine.memo_probe`` spans with a ``memo=hit|miss``
-        attribute, the dispatch as an ``engine.dispatch`` span, and
-        every per-unit DP as a ``phase2.solve`` span -- including
-        solves inside thread workers (distinct ``tid``) and process
-        workers (distinct ``pid``; their spans are shipped back with the
-        results and merged).  ``None`` leaves the hot path untouched.
     resilience:
         The dispatcher's :class:`~repro.engine.resilience.ResilienceConfig`
         (``True`` for its defaults): per-dispatch timeouts, bounded
@@ -561,14 +600,21 @@ def serve_plan(
         timeout, no fault injection -- a failing unit raises
         :class:`~repro.errors.UnitSolveError` -- while a broken pool
         still degrades process → thread → serial.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` hub.  Per-unit
-        solve latency and dispatch/backoff latency land in its
-        histograms; dispatch progress (including pool-worker
-        completions) feeds its :class:`ProgressBoard`, and process
-        workers ship their ``getrusage`` peaks back for
-        :meth:`~repro.obs.telemetry.Telemetry.absorb_worker`.  Strictly
-        observation-only: reports are bit-identical with or without it.
+    observer:
+        Optional :class:`~repro.obs.observer.Observer`.  The
+        Observation-2 pass runs as a ``phase2.single_sided`` span and
+        the dispatch as an ``engine.dispatch`` span; with ``spans``
+        memo probes are ``engine.memo_probe`` spans with a
+        ``memo=hit|miss`` attribute, and every per-unit DP is a
+        ``phase2.solve`` span -- including solves inside thread workers
+        (distinct ``tid``) and process workers (distinct ``pid``; their
+        observations ship back with the results).  With ``runtime`` the
+        dispatch feeds its latency histograms and progress board.  With
+        ``ledger`` every unit reports its cost attribution (memo
+        entries then store cost and attribution together, and only
+        entries carrying one count as hits), and the open run's ledger
+        receives every charge at its request position.  ``None`` leaves
+        the hot path untouched.
     shards / checkpoint:
         Set by :func:`~repro.engine.sharding.solve_dp_greedy_sharded`:
         group the memo misses into ``shards`` balanced shards on every
@@ -579,6 +625,8 @@ def serve_plan(
     from .resilience import NO_RETRY, ResilienceConfig, dispatch_resilient
 
     config = ResilienceConfig.coerce(resilience) or NO_RETRY
+    attribute = observer is not None and observer.ledger
+    probe_spans = observer if observer is not None and observer.spans else None
     units = _plan_units(plan)
     use_memo = memo is not None and not build_schedules
     sizes = _unit_sizes(seq, units)
@@ -588,7 +636,7 @@ def serve_plan(
     # index, which fork workers then inherit, and dispatched units price
     # only their DP
     with maybe_span(
-        tracer, "phase2.single_sided", cat="phase2", packages=len(plan.packages)
+        observer, "phase2.single_sided", cat="phase2", packages=len(plan.packages)
     ) as span:
         single_sided = single_sided_pass(seq, plan.packages, model, alpha)
         span.set("decisions", single_sided.offsets[-1])
@@ -600,7 +648,7 @@ def serve_plan(
     if use_memo:
         for idx, spec in enumerate(units):
             with maybe_span(
-                tracer, "engine.memo_probe", cat="engine", unit=_unit_label(spec)
+                probe_spans, "engine.memo_probe", cat="engine", unit=_unit_label(spec)
             ) as span:
                 report, key = _memo_probe(seq, spec, model, alpha, memo, attribute)
                 span.set("memo", "hit" if report is not None else "miss")
@@ -661,10 +709,10 @@ def serve_plan(
             points[pos], {"reports": [_report_to_json(r) for r in group_reports]}
         )
 
-    tele = telemetry
-    stalls_before = tele.board.stalls if tele is not None else 0
+    board = observer.board if observer is not None else None
+    stalls_before = board.stalls if board is not None else 0
     with maybe_span(
-        tracer,
+        observer,
         "engine.dispatch",
         cat="engine",
         pool=kind,
@@ -679,12 +727,10 @@ def serve_plan(
             model=model,
             alpha=alpha,
             build_schedules=build_schedules,
-            attribute=attribute,
             units=dispatch,
-            tracer=tracer,
             config=config,
             on_result=on_result if checkpoint is not None else None,
-            telemetry=tele,
+            observer=observer,
         )
     resolved.update(results)
 
@@ -695,6 +741,8 @@ def serve_plan(
     # units are planned packages first: add their single-sided charges
     n_packages = len(plan.packages)
     reports[:n_packages] = single_sided.fill(reports[:n_packages])
+    if attribute and observer.run is not None:
+        _charge(observer.run.ledger, seq, units, reports, single_sided)
 
     if use_memo:
         for idx in pending:
@@ -719,7 +767,7 @@ def serve_plan(
         timeouts=counters.timeouts,
         pool_fallbacks=counters.pool_fallbacks,
         units_failed=sum(1 for idx in pending if reports[idx] is None),
-        stalls=(tele.board.stalls - stalls_before) if tele is not None else 0,
+        stalls=(board.stalls - stalls_before) if board is not None else 0,
         shards=len(groups) if shards is not None else 0,
     )
     return [r for r in reports if r is not None], stats

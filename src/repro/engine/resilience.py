@@ -29,7 +29,7 @@ so a failing unit raises :class:`~repro.errors.UnitSolveError` at once,
 while a broken pool still degrades.
 
 Everything is observable: ``engine.retry`` / ``engine.pool_fallback`` /
-``engine.unit_failed`` spans land in the tracer, and the
+``engine.unit_failed`` spans land in the observer's trace, and the
 ``retries`` / ``timeouts`` / ``pool_fallbacks`` / ``units_failed``
 counters ride :class:`~repro.engine.parallel.EngineStats` into the
 metrics schema as ``engine.*`` counters.
@@ -75,9 +75,8 @@ from typing import Dict, Optional, Tuple
 
 from ..errors import PoolBrokenError, ReproError, UnitSolveError, UnitTimeoutError
 from ..logutil import new_run_id
-from ..obs import telemetry as _telemetry
-from ..obs.telemetry import Telemetry
-from ..obs.tracing import maybe_span
+from ..obs.observer import Observer, maybe_span
+from ..obs.telemetry import H_BACKOFF, H_DISPATCH
 from .chaos import FaultPlan, chaos_from_env
 
 log = logging.getLogger(__name__)
@@ -224,12 +223,10 @@ def dispatch_resilient(
     model,
     alpha: float,
     build_schedules: bool,
-    attribute: bool,
     units: Dict[int, tuple],
-    tracer,
     config: ResilienceConfig,
     on_result=None,
-    telemetry: Optional[Telemetry] = None,
+    observer: Optional[Observer] = None,
 ) -> Tuple[Dict[int, tuple], ResilienceCounters]:
     """Serve ``units`` (``index -> group``) fault-tolerantly.
 
@@ -245,11 +242,13 @@ def dispatch_resilient(
     rung -- and never for skipped groups.  The sharded driver uses it to
     record completed shards into a crash-safe checkpoint as they finish.
 
-    ``telemetry`` plugs the dispatch into the runtime telemetry plane:
-    dispatch roundtrips and backoff delays land in its histograms,
-    completions/retries/degradations in its :class:`ProgressBoard` (the
-    stall watchdog flags silent in-flight dispatches via the same board),
-    and process workers ship latency entries + resource peaks back.
+    ``observer`` watches the dispatch: every unit solves in its span
+    (see :func:`~repro.engine.parallel._serve_group`); retries,
+    degradations and skips are marker spans; with the runtime leg
+    dispatch roundtrips and backoff delays land in its histograms and
+    completions/retries/degradations in its progress board (the stall
+    watchdog flags silent in-flight dispatches via the same board); and
+    process workers ship one observation payload per dispatch back.
     Every retry/timeout/degradation/skip also emits a WARNING-level
     ``repro.engine.resilience`` log record tagged with a per-dispatch
     run id.
@@ -263,13 +262,17 @@ def dispatch_resilient(
     results: Dict[int, tuple] = {}
     skipped: set = set()
     run_id = new_run_id()
-    tele = telemetry
-    board = tele.board if tele is not None else None
+    runtime = observer is not None and observer.runtime
+    board = observer.board if runtime else None
     if board is not None and units:
         board.begin(len(units))
 
+    labels: Dict[int, str] = {}  # the board and the logs ask twice a dispatch
+
     def label(idx: int) -> str:
-        return _group_label(units[idx])
+        if idx not in labels:
+            labels[idx] = _group_label(units[idx])
+        return labels[idx]
 
     def record_result(idx: int, reports: tuple) -> None:
         results[idx] = reports
@@ -293,9 +296,9 @@ def dispatch_resilient(
         if board is not None:
             board.unit_started(label(idx))
         return _serve_group(
-            seq, units[idx], model, alpha, build_schedules, attribute,
+            seq, units[idx], model, alpha, build_schedules,
             attempt=attempt, plan=plan if with_chaos else None,
-            in_subprocess=False, tracer=tracer, recorder=tele,
+            in_subprocess=False, observer=observer,
         )
 
     def finalize_failure(idx: int, error) -> None:
@@ -310,7 +313,7 @@ def dispatch_resilient(
             if board is not None:
                 board.unit_finished(label(idx), ok=False)
             with maybe_span(
-                tracer, "engine.unit_failed", cat="engine", unit=label(idx),
+                observer, "engine.unit_failed", cat="engine", unit=label(idx),
                 attempts=n,
             ):
                 pass
@@ -340,7 +343,7 @@ def dispatch_resilient(
                 _TIMEOUT if error == _TIMEOUT else type(error).__name__
             )
             with maybe_span(
-                tracer, "engine.retry", cat="engine", unit=label(idx),
+                observer, "engine.retry", cat="engine", unit=label(idx),
                 attempt=attempts[idx], reason=reason,
             ):
                 pass
@@ -349,10 +352,9 @@ def dispatch_resilient(
                 "retrying [run=%s unit=%s attempt=%d reason=%s backoff=%.3gs]",
                 run_id, label(idx), attempts[idx], reason, delay,
             )
-            if board is not None:
+            if runtime:
                 board.unit_retried(label(idx))
-            if tele is not None:
-                tele.record(_telemetry.H_BACKOFF, delay)
+                observer.record(H_BACKOFF, delay)
             heapq.heappush(backlog, (time.monotonic() + delay, idx))
         else:
             finalize_failure(idx, error)
@@ -384,8 +386,8 @@ def dispatch_resilient(
     # -- one pool rung: the only place Phase-2 work meets an executor ----
     def run_pool_rung(rung: str) -> None:
         ex = _make_executor(
-            rung, workers, seq, model, alpha, build_schedules, attribute,
-            tracer is not None, tele is not None,
+            rung, workers, seq, model, alpha, build_schedules,
+            (observer.spans, observer.runtime, observer.ledger) if observer else None,
         )
         try:
             pending = deque(unresolved())
@@ -462,11 +464,8 @@ def dispatch_resilient(
                         abandoned.discard(fut)  # result already written off
                         continue
                     idx, _dl, submitted = inflight.pop(fut)
-                    if tele is not None:
-                        tele.record(
-                            _telemetry.H_DISPATCH,
-                            time.monotonic() - submitted,
-                        )
+                    if runtime:
+                        observer.record(H_DISPATCH, time.monotonic() - submitted)
                     try:
                         payload = fut.result()
                     except BrokenExecutor as exc:
@@ -475,11 +474,9 @@ def dispatch_resilient(
                         on_failure(idx, exc, backlog)
                         continue
                     if rung == "process":
-                        reports, spans, wstats = payload
-                        if spans:
-                            tracer.extend(spans)
-                        if tele is not None:
-                            tele.absorb_worker(wstats)
+                        reports, shipped = payload
+                        if shipped is not None:
+                            observer.absorb(shipped)
                     else:
                         reports = payload
                     try:
@@ -532,7 +529,7 @@ def dispatch_resilient(
             if board is not None:
                 board.degraded(rung)
             with maybe_span(
-                tracer, "engine.pool_fallback", cat="engine", pool=rung,
+                observer, "engine.pool_fallback", cat="engine", pool=rung,
                 cause=type(broken.cause).__name__,
             ):
                 pass

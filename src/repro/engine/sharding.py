@@ -32,7 +32,7 @@ from typing import List, Optional, Tuple
 from ..cache.model import CostModel, RequestSequence
 from ..core.dp_greedy import DPGreedyResult, _solve
 from ..correlation.packing import PackingPlan
-from ..obs.telemetry import Telemetry
+from ..obs.observer import Observer
 from .memo import SolverMemo
 from .parallel import _lpt_partition, _plan_units, _unit_sizes
 from .resilience import ResilienceConfig
@@ -90,12 +90,10 @@ def solve_dp_greedy_sharded(
     workers: Optional[int] = None,
     pool: Optional[str] = None,
     memo: "SolverMemo | bool | None" = None,
-    obs: "object | None" = None,
-    tracer: "object | None" = None,
     resilience: "ResilienceConfig | bool | None" = None,
     checkpoint: "object | None" = None,
     resume: bool = False,
-    telemetry: Optional[Telemetry] = None,
+    observer: Optional[Observer] = None,
 ) -> DPGreedyResult:
     """Run DP_Greedy with Phase 2 sharded over the resilient dispatcher.
 
@@ -114,10 +112,11 @@ def solve_dp_greedy_sharded(
     process-pool workers receive the store *path* and re-mmap the
     columns, never a pickled request list.
 
-    The driver is cost-only (no schedules).  ``obs=`` works as in
-    ``solve_dp_greedy``: attribution is requested from every unit and
-    the merged ledger/metrics/engine counters reconcile across shards
-    into one report.
+    The driver is cost-only (no schedules).  ``observer=`` works as in
+    ``solve_dp_greedy``: one run record covers every shard -- a ledger
+    observer's charges reconcile across shards, shard workers ship
+    their spans and latency back, and ``phase2.shard_seconds`` times
+    each multi-unit shard.
 
     Parameters beyond ``solve_dp_greedy``'s
     ------------------------------------------
@@ -133,15 +132,6 @@ def solve_dp_greedy_sharded(
         shards recovered on a degraded pool rung -- and ``resume=True``
         replays them instead of re-solving, reproducing the original
         floats bit for bit.
-    telemetry:
-        Optional :class:`~repro.obs.telemetry.Telemetry` hub (``None``
-        picks up any process-wide hub installed via
-        :func:`repro.obs.telemetry.install`, e.g. by the CLI's
-        ``--progress``/``--prom``).  Per-shard dispatch and inner
-        per-unit solve latencies land in its histograms, shard
-        completions/retries/stalls in its progress board, and shard
-        workers ship resource peaks back; an un-started hub is started
-        for the duration of this solve.  Strictly observation-only.
     """
     if shards is None:
         shards = max(1, os.cpu_count() or 1)
@@ -153,8 +143,8 @@ def solve_dp_greedy_sharded(
         seq, model, theta=theta, alpha=alpha, packing=packing,
         max_group_size=max_group_size,
         build_schedules=False, plan=plan, workers=workers, memo=memo,
-        pool=pool, obs=obs, tracer=tracer,
+        pool=pool,
         resilience=ResilienceConfig.coerce(resilience) or ResilienceConfig(),
-        telemetry=telemetry, shards=shards,
+        observer=observer, shards=shards,
         checkpoint=sweep_checkpoint(checkpoint, SHARD_CHECKPOINT_ID, resume),
     )

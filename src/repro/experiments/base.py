@@ -22,8 +22,8 @@ __all__ = [
     "SweepCheckpoint",
     "sweep_checkpoint",
     "sweep_memo",
-    "sweep_metrics",
-    "sweep_tracer",
+    "sweep_observer",
+    "record_observation",
     "record_engine_stats",
 ]
 
@@ -133,34 +133,40 @@ def sweep_memo(memo: bool):
     return SolverMemo()
 
 
-def sweep_metrics(metrics: bool):
-    """One :class:`~repro.obs.MetricsCollector` per harness run, or ``None``.
+def sweep_observer(metrics: bool, trace: bool):
+    """``(observer, since)``: the observer a sweep harness's solves share.
 
-    A harness with ``metrics=True`` tags one
-    :class:`~repro.obs.RunObservation` per ``(sweep point, repeat)`` via
-    ``collector.observe(...)`` and stores ``collector.snapshot()`` in
-    ``result.metrics``; :meth:`ExperimentResult.save` then writes the
-    ``METRICS_<id>.json`` artefact."""
-    if not metrics:
-        return None
-    from ..obs import MetricsCollector
+    ``None`` unless ``metrics`` (the ledger leg) or ``trace`` (the spans
+    leg) is asked for.  The installed process-wide observer (the CLI's)
+    is reused when it has those legs, so its runtime leg reaches the
+    sweep too; else a fresh :class:`~repro.obs.observer.Observer` is
+    made.  ``since`` marks where this sweep's runs and spans start, for
+    :func:`record_observation`.  With ``metrics``, tag each solve's run
+    with ``observer.begin_run(**point)``."""
+    if not (metrics or trace):
+        return None, (0, 0)
+    from ..obs.observer import Observer, active
 
-    return MetricsCollector()
+    observer = active()
+    if observer is None or (metrics and not observer.ledger) or (
+        trace and not observer.spans
+    ):
+        observer = Observer(ledger=metrics, spans=trace)
+    return observer, (len(observer.runs), observer.mark())
 
 
-def sweep_tracer(trace: bool):
-    """One :class:`~repro.obs.tracing.Tracer` per harness run, or ``None``.
-
-    A harness with ``trace=True`` passes the shared tracer to every
-    ``solve_dp_greedy`` call, so the whole sweep lands on one timeline;
-    the harness stores ``tracer.to_chrome()`` in ``result.trace`` and
-    :meth:`ExperimentResult.save` writes the ``TRACE_<id>.json``
-    artefact (open it at https://ui.perfetto.dev)."""
-    if not trace:
-        return None
-    from ..obs.tracing import Tracer
-
-    return Tracer()
+def record_observation(
+    result: "ExperimentResult", observer, since, *, metrics: bool, trace: bool
+) -> None:
+    """Store the sweep's METRICS snapshot (``result.metrics``) and
+    Chrome trace (``result.trace``) from ``observer``'s window
+    ``since``; :meth:`ExperimentResult.save` writes them as
+    ``METRICS_<id>.json`` / ``TRACE_<id>.json`` (open the trace at
+    https://ui.perfetto.dev)."""
+    if metrics:
+        result.metrics = observer.metrics(since=since[0])
+    if trace:
+        result.trace = observer.to_chrome(since=since[1])
 
 
 def record_engine_stats(result: "ExperimentResult", memo_obj, workers) -> None:
@@ -197,12 +203,12 @@ class ExperimentResult:
         Free-form observations (e.g. where the crossover landed).
     metrics:
         Optional ``repro.obs`` metrics snapshot (the
-        :meth:`~repro.obs.MetricsCollector.snapshot` payload); persisted
+        :meth:`~repro.obs.observer.Observer.metrics` payload); persisted
         as ``METRICS_<experiment_id>.json`` by :meth:`save`.
     trace:
         Optional Chrome trace-event payload (the
-        :meth:`~repro.obs.tracing.Tracer.to_chrome` dict); persisted as
-        ``TRACE_<experiment_id>.json`` by :meth:`save`.
+        :meth:`~repro.obs.observer.Observer.to_chrome` dict); persisted
+        as ``TRACE_<experiment_id>.json`` by :meth:`save`.
     prom:
         Optional Prometheus text-format exposition of the metrics
         snapshot (:func:`~repro.obs.telemetry.render_prometheus`

@@ -24,10 +24,10 @@ from ..trace.workload import correlated_pair_sequence
 from .base import (
     ExperimentResult,
     record_engine_stats,
+    record_observation,
     sweep_checkpoint,
     sweep_memo,
-    sweep_metrics,
-    sweep_tracer,
+    sweep_observer,
 )
 
 __all__ = ["run_fig11", "DEFAULT_JACCARDS"]
@@ -60,8 +60,8 @@ def run_fig11(
     ``workers``/``memo`` opt in to the Phase-2 execution engine; the memo
     is shared across the whole sweep (identical sub-problems recur at
     every similarity point since only the workload seed varies).
-    ``metrics`` turns on the ``repro.obs`` cost ledger / phase timers
-    per DP_Greedy run and stores the snapshot in ``result.metrics``;
+    ``metrics`` turns on the ``repro.obs`` cost ledger and METRICS
+    record per DP_Greedy run and stores the snapshot in ``result.metrics``;
     ``trace`` records the whole sweep as one span timeline and stores
     the Chrome trace payload in ``result.trace``.  ``resilience``
     forwards a :class:`~repro.engine.resilience.ResilienceConfig` (or
@@ -71,8 +71,7 @@ def run_fig11(
     """
     model = model or CostModel(mu=3.0, lam=3.0)  # rho = 1 on the lam+mu=6 scale
     memo_obj = sweep_memo(memo)
-    collector = sweep_metrics(metrics)
-    tracer = sweep_tracer(trace)
+    observer, since = sweep_observer(metrics, trace)
     ckpt = sweep_checkpoint(checkpoint, "fig11", resume)
 
     result = ExperimentResult(
@@ -109,11 +108,8 @@ def run_fig11(
                 seq = correlated_pair_sequence(
                     n_requests, num_servers, j_target, seed=seed + 1000 * r, hotspot_skew=hotspot_skew
                 )
-                obs = (
-                    collector.observe(jaccard=j_target, repeat=r)
-                    if collector
-                    else None
-                )
+                if metrics:
+                    observer.begin_run(jaccard=j_target, repeat=r)
                 dpg = solve_dp_greedy(
                     seq,
                     model,
@@ -121,8 +117,7 @@ def run_fig11(
                     alpha=alpha,
                     workers=workers,
                     memo=memo_obj,
-                    obs=obs,
-                    tracer=tracer,
+                    observer=observer,
                     resilience=resilience,
                 )
                 opt = solve_optimal_nonpacking(seq, model)
@@ -157,8 +152,5 @@ def run_fig11(
             f"resumed from checkpoint: {ckpt.points_loaded} point(s) reused"
         )
     record_engine_stats(result, memo_obj, workers)
-    if collector:
-        result.metrics = collector.snapshot()
-    if tracer is not None:
-        result.trace = tracer.to_chrome()
+    record_observation(result, observer, since, metrics=metrics, trace=trace)
     return result

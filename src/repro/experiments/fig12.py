@@ -22,10 +22,10 @@ from ..trace.workload import correlated_pair_sequence
 from .base import (
     ExperimentResult,
     record_engine_stats,
+    record_observation,
     sweep_checkpoint,
     sweep_memo,
-    sweep_metrics,
-    sweep_tracer,
+    sweep_observer,
 )
 
 __all__ = ["run_fig12", "DEFAULT_RHOS"]
@@ -60,15 +60,14 @@ def run_fig12(
     ``workers``/``memo`` opt in to the Phase-2 execution engine.  Note the
     memo keys include ``(mu, lam)``, so a rho sweep only hits across its
     ``repeats`` dimension, not across rho points.  ``metrics`` turns on
-    the ``repro.obs`` ledger/timer snapshot per DP_Greedy run; ``trace``
+    the ``repro.obs`` ledger/METRICS record per DP_Greedy run; ``trace``
     records the sweep as one span timeline in ``result.trace``.
     ``resilience`` forwards a fault-tolerance config to every DP_Greedy
     solve; ``checkpoint``/``resume`` make each completed rho point
     durable and skip recorded ones on restart.
     """
     memo_obj = sweep_memo(memo)
-    collector = sweep_metrics(metrics)
-    tracer = sweep_tracer(trace)
+    observer, since = sweep_observer(metrics, trace)
     ckpt = sweep_checkpoint(checkpoint, "fig12", resume)
     result = ExperimentResult(
         experiment_id="fig12",
@@ -105,7 +104,8 @@ def run_fig12(
                 seq = correlated_pair_sequence(
                     n_requests, num_servers, jaccard, seed=seed + 1000 * r, hotspot_skew=hotspot_skew
                 )
-                obs = collector.observe(rho=rho, repeat=r) if collector else None
+                if metrics:
+                    observer.begin_run(rho=rho, repeat=r)
                 dpg = solve_dp_greedy(
                     seq,
                     model,
@@ -113,8 +113,7 @@ def run_fig12(
                     alpha=alpha,
                     workers=workers,
                     memo=memo_obj,
-                    obs=obs,
-                    tracer=tracer,
+                    observer=observer,
                     resilience=resilience,
                 )
                 opt = solve_optimal_nonpacking(seq, model)
@@ -149,8 +148,5 @@ def run_fig12(
             f"resumed from checkpoint: {ckpt.points_loaded} point(s) reused"
         )
     record_engine_stats(result, memo_obj, workers)
-    if collector:
-        result.metrics = collector.snapshot()
-    if tracer is not None:
-        result.trace = tracer.to_chrome()
+    record_observation(result, observer, since, metrics=metrics, trace=trace)
     return result

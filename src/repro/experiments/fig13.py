@@ -26,10 +26,10 @@ from ..trace.workload import correlated_pair_sequence
 from .base import (
     ExperimentResult,
     record_engine_stats,
+    record_observation,
     sweep_checkpoint,
     sweep_memo,
-    sweep_metrics,
-    sweep_tracer,
+    sweep_observer,
 )
 
 __all__ = ["run_fig13", "DEFAULT_ALPHAS", "DEFAULT_JACCARDS"]
@@ -62,7 +62,7 @@ def run_fig13(
     ``workers``/``memo`` opt in to the Phase-2 execution engine; the
     alpha sweep re-solves identical singleton sub-problems at every
     alpha, so the shared memo removes most DP work after the first pass.
-    ``metrics`` turns on the ``repro.obs`` ledger/timer snapshot per
+    ``metrics`` turns on the ``repro.obs`` ledger/METRICS record per
     DP_Greedy run; ``trace`` records the sweep as one span timeline in
     ``result.trace``.  ``resilience`` forwards a fault-tolerance config
     to every DP_Greedy solve; ``checkpoint``/``resume`` make each
@@ -71,8 +71,7 @@ def run_fig13(
     """
     model = model or CostModel(mu=3.0, lam=3.0)
     memo_obj = sweep_memo(memo)
-    collector = sweep_metrics(metrics)
-    tracer = sweep_tracer(trace)
+    observer, since = sweep_observer(metrics, trace)
     ckpt = sweep_checkpoint(checkpoint, "fig13", resume)
 
     result = ExperimentResult(
@@ -114,11 +113,8 @@ def run_fig13(
                         seq, model, theta=0.0, alpha=alpha
                     ).ave_cost
                     sums["opt"] += solve_optimal_nonpacking(seq, model).ave_cost
-                    obs = (
-                        collector.observe(alpha=alpha, jaccard=j_target, repeat=r)
-                        if collector
-                        else None
-                    )
+                    if metrics:
+                        observer.begin_run(alpha=alpha, jaccard=j_target, repeat=r)
                     sums["dpg"] += solve_dp_greedy(
                         seq,
                         model,
@@ -126,8 +122,7 @@ def run_fig13(
                         alpha=alpha,
                         workers=workers,
                         memo=memo_obj,
-                        obs=obs,
-                        tracer=tracer,
+                        observer=observer,
                         resilience=resilience,
                     ).ave_cost
                 pkg = sums["pkg"] / repeats
@@ -173,8 +168,5 @@ def run_fig13(
             f"resumed from checkpoint: {ckpt.points_loaded} point(s) reused"
         )
     record_engine_stats(result, memo_obj, workers)
-    if collector:
-        result.metrics = collector.snapshot()
-    if tracer is not None:
-        result.trace = tracer.to_chrome()
+    record_observation(result, observer, since, metrics=metrics, trace=trace)
     return result

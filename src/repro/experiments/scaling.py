@@ -11,8 +11,8 @@ optimisation.  The two backends must agree bit-for-bit at every size.
 Absolute constants are of course Python's, not the paper's C solver's.
 
 Timing runs through :func:`repro.obs.bench.time_best_of`, so every
-repeat also accumulates in a :class:`~repro.obs.timers.PhaseTimers`
-(per-size phases ``scaling.dp.n<N>`` / ``scaling.dp_dense.n<N>`` /
+repeat is also one span of an :class:`~repro.obs.observer.Observer`
+(per-size spans ``scaling.dp.n<N>`` / ``scaling.dp_dense.n<N>`` /
 ``scaling.prescan.n<N>``), and with ``history=`` the best-of times land
 in ``BENCH_history.jsonl`` as ``scaling.dp`` / ``scaling.dp_dense`` /
 ``scaling.prescan`` records -- the same trajectory the benchmark suite
@@ -31,7 +31,7 @@ from ..cache.model import CostModel
 from ..cache.optimal_dp import optimal_cost
 from ..engine.prescan import PreScan
 from ..obs.bench import BenchHistory, time_best_of
-from ..obs.timers import PhaseTimers
+from ..obs.observer import Observer
 from ..trace.workload import random_single_item_view
 from .base import ExperimentResult, sweep_checkpoint
 
@@ -74,7 +74,7 @@ def run_scaling(
     ``history=`` the curve lands as a ``scaling.store`` record.
     """
     model = CostModel(mu=1.0, lam=1.0)
-    timers = PhaseTimers()
+    observer = Observer(spans=True)
     ckpt = sweep_checkpoint(checkpoint, "scaling", resume)
     result = ExperimentResult(
         experiment_id="scaling",
@@ -102,15 +102,15 @@ def run_scaling(
             view = random_single_item_view(n, num_servers, seed=seed, horizon=float(n))
             t_dp = time_best_of(
                 optimal_cost, view, model,
-                repeats=repeats, timers=timers, phase=f"scaling.dp.n{n}",
+                repeats=repeats, observer=observer, phase=f"scaling.dp.n{n}",
             )
             t_dense = time_best_of(
                 partial(optimal_cost, backend="dense"), view, model,
-                repeats=repeats, timers=timers, phase=f"scaling.dp_dense.n{n}",
+                repeats=repeats, observer=observer, phase=f"scaling.dp_dense.n{n}",
             )
             t_scan = time_best_of(
                 PreScan, view,
-                repeats=repeats, timers=timers, phase=f"scaling.prescan.n{n}",
+                repeats=repeats, observer=observer, phase=f"scaling.prescan.n{n}",
             )
             # both backends must agree bit-for-bit at every size
             cost_sparse = optimal_cost(view, model)
@@ -120,9 +120,9 @@ def run_scaling(
                     f"DP backend mismatch at n={n}: "
                     f"sparse {cost_sparse!r} != dense {cost_dense!r}"
                 )
-            # the timers saw every repeat, so seconds/calls is the mean --
+            # the spans saw every repeat, so seconds/calls is the mean --
             # reported next to the best-of to expose timing noise
-            dp_mean = timers.seconds(f"scaling.dp.n{n}") / repeats
+            dp_mean = observer.totals()[f"scaling.dp.n{n}"]["seconds"] / repeats
             row = {
                 "n": n,
                 "dp_seconds": round(t_dp, 6),
@@ -168,7 +168,7 @@ def run_scaling(
                         solve_dp_greedy_sharded, sseq, model,
                         theta=0.3, alpha=0.8,
                     ),
-                    repeats=repeats, timers=timers, phase=f"scaling.store.n{n}",
+                    repeats=repeats, observer=observer, phase=f"scaling.store.n{n}",
                 )
                 # the store-backed sharded solve must reproduce the
                 # in-memory total bit for bit at every size

@@ -1,33 +1,29 @@
 """repro.obs: structured observability for the DP_Greedy pipeline.
 
-The subsystem has six legs; the first three are assembled per run by
-:class:`~repro.obs.metrics.RunObservation`:
+Observation enters a solve one way: an
+:class:`~repro.obs.observer.Observer` passed as ``observer=`` (or
+installed process-wide with :func:`~repro.obs.observer.install`, which
+is how the CLI's ``--metrics`` / ``--trace`` / ``--progress`` flags reach
+solves inside harnesses).  Its primitive is the span; its legs are
 
-* the **cost ledger** (:mod:`repro.obs.ledger`) attributes every charged
-  unit of cost to ``(serving unit, request index, action)`` with action
-  in ``{cache, transfer, ship, backbone, first-copy}`` and asserts the
-  attributed total reconciles with the reported scalar cost;
-* the **phase timers** (:mod:`repro.obs.timers`) accumulate wall time
-  for Phase-1 similarity/packing and Phase-2 per-unit solves;
-* the **counter registry** (:mod:`repro.obs.counters`) absorbs
-  ``EngineStats`` and ``SolverMemo`` counters into one namespaced map;
-* the **span tracer** (:mod:`repro.obs.tracing`) records nested timing
-  spans across the whole pipeline -- including inside pool workers --
-  and exports Chrome trace-event JSON (Perfetto-loadable);
-* the **bench history** (:mod:`repro.obs.bench`) appends every benchmark
-  run to ``results/BENCH_history.jsonl`` and gates perf regressions
-  against a rolling baseline;
-* the **telemetry plane** (:mod:`repro.obs.telemetry`) adds the runtime
-  leg: mergeable log-bucket latency histograms (p50/p90/p99/max),
-  a /proc-based resource sampler with worker peak shipping, a progress
-  board with a stall watchdog, and Prometheus/TTY exposition -- the
-  ``latency``/``resources`` sections of METRICS schema v3.
+* **spans** (:mod:`repro.obs.observer`): nested timing spans across the
+  whole pipeline -- including inside pool workers -- exported as Chrome
+  trace-event JSON (Perfetto-loadable);
+* **runtime** (:mod:`repro.obs.telemetry`): mergeable log-bucket latency
+  histograms (p50/p90/p99/max) fed by the span durations, a
+  /proc-based resource sampler with worker peak shipping, a progress
+  board with a stall watchdog, and Prometheus/TTY exposition;
+* **ledger** (:mod:`repro.obs.ledger`): the cost ledger attributes every
+  charged unit of cost to ``(serving unit, request index, action)``
+  with action in ``{cache, transfer, ship, backbone, first-copy}`` and
+  asserts the attributed total reconciles with the reported cost.
 
-Emission is strictly opt-in: pass ``obs=RunObservation()`` and/or
-``tracer=Tracer()`` to :func:`repro.core.dp_greedy.solve_dp_greedy` (or
-``metrics=True`` / ``trace=True`` to a sweep harness, or ``--metrics`` /
-``--trace PATH`` on the CLI).  When no observer is given the hot paths
-run untouched.
+Every observed solve appends a :class:`~repro.obs.metrics.RunRecord`
+(phase aggregates, counters, and the legs' sections); the METRICS v3
+snapshot (:mod:`repro.obs.metrics`) renders a sweep's records.  The
+bench history (:mod:`repro.obs.bench`) appends every benchmark run to
+``results/BENCH_history.jsonl`` and gates perf regressions against a
+rolling baseline.  Without an observer the hot paths run untouched.
 """
 
 from .bench import (
@@ -38,7 +34,6 @@ from .bench import (
     check_history,
     time_best_of,
 )
-from .counters import CounterRegistry
 from .ledger import (
     ACTIONS,
     CostLedger,
@@ -48,10 +43,18 @@ from .ledger import (
 from .metrics import (
     METRICS_SCHEMA,
     METRICS_SCHEMAS,
-    MetricsCollector,
-    RunObservation,
+    RunRecord,
+    metrics_snapshot,
     read_metrics,
     write_metrics,
+)
+from .observer import (
+    Observer,
+    SpanRecord,
+    active,
+    install,
+    maybe_span,
+    write_chrome_trace,
 )
 from .telemetry import (
     PROM_LINE_RE,
@@ -59,40 +62,34 @@ from .telemetry import (
     ProgressBoard,
     ProgressRenderer,
     ResourceSampler,
-    Telemetry,
-    WorkerUnitStats,
     render_dashboard,
     render_prometheus,
     write_prometheus,
 )
-from .timers import PhaseTimers
-from .tracing import SpanRecord, Tracer, maybe_span, write_chrome_trace
 
 __all__ = [
+    "Observer",
+    "active",
+    "install",
     "ACTIONS",
     "CostLedger",
     "LedgerEntry",
     "LedgerReconciliationError",
-    "CounterRegistry",
-    "PhaseTimers",
     "METRICS_SCHEMA",
     "METRICS_SCHEMAS",
-    "MetricsCollector",
-    "RunObservation",
+    "RunRecord",
+    "metrics_snapshot",
     "read_metrics",
     "write_metrics",
     "LatencyHistogram",
     "ProgressBoard",
     "ProgressRenderer",
     "ResourceSampler",
-    "Telemetry",
-    "WorkerUnitStats",
     "PROM_LINE_RE",
     "render_dashboard",
     "render_prometheus",
     "write_prometheus",
     "SpanRecord",
-    "Tracer",
     "maybe_span",
     "write_chrome_trace",
     "BENCH_SCHEMA",

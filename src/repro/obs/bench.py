@@ -38,11 +38,12 @@ import math
 import subprocess
 import sys
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
+
+from .observer import maybe_span
 
 __all__ = [
     "BENCH_SCHEMA",
@@ -289,26 +290,24 @@ def time_best_of(
     fn: Callable,
     *args: object,
     repeats: int = 3,
-    timers: Optional[object] = None,
+    observer: Optional[object] = None,
     phase: Optional[str] = None,
 ) -> float:
     """Best-of-N wall time of ``fn(*args)``.
 
     Replaces the hand-rolled ``perf_counter`` loops of the scaling
-    harness: every repeat is additionally accumulated into ``timers``
-    (a :class:`~repro.obs.timers.PhaseTimers`) under ``phase`` when
-    given, so the same measurement feeds both the best-of result and the
-    phase-time observability channel.
+    harness: with an ``observer`` and a ``phase`` every repeat is one
+    span named ``phase``, so the same measurement feeds both the
+    best-of result and the observer's span totals.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
     best = math.inf
     for _ in range(repeats):
-        ctx = timers.time(phase) if timers is not None and phase else nullcontext()
-        t0 = time.perf_counter()
-        with ctx:
+        with maybe_span(observer if phase else None, phase):
+            t0 = time.perf_counter()
             fn(*args)
-        best = min(best, time.perf_counter() - t0)
+            best = min(best, time.perf_counter() - t0)
     return best
 
 

@@ -1,36 +1,27 @@
-"""Per-run observation records and the harness-level metrics collector.
+"""Per-run METRICS records and the ``METRICS_*.json`` snapshot.
 
-:class:`RunObservation` is the object a caller passes to
-:func:`repro.core.dp_greedy.solve_dp_greedy` via ``obs=`` to opt into
-observability for one solve: the solver fills its :class:`CostLedger`
-(one entry per elementary charge), its :class:`PhaseTimers` (Phase-1
-similarity/packing, Phase-2 serve), and its :class:`CounterRegistry`
-(engine + memo counters), then *reconciles* the ledger against the
-reported scalar total -- a failed reconciliation raises, so every
-observed run audits its own cost accounting.
-
-:class:`MetricsCollector` strings many observations together for sweep
-harnesses (one per ``(sweep point, repeat)``) and renders the
-``METRICS_*.json`` snapshot documented in the README.
+Every observed solve appends one :class:`RunRecord` to
+``observer.runs``; :func:`metrics_snapshot` renders a list of them as
+the METRICS payload, and :func:`read_metrics` reads every revision back.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from .counters import CounterRegistry
 from .ledger import ACTIONS, CostLedger
-from .telemetry import LatencyHistogram
-from .timers import PhaseTimers
+from .telemetry import LatencyHistogram, resource_peaks
 
 __all__ = [
     "METRICS_SCHEMA",
     "METRICS_SCHEMAS",
-    "RunObservation",
-    "MetricsCollector",
+    "RunRecord",
+    "live_snapshot",
+    "metrics_snapshot",
     "read_metrics",
     "write_metrics",
 ]
@@ -53,238 +44,128 @@ METRICS_SCHEMAS = (
     "repro.obs/metrics/v3",
 )
 
-#: Observation-2 serving modes -> ledger actions.  The mode strings are
-#: owned by :mod:`repro.core.dp_greedy` (MODE_CACHE/MODE_TRANSFER/
-#: MODE_PACKAGE); importing them here would be circular, so the mapping
-#: is spelled out and pinned by tests.
-_MODE_ACTION = {"cache": "cache", "transfer": "transfer", "package": "ship"}
+@dataclass
+class RunRecord:
+    """One observed solve: what the METRICS snapshot reports per run.
 
+    The solve fills it through its :class:`~repro.obs.observer.Observer`:
+    ``point`` holds sweep coordinates (``{"jaccard": 0.3, "repeat": 1}``),
+    ``counters`` the run's counters (``engine.*``, ``memo.*``,
+    ``phase1.*``, ``phase2.units``, plus any the caller adds),
+    ``ledger`` the run's :class:`CostLedger` (ledger leg only),
+    ``phases``/``spans`` its span aggregates (``{name: {seconds,
+    calls}}``; ``spans`` with the spans leg only) and
+    ``latency``/``resources`` the runtime snapshots.
+    """
 
-class RunObservation:
-    """Ledger + timers + counters for one ``solve_dp_greedy`` call."""
-
-    __slots__ = (
-        "point",
-        "ledger",
-        "timers",
-        "counters",
-        "spans",
-        "latency",
-        "resources",
-        "total_cost",
-        "reconciliation_error",
-    )
-
-    def __init__(self, point: Optional[Dict[str, object]] = None) -> None:
-        #: Free-form sweep coordinates (e.g. ``{"jaccard": 0.3, "repeat": 1}``).
-        self.point: Dict[str, object] = dict(point or {})
-        self.ledger = CostLedger()
-        self.timers = PhaseTimers()
-        self.counters = CounterRegistry()
-        #: Per-span-name aggregates from the run's tracer window
-        #: (``{name: {seconds, calls}}``); empty when tracing was off.
-        self.spans: Dict[str, Dict[str, float]] = {}
-        #: Per-histogram-name latency snapshots from the run's telemetry
-        #: window (v3); empty when telemetry was off.
-        self.latency: Dict[str, Dict[str, object]] = {}
-        #: Parent/worker resource snapshot from the telemetry hub (v3);
-        #: empty when telemetry was off.
-        self.resources: Dict[str, object] = {}
-        self.total_cost: Optional[float] = None
-        self.reconciliation_error: Optional[float] = None
-
-    def finalize(
-        self,
-        seq,
-        reports: Sequence[object],
-        total_cost: float,
-        *,
-        engine_stats: Optional[object] = None,
-        memo: Optional[object] = None,
-        spans: Optional[Dict[str, Dict[str, float]]] = None,
-        telemetry: Optional[object] = None,
-    ) -> None:
-        """Ingest one solve's reports into the ledger and reconcile.
-
-        ``reports`` are :class:`~repro.core.dp_greedy.GroupReport`-shaped:
-        ``group`` plus the ``attribution`` charge list of the DP part and
-        the ``modes`` list of Observation-2 single-sided decisions.  The
-        paper pins at most one request per time instant, so timestamps
-        are translated back to global request indices exactly -- a
-        sequence violating that assumption would silently mis-attribute
-        charges, hence duplicate timestamps are rejected outright.
-        ``spans`` (the run's :meth:`~repro.obs.tracing.Tracer.aggregate`
-        window) lands in the snapshot's v2 ``spans`` section;
-        ``telemetry`` (a :class:`~repro.obs.telemetry.Telemetry`)
-        contributes the v3 ``latency`` (current run window) and
-        ``resources`` sections.
-        """
-        import numpy as np
-
-        # valid sequences carry strictly increasing times, so the
-        # timestamp -> index translation is a binary search over the
-        # columnar times -- no per-timestamp dict of a (possibly
-        # memory-mapped, multi-million-row) trace.  Anything else
-        # (including sequence-shaped stubs without the columnar
-        # surface) falls back to the dict, which doubles as the
-        # duplicate detector.
-        columnar = getattr(seq, "times_array", None)
-        times_arr = np.asarray(
-            columnar if columnar is not None else tuple(seq.times),
-            dtype=np.float64,
-        )
-        n = len(times_arr)
-        if n == 0 or bool(np.all(np.diff(times_arr) > 0)):
-
-            def index_of(t: float) -> int:
-                i = int(np.searchsorted(times_arr, t))
-                if i >= n or times_arr[i] != t:
-                    raise KeyError(t)
-                return i
-
-        else:
-            table = {t: i for i, t in enumerate(seq.times)}
-            if len(table) != n:
-                seen = set()
-                dupes = sorted(
-                    {t for t in seq.times if t in seen or seen.add(t)}
-                )
-                raise ValueError(
-                    "sequence violates the at-most-one-request-per-instant "
-                    f"assumption: duplicate timestamps {dupes[:5]}"
-                    f"{'...' if len(dupes) > 5 else ''} cannot be attributed "
-                    "unambiguously"
-                )
-            index_of = table.__getitem__
-        for rep in reports:
-            unit = tuple(sorted(rep.group))
-            for t, action, amount in getattr(rep, "attribution", None) or ():
-                self.ledger.record(unit, index_of(t), action, amount)
-            for t, mode, cost in rep.modes:
-                self.ledger.record(unit, index_of(t), _MODE_ACTION[mode], cost)
-        self.counters.set("phase2.units", len(reports))
-        if engine_stats is not None:
-            self.counters.absorb_stats(engine_stats, prefix="engine.")
-            self.counters.set("engine.memo_hit_rate", engine_stats.memo_hit_rate)
-        if memo is not None:
-            self.counters.absorb(memo.stats(), prefix="memo.")
-        if spans:
-            self.spans = {name: dict(rec) for name, rec in spans.items()}
-        if telemetry is not None:
-            self.latency = telemetry.latency_snapshot()
-            self.resources = telemetry.resources_snapshot()
-        self.total_cost = float(total_cost)
-        self.reconciliation_error = self.ledger.reconcile(total_cost)
+    point: Dict[str, object]
+    ledger: Optional[CostLedger] = None
+    counters: Dict[str, object] = field(default_factory=dict)
+    phases: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    spans: Dict[str, Dict[str, float]] = field(default_factory=dict)
+    latency: Dict[str, Dict[str, object]] = field(default_factory=dict)
+    resources: Dict[str, object] = field(default_factory=dict)
+    total_cost: Optional[float] = None
+    reconciliation_error: Optional[float] = None
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready record of this run."""
+        ledger = self.ledger if self.ledger is not None else CostLedger()
         return {
             "point": dict(self.point),
             "total_cost": self.total_cost,
-            "attributed_total": self.ledger.total(),
+            "attributed_total": ledger.total(),
             "reconciliation_error": self.reconciliation_error,
-            "ledger": self.ledger.snapshot(),
-            "phases": self.timers.snapshot(),
+            "ledger": ledger.snapshot(),
+            "phases": {name: dict(rec) for name, rec in self.phases.items()},
             "spans": {name: dict(rec) for name, rec in self.spans.items()},
             "latency": {name: dict(rec) for name, rec in self.latency.items()},
             "resources": dict(self.resources),
-            "counters": self.counters.snapshot(),
+            "counters": dict(sorted(self.counters.items())),
         }
 
 
-class MetricsCollector:
-    """Accumulates per-run observations across a sweep harness."""
+def _sum_totals(sections) -> Dict[str, Dict[str, float]]:
+    acc: Dict[str, List[float]] = {}
+    for section in sections:
+        for name, rec in section.items():
+            slot = acc.setdefault(name, [0.0, 0])
+            slot[0] += float(rec["seconds"])
+            slot[1] += int(rec["calls"])
+    return {
+        name: {"seconds": sec, "calls": int(calls)}
+        for name, (sec, calls) in sorted(acc.items())
+    }
 
-    __slots__ = ("_runs",)
 
-    def __init__(self) -> None:
-        self._runs: List[RunObservation] = []
-
-    def observe(self, **point: object) -> RunObservation:
-        """A fresh observation tagged with sweep coordinates."""
-        obs = RunObservation(point=dict(point))
-        self._runs.append(obs)
-        return obs
-
-    @property
-    def runs(self) -> Tuple[RunObservation, ...]:
-        return tuple(self._runs)
-
-    def snapshot(self) -> Dict[str, object]:
-        """The full ``METRICS_*.json`` payload (see README for the schema)."""
-        finalized = [o for o in self._runs if o.total_cost is not None]
-        # one full-ledger scan per run (by_action is O(#entries)); the
-        # per-action totals then index into the cached dicts
-        per_run_actions = [o.ledger.by_action() for o in finalized]
-        action_totals = {
-            a: math.fsum(actions[a] for actions in per_run_actions)
-            for a in ACTIONS
-        }
-        phase_agg = PhaseTimers()
-        span_agg = PhaseTimers()
-        for o in finalized:
-            phase_agg.merge(o.timers)
-            span_agg.merge(o.spans)
-        # v3 latency: each run carries its own telemetry window, so
-        # merging the per-run histograms (associative elementwise bucket
-        # addition) reconstructs the exact cross-sweep distribution.
-        latency_agg: Dict[str, LatencyHistogram] = {}
-        for o in finalized:
-            for name, snap in o.latency.items():
-                hist = latency_agg.setdefault(name, LatencyHistogram())
-                hist.merge(LatencyHistogram.from_snapshot(snap))
-        # v3 resources: the sampler is cumulative across a telemetry
-        # lifetime, so peaks/cpu/sample-count max-merge across runs (a
-        # later run's snapshot subsumes an earlier one of the same hub).
-        resources_agg = {
-            "peak_rss_bytes": 0,
-            "worker_peak_rss_bytes": 0,
-            "cpu_seconds": 0.0,
-            "samples": 0,
-        }
-        for o in finalized:
-            parent = o.resources.get("parent", {}) if o.resources else {}
-            workers = o.resources.get("workers", {}) if o.resources else {}
-            resources_agg["peak_rss_bytes"] = max(
-                resources_agg["peak_rss_bytes"], parent.get("peak_rss_bytes", 0)
+def metrics_snapshot(runs: Sequence[RunRecord]) -> Dict[str, object]:
+    """The full ``METRICS_*.json`` payload over ``runs`` (see README)."""
+    per_run_actions = [
+        r.ledger.by_action() for r in runs if r.ledger is not None
+    ]
+    action_totals = {
+        a: math.fsum(actions[a] for actions in per_run_actions) for a in ACTIONS
+    }
+    # v3 latency: each run carries its own latency window, so merging
+    # the per-run histograms (associative elementwise bucket addition)
+    # reconstructs the exact cross-sweep distribution.
+    latency_agg: Dict[str, LatencyHistogram] = {}
+    for r in runs:
+        for name, snap in r.latency.items():
+            latency_agg.setdefault(name, LatencyHistogram()).merge(
+                LatencyHistogram.from_snapshot(snap)
             )
-            resources_agg["worker_peak_rss_bytes"] = max(
-                resources_agg["worker_peak_rss_bytes"],
-                max(
-                    (rec.get("peak_rss_bytes", 0) for rec in workers.values()),
-                    default=0,
-                ),
-            )
-            resources_agg["cpu_seconds"] = max(
-                resources_agg["cpu_seconds"], parent.get("cpu_seconds", 0.0)
-            )
-            resources_agg["samples"] = max(
-                resources_agg["samples"], parent.get("samples_taken", 0)
-            )
-        counter_agg: Dict[str, Union[int, float]] = {}
-        for o in finalized:
-            for name, value in o.counters.numeric_items().items():
+    # numeric counters sum across runs; labels (``engine.pool``) do not
+    counter_agg: Dict[str, Union[int, float]] = {}
+    for r in runs:
+        for name, value in r.counters.items():
+            if isinstance(value, (int, float)):
                 counter_agg[name] = counter_agg.get(name, 0) + value
-        return {
-            "schema": METRICS_SCHEMA,
-            "runs": [o.snapshot() for o in finalized],
-            "aggregate": {
-                "runs": len(finalized),
-                "total_cost": math.fsum(o.total_cost for o in finalized),
-                "actions": action_totals,
-                "phases": phase_agg.snapshot(),
-                "spans": span_agg.snapshot(),
-                "latency": {
-                    name: hist.snapshot()
-                    for name, hist in sorted(latency_agg.items())
-                },
-                "resources": resources_agg,
-                "counters": dict(sorted(counter_agg.items())),
-                "max_reconciliation_error": max(
-                    (o.reconciliation_error for o in finalized), default=0.0
-                ),
+    return {
+        "schema": METRICS_SCHEMA,
+        "runs": [r.snapshot() for r in runs],
+        "aggregate": {
+            "runs": len(runs),
+            "total_cost": math.fsum(r.total_cost for r in runs),
+            "actions": action_totals,
+            "phases": _sum_totals(r.phases for r in runs),
+            "spans": _sum_totals(r.spans for r in runs),
+            "latency": {
+                name: hist.snapshot() for name, hist in sorted(latency_agg.items())
             },
-        }
+            "resources": resource_peaks(r.resources for r in runs),
+            "counters": dict(sorted(counter_agg.items())),
+            "max_reconciliation_error": max(
+                (r.reconciliation_error or 0.0 for r in runs), default=0.0
+            ),
+        },
+    }
+
+
+def live_snapshot(
+    observer=None,
+    *,
+    counters: Optional[Mapping[str, object]] = None,
+    runs: int = 0,
+    total_cost: float = 0.0,
+) -> Dict[str, object]:
+    """An aggregate-only METRICS snapshot for mid-run exposition (the
+    serving engine, interval-flushed solves): a runtime observer's
+    cumulative histograms and resource peaks plus the caller's
+    counters, before any run record closes -- what
+    :func:`~repro.obs.telemetry.render_prometheus` consumes."""
+    snap = metrics_snapshot([])
+    agg = snap["aggregate"]
+    agg.update(runs=runs, total_cost=total_cost, actions={}, resources={})
+    agg["counters"] = {
+        name: value
+        for name, value in sorted((counters or {}).items())
+        if isinstance(value, (int, float))
+    }
+    if observer is not None and observer.runtime:
+        agg["latency"] = observer.cumulative_latency()
+        agg["resources"] = resource_peaks([observer.resources_snapshot()])
+    return snap
 
 
 def write_metrics(
@@ -320,17 +201,9 @@ def read_metrics(
             f"unsupported metrics schema {schema!r}; expected one of "
             f"{METRICS_SCHEMAS}"
         )
-    runs = [dict(run) for run in snap.get("runs", [])]
-    for run in runs:
-        run.setdefault("spans", {})
-        run.setdefault("latency", {})
-        run.setdefault("resources", {})
-        run.setdefault("counters", {})
-    snap["runs"] = runs
-    agg = dict(snap.get("aggregate", {}))
-    agg.setdefault("spans", {})
-    agg.setdefault("latency", {})
-    agg.setdefault("resources", {})
-    agg.setdefault("counters", {})
-    snap["aggregate"] = agg
+    snap["runs"] = [dict(run) for run in snap.get("runs", [])]
+    snap["aggregate"] = dict(snap.get("aggregate", {}))
+    for record in snap["runs"] + [snap["aggregate"]]:
+        for section in ("spans", "latency", "resources", "counters"):
+            record.setdefault(section, {})
     return snap

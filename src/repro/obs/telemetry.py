@@ -1,38 +1,13 @@
-"""Runtime telemetry plane: latency quantiles, resource sampling, progress.
+"""Runtime telemetry: latency quantiles, resource sampling, progress.
 
-The metrics stack of :mod:`repro.obs.metrics` reports *totals* -- phase
-wall-time sums, per-span ``{seconds, calls}``, counters.  Totals cannot
-answer the questions a long-running or latency-sensitive solve raises:
-what is the p99 per-unit solve time, how much memory did the pool peak
-at, is shard 7 stuck?  This module adds the runtime leg of the obs
-stack, in four pieces:
-
-* :class:`LatencyHistogram` -- a streaming log-bucket histogram.  Every
-  observation lands in the bucket ``floor(log2(v / BASE) * SUBBUCKETS)``
-  (a sparse ``index -> count`` dict), so two histograms built anywhere
-  (pool workers, shard workers, other processes, other runs) merge by
-  elementwise addition and the merged quantiles are *deterministic* --
-  independent of merge order and of which worker saw which sample.
-  With ``SUBBUCKETS = 8`` buckets per octave the relative width of a
-  bucket is ``2**(1/8) - 1`` (~9.05%), which bounds the quantile error:
-  a reported quantile lies in ``[q_true, q_true * 2**(1/8)]`` before
-  clamping into the exactly-tracked ``[min, max]``.
-* :class:`ResourceSampler` -- a daemon thread sampling parent RSS / CPU
-  / thread count / open fds from ``/proc`` and :mod:`resource` (no
-  psutil); pool workers ship their ``getrusage`` peaks back with their
-  results (:class:`WorkerUnitStats`).
-* :class:`ProgressBoard` -- completion / retry / degradation events
-  from the dispatch layers, ETA, and a stall watchdog that flags units
-  silent for longer than ``stall_after`` seconds *before* any
-  ``unit_timeout`` fires (surfaced as the ``engine.stalls`` counter).
-* Exposition -- :func:`write_prometheus` (text format v0.0.4 rendered
-  from a METRICS v3 snapshot) and :func:`render_dashboard` /
-  :class:`ProgressRenderer` (a live TTY view built on
-  :mod:`repro.viz.ascii`).
-
-Everything is strictly opt-in and observation-only: a solve with a
-:class:`Telemetry` attached produces bit-identical costs, plans, and
-reports to the same solve without one.
+The runtime parts of an :class:`~repro.obs.observer.Observer` with
+``runtime=True`` -- mergeable :class:`LatencyHistogram` s, the
+/proc-based :class:`ResourceSampler` (pool workers ship their
+:func:`worker_usage` peaks back), and the :class:`ProgressBoard` with
+its stall watchdog -- plus their exposition: :func:`write_prometheus`
+(text format v0.0.4 rendered from a METRICS v3 snapshot) and
+:func:`render_dashboard` / :class:`ProgressRenderer` (a live TTY view
+built on :mod:`repro.viz.ascii`).
 """
 
 from __future__ import annotations
@@ -44,7 +19,6 @@ import re
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 log = logging.getLogger(__name__)
@@ -55,12 +29,8 @@ __all__ = [
     "ProgressRenderer",
     "PrometheusFlusher",
     "ResourceSampler",
-    "Telemetry",
-    "WorkerUnitStats",
-    "active",
-    "install",
-    "live_snapshot",
     "render_dashboard",
+    "resource_peaks",
     "render_prometheus",
     "sample_resources",
     "worker_usage",
@@ -70,7 +40,7 @@ __all__ = [
 
 # -- histogram names recorded by the engine (pinned by tests/docs) ----------
 #: Per-unit Phase-2 solve latency (packages/singletons, including units
-#: served inside pooled groups and shards).
+#: served inside pooled groups and shards): the ``phase2.solve`` spans.
 H_SOLVE = "phase2.solve_seconds"
 #: Whole-group solve latency inside the worker: a shard, or a pooled
 #: group of several units.
@@ -94,16 +64,52 @@ H_SERVE_SOLVE = "serve.solve_seconds"
 H_E2E = "serve.e2e_seconds"
 
 
+class Ticker:
+    """A daemon thread calling ``tick()`` every ``interval()`` seconds
+    until stopped: the loop of the resource sampler, the stall watchdog,
+    the Prometheus flusher and the progress renderer."""
+
+    def __init__(self, tick, interval, name: str) -> None:
+        self._tick, self._interval, self._name = tick, interval, name
+        self.stopping = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+
+    def start(self) -> bool:
+        """Start the loop; ``False`` when it was already running."""
+        if self._thread is not None:
+            return False
+        self.stopping.clear()
+        self._thread = threading.Thread(target=self._run, name=self._name, daemon=True)
+        self._thread.start()
+        return True
+
+    def _run(self) -> None:
+        while not self.stopping.wait(self._interval()):
+            self._tick()
+
+    def stop(self) -> bool:
+        """Stop and join the loop; ``False`` when it was not running."""
+        if self._thread is None:
+            return False
+        self.stopping.set()
+        self._thread.join(timeout=5.0)
+        self._thread = None
+        return True
+
+
 class LatencyHistogram:
     """Streaming fixed-log-bucket histogram of non-negative durations.
 
-    ``BASE`` anchors bucket 0 at 100ns and ``SUBBUCKETS`` fixes the
-    resolution (8 buckets per factor of two => ~9% relative bucket
-    width).  Exact ``count``/``sum``/``min``/``max`` ride along, and
-    non-positive observations land in a separate ``zeros`` slot, so
-    nothing is ever clipped or dropped.  Instances are thread-safe and
-    merge associatively (integer bucket counts), which is what makes
-    worker-shipped and shard-shipped partial histograms well-defined.
+    Every observation lands in the bucket ``floor(log2(v / BASE) *
+    SUBBUCKETS)`` (a sparse ``index -> count`` dict): ``BASE`` anchors
+    bucket 0 at 100ns and 8 buckets per octave give a relative bucket
+    width of ``2**(1/8) - 1`` (~9.05%), which bounds the quantile
+    error -- a reported quantile lies in ``[q_true, q_true * 2**(1/8)]``
+    before clamping into the exactly-tracked ``[min, max]``.
+    Non-positive observations land in a separate ``zeros`` slot, so
+    nothing is ever dropped.  Instances are thread-safe and merge by
+    elementwise addition, so histograms built anywhere (pool workers,
+    shards, other runs) merge deterministically, in any order.
     """
 
     BASE = 1e-7
@@ -121,21 +127,6 @@ class LatencyHistogram:
         self.vmax: Optional[float] = None
         self.zeros = 0
 
-    # histograms travel inside worker stats; the lock does not pickle
-    def __getstate__(self):
-        return (self._buckets, self.count, self.total, self.vmin, self.vmax,
-                self.zeros)
-
-    def __setstate__(self, state):
-        self._lock = threading.Lock()
-        (self._buckets, self.count, self.total, self.vmin, self.vmax,
-         self.zeros) = state
-
-    @classmethod
-    def bucket_index(cls, value: float) -> int:
-        """The (possibly negative) bucket of a positive duration."""
-        return math.floor(math.log2(value / cls.BASE) * cls.SUBBUCKETS)
-
     @classmethod
     def bucket_upper(cls, index: int) -> float:
         """Exclusive upper edge of bucket ``index`` in seconds."""
@@ -146,10 +137,12 @@ class LatencyHistogram:
         with self._lock:
             self.count += 1
             self.total += v
-            self.vmin = v if self.vmin is None else min(self.vmin, v)
-            self.vmax = v if self.vmax is None else max(self.vmax, v)
+            if self.vmin is None or v < self.vmin:
+                self.vmin = v
+            if self.vmax is None or v > self.vmax:
+                self.vmax = v
             if v > 0.0:
-                idx = self.bucket_index(v)
+                idx = math.floor(math.log2(v / self.BASE) * self.SUBBUCKETS)
                 self._buckets[idx] = self._buckets.get(idx, 0) + 1
             else:
                 self.zeros += 1
@@ -157,8 +150,8 @@ class LatencyHistogram:
     def merge(self, other: "LatencyHistogram") -> "LatencyHistogram":
         """Fold ``other`` into ``self`` (elementwise; returns ``self``)."""
         with other._lock:
-            state = other.__getstate__()
-        buckets, count, total, vmin, vmax, zeros = state
+            buckets, count, total = dict(other._buckets), other.count, other.total
+            vmin, vmax, zeros = other.vmin, other.vmax, other.zeros
         with self._lock:
             for idx, n in buckets.items():
                 self._buckets[idx] = self._buckets.get(idx, 0) + n
@@ -186,33 +179,24 @@ class LatencyHistogram:
             if self.count == 0:
                 return None
             rank = max(1, math.ceil(q * self.count))
-            cum = self.zeros
-            if cum >= rank:
-                est = 0.0
-            else:
-                est = None
+            cum, est = self.zeros, 0.0
+            if cum < rank:
                 for idx in sorted(self._buckets):
                     cum += self._buckets[idx]
                     if cum >= rank:
                         est = self.bucket_upper(idx)
                         break
-                if est is None:  # pragma: no cover - counts always add up
-                    est = self.vmax
             return min(max(est, self.vmin), self.vmax)
 
     def snapshot(self) -> Dict[str, object]:
         """JSON-ready state: exact stats, sparse buckets, p50/p90/p99."""
+        quantiles = {
+            tag: self.quantile(q) for tag, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99))
+        }
         with self._lock:
             buckets = dict(self._buckets)
             count, total = self.count, self.total
             vmin, vmax, zeros = self.vmin, self.vmax, self.zeros
-        quantiles = {}
-        for tag, q in (("p50", 0.5), ("p90", 0.9), ("p99", 0.99)):
-            clone = LatencyHistogram()
-            clone._buckets = buckets
-            clone.count, clone.total = count, total
-            clone.vmin, clone.vmax, clone.zeros = vmin, vmax, zeros
-            quantiles[tag] = clone.quantile(q)
         return {
             "scheme": f"log2/{self.SUBBUCKETS}@{self.BASE:g}",
             "count": count,
@@ -304,8 +288,7 @@ class ResourceSampler:
         self.max_samples = max(8, int(max_samples))
         self._samples: List[Dict[str, object]] = []
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._ticker = Ticker(self._take, lambda: self.interval, "repro-resource-sampler")
 
     def _take(self) -> None:
         sample = sample_resources()
@@ -316,35 +299,17 @@ class ResourceSampler:
                 self.interval *= 2.0
 
     def start(self) -> None:
-        if self._thread is not None:
-            return
-        self._stop.clear()
-        self._take()
-        self._thread = threading.Thread(
-            target=self._run, name="repro-resource-sampler", daemon=True
-        )
-        self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
+        if self._ticker.start():
             self._take()
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._take()
-
-    @property
-    def samples(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return list(self._samples)
+        if self._ticker.stop():
+            self._take()
 
     def snapshot(self, *, tail: int = 64) -> Dict[str, object]:
         """Peaks plus the ``tail`` most recent samples (JSON-ready)."""
-        samples = self.samples
+        with self._lock:
+            samples = list(self._samples)
         rss = [s["rss_bytes"] for s in samples if s.get("rss_bytes")]
         thr = [s["num_threads"] for s in samples if s.get("num_threads")]
         fds = [s["open_fds"] for s in samples if s.get("open_fds") is not None]
@@ -369,7 +334,7 @@ class ProgressBoard:
     shards), estimates an ETA from observed throughput, and -- with
     ``stall_after`` set -- flags in-flight dispatches silent for longer
     than the threshold via :meth:`check_stalls` (called from the
-    dispatch loop and from the :class:`Telemetry` watchdog thread).  A
+    dispatch loop and from the observer's watchdog thread).  A
     stall is a *heartbeat* signal, not a failure: it fires before any
     ``unit_timeout``, is logged at WARNING, and increments the
     ``stalls`` counter that :class:`~repro.engine.parallel.EngineStats`
@@ -466,223 +431,6 @@ class ProgressBoard:
 
 
 # ---------------------------------------------------------------------------
-# worker-side stats shipping
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class WorkerUnitStats:
-    """Telemetry shipped back with one dispatched unit's result.
-
-    ``entries`` carry ``(histogram name, seconds)`` latency observations
-    recorded inside the worker (the unit's solve; for a shard, every
-    inner unit's solve plus the whole shard's); the resource fields are
-    the worker *process* peaks, keyed by ``pid`` in the parent's
-    snapshot.
-    """
-
-    pid: int
-    entries: Tuple[Tuple[str, float], ...] = ()
-    peak_rss_bytes: int = 0
-    cpu_seconds: float = 0.0
-
-
-class UnitRecorder:
-    """Worker-local latency sink: collects ``(name, seconds)`` pairs."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self) -> None:
-        self.entries: List[Tuple[str, float]] = []
-
-    def record(self, name: str, seconds: float) -> None:
-        self.entries.append((name, float(seconds)))
-
-    def unit_stats(self) -> WorkerUnitStats:
-        peak_rss, cpu = worker_usage()
-        return WorkerUnitStats(
-            pid=os.getpid(),
-            entries=tuple(self.entries),
-            peak_rss_bytes=peak_rss,
-            cpu_seconds=cpu,
-        )
-
-
-# ---------------------------------------------------------------------------
-# the hub
-# ---------------------------------------------------------------------------
-class Telemetry:
-    """The runtime telemetry hub of one process.
-
-    Owns the named latency histograms, the parent
-    :class:`ResourceSampler`, the :class:`ProgressBoard`, worker
-    resource peaks, and the stall watchdog thread.  Thread-safe;
-    :meth:`record` doubles as the recorder protocol the engine threads
-    through its serve paths, so serial and thread-pool solves record
-    straight into the hub while process-pool workers ship
-    :class:`WorkerUnitStats` for :meth:`absorb_worker`.
-
-    Lifecycle: ``start()``/``stop()`` (idempotent) or use the instance
-    as a context manager.  Solvers auto-start an un-started telemetry
-    for the duration of the solve; a started one is left running (the
-    caller owns it, e.g. across a sweep).
-    """
-
-    def __init__(
-        self,
-        *,
-        sample_interval: float = 0.25,
-        stall_after: Optional[float] = None,
-        max_samples: int = 2048,
-    ):
-        self._lock = threading.Lock()
-        self._hists: Dict[str, LatencyHistogram] = {}
-        self._past: Dict[str, LatencyHistogram] = {}
-        self.sampler = ResourceSampler(sample_interval, max_samples)
-        self.board = ProgressBoard(stall_after=stall_after)
-        self._workers: Dict[int, Dict[str, object]] = {}
-        self._watchdog: Optional[threading.Thread] = None
-        self._stop = threading.Event()
-        self.started = False
-
-    # -- lifecycle -------------------------------------------------------
-    def start(self) -> "Telemetry":
-        if self.started:
-            return self
-        self.started = True
-        self.sampler.start()
-        if self.board.stall_after is not None:
-            self._stop.clear()
-            self._watchdog = threading.Thread(
-                target=self._watch, name="repro-stall-watchdog", daemon=True
-            )
-            self._watchdog.start()
-        return self
-
-    def _watch(self) -> None:
-        interval = min(max(self.board.stall_after / 4.0, 0.01), 0.5)
-        while not self._stop.wait(interval):
-            self.board.check_stalls()
-
-    def stop(self) -> None:
-        if not self.started:
-            return
-        self.started = False
-        self._stop.set()
-        if self._watchdog is not None:
-            self._watchdog.join(timeout=5.0)
-            self._watchdog = None
-        self.sampler.stop()
-
-    def __enter__(self) -> "Telemetry":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
-
-    # -- latency ---------------------------------------------------------
-    def histogram(self, name: str) -> LatencyHistogram:
-        with self._lock:
-            hist = self._hists.get(name)
-            if hist is None:
-                hist = self._hists[name] = LatencyHistogram()
-            return hist
-
-    def record(self, name: str, seconds: float) -> None:
-        self.histogram(name).record(seconds)
-
-    def begin_run(self) -> None:
-        """Start a fresh per-run latency window.
-
-        The current window's histograms fold into the cumulative store
-        (what the dashboard shows), and subsequent recordings open a new
-        window -- so each :class:`~repro.obs.metrics.RunObservation` of
-        a sweep carries only its own run's latency, and the metrics
-        aggregate (which merges the per-run snapshots) equals the
-        cumulative total without double counting.
-        """
-        with self._lock:
-            for name, hist in self._hists.items():
-                self._past.setdefault(name, LatencyHistogram()).merge(hist)
-            self._hists = {}
-
-    def latency_snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Current-window (per-run) histograms, JSON-ready."""
-        with self._lock:
-            hists = dict(self._hists)
-        return {name: hists[name].snapshot() for name in sorted(hists)}
-
-    def cumulative_latency(self) -> Dict[str, Dict[str, object]]:
-        """All recordings since construction (past windows + current)."""
-        with self._lock:
-            names = set(self._past) | set(self._hists)
-            merged = {}
-            for name in sorted(names):
-                hist = LatencyHistogram()
-                if name in self._past:
-                    hist.merge(self._past[name])
-                if name in self._hists:
-                    hist.merge(self._hists[name])
-                merged[name] = hist
-        return {name: hist.snapshot() for name, hist in merged.items()}
-
-    # -- resources -------------------------------------------------------
-    def observe_worker(
-        self, pid: int, peak_rss_bytes: int, cpu_seconds: float
-    ) -> None:
-        with self._lock:
-            rec = self._workers.setdefault(
-                pid, {"peak_rss_bytes": 0, "cpu_seconds": 0.0, "results": 0}
-            )
-            rec["peak_rss_bytes"] = max(rec["peak_rss_bytes"], peak_rss_bytes)
-            rec["cpu_seconds"] = max(rec["cpu_seconds"], cpu_seconds)
-            rec["results"] += 1
-
-    def absorb_worker(self, stats: Optional[WorkerUnitStats]) -> None:
-        """Fold one shipped :class:`WorkerUnitStats` into the hub."""
-        if stats is None:
-            return
-        for name, seconds in stats.entries:
-            self.record(name, seconds)
-        self.observe_worker(stats.pid, stats.peak_rss_bytes, stats.cpu_seconds)
-
-    def resources_snapshot(self) -> Dict[str, object]:
-        with self._lock:
-            workers = {str(pid): dict(rec) for pid, rec in self._workers.items()}
-        return {"parent": self.sampler.snapshot(), "workers": workers}
-
-    # -- whole-plane snapshot -------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        return {
-            "latency": self.latency_snapshot(),
-            "resources": self.resources_snapshot(),
-            "progress": self.board.snapshot(),
-        }
-
-
-# -- process-wide active telemetry (the CLI/`--progress` hookup) ------------
-_ACTIVE: Optional[Telemetry] = None
-_ACTIVE_LOCK = threading.Lock()
-
-
-def install(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Install (or clear, with ``None``) the process-wide telemetry.
-
-    Solvers with no explicit ``telemetry=`` argument pick up the
-    installed hub via :func:`active`, which is how CLI flags reach
-    solves buried inside experiment harnesses.  Returns the previously
-    installed hub.
-    """
-    global _ACTIVE
-    with _ACTIVE_LOCK:
-        previous, _ACTIVE = _ACTIVE, telemetry
-    return previous
-
-
-def active() -> Optional[Telemetry]:
-    """The process-wide telemetry hub, or ``None``."""
-    return _ACTIVE
-
-
-# ---------------------------------------------------------------------------
 # Prometheus text-format exposition
 # ---------------------------------------------------------------------------
 #: One valid line of Prometheus text format v0.0.4: a comment or a
@@ -747,16 +495,13 @@ def render_prometheus(
             label_s = "{" + inner + "}"
         lines.append(f"{full}{label_s} {_prom_value(value)}")
 
-    emit("runs", agg.get("runs", 0), help_="Observed solve runs", type_="gauge")
-    emit(
-        "total_cost", agg.get("total_cost", 0.0),
-        help_="Summed DP_Greedy total cost across runs", type_="gauge",
-    )
-    emit(
-        "reconciliation_error_max",
-        agg.get("max_reconciliation_error", 0.0),
-        help_="Worst ledger reconciliation error", type_="gauge",
-    )
+    for name, key, default, help_ in (
+        ("runs", "runs", 0, "Observed solve runs"),
+        ("total_cost", "total_cost", 0.0, "Summed DP_Greedy total cost across runs"),
+        ("reconciliation_error_max", "max_reconciliation_error", 0.0,
+         "Worst ledger reconciliation error"),
+    ):
+        emit(name, agg.get(key, default), help_=help_, type_="gauge")
     actions = agg.get("actions", {}) or {}
     if actions:
         lines.append(f"# HELP {ns}_action_cost Cost attributed per ledger action")
@@ -796,36 +541,21 @@ def render_prometheus(
             emit(f"{fam}_max", snap["max"], type_="gauge")
 
     resources = agg.get("resources", {}) or {}
-    if resources:
-        emit(
-            "peak_rss_bytes", resources.get("peak_rss_bytes", 0),
-            help_="Parent process peak RSS", type_="gauge",
-        )
-        emit(
-            "worker_peak_rss_bytes",
-            resources.get("worker_peak_rss_bytes", 0),
-            help_="Largest pool-worker peak RSS", type_="gauge",
-        )
-        emit(
-            "cpu_seconds_total", resources.get("cpu_seconds", 0.0),
-            help_="Parent process CPU time", type_="counter",
-        )
-        emit(
-            "resource_samples", resources.get("samples", 0),
-            help_="Resource samples taken", type_="gauge",
-        )
+    for name, key, default, type_, help_ in () if not resources else (
+        ("peak_rss_bytes", "peak_rss_bytes", 0, "gauge", "Parent process peak RSS"),
+        ("worker_peak_rss_bytes", "worker_peak_rss_bytes", 0, "gauge",
+         "Largest pool-worker peak RSS"),
+        ("cpu_seconds_total", "cpu_seconds", 0.0, "counter", "Parent process CPU time"),
+        ("resource_samples", "samples", 0, "gauge", "Resource samples taken"),
+    ):
+        emit(name, resources.get(key, default), help_=help_, type_=type_)
     return "\n".join(lines) + "\n"
 
 
 def write_prometheus(snapshot: Mapping[str, object], path) -> "os.PathLike":
-    """Write :func:`render_prometheus` output to ``path``; returns it.
-
-    The write is atomic (tmp file in the same directory, then
-    ``os.replace``): a scraper reading the file mid-rewrite sees either
-    the previous exposition or the new one, never a torn half-file --
-    the property the interval re-write mode of
-    :class:`PrometheusFlusher` depends on.
-    """
+    """Write :func:`render_prometheus` output to ``path`` atomically
+    (tmp file, then ``os.replace``), so a scraper never sees a torn
+    file while :class:`PrometheusFlusher` rewrites it; returns it."""
     from pathlib import Path
 
     out = Path(path)
@@ -836,57 +566,22 @@ def write_prometheus(snapshot: Mapping[str, object], path) -> "os.PathLike":
     return out
 
 
-def live_snapshot(
-    telemetry: Optional["Telemetry"] = None,
-    *,
-    counters: Optional[Mapping[str, object]] = None,
-    runs: int = 0,
-    total_cost: float = 0.0,
-) -> Dict[str, object]:
-    """A minimal METRICS-v3-shaped snapshot for mid-run exposition.
-
-    Long-lived runs (the serving engine, interval-flushed solves) need a
-    renderable snapshot *before* any :class:`~repro.obs.metrics.RunObservation`
-    finalizes.  This builds an aggregate-only snapshot straight from the
-    telemetry hub's cumulative histograms and resource peaks plus any
-    caller-supplied counters -- exactly what :func:`render_prometheus`
-    consumes, without touching the metrics collector.
-    """
-    resources: Dict[str, object] = {}
-    latency: Dict[str, Dict[str, object]] = {}
-    if telemetry is not None:
-        latency = telemetry.cumulative_latency()
-        res = telemetry.resources_snapshot()
-        parent = res.get("parent", {})
-        resources = {
-            "peak_rss_bytes": parent.get("peak_rss_bytes", 0),
-            "worker_peak_rss_bytes": max(
-                (rec.get("peak_rss_bytes", 0) for rec in res.get("workers", {}).values()),
-                default=0,
-            ),
-            "cpu_seconds": parent.get("cpu_seconds", 0.0),
-            "samples": parent.get("samples_taken", 0),
-        }
-    numeric = {
-        name: value
-        for name, value in (counters or {}).items()
-        if isinstance(value, (int, float))
-    }
-    return {
-        "schema": "repro.obs/metrics/v3",
-        "runs": [],
-        "aggregate": {
-            "runs": runs,
-            "total_cost": total_cost,
-            "actions": {},
-            "phases": {},
-            "spans": {},
-            "latency": latency,
-            "resources": resources,
-            "counters": dict(sorted(numeric.items())),
-            "max_reconciliation_error": 0.0,
-        },
-    }
+def resource_peaks(snapshots) -> Dict[str, object]:
+    """The METRICS aggregate ``resources`` section: the max-merge of
+    observer resource snapshots (sampler peaks are cumulative over an
+    observer's lifetime, so a later snapshot subsumes an earlier one)."""
+    peaks = {"peak_rss_bytes": 0, "worker_peak_rss_bytes": 0, "cpu_seconds": 0.0, "samples": 0}
+    for snap in snapshots:
+        parent = snap.get("parent", {})
+        workers = snap.get("workers", {}).values()
+        for key, value in (
+            ("peak_rss_bytes", parent.get("peak_rss_bytes", 0)),
+            ("worker_peak_rss_bytes", max((w.get("peak_rss_bytes", 0) for w in workers), default=0)),
+            ("cpu_seconds", parent.get("cpu_seconds", 0.0)),
+            ("samples", parent.get("samples_taken", 0)),
+        ):
+            peaks[key] = max(peaks[key], value)
+    return peaks
 
 
 class PrometheusFlusher:
@@ -915,8 +610,7 @@ class PrometheusFlusher:
         self.path = path
         self.interval = float(interval)
         self.flushes = 0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._ticker = Ticker(self.flush, lambda: self.interval, "repro-prom-flusher")
 
     def flush(self) -> bool:
         """One rewrite now; ``True`` when the file was written."""
@@ -929,32 +623,13 @@ class PrometheusFlusher:
         return True
 
     def start(self) -> "PrometheusFlusher":
-        if self._thread is None:
-            self._stop.clear()
+        if self._ticker.start():
             self.flush()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-prom-flusher", daemon=True
-            )
-            self._thread.start()
         return self
 
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.flush()
-
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self.flush()
-
-    def __enter__(self) -> "PrometheusFlusher":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+        if self._ticker.stop():
+            self.flush()
 
 
 # ---------------------------------------------------------------------------
@@ -970,11 +645,12 @@ def _fmt_eta(eta: Optional[float]) -> str:
     return f"{eta:.0f}s"
 
 
-def progress_line(telemetry: Telemetry, *, width: int = 24) -> str:
-    """One-line live status: bar, counts, retries/stalls, ETA."""
+def progress_line(observer, *, width: int = 24) -> str:
+    """One-line live status of a runtime observer: bar, counts,
+    retries/stalls, ETA."""
     from ..viz.ascii import ascii_progress_bar
 
-    b = telemetry.board.snapshot()
+    b = observer.board.snapshot()
     finished = b["done"] + b["failed"]
     bar = ascii_progress_bar(finished, b["total"], width=width)
     extras = []
@@ -993,12 +669,13 @@ def progress_line(telemetry: Telemetry, *, width: int = 24) -> str:
     )
 
 
-def render_dashboard(telemetry: Telemetry, *, width: int = 48) -> str:
-    """Multi-line telemetry dashboard built on the viz/ascii primitives."""
+def render_dashboard(observer, *, width: int = 48) -> str:
+    """Multi-line dashboard of a runtime observer, built on the
+    viz/ascii primitives."""
     from ..viz.ascii import ascii_histogram
 
-    parts = [progress_line(telemetry)]
-    latency = telemetry.cumulative_latency()
+    parts = [progress_line(observer)]
+    latency = observer.cumulative_latency()
     bars: Dict[str, float] = {}
     for name, snap in latency.items():
         q = snap.get("quantiles", {})
@@ -1007,7 +684,7 @@ def render_dashboard(telemetry: Telemetry, *, width: int = 48) -> str:
                 bars[f"{name} {tag}"] = q[tag] * 1e3
     if bars:
         parts.append(ascii_histogram(bars, width=width, title="latency (ms)"))
-    res = telemetry.resources_snapshot()
+    res = observer.resources_snapshot()
     parent = res["parent"]
     worker_peak = max(
         (rec["peak_rss_bytes"] for rec in res["workers"].values()), default=0
@@ -1030,50 +707,24 @@ class ProgressRenderer:
     appended per interval -- readable in CI logs without control codes.
     """
 
-    def __init__(
-        self, telemetry: Telemetry, stream=None, interval: float = 0.5
-    ):
-        self.telemetry = telemetry
+    def __init__(self, observer, stream=None, interval: float = 0.5):
+        self.observer = observer
         self.stream = stream if stream is not None else sys.stderr
-        self.interval = float(interval)
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
+        self._ticker = Ticker(self._paint, lambda: interval, "repro-progress")
         self._tty = bool(getattr(self.stream, "isatty", lambda: False)())
 
-    def _paint(self) -> None:
-        line = progress_line(self.telemetry)
+    def _paint(self, end: str = "") -> None:
+        line = progress_line(self.observer)
         try:
-            if self._tty:
-                self.stream.write("\r\x1b[2K" + line)
-            else:
-                self.stream.write(line + "\n")
+            self.stream.write(("\r\x1b[2K" + line + end) if self._tty else line + "\n")
             self.stream.flush()
         except (OSError, ValueError):  # closed stream: stop painting
-            self._stop.set()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self._paint()
+            self._ticker.stopping.set()
 
     def start(self) -> "ProgressRenderer":
-        if self._thread is None:
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="repro-progress", daemon=True
-            )
-            self._thread.start()
+        self._ticker.start()
         return self
 
     def stop(self) -> None:
-        if self._thread is None:
-            return
-        self._stop.set()
-        self._thread.join(timeout=5.0)
-        self._thread = None
-        self._paint()
-        if self._tty:
-            try:
-                self.stream.write("\n")
-                self.stream.flush()
-            except (OSError, ValueError):
-                pass
+        if self._ticker.stop():
+            self._paint(end="\n")

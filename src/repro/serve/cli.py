@@ -282,7 +282,7 @@ def add_loadtest_parser(sub) -> argparse.ArgumentParser:
     return lt
 
 
-def _build_engine(args: argparse.Namespace, tele, tracer, *, origin: int = 0,
+def _build_engine(args: argparse.Namespace, observer, *, origin: int = 0,
                   default_max_wait: float):
     from ..cache.model import CostModel
     from .admission import AdmissionConfig
@@ -311,19 +311,18 @@ def _build_engine(args: argparse.Namespace, tele, tracer, *, origin: int = 0,
         alpha=args.alpha,
         origin=origin,
         config=config,
-        telemetry=tele,
-        tracer=tracer,
+        observer=observer,
     )
 
 
-def _final_artefacts(args, engine, tele, tracer, report, total: float) -> None:
+def _final_artefacts(args, engine, observer, report, total: float) -> None:
     """The drain-path artefacts: METRICS (v3), PROM, TRACE."""
     snapshot = None
     if args.metrics or args.prom is not None:
-        from ..obs.telemetry import live_snapshot
+        from ..obs.metrics import live_snapshot
 
         snapshot = live_snapshot(
-            tele, counters=engine.counters(), runs=1, total_cost=total
+            observer, counters=engine.counters(), runs=1, total_cost=total
         )
     if args.metrics:
         from ..obs import write_metrics
@@ -335,10 +334,12 @@ def _final_artefacts(args, engine, tele, tracer, report, total: float) -> None:
 
         dest = write_prometheus(snapshot, args.prom)
         print(f"prometheus: {dest}", file=sys.stderr)
-    if args.trace_out is not None and tracer is not None:
-        dest = tracer.write(args.trace_out)
+    if args.trace_out is not None:
+        from ..obs.observer import write_chrome_trace
+
+        dest = write_chrome_trace(observer.to_chrome(), args.trace_out)
         print(
-            f"trace: {dest} ({len(tracer)} spans; open in Perfetto)",
+            f"trace: {dest} ({len(observer.records())} spans; open in Perfetto)",
             file=sys.stderr,
         )
 
@@ -355,20 +356,21 @@ def _print_summary(args, engine, report, total: float) -> None:
         print(f"breaker state:      {engine.breaker.state}")
 
 
-def _flusher(args, engine, tele):
+def _flusher(args, engine, observer):
     """The interval Prometheus re-writer (``--prom --prom-interval``)."""
     if args.prom is None or args.prom_interval is None:
         return None
-    from ..obs.telemetry import PrometheusFlusher, live_snapshot
+    from ..obs.metrics import live_snapshot
+    from ..obs.telemetry import PrometheusFlusher
 
     return PrometheusFlusher(
-        lambda: live_snapshot(tele, counters=engine.counters(), runs=0),
+        lambda: live_snapshot(observer, counters=engine.counters(), runs=0),
         args.prom,
         interval=args.prom_interval,
     )
 
 
-async def _serve_async(args: argparse.Namespace, tele, tracer) -> int:
+async def _serve_async(args: argparse.Namespace, observer) -> int:
     from .loadgen import replay_sequence, run_load_test, workload_requests
 
     seq = None
@@ -396,11 +398,11 @@ async def _serve_async(args: argparse.Namespace, tele, tracer) -> int:
         )
 
     engine = _build_engine(
-        args, tele, tracer, origin=origin, default_max_wait=0.002
+        args, observer, origin=origin, default_max_wait=0.002
     )
     await engine.start()
     engine.install_signal_handlers()
-    flusher = _flusher(args, engine, tele)
+    flusher = _flusher(args, engine, observer)
     if flusher is not None:
         flusher.start()
     try:
@@ -420,17 +422,17 @@ async def _serve_async(args: argparse.Namespace, tele, tracer) -> int:
         if flusher is not None:
             flusher.stop()
     _print_summary(args, engine, report, total)
-    _final_artefacts(args, engine, tele, tracer, report, total)
+    _final_artefacts(args, engine, observer, report, total)
     return 0
 
 
-async def _loadtest_async(args: argparse.Namespace, tele, tracer) -> int:
+async def _loadtest_async(args: argparse.Namespace, observer) -> int:
     from .loadgen import run_load_test
 
-    engine = _build_engine(args, tele, tracer, default_max_wait=0.0)
+    engine = _build_engine(args, observer, default_max_wait=0.0)
     await engine.start()
     engine.install_signal_handlers()
-    flusher = _flusher(args, engine, tele)
+    flusher = _flusher(args, engine, observer)
     if flusher is not None:
         flusher.start()
     try:
@@ -449,23 +451,22 @@ async def _loadtest_async(args: argparse.Namespace, tele, tracer) -> int:
         if flusher is not None:
             flusher.stop()
     _print_summary(args, engine, report, total)
-    _final_artefacts(args, engine, tele, tracer, report, total)
+    _final_artefacts(args, engine, observer, report, total)
     return 0
 
 
 def _with_session(args: argparse.Namespace, runner) -> int:
-    from ..cli import _telemetry_session
+    from ..cli import _observer_session
+    from ..obs.observer import Observer
 
-    tracer = None
-    if args.trace_out is not None:
-        from ..obs.tracing import Tracer
-
-        tracer = Tracer()
     # the serve histograms (admit/batch-wait/solve/e2e) always flow
-    # through a hub -- the loadtest summary and the drain artefacts both
-    # read them, so the session is unconditional here
-    with _telemetry_session(True, args.stall_after, False) as tele:
-        return asyncio.run(runner(args, tele, tracer))
+    # through the runtime leg -- the loadtest summary and the drain
+    # artefacts both read them
+    observer = Observer(
+        spans=args.trace_out is not None, runtime=True, stall_after=args.stall_after
+    )
+    with _observer_session(observer, False):
+        return asyncio.run(runner(args, observer))
 
 
 def run_serve(args: argparse.Namespace) -> int:

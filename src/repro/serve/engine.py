@@ -38,12 +38,14 @@ ingress -> admission -> bounded queue -> batch collector -> batch solve
   SIGTERM/SIGINT by the CLI) stops admission, flushes in-flight
   batches, finalizes the ski-rental state, and leaves the engine with
   exact totals for the final METRICS/PROM artefacts.
-* **Telemetry**: every hop is metered through the existing hub --
+* **Observation**: with an :class:`~repro.obs.observer.Observer`
+  every hop is metered -- with its runtime leg the
   ``serve.admit_seconds`` / ``serve.batch_wait_seconds`` /
-  ``serve.solve_seconds`` / ``serve.e2e_seconds`` histograms, the
-  ``serve.*`` counters, and :class:`~repro.obs.telemetry.ProgressBoard`
-  batch heartbeats (a chaos-delayed batch trips the stall watchdog
-  exactly like a stalled pool unit).
+  ``serve.solve_seconds`` / ``serve.e2e_seconds`` histograms and its
+  :class:`~repro.obs.telemetry.ProgressBoard` batch heartbeats (a
+  chaos-delayed batch trips the stall watchdog exactly like a stalled
+  pool unit), with its spans leg one ``batch(<n>)`` span per batch --
+  next to the engine's own ``serve.*`` counters.
 * **Chaos**: ``REPRO_CHAOS`` injects on the service path per batch:
   ``delay`` sleeps (asynchronously) before the solve, ``crash`` /
   ``kill`` / ``corrupt`` fail the attempt before any mutation (corrupt
@@ -65,14 +67,13 @@ from ..cache.model import CostModel, Request
 from ..core.online_dpg import OnlineDPGreedyState, _SkiRentalUnit
 from ..correlation.packing import PackingPlan, greedy_pair_packing
 from ..engine.chaos import FaultPlan, chaos_from_env
-from ..obs.tracing import Tracer, maybe_span
+from ..obs.observer import Observer, maybe_span
 from ..obs.telemetry import (
     H_ADMIT,
     H_BATCH_WAIT,
     H_E2E,
     H_SERVE_SOLVE,
     ProgressBoard,
-    Telemetry,
 )
 from .admission import AdmissionConfig, CircuitBreaker, TokenBucket
 from .collector import BatchCollector
@@ -187,15 +188,15 @@ class ServingEngine:
         alpha: float,
         origin: int = 0,
         config: Optional[ServeConfig] = None,
-        telemetry: Optional[Telemetry] = None,
-        tracer: Optional[Tracer] = None,
+        observer: Optional[Observer] = None,
         clock=time.monotonic,
     ) -> None:
         self.model = model
         self.config = config or ServeConfig()
         self.clock = clock
-        self.telemetry = telemetry
-        self.tracer = tracer
+        # the runtime leg meters every hop; the spans leg traces batches
+        self._runtime = observer if observer is not None and observer.runtime else None
+        self._spans = observer if observer is not None and observer.spans else None
         self.state = OnlineDPGreedyState(
             model,
             theta=theta,
@@ -212,7 +213,7 @@ class ServingEngine:
             self.config.chaos if self.config.chaos is not None else chaos_from_env()
         )
         self.board: ProgressBoard = (
-            telemetry.board if telemetry is not None else ProgressBoard()
+            self._runtime.board if self._runtime is not None else ProgressBoard()
         )
         self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=adm.queue_limit)
         self.collector = BatchCollector(
@@ -257,8 +258,8 @@ class ServingEngine:
 
     # -- small helpers ---------------------------------------------------
     def _record(self, name: str, seconds: float) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record(name, seconds)
+        if self._runtime is not None:
+            self._runtime.record(name, seconds)
 
     def _count(self, name: str, delta: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + delta
@@ -452,7 +453,7 @@ class ServingEngine:
         self.board.begin(1)
         self.board.unit_started(label)
         try:
-            with maybe_span(self.tracer, label, "serve", requests=len(batch)):
+            with maybe_span(self._spans, label, "serve", requests=len(batch)):
                 await self._process_batch_inner(batch, label)
         finally:
             self.board.unit_finished(label)

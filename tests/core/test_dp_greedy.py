@@ -29,7 +29,7 @@ from repro.engine.parallel import serve_plan
 from repro.engine.resilience import ResilienceConfig
 from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.experiments.running_example import running_example_sequence
-from repro.obs.tracing import Tracer
+from repro.obs import Observer
 from repro.trace.store import TraceStore, write_store
 
 from ..conftest import cost_models, multi_item_sequences, stored
@@ -406,8 +406,8 @@ class TestZeroTimeRequest:
         seq = RequestSequence(self.ROWS, num_servers=3)
         with stored(seq) as store:
             for s in (seq, store):
-                tracer = Tracer()
-                kwargs = dict(theta=0.3, alpha=0.8, tracer=tracer)
+                observer = Observer(spans=True)
+                kwargs = dict(theta=0.3, alpha=0.8, observer=observer)
                 with pytest.raises(
                     ValueError, match=r"^request\[0\] \(server 1, t=0\.0\): "
                 ):
@@ -421,7 +421,7 @@ class TestZeroTimeRequest:
                         )
                     else:
                         solve_dp_greedy(s, unit_model, **kwargs)
-                assert len(tracer) == 0
+                assert observer.records() == () and observer.runs == []
 
     def test_online_solver_still_accepts_time_zero(self, unit_model):
         seq = RequestSequence(self.ROWS, num_servers=3)

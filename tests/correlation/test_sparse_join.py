@@ -154,15 +154,15 @@ class TestEndToEnd:
         assert isinstance(ref.stats, SparseCorrelationStats)
 
     def test_join_counters_reach_metrics(self):
-        from repro.obs import MetricsCollector
+        from repro.obs import Observer
         from repro.trace.workload import zipf_item_workload
 
         seq = zipf_item_workload(150, 8, 10, seed=3, cooccurrence=0.5)
         model = CostModel(mu=1.0, lam=1.0)
-        collector = MetricsCollector()
-        obs = collector.observe(case="sparse-join")
-        solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, obs=obs)
-        counters = collector.snapshot()["runs"][0]["counters"]
+        observer = Observer(ledger=True)
+        observer.begin_run(case="sparse-join")
+        solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, observer=observer)
+        counters = observer.metrics()["runs"][0]["counters"]
         k = len(seq.items)
         assert counters["phase1.pairs_total"] == k * (k - 1) // 2
         assert counters["phase1.candidates_emitted"] >= len(
@@ -174,18 +174,18 @@ class TestEndToEnd:
         )
 
     def test_external_plan_skips_join_counters(self):
-        from repro.obs import MetricsCollector
+        from repro.obs import Observer
         from repro.trace.workload import zipf_item_workload
 
         seq = zipf_item_workload(80, 6, 6, seed=4, cooccurrence=0.5)
         model = CostModel(mu=1.0, lam=1.0)
         plan = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8).plan
-        collector = MetricsCollector()
-        obs = collector.observe(case="external-plan")
+        observer = Observer(ledger=True)
+        observer.begin_run(case="external-plan")
         res = solve_dp_greedy(
-            seq, model, theta=0.3, alpha=0.8, plan=plan, obs=obs
+            seq, model, theta=0.3, alpha=0.8, plan=plan, observer=observer
         )
-        counters = collector.snapshot()["runs"][0]["counters"]
+        counters = observer.metrics()["runs"][0]["counters"]
         assert "phase1.pairs_total" not in counters
         # the join still runs: the result carries its statistics
         assert res.stats is not None

@@ -48,7 +48,6 @@ class TestEquivalence:
         for kwargs in (
             dict(workers=1),
             dict(workers=2),
-            dict(parallel=True),
             dict(memo=SolverMemo()),
         ):
             got = _serial(seq, model, **kwargs)

@@ -393,37 +393,36 @@ class TestConfig:
 
 class TestObservability:
     def test_counters_reach_metrics(self, seq, unit_model):
-        from repro.obs import MetricsCollector
+        from repro.obs import Observer
 
-        collector = MetricsCollector()
-        obs = collector.observe(case="chaos")
+        observer = Observer(ledger=True)
         plan = FaultPlan(seed=7, crash=0.5)
         _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="thread", obs=obs,
+            workers=2, pool="thread", observer=observer,
         )
-        counters = obs.counters.snapshot()
+        counters = observer.runs[-1].counters
         assert counters["engine.retries"] > 0
         assert counters["engine.timeouts"] == 0
         assert counters["engine.pool_fallbacks"] == 0
         assert counters["engine.units_failed"] == 0
 
     def test_retry_spans_recorded(self, seq, unit_model):
-        from repro.obs.tracing import Tracer
+        from repro.obs import Observer
 
-        tracer = Tracer()
+        observer = Observer(spans=True)
         plan = FaultPlan(seed=7, crash=0.5)
         _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="thread", tracer=tracer,
+            workers=2, pool="thread", observer=observer,
         )
-        names = [s.name for s in tracer.records()]
+        names = [s.name for s in observer.records()]
         assert "engine.retry" in names
         solve_attempts = [
             s.args.get("attempt")
-            for s in tracer.records()
+            for s in observer.records()
             if s.name == "phase2.solve"
         ]
         assert any(a is not None and a > 1 for a in solve_attempts)

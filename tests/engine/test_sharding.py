@@ -320,7 +320,7 @@ class TestApi:
     @pytest.mark.parametrize("shards", [0, -3])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-memo"])
     def test_nonpositive_shards_rejected(self, seq, shards, warm):
-        from repro.obs.tracing import Tracer
+        from repro.obs import Observer
 
         memo = SolverMemo()
         if warm:
@@ -328,10 +328,10 @@ class TestApi:
             # bad count must still be refused
             again = _solve(seq, memo=memo)
             assert again.engine_stats.memo_misses == again.engine_stats.units
-        tracer = Tracer()
+        observer = Observer(spans=True)
         with pytest.raises(ValueError, match="shards"):
-            _solve(seq, shards=shards, memo=memo, tracer=tracer)
-        assert len(tracer) == 0  # refused before Phase 1
+            _solve(seq, shards=shards, memo=memo, observer=observer)
+        assert observer.records() == ()  # refused before Phase 1
 
     def test_engine_stats_shape(self, seq):
         got = _solve(seq, shards=3)
@@ -344,23 +344,24 @@ class TestApi:
 
 class TestObservability:
     def test_merged_ledger_reconciles_across_shards(self, seq, baseline):
-        from repro.obs import MetricsCollector
+        from repro.obs import Observer
 
-        collector = MetricsCollector()
-        obs = collector.observe(case="sharded")
-        got = _solve(seq, shards=3, obs=obs)
+        observer = Observer(ledger=True)
+        observer.begin_run(case="sharded")
+        got = _solve(seq, shards=3, observer=observer)
         assert got.total_cost == baseline.total_cost
-        counters = obs.counters.snapshot()
+        run = observer.runs[-1]
+        counters = run.counters
         assert counters["engine.shards"] == 3
         assert counters["engine.units"] == got.engine_stats.units
         # attribution flowed back from every shard: the ledger's grand
         # total reconciles with the solver's
-        assert obs.ledger is not None
+        assert run.ledger is not None
 
     def test_tracer_sees_shard_units(self, seq):
-        from repro.obs.tracing import Tracer
+        from repro.obs import Observer
 
-        tracer = Tracer()
-        _solve(seq, shards=2, workers=2, pool="thread", tracer=tracer)
-        names = [s.name for s in tracer.records()]
+        observer = Observer(spans=True)
+        _solve(seq, shards=2, workers=2, pool="thread", observer=observer)
+        names = [s.name for s in observer.records()]
         assert "engine.dispatch" in names

@@ -14,7 +14,7 @@ from repro.obs.bench import (
     main,
     time_best_of,
 )
-from repro.obs.timers import PhaseTimers
+from repro.obs import Observer
 
 
 @pytest.fixture
@@ -116,14 +116,14 @@ class TestRegressionCheck:
 class TestTimeBestOf:
     def test_returns_best_and_feeds_timers(self):
         calls = []
-        timers = PhaseTimers()
+        observer = Observer(spans=True)
         best = time_best_of(
-            lambda: calls.append(1), repeats=4, timers=timers, phase="p"
+            lambda: calls.append(1), repeats=4, observer=observer, phase="p"
         )
         assert len(calls) == 4
         assert best >= 0.0
-        assert timers.calls("p") == 4  # timers saw every repeat
-        assert timers.seconds("p") >= 0.0
+        assert observer.totals()["p"]["calls"] == 4  # one span per repeat
+        assert observer.totals()["p"]["seconds"] >= 0.0
 
     def test_passes_args_and_validates_repeats(self):
         seen = []

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from repro.cache.model import CostModel
 from repro.core import dp_greedy as dpg_mod
 from repro.core.dp_greedy import solve_dp_greedy
-from repro.obs import METRICS_SCHEMA, MetricsCollector, write_metrics
-from repro.obs.metrics import _MODE_ACTION
+from repro.obs import METRICS_SCHEMA, Observer, write_metrics
+from repro.obs.ledger import MODE_ACTIONS
 from repro.trace.workload import correlated_pair_sequence
 
 from ..conftest import cost_models, multi_item_sequences
@@ -36,24 +36,24 @@ _CONFIGS = {
 
 
 def _solve_observed(seq, model, theta, alpha, config):
-    collector = MetricsCollector()
-    obs = collector.observe(config=config)
+    observer = Observer(ledger=True)
+    observer.begin_run(config=config)
     result = solve_dp_greedy(
-        seq, model, theta=theta, alpha=alpha, obs=obs, **_CONFIGS[config]
+        seq, model, theta=theta, alpha=alpha, observer=observer, **_CONFIGS[config]
     )
-    return result, obs, collector
+    return result, observer.runs[-1], observer
 
 
 class TestModeActionMap:
     def test_pins_the_solver_mode_strings(self):
         # obs cannot import core (circular), so the mapping is spelled
         # out by hand -- this pin breaks if the mode strings ever drift
-        assert set(_MODE_ACTION) == {
+        assert set(MODE_ACTIONS) == {
             dpg_mod.MODE_CACHE,
             dpg_mod.MODE_TRANSFER,
             dpg_mod.MODE_PACKAGE,
         }
-        assert _MODE_ACTION[dpg_mod.MODE_PACKAGE] == "ship"
+        assert MODE_ACTIONS[dpg_mod.MODE_PACKAGE] == "ship"
 
 
 class TestReconciliationProperty:
@@ -66,14 +66,14 @@ class TestReconciliationProperty:
         config=st.sampled_from(["serial", "engine-serial", "memo"]),
     )
     def test_ledger_reconciles_with_total(self, seq, model, theta, alpha, config):
-        result, obs, _ = _solve_observed(seq, model, theta, alpha, config)
-        # finalize already reconciled (it raises on a gap); re-check
+        result, run, _ = _solve_observed(seq, model, theta, alpha, config)
+        # the solve already reconciled (it raises on a gap); re-check
         # the invariant explicitly against the public scalar
-        assert obs.total_cost == pytest.approx(result.total_cost)
-        assert obs.ledger.reconcile(result.total_cost) <= 1e-9
+        assert run.total_cost == pytest.approx(result.total_cost)
+        assert run.ledger.reconcile(result.total_cost) <= 1e-9
         # every charge serves a real request of the sequence
         n = len(seq)
-        assert all(0 <= e.request_index < n for e in obs.ledger.entries)
+        assert all(0 <= e.request_index < n for e in run.ledger.entries)
 
     @settings(max_examples=6, deadline=None)
     @given(
@@ -82,17 +82,8 @@ class TestReconciliationProperty:
     )
     def test_ledger_reconciles_across_pools(self, seq, config):
         model = CostModel(mu=1.0, lam=1.0)
-        result, obs, _ = _solve_observed(seq, model, 0.3, 0.8, config)
-        assert obs.ledger.reconcile(result.total_cost) <= 1e-9
-
-    def test_observation_does_not_change_the_answer(self):
-        seq = correlated_pair_sequence(120, 8, 0.45, seed=7)
-        model = CostModel(mu=2.0, lam=1.0)
-        ref = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
-        result, obs, _ = _solve_observed(seq, model, 0.3, 0.8, "serial")
-        assert result.total_cost == pytest.approx(ref.total_cost, abs=1e-12)
-        # the default (unobserved) path carries no attribution payloads
-        assert all(rep.attribution is None for rep in ref.reports)
+        result, run, _ = _solve_observed(seq, model, 0.3, 0.8, config)
+        assert run.ledger.reconcile(result.total_cost) <= 1e-9
 
     def test_memoized_second_run_still_reconciles(self):
         from repro.engine.memo import SolverMemo
@@ -100,33 +91,32 @@ class TestReconciliationProperty:
         seq = correlated_pair_sequence(100, 6, 0.5, seed=3)
         model = CostModel(mu=1.0, lam=2.0)
         memo = SolverMemo()
-        collector = MetricsCollector()
+        observer = Observer(ledger=True)
         for run in range(2):
-            obs = collector.observe(run=run)
+            observer.begin_run(run=run)
             solve_dp_greedy(
-                seq, model, theta=0.3, alpha=0.8, workers=1, memo=memo, obs=obs
+                seq, model, theta=0.3, alpha=0.8, workers=1, memo=memo,
+                observer=observer,
             )
-        second = collector.snapshot()["runs"][1]
+        second = observer.metrics()["runs"][1]
         assert second["counters"]["engine.memo_hits"] > 0
         assert second["reconciliation_error"] <= 1e-9
 
 
 class TestRunObservation:
     def test_phase_timers_cover_both_phases(self):
-        from repro.obs.tracing import Tracer
-
         seq = correlated_pair_sequence(80, 6, 0.5, seed=1)
-        obs = MetricsCollector().observe()
+        observer = Observer(ledger=True, spans=True)
         solve_dp_greedy(
-            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, obs=obs,
-            tracer=Tracer(),
+            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, observer=observer
         )
+        run = observer.runs[-1]
         for phase in ("phase1.similarity", "phase1.packing", "phase2.serve"):
-            assert phase in obs.timers, phase
-        # Phase 2 is timed once per solve; its units, once each, by
-        # their solve spans
-        assert obs.timers.calls("phase2.serve") == 1
-        assert obs.spans["phase2.solve"]["calls"] == obs.counters.get("phase2.units")
+            assert phase in run.phases, phase
+            # each phase is timed once, by its span
+            assert run.phases[phase] == run.spans[phase]
+        assert run.phases["phase2.serve"]["calls"] == 1
+        assert run.spans["phase2.solve"]["calls"] == run.counters["phase2.units"]
 
     @pytest.mark.parametrize(
         "route",
@@ -143,85 +133,52 @@ class TestRunObservation:
         # solved inside a pooled group or a shard, and none nested in
         # another -- so the aggregate's call count is the unit count
         from repro.engine.sharding import solve_dp_greedy_sharded
-        from repro.obs.tracing import Tracer
         from repro.trace.workload import zipf_item_workload
 
         seq = zipf_item_workload(400, 12, 40, seed=3, cooccurrence=0.2)
         solver = solve_dp_greedy_sharded if "shards" in route else solve_dp_greedy
-        tracer = Tracer()
-        obs = MetricsCollector().observe()
+        observer = Observer(ledger=True, spans=True, runtime=True)
         result = solver(
-            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, obs=obs,
-            tracer=tracer, **route,
+            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8,
+            observer=observer, **route,
         )
         assert len(result.reports) > 4 * 2  # more units than a pool's group cap
         labels = [
-            r.args["unit"] for r in tracer.records() if r.name == "phase2.solve"
+            r.args["unit"] for r in observer.records() if r.name == "phase2.solve"
         ]
         assert len(set(labels)) == len(labels) == len(result.reports)
         assert all(label.startswith(("pkg(", "item(")) for label in labels)
-        assert obs.spans["phase2.solve"]["calls"] == len(labels)
+        run = observer.runs[-1]
+        assert run.spans["phase2.solve"]["calls"] == len(labels)
+        # the latency histogram derives from the same spans
+        assert run.latency["phase2.solve_seconds"]["count"] == len(labels)
 
     def test_counters_absorb_engine_and_memo(self):
         seq = correlated_pair_sequence(80, 6, 0.5, seed=2)
-        _, obs, _ = _solve_observed(seq, CostModel(mu=1, lam=1), 0.3, 0.8, "memo")
-        counters = obs.counters.snapshot()
+        _, run, _ = _solve_observed(seq, CostModel(mu=1, lam=1), 0.3, 0.8, "memo")
+        counters = run.snapshot()["counters"]
         assert counters["engine.pool"] == "serial"
         assert "engine.memo_hit_rate" in counters
         assert "memo.entries" in counters
 
     def test_per_unit_breakdown_covers_plan(self):
         seq = correlated_pair_sequence(80, 6, 0.6, seed=4)
-        result, obs, _ = _solve_observed(
+        result, run, _ = _solve_observed(
             seq, CostModel(mu=1, lam=1), 0.3, 0.8, "serial"
         )
-        units = set(obs.ledger.by_unit())
+        units = set(run.ledger.by_unit())
         expected = {tuple(sorted(rep.group)) for rep in result.reports}
         # every unit that charged anything is a real serving unit
         assert units <= expected
 
 
-class TestDuplicateTimestampGuard:
-    def test_finalize_rejects_duplicate_timestamps(self):
-        # RequestSequence itself forbids duplicates, so model the broken
-        # upstream producer finalize defends against with a bare stub
-        from types import SimpleNamespace
-
-        from repro.obs.metrics import RunObservation
-
-        obs = RunObservation()
-        seq = SimpleNamespace(times=(1.0, 2.0, 2.0, 3.0, 3.0))
-        with pytest.raises(ValueError, match="duplicate timestamps"):
-            obs.finalize(seq, reports=(), total_cost=0.0)
-        # the message names the offending instants
-        with pytest.raises(ValueError, match=r"2\.0"):
-            obs.finalize(seq, reports=(), total_cost=0.0)
-
-    def test_finalize_accepts_unique_timestamps(self):
-        from types import SimpleNamespace
-
-        from repro.obs.metrics import RunObservation
-
-        obs = RunObservation()
-        obs.finalize(
-            SimpleNamespace(times=(1.0, 2.0, 3.0)), reports=(), total_cost=0.0
-        )
-        assert obs.total_cost == 0.0
-
-
 class TestMetricsV2Spans:
     def test_traced_run_lands_in_spans_sections(self):
-        from repro.obs.tracing import Tracer
-
         seq = correlated_pair_sequence(60, 5, 0.4, seed=9)
         model = CostModel(mu=1, lam=1)
-        collector = MetricsCollector()
-        tracer = Tracer()
-        solve_dp_greedy(
-            seq, model, theta=0.3, alpha=0.8,
-            obs=collector.observe(), tracer=tracer,
-        )
-        snap = collector.snapshot()
+        observer = Observer(ledger=True, spans=True)
+        solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, observer=observer)
+        snap = observer.metrics()
         assert snap["schema"] == "repro.obs/metrics/v3"
         run_spans = snap["runs"][0]["spans"]
         assert "phase1.similarity" in run_spans
@@ -234,30 +191,24 @@ class TestMetricsV2Spans:
 
     def test_untraced_run_has_empty_spans(self):
         seq = correlated_pair_sequence(60, 5, 0.4, seed=9)
-        collector = MetricsCollector()
+        observer = Observer(ledger=True)
         solve_dp_greedy(
-            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8,
-            obs=collector.observe(),
+            seq, CostModel(mu=1, lam=1), theta=0.3, alpha=0.8, observer=observer
         )
-        snap = collector.snapshot()
+        snap = observer.metrics()
         assert snap["runs"][0]["spans"] == {}
         assert snap["aggregate"]["spans"] == {}
 
     def test_sweep_tracer_windows_do_not_leak_across_runs(self):
-        # one tracer spanning a sweep: each run's spans section must only
-        # cover its own solve (the mark/since window), not the whole sweep
-        from repro.obs.tracing import Tracer
-
+        # one observer spanning a sweep: each run's spans section must
+        # only cover its own solve, not the whole sweep
         seq = correlated_pair_sequence(60, 5, 0.4, seed=9)
         model = CostModel(mu=1, lam=1)
-        collector = MetricsCollector()
-        tracer = Tracer()
+        observer = Observer(ledger=True, spans=True)
         for r in range(2):
-            solve_dp_greedy(
-                seq, model, theta=0.3, alpha=0.8,
-                obs=collector.observe(repeat=r), tracer=tracer,
-            )
-        runs = collector.snapshot()["runs"]
+            observer.begin_run(repeat=r)
+            solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, observer=observer)
+        runs = observer.metrics()["runs"]
         assert (
             runs[0]["spans"]["phase2.solve"]["calls"]
             == runs[1]["spans"]["phase2.solve"]["calls"]
@@ -268,11 +219,11 @@ class TestMetricsCollector:
     def test_snapshot_schema_and_aggregate(self, tmp_path):
         seq = correlated_pair_sequence(60, 5, 0.4, seed=9)
         model = CostModel(mu=1, lam=1)
-        collector = MetricsCollector()
+        observer = Observer(ledger=True)
         for r in range(2):
-            obs = collector.observe(jaccard=0.4, repeat=r)
-            solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, obs=obs)
-        snap = collector.snapshot()
+            observer.begin_run(jaccard=0.4, repeat=r)
+            solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, observer=observer)
+        snap = observer.metrics()
         assert snap["schema"] == METRICS_SCHEMA
         agg = snap["aggregate"]
         assert agg["runs"] == 2

@@ -1,4 +1,4 @@
-"""Tests for the runtime telemetry plane (repro.obs.telemetry)."""
+"""Tests for the runtime telemetry leg (repro.obs.telemetry) of the observer."""
 
 from __future__ import annotations
 
@@ -16,19 +16,15 @@ from repro.core.dp_greedy import solve_dp_greedy
 from repro.obs.metrics import (
     METRICS_SCHEMA,
     METRICS_SCHEMAS,
-    MetricsCollector,
     read_metrics,
 )
+from repro.obs.observer import Observer, active, install
 from repro.trace.workload import correlated_pair_sequence
 from repro.obs.telemetry import (
     PROM_LINE_RE,
     LatencyHistogram,
     ProgressBoard,
     ResourceSampler,
-    Telemetry,
-    WorkerUnitStats,
-    active,
-    install,
     render_dashboard,
     render_prometheus,
     sample_resources,
@@ -241,75 +237,68 @@ class TestProgressBoard:
 
 class TestTelemetryHub:
     def test_context_manager_starts_and_stops(self):
-        with Telemetry(sample_interval=10.0) as tele:
-            assert tele.started
-            tele.record("phase2.solve_seconds", 0.001)
-        assert not tele.started
-        lat = tele.latency_snapshot()
+        with Observer(runtime=True, sample_interval=10.0) as observer:
+            assert observer.started
+            observer.record("phase2.solve_seconds", 0.001)
+        assert not observer.started
+        lat = observer.cumulative_latency()
         assert lat["phase2.solve_seconds"]["count"] == 1
-        assert tele.resources_snapshot()["parent"]["samples_taken"] >= 1
+        assert observer.resources_snapshot()["parent"]["samples_taken"] >= 1
 
     def test_watchdog_flags_stalls(self):
-        with Telemetry(sample_interval=10.0, stall_after=0.02) as tele:
-            tele.board.begin(1)
-            tele.board.unit_started("hung")
+        with Observer(runtime=True, sample_interval=10.0, stall_after=0.02) as observer:
+            observer.board.begin(1)
+            observer.board.unit_started("hung")
             time.sleep(0.2)
-        assert tele.board.stalls == 1
+        assert observer.board.stalls == 1
 
     def test_begin_run_windows_latency_per_run(self):
-        with Telemetry(sample_interval=10.0) as tele:
-            tele.begin_run()
-            tele.record("phase2.solve_seconds", 0.001)
-            first = tele.latency_snapshot()
-            tele.begin_run()
-            second = tele.latency_snapshot()
+        with Observer(runtime=True, ledger=True, sample_interval=10.0) as observer:
+            observer.begin_run()
+            observer.record("phase2.solve_seconds", 0.001)
+            first = observer.end_run(0.0, units=0).latency
+            observer.begin_run()
+            second = observer.end_run(0.0, units=0).latency
         assert first["phase2.solve_seconds"]["count"] == 1
         assert second == {}
-        cum = tele.cumulative_latency()
+        cum = observer.cumulative_latency()
         assert cum["phase2.solve_seconds"]["count"] == 1
 
     def test_absorb_worker_stats(self):
-        tele = Telemetry(sample_interval=10.0)
-        stats = WorkerUnitStats(
-            pid=4321,
-            entries=(("phase2.solve_seconds", 0.002),),
-            peak_rss_bytes=123456,
-            cpu_seconds=0.5,
+        observer = Observer(runtime=True, sample_interval=10.0)
+        shipped = LatencyHistogram()
+        shipped.record(0.002)
+        observer.absorb(
+            (4321, [], {"phase2.solve_seconds": shipped.snapshot()}, 123456, 0.5)
         )
-        tele.absorb_worker(stats)
-        tele.absorb_worker(None)  # plain workers ship nothing
-        assert tele.latency_snapshot()["phase2.solve_seconds"]["count"] == 1
-        workers = tele.resources_snapshot()["workers"]
+        assert observer.cumulative_latency()["phase2.solve_seconds"]["count"] == 1
+        workers = observer.resources_snapshot()["workers"]
         assert workers["4321"]["peak_rss_bytes"] == 123456
 
     def test_install_active_roundtrip(self):
-        tele = Telemetry(sample_interval=10.0)
-        prev = install(tele)
+        observer = Observer(runtime=True, sample_interval=10.0)
+        prev = install(observer)
         try:
-            assert active() is tele
+            assert active() is observer
         finally:
             install(prev)
-        assert active() is not tele
+        assert active() is not observer
 
 
 def _observed_solve(runs: int = 1):
-    """One tiny real solve per run, metered through a telemetry hub."""
+    """One tiny real solve per run, metered through a runtime observer."""
     seq = correlated_pair_sequence(20, 4, 0.5, seed=2)
     model = CostModel(mu=1.0, lam=1.0)
-    collector = MetricsCollector()
-    with Telemetry(sample_interval=10.0) as tele:
+    with Observer(runtime=True, ledger=True, sample_interval=10.0) as observer:
         for run in range(runs):
-            obs = collector.observe(run=run)
-            obs.counters.add("engine.stalls", 0)
-            solve_dp_greedy(
-                seq, model, theta=0.3, alpha=0.8, obs=obs, telemetry=tele
-            )
-    return collector
+            observer.begin_run(run=run)
+            solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, observer=observer)
+    return observer
 
 
 class TestPrometheusRendering:
     def _snapshot(self):
-        return _observed_solve().snapshot()
+        return _observed_solve().metrics()
 
     def test_every_line_matches_the_text_format(self):
         text = render_prometheus(self._snapshot())
@@ -336,12 +325,12 @@ class TestPrometheusRendering:
 
 class TestDashboard:
     def test_dashboard_renders_all_sections(self):
-        with Telemetry(sample_interval=10.0) as tele:
-            tele.board.begin(2)
-            tele.board.unit_started("u0")
-            tele.board.unit_finished("u0", ok=True)
-            tele.record("phase2.solve_seconds", 0.002)
-        text = render_dashboard(tele)
+        with Observer(runtime=True, sample_interval=10.0) as observer:
+            observer.board.begin(2)
+            observer.board.unit_started("u0")
+            observer.board.unit_finished("u0", ok=True)
+            observer.record("phase2.solve_seconds", 0.002)
+        text = render_dashboard(observer)
         assert "1/2" in text
         assert "latency (ms)" in text
         assert "rss peak" in text
@@ -354,7 +343,7 @@ class TestMetricsV3:
         assert "repro.obs/metrics/v2" in METRICS_SCHEMAS
 
     def test_run_snapshot_carries_latency_and_resources(self):
-        snap = _observed_solve().snapshot()
+        snap = _observed_solve().metrics()
         run = snap["runs"][0]
         assert run["latency"]["phase2.solve_seconds"]["count"] >= 1
         assert run["resources"]["parent"]["samples_taken"] >= 1
@@ -363,7 +352,7 @@ class TestMetricsV3:
         assert agg["resources"]["peak_rss_bytes"] > 0
 
     def test_aggregate_merges_latency_across_runs(self):
-        snap = _observed_solve(runs=3).snapshot()
+        snap = _observed_solve(runs=3).metrics()
         per_run = [
             r["latency"]["phase2.solve_seconds"]["count"]
             for r in snap["runs"]
@@ -408,7 +397,7 @@ class TestMetricsV3:
 
     def test_v3_snapshot_roundtrips_through_read_metrics(self, tmp_path):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(_observed_solve().snapshot()))
+        path.write_text(json.dumps(_observed_solve().metrics()))
         snap = read_metrics(path)
         assert snap["schema"] == "repro.obs/metrics/v3"
         assert snap["runs"][0]["latency"]["phase2.solve_seconds"]["count"] >= 1

@@ -1,146 +1,175 @@
-"""Unit tests for the phase timers and the counter registry."""
+"""Unit tests for the observer's phase span totals and its run counters."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.engine.parallel import EngineStats
-from repro.obs import CounterRegistry, PhaseTimers
+from repro.obs import Observer, RunRecord, SpanRecord, metrics_snapshot
 
 
 class TestPhaseTimers:
     def test_accumulates_seconds_and_calls(self):
-        timers = PhaseTimers()
+        observer = Observer()  # phase spans aggregate with no leg on
         for _ in range(3):
-            with timers.time("phase2.serve"):
+            with observer.span("phase2.serve"):
                 pass
-        assert timers.calls("phase2.serve") == 3
-        assert timers.seconds("phase2.serve") >= 0.0
-        assert "phase2.serve" in timers
-        assert "phase1.packing" not in timers
+        totals = observer.totals()
+        assert totals["phase2.serve"]["calls"] == 3
+        assert totals["phase2.serve"]["seconds"] >= 0.0
+        assert "phase1.packing" not in totals
 
     def test_time_is_monotone(self):
         import time as _time
 
-        timers = PhaseTimers()
-        with timers.time("t"):
+        observer = Observer()
+        with observer.span("phase1.packing"):
             _time.sleep(0.01)
-        assert timers.seconds("t") >= 0.005
+        assert observer.totals()["phase1.packing"]["seconds"] >= 0.005
 
     def test_exception_still_recorded(self):
-        timers = PhaseTimers()
+        observer = Observer()
         with pytest.raises(RuntimeError):
-            with timers.time("t"):
+            with observer.span("phase2.serve"):
                 raise RuntimeError("boom")
-        assert timers.calls("t") == 1
+        assert observer.totals()["phase2.serve"]["calls"] == 1
 
     def test_snapshot_shape(self):
-        timers = PhaseTimers()
-        with timers.time("b"):
+        observer = Observer(spans=True)
+        with observer.span("b"):
             pass
-        with timers.time("a"):
+        with observer.span("a"):
             pass
-        snap = timers.snapshot()
+        snap = observer.totals()
         assert list(snap) == ["a", "b"]  # sorted
         assert set(snap["a"]) == {"seconds", "calls"}
         assert isinstance(snap["a"]["calls"], int)
 
     def test_unknown_phase_reads_zero(self):
-        timers = PhaseTimers()
-        assert timers.seconds("nope") == 0.0
-        assert timers.calls("nope") == 0
+        # without the spans leg only the phases aggregate
+        observer = Observer()
+        with observer.span("nope"):
+            pass
+        assert observer.totals() == {}
 
     def test_add_folds_external_intervals(self):
-        timers = PhaseTimers()
-        timers.add("p", 1.5)
-        timers.add("p", 0.5, calls=3)
-        assert timers.seconds("p") == pytest.approx(2.0)
-        assert timers.calls("p") == 4
-        with pytest.raises(ValueError):
-            timers.add("p", -0.1)
+        observer = Observer(spans=True)
+        shipped = [
+            SpanRecord("p", "phase", 1.0, 1.5, 4321, 1, {}),
+            SpanRecord("p", "phase", 3.0, 0.5, 4321, 1, {}),
+        ]
+        observer.absorb((4321, shipped, {}, 0, 0.0))
+        assert observer.totals()["p"]["seconds"] == pytest.approx(2.0)
+        assert observer.totals()["p"]["calls"] == 2
 
     def test_merge_timers_and_snapshot_shaped_mappings(self):
-        a = PhaseTimers()
-        a.add("x", 1.0)
-        b = PhaseTimers()
-        b.add("x", 2.0, calls=2)
-        b.add("y", 0.25)
-        a.merge(b)
-        # a Tracer.aggregate()-shaped plain mapping merges the same way
-        a.merge({"y": {"seconds": 0.75, "calls": 3}})
-        assert a.seconds("x") == pytest.approx(3.0)
-        assert a.calls("x") == 3
-        assert a.seconds("y") == pytest.approx(1.0)
-        assert a.calls("y") == 4
+        runs = [
+            RunRecord({}, phases={"x": {"seconds": 1.0, "calls": 1}}, total_cost=0.0),
+            RunRecord(
+                {},
+                phases={
+                    "x": {"seconds": 2.0, "calls": 2},
+                    "y": {"seconds": 0.25, "calls": 1},
+                },
+                total_cost=0.0,
+            ),
+        ]
+        phases = metrics_snapshot(runs)["aggregate"]["phases"]
+        assert phases["x"]["seconds"] == pytest.approx(3.0)
+        assert phases["x"]["calls"] == 3
+        assert phases["y"] == {"seconds": 0.25, "calls": 1}
 
     def test_concurrent_adds_do_not_drop_updates(self):
+        import sys
         import threading as _threading
 
-        timers = PhaseTimers()
+        observer = Observer(spans=True, runtime=True)
 
         def hammer():
             for _ in range(500):
-                timers.add("p", 0.001)
+                with observer.span("phase2.solve"):
+                    pass
 
-        threads = [_threading.Thread(target=hammer) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert timers.calls("p") == 2000
-        assert timers.seconds("p") == pytest.approx(2.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [_threading.Thread(target=hammer) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert observer.totals()["phase2.solve"]["calls"] == 2000
+        assert len(observer.records()) == 2000
+        latency = observer.cumulative_latency()["phase2.solve_seconds"]
+        assert latency["count"] == 2000
+
+
+def _stats(**overrides):
+    fields = dict(
+        units=4,
+        packages=1,
+        singletons=3,
+        workers=2,
+        pool="thread",
+        dispatched=3,
+        memo_hits=7,
+        memo_misses=3,
+    )
+    fields.update(overrides)
+    return EngineStats(**fields)
 
 
 class TestCounterRegistry:
     def test_set_get_add(self):
-        reg = CounterRegistry()
-        reg.set("a", 2)
-        reg.add("a", 3)
-        reg.add("b")  # implicit start at 0
-        assert reg.get("a") == 5
-        assert reg.get("b") == 1
-        assert reg.get("missing", -1) == -1
-        assert "a" in reg and len(reg) == 2
+        observer = Observer(ledger=True)
+        run = observer.begin_run()
+        run.counters["trace.rows_total"] = 5  # a caller's own counter
+        observer.end_run(0.0, units=4)
+        assert observer.runs == [run]
+        assert run.counters["trace.rows_total"] == 5
+        assert run.counters["phase2.units"] == 4
 
     def test_add_to_non_numeric_rejected(self):
-        reg = CounterRegistry()
-        reg.set("pool", "thread")
-        with pytest.raises(TypeError):
-            reg.add("pool")
+        # labels ride along per run but never sum into the aggregate
+        observer = Observer(ledger=True)
+        for _ in range(2):
+            observer.begin_run()
+            observer.end_run(0.0, units=4, engine_stats=_stats())
+        snap = observer.metrics()
+        assert snap["runs"][0]["counters"]["engine.pool"] == "thread"
+        assert "engine.pool" not in snap["aggregate"]["counters"]
+        assert snap["aggregate"]["counters"]["engine.memo_hits"] == 14
 
     def test_absorb_with_prefix(self):
-        reg = CounterRegistry()
-        reg.absorb({"hits": 3, "misses": 1}, prefix="memo.")
-        assert reg.get("memo.hits") == 3
-        assert reg.get("memo.misses") == 1
+        from repro.engine.memo import SolverMemo
+
+        observer = Observer(ledger=True)
+        observer.begin_run()
+        run = observer.end_run(0.0, units=0, memo=SolverMemo())
+        assert run.counters["memo.hits"] == 0
+        assert run.counters["memo.entries"] == 0
 
     def test_absorb_engine_stats_dataclass(self):
-        stats = EngineStats(
-            units=4,
-            packages=1,
-            singletons=3,
-            workers=2,
-            pool="thread",
-            dispatched=3,
-            memo_hits=7,
-            memo_misses=3,
-        )
-        reg = CounterRegistry()
-        reg.absorb_stats(stats, prefix="engine.")
-        assert reg.get("engine.memo_hits") == 7
-        assert reg.get("engine.pool") == "thread"
-        assert reg.get("engine.workers") == 2
+        observer = Observer(ledger=True)
+        observer.begin_run()
+        run = observer.end_run(0.0, units=4, engine_stats=_stats())
+        assert run.counters["engine.memo_hits"] == 7
+        assert run.counters["engine.pool"] == "thread"
+        assert run.counters["engine.workers"] == 2
+        assert run.counters["engine.memo_hit_rate"] == pytest.approx(0.7)
 
     def test_absorb_stats_rejects_non_dataclass(self):
-        reg = CounterRegistry()
+        observer = Observer(ledger=True)
+        observer.begin_run()
         with pytest.raises(TypeError):
-            reg.absorb_stats({"hits": 1}, prefix="x.")
+            observer.end_run(0.0, units=0, engine_stats={"hits": 1})
 
     def test_snapshot_sorted_copy(self):
-        reg = CounterRegistry()
-        reg.set("z", 1)
-        reg.set("a", 2)
-        snap = reg.snapshot()
+        run = RunRecord({}, counters={"z": 1, "a": 2})
+        snap = run.snapshot()["counters"]
         assert list(snap) == ["a", "z"]
         snap["a"] = 99
-        assert reg.get("a") == 2  # snapshot is a copy
+        assert run.counters["a"] == 2  # snapshot is a copy

@@ -1,9 +1,12 @@
-"""Tests for span tracing: the tracer itself, the Chrome export, and the
-instrumented pipeline (including pool workers and the memo).
+"""Tests for spans: the observer's span records, the Chrome export, and
+the instrumented pipeline (including pool workers and the memo).
 
 The golden-export tests pin the Chrome trace-event contract (Perfetto /
-``chrome://tracing`` compatibility); the equivalence tests pin the
-tracing-never-changes-the-answer guarantee.
+``chrome://tracing`` compatibility).  That observation never changes the
+answer is pinned for every leg and route by
+``tests/obs/test_observer.py``; ``TestTracingEquivalence`` keeps the
+spans-leg check of the two engine configurations outside that matrix:
+the serial pool without a memo, and the process-wide default memo.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ import pytest
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
-from repro.obs.tracing import (
+from repro.obs.observer import (
+    Observer,
     SpanRecord,
-    Tracer,
     maybe_span,
     write_chrome_trace,
 )
@@ -33,18 +36,18 @@ def _workload():
     return zipf_item_workload(200, 6, 10, seed=5)
 
 
-def _traced_solve(seq, *, tracer, **engine):
+def _traced_solve(seq, *, observer, **engine):
     return solve_dp_greedy(
-        seq, _MODEL, theta=0.3, alpha=0.8, tracer=tracer, **engine
+        seq, _MODEL, theta=0.3, alpha=0.8, observer=observer, **engine
     )
 
 
 class TestTracer:
     def test_span_records_interval_and_identity(self):
-        tracer = Tracer()
-        with tracer.span("work", cat="test", n=3):
+        observer = Observer(spans=True)
+        with observer.span("work", cat="test", n=3):
             pass
-        (rec,) = tracer.records()
+        (rec,) = observer.records()
         assert rec.name == "work" and rec.cat == "test"
         assert rec.args == {"n": 3}
         assert rec.duration >= 0.0
@@ -52,41 +55,42 @@ class TestTracer:
         assert rec.tid == threading.get_ident()
 
     def test_nested_spans_are_contained(self):
-        tracer = Tracer()
-        with tracer.span("outer"):
-            with tracer.span("inner"):
+        observer = Observer(spans=True)
+        with observer.span("outer"):
+            with observer.span("inner"):
                 pass
-        inner, outer = tracer.records()  # inner closes first
+        inner, outer = observer.records()  # inner closes first
         assert inner.name == "inner" and outer.name == "outer"
         assert outer.start <= inner.start
         assert inner.start + inner.duration <= outer.start + outer.duration + 1e-9
 
     def test_late_attributes_via_span_set(self):
-        tracer = Tracer()
-        with tracer.span("probe") as span:
+        observer = Observer(spans=True)
+        with observer.span("probe") as span:
             span.set("memo", "hit")
-        (rec,) = tracer.records()
+        (rec,) = observer.records()
         assert rec.args["memo"] == "hit"
 
     def test_span_recorded_on_exception(self):
-        tracer = Tracer()
+        observer = Observer(spans=True)
         with pytest.raises(RuntimeError):
-            with tracer.span("boom"):
+            with observer.span("boom"):
                 raise RuntimeError("x")
-        assert len(tracer) == 1
+        assert len(observer.records()) == 1
 
     def test_mark_scopes_a_window(self):
-        tracer = Tracer()
-        with tracer.span("before"):
+        observer = Observer(spans=True)
+        with observer.span("before"):
             pass
-        mark = tracer.mark()
-        with tracer.span("after"):
+        mark = observer.mark()
+        with observer.span("after"):
             pass
-        assert [r.name for r in tracer.records(since=mark)] == ["after"]
-        assert set(tracer.aggregate(since=mark)) == {"after"}
+        assert [r.name for r in observer.records(since=mark)] == ["after"]
+        events = observer.to_chrome(since=mark)["traceEvents"]
+        assert {e["name"] for e in events if e["ph"] == "X"} == {"after"}
 
     def test_extend_merges_worker_records(self):
-        tracer = Tracer()
+        observer = Observer(spans=True)
         foreign = SpanRecord(
             name="phase2.solve",
             cat="phase2",
@@ -96,24 +100,25 @@ class TestTracer:
             tid=1,
             args={"unit": "item(0)"},
         )
-        tracer.extend([foreign])
-        assert tracer.records() == (foreign,)
+        observer.absorb((99999, [foreign], {}, 0, 0.0))
+        assert observer.records() == (foreign,)
+        assert observer.totals()["phase2.solve"] == {"seconds": 0.5, "calls": 1}
 
     def test_aggregate_matches_timers_snapshot_shape(self):
-        tracer = Tracer()
+        observer = Observer(spans=True)
         for _ in range(3):
-            with tracer.span("phase2.solve"):
+            with observer.span("phase2.solve"):
                 pass
-        agg = tracer.aggregate()
+        agg = observer.totals()
         assert agg["phase2.solve"]["calls"] == 3
         assert agg["phase2.solve"]["seconds"] >= 0.0
 
     def test_empty_tracer_is_falsy_but_not_none(self):
-        # Tracer defines __len__, so `if tracer:` is False when empty --
-        # call sites must test `is not None`; this pin documents the trap
-        tracer = Tracer()
-        assert not tracer
-        assert tracer is not None
+        # an observer keeping no span is still an observer: call sites
+        # test `is not None`, never the (empty) records
+        observer = Observer(spans=True)
+        assert not observer.records()
+        assert observer is not None
 
 
 class TestMaybeSpan:
@@ -122,10 +127,10 @@ class TestMaybeSpan:
             span.set("memo", "hit")  # must not raise
 
     def test_real_tracer_records(self):
-        tracer = Tracer()
-        with maybe_span(tracer, "real", cat="x"):
+        observer = Observer(spans=True)
+        with maybe_span(observer, "real", cat="x"):
             pass
-        assert [r.name for r in tracer.records()] == ["real"]
+        assert [r.name for r in observer.records()] == ["real"]
 
 
 class TestChromeExport:
@@ -133,19 +138,19 @@ class TestChromeExport:
 
     def _trace_of(self, **engine):
         seq = _workload()
-        tracer = Tracer()
-        _traced_solve(seq, tracer=tracer, **engine)
-        return tracer, tracer.to_chrome()
+        observer = Observer(spans=True)
+        _traced_solve(seq, observer=observer, **engine)
+        return observer, observer.to_chrome()
 
     def test_chrome_payload_is_valid(self, tmp_path):
-        tracer, chrome = self._trace_of()
+        observer, chrome = self._trace_of()
         assert set(chrome) == {"traceEvents", "displayTimeUnit"}
         assert chrome["displayTimeUnit"] == "ms"
         xs = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
         ms = [e for e in chrome["traceEvents"] if e["ph"] == "M"]
-        assert len(xs) == len(tracer)
+        assert len(xs) == len(observer.records())
         assert {e["name"] for e in ms} == {"process_name"}
-        assert {e["pid"] for e in ms} == {r.pid for r in tracer.records()}
+        assert {e["pid"] for e in ms} == {r.pid for r in observer.records()}
         for e in xs:
             assert isinstance(e["ts"], float) and e["ts"] >= 0.0
             assert isinstance(e["dur"], float) and e["dur"] >= 0.0
@@ -155,8 +160,9 @@ class TestChromeExport:
         assert json.loads(path.read_text()) == chrome
 
     def test_serial_solve_spans_nest_inside_phase2(self):
-        tracer, _ = self._trace_of()
-        names = [r.name for r in tracer.records()]
+        observer, _ = self._trace_of()
+        records = observer.records()
+        names = [r.name for r in records]
         for expected in (
             "phase1.similarity",
             "phase1.packing",
@@ -164,8 +170,8 @@ class TestChromeExport:
             "phase2.solve",
         ):
             assert expected in names, expected
-        (serve,) = [r for r in tracer.records() if r.name == "phase2.serve"]
-        solves = [r for r in tracer.records() if r.name == "phase2.solve"]
+        (serve,) = [r for r in records if r.name == "phase2.serve"]
+        solves = [r for r in records if r.name == "phase2.solve"]
         assert solves
         for s in solves:
             assert serve.start <= s.start + 1e-9
@@ -173,17 +179,17 @@ class TestChromeExport:
             assert s.args["unit"]  # e.g. "pkg(1,2)" / "item(7)"
 
     def test_thread_pool_spans_carry_worker_tids(self):
-        tracer, _ = self._trace_of(workers=2, pool="thread")
-        solves = [r for r in tracer.records() if r.name == "phase2.solve"]
+        observer, _ = self._trace_of(workers=2, pool="thread")
+        solves = [r for r in observer.records() if r.name == "phase2.solve"]
         assert solves
         # the solves ran on executor threads, not the main thread
         main_tid = threading.get_ident()
         assert all(r.tid != main_tid for r in solves)
-        assert len({r.tid for r in tracer.records()}) >= 2
+        assert len({r.tid for r in observer.records()}) >= 2
 
     def test_process_pool_spans_carry_worker_pids(self):
-        tracer, chrome = self._trace_of(workers=2, pool="process")
-        solves = [r for r in tracer.records() if r.name == "phase2.solve"]
+        observer, chrome = self._trace_of(workers=2, pool="process")
+        solves = [r for r in observer.records() if r.name == "phase2.solve"]
         assert solves
         parent = os.getpid()
         assert all(r.pid != parent for r in solves)
@@ -201,15 +207,15 @@ class TestChromeExport:
         from repro.engine.memo import SolverMemo
 
         memo = SolverMemo()
-        tracer = Tracer()
-        _traced_solve(seq, tracer=tracer, workers=1, memo=memo)
-        first = [r for r in tracer.records() if r.name == "engine.memo_probe"]
+        observer = Observer(spans=True)
+        _traced_solve(seq, observer=observer, workers=1, memo=memo)
+        first = [r for r in observer.records() if r.name == "engine.memo_probe"]
         assert first and all(r.args["memo"] == "miss" for r in first)
-        mark = tracer.mark()
-        _traced_solve(seq, tracer=tracer, workers=1, memo=memo)
+        mark = observer.mark()
+        _traced_solve(seq, observer=observer, workers=1, memo=memo)
         second = [
             r
-            for r in tracer.records(since=mark)
+            for r in observer.records(since=mark)
             if r.name == "engine.memo_probe"
         ]
         assert second and any(r.args["memo"] == "hit" for r in second)
@@ -221,19 +227,15 @@ class TestTracingEquivalence:
     @pytest.mark.parametrize(
         "engine",
         [
-            dict(),
             dict(workers=1, pool="serial"),
-            dict(workers=2, pool="thread"),
-            dict(workers=2, pool="process"),
             dict(workers=1, memo=True),
-            dict(workers=2, pool="thread", memo=True),
         ],
-        ids=["classic", "engine-serial", "thread", "process", "memo", "thread-memo"],
+        ids=["engine-serial", "memo"],
     )
     def test_traced_run_is_byte_identical(self, engine):
         seq = zipf_item_workload(160, 8, 10, seed=11)
         ref = solve_dp_greedy(seq, _MODEL, theta=0.3, alpha=0.8, **engine)
-        got = _traced_solve(seq, tracer=Tracer(), **engine)
+        got = _traced_solve(seq, observer=Observer(spans=True), **engine)
         assert got.total_cost == ref.total_cost  # exact, not approx
         assert got.reports == ref.reports
         assert got.plan == ref.plan

@@ -15,7 +15,7 @@ import pytest
 from repro.cache.model import CostModel
 from repro.core.online_dpg import solve_online_dp_greedy
 from repro.engine.chaos import FaultPlan
-from repro.obs.telemetry import Telemetry
+from repro.obs import Observer
 from repro.serve import AdmissionConfig, ServeConfig, ServingEngine
 from repro.trace.workload import zipf_item_workload
 
@@ -291,12 +291,12 @@ class TestChaosAndBreaker:
         lagged = FaultPlan(seed=3, delay=1.0, delay_seconds=0.02, attempts=1)
 
         async def go():
-            tele = Telemetry(stall_after=0.005)
+            observer = Observer(runtime=True, stall_after=0.005)
             engine = ServingEngine(
                 MODEL, theta=THETA, alpha=ALPHA,
-                config=quiet_config(chaos=lagged), telemetry=tele,
+                config=quiet_config(chaos=lagged), observer=observer,
             )
-            with tele:
+            with observer:
                 await engine.start()
                 answer = await engine.submit(0, {1})
                 await engine.drain()
