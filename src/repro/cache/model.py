@@ -49,6 +49,7 @@ __all__ = [
     "SameServerIndex",
     "same_server_links",
     "trajectory_links",
+    "validate_trajectory",
     "CostModel",
     "package_rate",
     "DEFAULT_ALPHA",
@@ -115,10 +116,51 @@ class Request:
         return f"<s{self.server} t={self.time:g} {{{items}}}>"
 
 
+def validate_trajectory(
+    servers: "Sequence[int] | np.ndarray",
+    times: "Sequence[float] | np.ndarray",
+    num_servers: int,
+    origin: int,
+    *,
+    empty: "np.ndarray | None" = None,
+) -> None:
+    """Audit a ``(servers, times)`` trajectory the way
+    :meth:`RequestSequence.validate` audits a sequence: ``num_servers``
+    positive, ``origin`` and every server in ``[0, num_servers)``, times
+    finite, non-negative and strictly increasing, and -- with ``empty``
+    (a per-row mask) -- no empty item set.  Raises ``ValueError`` naming
+    the first failing row and, for that row, the first failing check.
+    """
+    if num_servers <= 0:
+        raise ValueError(f"num_servers must be positive, got {num_servers}")
+    if not 0 <= origin < num_servers:
+        raise ValueError(f"origin server {origin} outside [0, {num_servers})")
+    servers = np.asarray(servers)
+    times = np.asarray(times, dtype=np.float64)
+    prev = np.empty(len(times))
+    prev[:1] = -math.inf
+    prev[1:] = times[:-1]
+    # one mask passes exactly the rows every check passes (NaN fails
+    # every comparison); the message is formatted for the first row
+    # that fails it
+    with np.errstate(invalid="ignore"):
+        ok = (times >= 0) & (times < math.inf) & (times > prev)
+    ok &= (servers >= 0) & (servers < num_servers)
+    if empty is not None:
+        ok &= ~empty
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        i = int(bad[0])
+        _raise_invalid(
+            i, int(servers[i]), float(times[i]), float(prev[i]), num_servers,
+            empty is not None and bool(empty[i]),
+        )
+
+
 def _raise_invalid(
     i: int, server: int, t: float, prev: float, num_servers: int, empty: bool
 ) -> None:
-    """Raise the indexed :meth:`RequestSequence.validate` message for
+    """Raise the indexed :func:`validate_trajectory` message for
     ``request[i]``, checking its conditions in their documented order."""
     where = f"request[{i}] (server {server}, t={t!r})"
     if math.isnan(t):
@@ -430,31 +472,11 @@ class RequestSequence:
         for that row, the first failing check.  Returns ``self`` so
         call sites can chain.
         """
-        if self.num_servers <= 0:
-            raise ValueError(f"num_servers must be positive, got {self.num_servers}")
-        if not 0 <= self.origin < self.num_servers:
-            raise ValueError(
-                f"origin server {self.origin} outside [0, {self.num_servers})"
-            )
         cols = self._columns()
-        times, servers = cols.times, cols.servers
-        prev = np.empty(len(times))
-        prev[:1] = -math.inf
-        prev[1:] = times[:-1]
-        empty = np.diff(cols.item_offsets) <= 0
-        # one mask passes exactly the rows every check passes (NaN fails
-        # every comparison); the message is formatted for the first row
-        # that fails it
-        with np.errstate(invalid="ignore"):
-            ok = (times >= 0) & (times < math.inf) & (times > prev)
-        ok &= (servers >= 0) & (servers < self.num_servers) & ~empty
-        bad = np.flatnonzero(~ok)
-        if len(bad):
-            i = int(bad[0])
-            _raise_invalid(
-                i, int(servers[i]), float(times[i]), float(prev[i]),
-                self.num_servers, bool(empty[i]),
-            )
+        validate_trajectory(
+            cols.servers, cols.times, self.num_servers, self.origin,
+            empty=np.diff(cols.item_offsets) <= 0,
+        )
         return self
 
     # ------------------------------------------------------------------
@@ -751,8 +773,13 @@ class CostModel:
     lam: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.mu < 0 or self.lam < 0:
-            raise ValueError("cost rates must be non-negative")
+        # NaN fails both comparisons: the DP's exactness needs real,
+        # non-negative charges
+        if not (self.mu >= 0 and self.lam >= 0):
+            raise ValueError(
+                f"cost rates must be non-negative, got mu={self.mu!r}, "
+                f"lam={self.lam!r}"
+            )
         if self.mu == 0 and self.lam == 0:
             raise ValueError("at least one of mu/lam must be positive")
 

@@ -41,14 +41,21 @@ event ``i'`` on its server (earlier events on the same server have
 exploits this: the frontier is one scalar base state plus at most one
 *pending* keep-interval state per server, giving ``O(n * m)`` time
 (``O(n)`` for small ``m``) and ``O(n * m)`` reconstruction history --
-down from the ``O(n^2)`` dense sweeps.
+down from the ``O(n^2)`` dense sweeps.  The cost-only sweep keeps
+fewer: a pending state whose ``M`` is no later than another's, at no
+lower cost, can never win, so it holds only the Pareto frontier of
+those states, one chain sorted by ``M`` whose costs never fall along
+it, and its cost stays bit-identical (the argument is in
+:func:`_sparse_cost_sweep`).  The path sweep keeps every state,
+because pruning can change which of two equally cheap paths is
+rebuilt.
 
 Two backends are provided and cross-checked bit-for-bit in tests (each
 path's cost is the same left-to-right float sum of the same charges, so
 costs agree exactly; on exact cost *ties* the backends may pick different
 -- equally optimal -- decision paths):
 
-* ``backend="sparse"`` (default) -- the per-server sparse frontier above;
+* ``backend="sparse"`` (default) -- the sparse frontier above;
 * ``backend="dense"`` -- the historical reference: a dict sweep over all
   reachable ``M`` for :func:`solve_optimal` and a NumPy dense cost vector
   for :func:`optimal_cost`.
@@ -58,12 +65,15 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .model import CostModel, RequestSequence, SingleItemView, trajectory_links
+from .model import (
+    CostModel, RequestSequence, SingleItemView, trajectory_links, validate_trajectory,
+)
 from .schedule import CacheInterval, Schedule, Transfer
 
 __all__ = [
@@ -115,8 +125,11 @@ def _events(
     successor (``-1`` when none) and ``first_copies`` the events whose
     first copy must arrive by transfer (:class:`~repro.cache.model.ViewLinks`).  A view
     projected from a sequence carries its links from the sequence's
-    :meth:`~repro.cache.model.RequestSequence.same_server_index`; any
-    other view gets them from the same links function here.
+    :meth:`~repro.cache.model.RequestSequence.same_server_index`, and
+    that sequence is validated.  Any other view is hand-built: it is
+    audited here by :func:`~repro.cache.model.validate_trajectory` (the
+    sweeps' exactness needs finite, strictly increasing times) and gets
+    its links from the same links function.
     Array-backed views are unpacked through ``tolist()`` so the scalar
     sweeps keep operating on plain Python ints/floats -- same values
     bitwise, no numpy scalars leaking into solver outputs.
@@ -124,10 +137,6 @@ def _events(
     if isinstance(view, RequestSequence):
         view = view.single_item_view()
     view_servers, view_times = view.servers, view.times
-    if isinstance(view_servers, np.ndarray):
-        view_servers = view_servers.tolist()
-    if isinstance(view_times, np.ndarray):
-        view_times = view_times.tolist()
     if len(view_times) and view_times[0] <= 0.0:
         raise ValueError(
             "single-item solvers require strictly positive request times "
@@ -135,7 +144,12 @@ def _events(
         )
     links = view.links
     if links is None:
+        validate_trajectory(view_servers, view_times, view.num_servers, view.origin)
         links = trajectory_links(view.origin, view_servers)
+    if isinstance(view_servers, np.ndarray):
+        view_servers = view_servers.tolist()
+    if isinstance(view_times, np.ndarray):
+        view_times = view_times.tolist()
     servers = [view.origin, *view_servers]
     times = [0.0, *view_times]
     return servers, times, links.nxt.tolist(), links.first_copies
@@ -145,12 +159,12 @@ def _events(
 # sparse-frontier sweeps (default backend)
 # ---------------------------------------------------------------------------
 #
-# Frontier invariant at the start of iteration ``i``: one *base* state
-# ``M = i`` plus pending states ``pend[s] = (M_s, cost_s)`` with
-# ``M_s = next(latest processed event on server s) > i``.  The event on
-# server ``s_i`` whose ``next`` pointer equals ``i`` merged into the base
-# during the gap step of ``i - 1``, so slot ``pend[s_i]`` is always free
-# when event ``i`` opens a new keep interval.
+# The path sweep's frontier invariant at the start of iteration ``i``:
+# one *base* state ``M = i`` plus pending states ``pend[s] = (M_s,
+# cost_s)`` with ``M_s = next(latest processed event on server s) > i``.
+# The event on server ``s_i`` whose ``next`` pointer equals ``i`` merged
+# into the base during the gap step of ``i - 1``, so slot ``pend[s_i]``
+# is always free when event ``i`` opens a new keep interval.
 #
 # Tie-breaks mirror the dense sweep where it is well-defined: a state that
 # can stay put via keep or drop prefers *keep* on equal cost.  Where the
@@ -159,47 +173,97 @@ def _events(
 # the pending (non-backbone) state wins a merge tie.
 
 def _sparse_cost_sweep(
-    servers: Sequence[int],
     times: Sequence[float],
     nxt: Sequence[int],
     mu: float,
     lam: float,
 ) -> float:
-    """Cost-only sparse-frontier sweep: ``O(n * m)`` time, ``O(m)`` space."""
+    """Cost-only sparse sweep over the Pareto frontier of pending states.
+
+    The base state ``M = i`` is a scalar; the pending states ``M > i``
+    form one chain, ``Ms`` ascending with costs ``Cs`` non-decreasing
+    along it, because a state ``(M_A, c_A)`` is dropped as soon as
+    another has ``M_B >= M_A`` and ``c_B <= c_A``.  The keep-collapse
+    parent is therefore the cheaper of the base and the chain head, in
+    ``O(1)``, and an event with successor ``j`` touches the chain once:
+
+    * ``keep <= lam``: the suffix ``M > j`` pays ``keep``, and the
+      collapsed state ``(j, parent + keep)`` dominates the whole prefix
+      ``M <= j``, which is dropped;
+    * ``keep > lam``: every state pays ``lam``, and the collapsed state
+      goes in at the ``M = j`` boundary (``bisect``), dropping the
+      prefix states it or the suffix head dominates -- or dropped
+      itself when the suffix head is no dearer.
+
+    Pruning looks only at that boundary and at the inserted state; the
+    gap step merges the chain head into the base when its ``M`` is
+    ``i + 1``.  The cost is bit-identical to the unpruned sweep (and
+    the dense reference): every transition charges the dominating state
+    the same or a smaller non-negative amount than the dominated one
+    (where the dominated state pays ``keep`` or ``lam``, its dominator
+    pays ``lam`` or ``min(keep, lam)``, and a gap its coverage spans
+    costs it nothing), and IEEE round-to-nearest is monotone,
+    ``x <= y`` implies ``fl(x + z) <= fl(y + z)``, so no completion of
+    a pruned state's path reaches a float below its dominator's.  The
+    charges are non-negative because the cost model's rates are and
+    :func:`_events` rejects times that are not strictly increasing.
+    Pruning is cost-exact but not path-exact (on a tie it can keep the
+    other of two equally cheap schedules), so :func:`_sparse_path_sweep`
+    does not prune.
+    """
     n = len(times) - 1
-    base_cost = 0.0
-    # pend[server] = [M, cost]
-    pend: Dict[int, List] = {}
-    for i in range(n + 1):
+    base = 0.0
+    Ms: List[int] = []
+    Cs: List[float] = []
+    t_i = 0.0
+    # event n has no successor and no gap after it
+    for i in range(n):
         j = nxt[i]
+        t_next = times[i + 1]
         if j >= 0:
-            keep_cost = mu * (times[j] - times[i])
-            best = base_cost
-            if keep_cost <= lam:
-                for rec in pend.values():
-                    c = rec[1]
-                    if rec[0] <= j:
-                        if c < best:
-                            best = c
-                        rec[1] = c + lam
+            keep = mu * (times[j] - t_i)
+            if Ms:
+                p = bisect_right(Ms, j)  # Ms[:p] is the prefix M <= j
+                new = (Cs[0] if p and Cs[0] < base else base) + keep
+                if keep <= lam:
+                    Cs = [c + keep for c in Cs[p:]]
+                    if Cs and Cs[0] <= new:
+                        del Ms[:p]
                     else:
-                        rec[1] = c + keep_cost
+                        Cs.insert(0, new)
+                        Ms[:p] = (j,)
+                else:
+                    Cs = [c + lam for c in Cs]
+                    q = p
+                    if p < len(Cs) and Cs[p] <= new:
+                        bound = Cs[p]
+                        while q and Cs[q - 1] >= bound:
+                            q -= 1
+                        if q < p:
+                            del Cs[q:p]
+                            del Ms[q:p]
+                    else:
+                        while q and Cs[q - 1] >= new:
+                            q -= 1
+                        if q < p:
+                            Cs[q:p] = (new,)
+                            Ms[q:p] = (j,)
+                        else:
+                            Cs.insert(p, new)
+                            Ms.insert(p, j)
             else:
-                for rec in pend.values():
-                    if rec[0] <= j and rec[1] < best:
-                        best = rec[1]
-                    rec[1] += lam
-            base_cost += lam
-            pend[servers[i]] = [j, best + keep_cost]
-        if i < n:
-            uncovered = base_cost + mu * (times[i + 1] - times[i])
-            rec = pend.get(servers[i + 1])
-            if rec is not None and rec[0] == i + 1:
-                del pend[servers[i + 1]]
-                base_cost = rec[1] if rec[1] <= uncovered else uncovered
-            else:
-                base_cost = uncovered
-    return base_cost
+                Ms.append(j)
+                Cs.append(base + keep)
+            base += lam
+        uncovered = base + mu * (t_next - t_i)
+        t_i = t_next
+        if Ms and Ms[0] == i + 1:
+            del Ms[0]
+            c = Cs.pop(0)
+            base = c if c <= uncovered else uncovered
+        else:
+            base = uncovered
+    return base
 
 
 def _sparse_path_sweep(
@@ -569,16 +633,17 @@ def optimal_cost(
 ) -> float:
     """Cost-only fast path of the same DP.
 
-    ``backend="sparse"`` (default) runs the ``O(n * m)`` per-server
-    sparse-frontier sweep with ``O(m)`` live state; ``backend="dense"``
-    runs the historical NumPy dense cost vector (``O(n)`` work per event,
-    ``O(n^2)`` total), kept as a cross-check reference.  Both produce
-    bit-identical costs: each path's cost is the same left-to-right
-    float sum of the same charges.
+    ``backend="sparse"`` (default) runs the ``O(n * m)`` sparse sweep
+    over the Pareto frontier of pending states (at most ``m``, in
+    ``O(m)`` space); ``backend="dense"`` runs the historical NumPy dense
+    cost vector (``O(n)`` work per event, ``O(n^2)`` total), kept as a
+    cross-check reference.  Both produce bit-identical costs: the
+    minimum of each path's left-to-right float sum of its charges, and
+    pruning drops only paths that cannot undercut it.
     """
     if backend not in ("sparse", "dense"):
         raise ValueError(f"unknown DP backend {backend!r}")
-    servers, times, nxt, first_copies = _events(view)
+    _, times, nxt, first_copies = _events(view)
     n = len(times) - 1
     if n == 0:
         return 0.0
@@ -586,7 +651,7 @@ def optimal_cost(
     base_cost = lam * len(first_copies)
 
     if backend == "sparse":
-        dp_cost = _sparse_cost_sweep(servers, times, nxt, mu, lam)
+        dp_cost = _sparse_cost_sweep(times, nxt, mu, lam)
         return (base_cost + dp_cost) * rate_multiplier
 
     t = np.asarray(times)

@@ -336,6 +336,9 @@ class TestCostModel:
             CostModel(mu=-1.0, lam=1.0)
         with pytest.raises(ValueError):
             CostModel(mu=0.0, lam=0.0)
+        for mu, lam in ((math.nan, 1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError, match="non-negative"):
+                CostModel(mu=mu, lam=lam)
 
     def test_zero_lambda_allowed(self):
         m = CostModel(mu=1.0, lam=0.0)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -82,6 +85,56 @@ class TestExamples:
         # event 0 (origin) keeps to serve t=1, event 1 keeps to serve t=2
         assert res.decisions[0] == 1
         assert res.decisions[1] == 1
+
+
+class TestHandBuiltViewAudit:
+    """A view without links is hand-built, so the DP prologue audits it
+    as ``RequestSequence.validate`` audits a sequence.  Unchecked, these
+    inputs priced differently on the two backends (a NaN time) or
+    silently (times out of order, servers outside the universe)."""
+
+    CASES = [
+        pytest.param((0, 1, 0), (1.0, math.nan, 2.0),
+                     r"request\[1\] .*time is NaN", id="nan-time"),
+        pytest.param((0, 1, 0), (1.0, 3.0, 2.0),
+                     r"request\[2\] .*strictly increasing \(previous was 3\.0\)",
+                     id="out-of-order"),
+        pytest.param((0, 5, 0), (1.0, 2.0, 3.0),
+                     r"request\[1\] \(server 5.*outside \[0, 2\)",
+                     id="server-too-large"),
+        pytest.param((0, -1, 0), (1.0, 2.0, 3.0),
+                     r"request\[1\] \(server -1.*outside \[0, 2\)",
+                     id="negative-server"),
+        pytest.param((0, 1, 0), (1.0, math.inf, 5.0),
+                     r"request\[1\] .*time is infinite", id="infinite-time"),
+    ]
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    @pytest.mark.parametrize("servers,times,message", CASES)
+    def test_malformed_view_rejected_with_index(
+        self, servers, times, message, backend
+    ):
+        v = SingleItemView(servers=servers, times=times, num_servers=2, origin=0)
+        model = CostModel(1, 1)
+        with pytest.raises(ValueError, match=message):
+            optimal_cost(v, model, backend=backend)
+        with pytest.raises(ValueError, match=message):
+            solve_optimal(v, model, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["sparse", "dense"])
+    def test_array_backed_view_audited_too(self, backend):
+        v = SingleItemView(
+            servers=np.array([0, 1, 0]), times=np.array([1.0, math.nan, 2.0]),
+            num_servers=2, origin=0,
+        )
+        with pytest.raises(ValueError, match=r"request\[1\] .*NaN"):
+            optimal_cost(v, CostModel(1, 1), backend=backend)
+
+    @pytest.mark.parametrize("origin,m", [(2, 2), (-1, 2), (0, 0)])
+    def test_origin_and_universe_audited(self, origin, m):
+        v = SingleItemView(servers=(), times=(), num_servers=m, origin=origin)
+        with pytest.raises(ValueError, match="origin server|num_servers"):
+            optimal_cost(v, CostModel(1, 1))
 
 
 class TestAgainstOracle:

@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 
 from repro.cache.brute_force import brute_force_cost
-from repro.cache.model import CostModel, SingleItemView
+from repro.cache.model import CostModel, RequestSequence, SingleItemView
 from repro.cache.optimal_dp import _transfer_sources, optimal_cost, solve_optimal
 from repro.cache.schedule import CacheInterval, validate_schedule
+from repro.trace.store import TraceStore, write_store
 
 from ..conftest import cost_models, single_item_views
 
@@ -107,6 +108,77 @@ class TestSparseDenseEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_cost_only_matches_full_solve(self, v, model):
         assert optimal_cost(v, model) == solve_optimal(v, model).cost
+
+
+class TestPrunedSweepAtBenchmarkWidth:
+    """The cost-only sweep prunes its frontier to the Pareto chain; at
+    ``m = 50`` (perfbench's and E9's server count) and ``n`` in the
+    hundreds to thousands the chain has states to prune, unlike the
+    small views above.  Costs must still equal the dense reference and
+    the unpruned path sweep exactly, on every spelling of a view."""
+
+    M = 50
+    GAPS = {
+        # continuous gaps: caching and transfers each win somewhere
+        "exponential": (lambda rng, n: rng.exponential(1.0, n) + 1e-3,
+                        CostModel(mu=3.0, lam=3.0)),
+        # a quarter-unit grid: keep costs repeat, so costs collide
+        "quarter-grid": (lambda rng, n: rng.integers(1, 8, n) * 0.25,
+                         CostModel(mu=1.0, lam=1.5)),
+        # integer gaps with mu == lam: keep == lam on unit gaps, exact ties
+        "integer-grid": (lambda rng, n: rng.integers(1, 4, n).astype(float),
+                         CostModel(mu=1.0, lam=1.0)),
+    }
+
+    def _sequence(self, servers: str, gaps: str) -> RequestSequence:
+        """~2,000 requests over 50 servers; item 0 rides on every
+        request, items 1 and 2 on about 60% and 25% of them, so the
+        projections span n from a few hundred to about 2,000."""
+        rng = np.random.default_rng(
+            sorted(self.GAPS).index(gaps) * 2 + (servers == "zipf")
+        )
+        n = 2000
+        if servers == "zipf":
+            w = np.arange(1, self.M + 1, dtype=float) ** -1.1
+            srv = rng.choice(self.M, size=n, p=w / w.sum())
+        else:
+            srv = rng.integers(0, self.M, n)
+        times = np.cumsum(self.GAPS[gaps][0](rng, n))
+        extra = rng.random((n, 2)) < (0.6, 0.25)
+        rows = [
+            (s, t, (0, *(d + 1 for d in (0, 1) if x[d])))
+            for s, t, x in zip(srv.tolist(), times.tolist(), extra.tolist())
+        ]
+        return RequestSequence(rows, num_servers=self.M)
+
+    @pytest.mark.parametrize("gaps", sorted(GAPS))
+    @pytest.mark.parametrize("servers", ["zipf", "uniform"])
+    def test_costs_equal_dense_and_path_sweep(self, servers, gaps, tmp_path):
+        seq = self._sequence(servers, gaps)
+        model = self.GAPS[gaps][1]
+        store = TraceStore.open(write_store(seq, tmp_path / "store"))
+        groups = [(0,), (1,), (2,), (1, 2)]
+        views = []
+        for g in groups:
+            proj = seq.group_view(g)
+            views.append(proj)
+            views.append(store.group_view(g))
+            views.append(SingleItemView(
+                servers=tuple(proj.servers.tolist()),
+                times=tuple(proj.times.tolist()),
+                num_servers=self.M, origin=seq.origin,
+            ))
+        sizes = sorted(len(v) for v in views)
+        assert sizes[0] >= 200 and sizes[-1] == 2000
+        for v in views:
+            for rate in (1.0, 1.6):
+                cost = optimal_cost(v, model, rate_multiplier=rate)
+                assert cost == optimal_cost(
+                    v, model, rate_multiplier=rate, backend="dense"
+                )
+                assert cost == solve_optimal(
+                    v, model, rate_multiplier=rate, build_schedule=False
+                ).cost
 
 
 class TestTransferSourceSweep:
