@@ -6,78 +6,14 @@ wins, where the curve bends -- so a performance run doubles as an
 end-to-end reproduction check.  Heavy harnesses run one round
 (``pedantic``); micro-benchmarks of the solvers run normally.
 
-Perf-regression tracking
-------------------------
-Every passing ``test_bench_*`` call-phase is appended to
-``results/BENCH_history.jsonl`` (see :mod:`repro.obs.bench` for the
-schema), keyed by pytest node id, so the bench trajectory accumulates
-across runs and ``python -m repro.obs.bench check`` can gate on it.
-
-Environment knobs:
-
-``BENCH_HISTORY``
-    ``0`` disables recording; any other value overrides the history
-    file path.
-``BENCH_CHECK``
-    ``warn`` prints regression verdicts (vs the baseline *before* this
-    run's records) at session end; ``fail`` additionally exits non-zero
-    -- the CI gate uses ``warn`` on PRs and ``fail`` on main.
+The benchmarks assert; they record nothing.  The committed perf record
+is ``BENCH_perfbench.json`` at the repository root, written from
+``perfbench/run.py``.
 """
 
 from __future__ import annotations
-
-import os
-from pathlib import Path
-from typing import List
-
-from repro.obs.bench import BenchHistory, BenchVerdict
-
-_REPO = Path(__file__).resolve().parents[1]
-_DEFAULT_HISTORY = _REPO / "results" / "BENCH_history.jsonl"
-
-#: Verdicts collected over the session (checked before each append, so
-#: the baseline never includes the measurement under test).
-_VERDICTS: List[BenchVerdict] = []
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a heavy harness with a single measured round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
-
-
-def _history() -> "BenchHistory | None":
-    env = os.environ.get("BENCH_HISTORY", "")
-    if env == "0":
-        return None
-    return BenchHistory(env or _DEFAULT_HISTORY)
-
-
-def pytest_runtest_logreport(report):
-    if report.when != "call" or not report.passed:
-        return
-    if "test_bench_" not in report.nodeid:
-        return
-    history = _history()
-    if history is None:
-        return
-    _VERDICTS.append(history.check(report.nodeid, report.duration))
-    history.append(report.nodeid, report.duration)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    mode = os.environ.get("BENCH_CHECK", "")
-    if mode not in ("warn", "fail") or not _VERDICTS:
-        return
-    regressions = [v for v in _VERDICTS if not v.ok]
-    tr = session.config.pluginmanager.get_plugin("terminalreporter")
-    write = tr.write_line if tr is not None else print
-    write("")
-    write(
-        f"bench check ({mode}): {len(_VERDICTS) - len(regressions)}"
-        f"/{len(_VERDICTS)} within baseline"
-    )
-    for v in _VERDICTS:
-        if not v.ok:
-            write(f"  {v.bench}: {v.reason}")
-    if regressions and mode == "fail":
-        session.exitstatus = 1

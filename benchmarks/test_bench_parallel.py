@@ -6,20 +6,14 @@ solve vs the 4-worker memoized engine.  On a theta sweep the memo is the
 dominant win -- singleton sub-problems are identical across sweep points,
 so every point after the first serves mostly from cache -- which also
 makes the >= 2x acceptance bar meaningful on a single-core box (pool
-speedup is additionally recorded, and asserted only when the machine
+speedup is additionally measured, and asserted only when the machine
 actually has >= 2 usable cores).
-
-Results land in ``results/BENCH_parallel.json`` next to the other
-artefacts: one row per execution mode with wall-clock seconds, speedup
-over serial, and memo counters.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
@@ -30,7 +24,6 @@ from repro.trace.workload import zipf_item_workload
 MODEL = CostModel(mu=2.0, lam=3.0)
 ALPHA = 0.8
 THETAS = (0.3, 0.4, 0.5, 0.6, 0.7)
-RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def _usable_cores() -> int:
@@ -94,51 +87,3 @@ def test_bench_parallel_engine_vs_serial():
     pool_speedup = t_pool_serial / t_pool
     if cores >= 2:
         assert pool_speedup >= 1.0
-
-    RESULTS.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "experiment_id": "bench_parallel",
-        "title": "Phase-2 execution engine: serial vs 4-worker memoized sweep",
-        "params": {
-            "n_requests": len(seq),
-            "num_items": len(seq.items),
-            "num_servers": seq.num_servers,
-            "thetas": list(THETAS),
-            "alpha": ALPHA,
-            "mu": MODEL.mu,
-            "lam": MODEL.lam,
-            "serving_units": units,
-            "usable_cores": cores,
-            "pool": engine_results[0].engine_stats.pool,
-        },
-        "rows": [
-            {
-                "mode": "serial sweep (workers=1, no memo)",
-                "seconds": round(t_serial, 4),
-                "speedup_vs_serial": 1.0,
-                "memo_hit_rate": None,
-            },
-            {
-                "mode": "engine sweep (workers=4, shared memo)",
-                "seconds": round(t_engine, 4),
-                "speedup_vs_serial": round(speedup, 3),
-                "memo_hit_rate": round(memo.hit_rate, 4),
-            },
-            {
-                "mode": "single plan, pool only (workers=4, thread)",
-                "seconds": round(t_pool, 4),
-                "speedup_vs_serial": round(pool_speedup, 3),
-                "memo_hit_rate": None,
-            },
-        ],
-        "notes": [
-            "theta-sweep singleton sub-problems are identical across "
-            "sweep points, so the memo serves them from cache",
-            "pool-only speedup is hardware-bound; asserted only when "
-            ">= 2 cores are usable (this run: "
-            f"{cores} core(s))",
-        ],
-    }
-    (RESULTS / "BENCH_parallel.json").write_text(
-        json.dumps(payload, indent=2) + "\n"
-    )

@@ -6,18 +6,12 @@ batch collector, online DP_Greedy solve -- and pins the sustained
 decision rate at >= 1e4 decisions/s, the ISSUE's CI floor.  The run
 reports p50/p99 admission-to-answer latency and asserts the engine
 answered every admitted request.
-
-Results land in ``results/BENCH_serve.json``; the measured run also
-feeds ``results/BENCH_history.jsonl`` (node id ``serve.throughput``
-lives in the payload) for the regression gate.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
-from pathlib import Path
 
 from conftest import run_once
 
@@ -30,7 +24,6 @@ THETA, ALPHA = 0.3, 0.4
 FLOOR_DECISIONS_PER_S = 10_000
 #: 1e5 attempted locally; CI can shrink via BENCH_SERVE_REQUESTS.
 REQUESTS = int(os.environ.get("BENCH_SERVE_REQUESTS", "100000"))
-RESULTS = Path(__file__).resolve().parents[1] / "results"
 
 
 def _loadtest():
@@ -71,23 +64,4 @@ def test_bench_serve_throughput(benchmark):
         f"serve.throughput {report.decisions_per_second:,.0f} decisions/s "
         f"below the {FLOOR_DECISIONS_PER_S:,} floor "
         f"({report.attempted} attempted in {report.wall_seconds:.2f}s)"
-    )
-
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / "BENCH_serve.json").write_text(
-        json.dumps(
-            {
-                "bench": "serve.throughput",
-                "requests": REQUESTS,
-                "clients": report.clients,
-                "throughput_rps": report.throughput,
-                "decisions_per_second": report.decisions_per_second,
-                "latency_p50_seconds": p50,
-                "latency_p99_seconds": p99,
-                "floor_decisions_per_second": FLOOR_DECISIONS_PER_S,
-                "total_cost": total,
-            },
-            indent=2,
-        )
-        + "\n"
     )

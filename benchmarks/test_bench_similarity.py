@@ -6,8 +6,7 @@ matrix plus a ``k x k`` BLAS product plus a ``k(k-1)/2`` pair sort, while
 the inverted-index join touches only ``O(sum |D_i|^2)`` nonzero cells and
 sorts only the threshold survivors.  The acceptance case pins a >= 3x
 win end-to-end (stats build + thresholded pair generation) with byte-
-identical output, and the micro-benchmarks record both backends in the
-history gate so neither path regresses silently.
+identical output, and the micro-benchmarks time both backends.
 """
 
 from __future__ import annotations
@@ -44,8 +43,8 @@ def _sparse_join(seq):
 
 def test_bench_similarity_dense_wide(benchmark):
     seq = _workload()
-    # pinned rounds: auto-calibration makes the recorded wall time (and
-    # hence the BENCH_history gate) jitter by the round count
+    # pinned rounds: auto-calibration makes the timed wall time jitter
+    # by the round count
     _, pairs = benchmark.pedantic(_dense_join, args=(seq,), rounds=10)
     assert pairs  # the workload has packable pairs above theta
 

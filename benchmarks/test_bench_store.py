@@ -8,11 +8,6 @@ streams and the solver reads the memory-mapped columns out-of-core.
 (``RLIMIT_RSS`` is a no-op on modern Linux; the address-space ceiling is
 the enforceable proxy.)
 
-Alongside the pytest-node record the measured solve lands as an
-explicit ``scaling.store`` point in ``BENCH_history.jsonl``, joining the
-scaling-study curves in the perf regression gate (warn on PRs, fail on
-main -- see ``BENCH_CHECK`` in ``benchmarks/conftest.py``).
-
 Knobs: ``LARGE_TRACE_ROWS`` (default 1_000_000) and
 ``LARGE_TRACE_AS_MB`` (default 2048) resize the smoke for slower runners.
 """
@@ -27,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import _history, run_once
+from conftest import run_once
 
 from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
@@ -125,20 +120,6 @@ def test_bench_store_million_rows_bounded_rss(benchmark, tmp_path):
     # the whole convert+solve stayed under the address-space ceiling,
     # and the resident peak must sit well below the row-list regime
     assert out["maxrss_mb"] < AS_MB
-    history = _history()
-    if history is not None:
-        history.append(
-            "scaling.store",
-            out["solve_seconds"],
-            {
-                "rows": ROWS,
-                "num_servers": NUM_SERVERS,
-                "items": NUM_ITEMS,
-                "convert_seconds": out["convert_seconds"],
-                "maxrss_mb": round(out["maxrss_mb"], 1),
-                "as_ceiling_mb": AS_MB,
-            },
-        )
 
 
 def test_bench_store_smoke_bit_identity(benchmark, tmp_path):

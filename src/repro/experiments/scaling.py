@@ -10,34 +10,56 @@ at fixed ``m``), which is the headline of the sparse-hot-paths
 optimisation.  The two backends must agree bit-for-bit at every size.
 Absolute constants are of course Python's, not the paper's C solver's.
 
-Timing runs through :func:`repro.obs.bench.time_best_of`, so every
-repeat is also one span of an :class:`~repro.obs.observer.Observer`
-(per-size spans ``scaling.dp.n<N>`` / ``scaling.dp_dense.n<N>`` /
-``scaling.prescan.n<N>``), and with ``history=`` the best-of times land
-in ``BENCH_history.jsonl`` as ``scaling.dp`` / ``scaling.dp_dense`` /
-``scaling.prescan`` records -- the same trajectory the benchmark suite
-feeds, so scaling runs participate in the perf regression gate.
+Timing runs through :func:`time_best_of`, so every repeat is also one
+span of an :class:`~repro.obs.observer.Observer` (per-size spans
+``scaling.dp.n<N>`` / ``scaling.dp_dense.n<N>`` /
+``scaling.prescan.n<N>``), which yields the mean next to the best-of.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from ..cache.model import CostModel
 from ..cache.optimal_dp import optimal_cost
 from ..engine.prescan import PreScan
-from ..obs.bench import BenchHistory, time_best_of
-from ..obs.observer import Observer
+from ..obs.observer import Observer, maybe_span
 from ..trace.workload import random_single_item_view
 from .base import ExperimentResult, sweep_checkpoint
 
-__all__ = ["run_scaling", "DEFAULT_SIZES"]
+__all__ = ["run_scaling", "time_best_of", "DEFAULT_SIZES"]
 
 DEFAULT_SIZES: Sequence[int] = (100, 200, 400, 800, 1600, 3200)
+
+
+def time_best_of(
+    fn: Callable,
+    *args: object,
+    repeats: int = 3,
+    observer: Optional[object] = None,
+    phase: Optional[str] = None,
+) -> float:
+    """Best-of-N wall time of ``fn(*args)``.
+
+    With an ``observer`` and a ``phase`` every repeat is one span named
+    ``phase``, so the same measurement feeds both the best-of result and
+    the observer's span totals.
+    """
+    if repeats < 1:
+        raise ValueError("repeats must be >= 1")
+    best = math.inf
+    for _ in range(repeats):
+        with maybe_span(observer if phase else None, phase):
+            t0 = time.perf_counter()
+            fn(*args)
+            best = min(best, time.perf_counter() - t0)
+    return best
 
 
 def run_scaling(
@@ -46,7 +68,6 @@ def run_scaling(
     num_servers: int = 50,
     seed: int = 11,
     repeats: int = 3,
-    history: Optional[Union[str, Path]] = None,
     checkpoint=None,
     resume: bool = False,
     store: bool = False,
@@ -54,24 +75,19 @@ def run_scaling(
 ) -> ExperimentResult:
     """Time the DP backends and pre-scan over growing ``n``; fit slopes.
 
-    ``history`` (a ``BENCH_history.jsonl`` path) appends one record per
-    timed curve -- bench ids ``scaling.dp`` (sparse backend),
-    ``scaling.dp_dense``, ``scaling.prescan``, seconds = total best-of
-    time over the sweep, per-size seconds in the counters -- so harness
-    runs are tracked alongside the benchmarks.  ``checkpoint``/``resume``
-    make each completed size point durable and skip recorded ones on
-    restart (the large sizes dominate the runtime, so resuming a killed
-    sweep saves almost all of it).
+    ``checkpoint``/``resume`` make each completed size point durable and
+    skip recorded ones on restart (the large sizes dominate the runtime,
+    so resuming a killed sweep saves almost all of it).
 
     ``store=True`` adds an out-of-core curve: at every size a
     multi-item workload is written to a columnar
-    :class:`~repro.trace.store.TraceStore` (under ``store_dir``, default
-    a temp directory) and the full sharded DP_Greedy solve is timed
-    straight off the memory-mapped columns
+    :class:`~repro.trace.store.TraceStore` and the full sharded
+    DP_Greedy solve is timed straight off the memory-mapped columns
     (:func:`~repro.engine.sharding.solve_dp_greedy_sharded`), with its
     total asserted bit-identical to the in-memory
-    :func:`~repro.core.dp_greedy.solve_dp_greedy` at every size.  With
-    ``history=`` the curve lands as a ``scaling.store`` record.
+    :func:`~repro.core.dp_greedy.solve_dp_greedy` at every size.  The
+    stores go under ``store_dir``, which is kept, or else into a
+    temporary directory removed on return and on error.
     """
     model = CostModel(mu=1.0, lam=1.0)
     observer = Observer(spans=True)
@@ -143,46 +159,47 @@ def run_scaling(
     store_curve = []
     if store:
         import tempfile
+        from contextlib import nullcontext
 
         from ..core.dp_greedy import solve_dp_greedy
         from ..engine.sharding import solve_dp_greedy_sharded
         from ..trace.store import TraceStore, write_store
         from ..trace.workload import zipf_item_workload
 
-        base = (
-            Path(store_dir)
-            if store_dir is not None
-            else Path(tempfile.mkdtemp(prefix="repro-scaling-store-"))
-        )
         num_items = max(8, num_servers // 2)
-        for i, n in enumerate(sizes):
-            point = {"n": n, "curve": "store"}
-            cached = ckpt.get(point) if ckpt else None
-            if cached is not None:
-                t_store = cached["t_store"]
-            else:
-                seq = zipf_item_workload(n, num_servers, num_items, seed=seed)
-                sseq = TraceStore.open(write_store(seq, base / f"n{n}"))
-                t_store = time_best_of(
-                    partial(
-                        solve_dp_greedy_sharded, sseq, model,
-                        theta=0.3, alpha=0.8,
-                    ),
-                    repeats=repeats, observer=observer, phase=f"scaling.store.n{n}",
-                )
-                # the store-backed sharded solve must reproduce the
-                # in-memory total bit for bit at every size
-                mem = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
-                off = solve_dp_greedy_sharded(sseq, model, theta=0.3, alpha=0.8)
-                if off.total_cost != mem.total_cost:
-                    raise AssertionError(
-                        f"store-backed total mismatch at n={n}: "
-                        f"{off.total_cost!r} != {mem.total_cost!r}"
+        with (
+            nullcontext(store_dir)
+            if store_dir is not None
+            else tempfile.TemporaryDirectory(prefix="repro-scaling-store-")
+        ) as base:
+            for i, n in enumerate(sizes):
+                point = {"n": n, "curve": "store"}
+                cached = ckpt.get(point) if ckpt else None
+                if cached is not None:
+                    t_store = cached["t_store"]
+                else:
+                    seq = zipf_item_workload(n, num_servers, num_items, seed=seed)
+                    sseq = TraceStore.open(write_store(seq, Path(base) / f"n{n}"))
+                    solve = partial(
+                        solve_dp_greedy_sharded, sseq, model, theta=0.3, alpha=0.8
                     )
-                if ckpt:
-                    ckpt.record(point, {"t_store": t_store})
-            store_curve.append((float(n), t_store))
-            result.rows[i]["store_seconds"] = round(t_store, 6)
+                    t_store = time_best_of(
+                        solve, repeats=repeats, observer=observer,
+                        phase=f"scaling.store.n{n}",
+                    )
+                    # the store-backed sharded solve must reproduce the
+                    # in-memory total bit for bit at every size
+                    mem = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
+                    off = solve()
+                    if off.total_cost != mem.total_cost:
+                        raise AssertionError(
+                            f"store-backed total mismatch at n={n}: "
+                            f"{off.total_cost!r} != {mem.total_cost!r}"
+                        )
+                    if ckpt:
+                        ckpt.record(point, {"t_store": t_store})
+                store_curve.append((float(n), t_store))
+                result.rows[i]["store_seconds"] = round(t_store, 6)
         result.params["store_items"] = num_items
 
     result.series["optimal DP (sparse frontier, cost only)"] = dp_curve
@@ -215,30 +232,4 @@ def run_scaling(
         f"sparse/dense speedup at n={int(dp_curve[-1][0])}: "
         f"{largest_speedup:.1f}x"
     )
-
-    if history is not None:
-        recorder = BenchHistory(history)
-        counters = {"num_servers": num_servers, "repeats": repeats}
-        recorder.append(
-            "scaling.dp",
-            sum(t for _, t in dp_curve),
-            {**counters, **{f"n{int(n)}": t for n, t in dp_curve}},
-        )
-        recorder.append(
-            "scaling.dp_dense",
-            sum(t for _, t in dense_curve),
-            {**counters, **{f"n{int(n)}": t for n, t in dense_curve}},
-        )
-        recorder.append(
-            "scaling.prescan",
-            sum(t for _, t in scan_curve),
-            {**counters, **{f"n{int(n)}": t for n, t in scan_curve}},
-        )
-        if store_curve:
-            recorder.append(
-                "scaling.store",
-                sum(t for _, t in store_curve),
-                {**counters, **{f"n{int(n)}": t for n, t in store_curve}},
-            )
-        result.notes.append(f"bench history appended to {history}")
     return result

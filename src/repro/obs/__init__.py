@@ -20,20 +20,10 @@ solves inside harnesses).  Its primitive is the span; its legs are
 
 Every observed solve appends a :class:`~repro.obs.metrics.RunRecord`
 (phase aggregates, counters, and the legs' sections); the METRICS v3
-snapshot (:mod:`repro.obs.metrics`) renders a sweep's records.  The
-bench history (:mod:`repro.obs.bench`) appends every benchmark run to
-``results/BENCH_history.jsonl`` and gates perf regressions against a
-rolling baseline.  Without an observer the hot paths run untouched.
+snapshot (:mod:`repro.obs.metrics`) renders a sweep's records.
+Without an observer the hot paths run untouched.
 """
 
-from .bench import (
-    BENCH_SCHEMA,
-    BenchHistory,
-    BenchRecord,
-    BenchVerdict,
-    check_history,
-    time_best_of,
-)
 from .ledger import (
     ACTIONS,
     CostLedger,
@@ -92,10 +82,4 @@ __all__ = [
     "SpanRecord",
     "maybe_span",
     "write_chrome_trace",
-    "BENCH_SCHEMA",
-    "BenchHistory",
-    "BenchRecord",
-    "BenchVerdict",
-    "check_history",
-    "time_best_of",
 ]

@@ -19,6 +19,8 @@ from repro.experiments import (
     run_ratio_study,
     run_scaling,
 )
+from repro.experiments.scaling import time_best_of
+from repro.obs import Observer
 from repro.trace.mobility import TaxiTraceConfig, generate_taxi_trace
 
 
@@ -206,21 +208,56 @@ class TestScaling:
     def test_store_curve_rides_along(self, tmp_path):
         # store=True adds a store-backed sharded curve (asserted
         # bit-identical to the in-memory solver inside the harness),
-        # merged into the same per-size rows and bench history
+        # merged into the same per-size rows; a caller's store_dir keeps
+        # its stores
         res = run_scaling(
             sizes=(60, 120), num_servers=8, repeats=1,
             store=True, store_dir=tmp_path / "stores",
-            history=tmp_path / "hist.jsonl",
         )
         assert "DP_Greedy (store-backed, sharded)" in res.series
         assert all("store_seconds" in row for row in res.rows)
-        import json
-
-        ids = [
-            json.loads(line)["bench"]
-            for line in (tmp_path / "hist.jsonl").read_text().splitlines()
+        assert sorted(p.name for p in (tmp_path / "stores").iterdir()) == [
+            "n120", "n60"
         ]
-        assert "scaling.store" in ids
+
+    def test_store_curve_removes_its_temp_stores(self, tmp_path, monkeypatch):
+        # without store_dir the stores go to a temporary directory that
+        # is removed afterwards, on return and on error alike
+        import tempfile
+
+        import repro.engine.sharding as sharding
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_scaling(sizes=(60, 120), num_servers=8, repeats=1, store=True)
+        assert not list(tmp_path.glob("repro-scaling-store-*"))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("solve failed")
+
+        monkeypatch.setattr(sharding, "solve_dp_greedy_sharded", fail)
+        with pytest.raises(RuntimeError, match="solve failed"):
+            run_scaling(sizes=(60,), num_servers=8, repeats=1, store=True)
+        assert not list(tmp_path.glob("repro-scaling-store-*"))
+
+
+class TestTimeBestOf:
+    def test_returns_best_and_feeds_timers(self):
+        calls = []
+        observer = Observer(spans=True)
+        best = time_best_of(
+            lambda: calls.append(1), repeats=4, observer=observer, phase="p"
+        )
+        assert len(calls) == 4
+        assert best >= 0.0
+        assert observer.totals()["p"]["calls"] == 4  # one span per repeat
+        assert observer.totals()["p"]["seconds"] >= 0.0
+
+    def test_passes_args_and_validates_repeats(self):
+        seen = []
+        time_best_of(seen.append, "x", repeats=1)
+        assert seen == ["x"]
+        with pytest.raises(ValueError):
+            time_best_of(lambda: None, repeats=0)
 
 
 class TestHarnessMetrics:
