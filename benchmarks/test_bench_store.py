@@ -56,7 +56,7 @@ t1 = time.perf_counter()
 seq = TraceStore.open(dest)
 result = solve_dp_greedy_sharded(
     seq, CostModel(mu=1.0, lam=1.0), theta=0.3, alpha=0.8,
-    shards=4, workers=2, pool="process",
+    shards=4, workers=2,
 )
 t2 = time.perf_counter()
 print(json.dumps({

@@ -421,7 +421,7 @@ class RequestSequence:
     # per-group views, in the instance ``__dict__`` (the dataclass is
     # frozen but not slotted).  The caches are dropped on pickling: pool
     # workers rebuild them on first use instead of paying the ship
-    # cost.  Concurrent first calls from pool threads can at worst
+    # cost.  Concurrent first calls from several threads can at worst
     # duplicate a build; the results are equivalent, so the race is
     # benign.
 

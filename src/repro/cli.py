@@ -69,8 +69,9 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help=(
-            "Phase-2 pool width (1 = serial, in-process; default: "
-            "auto-detect from workload size and CPU count)"
+            "Phase-2 process-pool width: N >= 2 forks N worker processes, "
+            "capped at the number of units to solve (default 1: serial, "
+            "in-process)"
         ),
     )
     parser.add_argument(
@@ -105,7 +106,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         help=(
             "per-dispatch Phase-2 deadline (a dispatch is one unit, or a "
             "group of units on a pool); an overdue dispatch is abandoned "
-            "and retried"
+            "and retried.  Enforced only on a process pool (--workers 2 "
+            "or more); the serial rung warns and runs units to completion"
         ),
     )
     parser.add_argument(

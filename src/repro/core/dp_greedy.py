@@ -590,7 +590,6 @@ def solve_dp_greedy(
     plan: Optional[PackingPlan] = None,
     workers: Optional[int] = None,
     memo: "object | bool | None" = None,
-    pool: Optional[str] = None,
     resilience: "object | bool | None" = None,
     observer: "object | None" = None,
 ) -> DPGreedyResult:
@@ -614,17 +613,14 @@ def solve_dp_greedy(
         ``seq``'s items.  The similarity join still runs, so
         ``result.stats`` is filled either way; only its pruning counters
         stay out of the run record, because no packing consumed them.
-    workers / memo / pool:
+    workers / memo:
         Phase-2 execution-engine knobs
         (:func:`repro.engine.parallel.serve_plan`, which runs every
-        solve).  With all three at their defaults Phase 2 runs serially
-        in this process (``workers=1``).  ``workers`` pins the pool
-        width; ``memo`` is a :class:`~repro.engine.memo.SolverMemo`
-        shared across calls (or ``True`` for the process-wide default
-        memo); ``pool`` forces a backend (``"serial"``/``"thread"``/
-        ``"process"``) instead of the size heuristic.  Once any engine
-        knob or ``resilience=`` is set, an unset ``workers`` lets the
-        engine pick the pool and its width from the workload.
+        solve).  ``workers=None`` (default) or ``1`` runs Phase 2
+        serially in this process; ``workers=N >= 2`` runs it on an
+        ``N``-process pool, capped at the number of units to solve.
+        ``memo`` is a :class:`~repro.engine.memo.SolverMemo` shared
+        across calls (or ``True`` for the process-wide default memo).
     resilience:
         Fault tolerance for Phase 2
         (:class:`~repro.engine.resilience.ResilienceConfig`, or ``True``
@@ -636,7 +632,8 @@ def solve_dp_greedy(
         the dispatcher with no retries, no timeout and no fault
         injection: a failing unit raises
         :class:`~repro.errors.UnitSolveError`, and a broken process pool
-        degrades to threads, then to serial.  Retry/timeout/fallback
+        degrades to serial.  Only a process pool enforces
+        ``unit_timeout``.  Retry/timeout/fallback
         counters surface on ``engine_stats`` and as ``engine.*`` run
         counters.
     observer:
@@ -653,25 +650,17 @@ def solve_dp_greedy(
         reports are bit-identical without it, apart from the
         ``attribution`` the ledger asks for.
     """
-    # without any engine knob, Phase 2 stays serial in this process
-    engine_args = (
-        workers is not None
-        or pool is not None
-        or memo not in (None, False)
-        or resilience not in (None, False)
-    )
     return _solve(
         seq, model, theta=theta, alpha=alpha, packing=packing,
         max_group_size=max_group_size,
-        build_schedules=build_schedules, plan=plan,
-        workers=workers if engine_args else 1, memo=memo, pool=pool,
-        resilience=resilience, observer=observer,
+        build_schedules=build_schedules, plan=plan, workers=workers,
+        memo=memo, resilience=resilience, observer=observer,
     )
 
 
 def _solve(
     seq, model, *, theta, alpha, packing, max_group_size,
-    build_schedules, plan, workers, memo, pool, resilience, observer,
+    build_schedules, plan, workers, memo, resilience, observer,
     shards=None, checkpoint=None,
 ) -> DPGreedyResult:
     """The driver body shared by :func:`solve_dp_greedy` and
@@ -718,7 +707,6 @@ def _solve(
                 workers=workers,
                 memo=memo_obj,
                 build_schedules=build_schedules,
-                pool=pool,
                 resilience=resilience,
                 observer=observer,
                 shards=shards,

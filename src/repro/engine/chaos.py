@@ -8,7 +8,8 @@ of :mod:`repro.engine.resilience` can be proven under test:
 
 * a :class:`FaultPlan` assigns each serving unit a fault kind (or none)
   from a seeded hash of the unit label -- the same unit draws the same
-  fault under every pool backend, every process, and every re-run;
+  fault on the serial rung and the process pool, in every process, and
+  on every re-run;
 * faults fire only on a unit's first ``attempts`` tries (default 1), so
   a retrying dispatcher converges to the exact no-chaos result;
 * the plan is a tiny frozen dataclass, safe to pickle into pool workers.
@@ -20,7 +21,7 @@ Fault kinds
 ``kill``
     Inside a real process-pool worker the whole process dies via
     ``os._exit`` -- the parent observes ``BrokenProcessPool`` and must
-    degrade the pool.  In a thread or the parent process it downgrades to
+    degrade to the serial rung.  In the parent process it downgrades to
     a ``crash`` (killing the host would take the test runner with it).
 ``delay``
     The solve sleeps ``delay_seconds`` before running, long enough to

@@ -179,8 +179,8 @@ class SolverMemo:
 
     # -- observability ---------------------------------------------------
     # Every counter read takes the lock: unlocked reads of mutating state
-    # can observe torn (hits, misses) pairs mid-update under thread-pool
-    # runs, which stats() already guarded against.
+    # can observe torn (hits, misses) pairs mid-update under concurrent
+    # callers, which stats() already guarded against.
     @property
     def hits(self) -> int:
         with self._lock:

@@ -10,24 +10,17 @@ starts), probes the content-addressed
 :class:`~repro.engine.memo.SolverMemo`, groups the memo misses into
 dispatches, and hands those to
 :func:`repro.engine.resilience.dispatch_resilient`, the only code that
-runs the units' DPs (serially, or on a ``concurrent.futures`` pool).
+runs the units' DPs (serially, or on a process pool).
 The parent then adds each package's single-sided charges to its
 report.
 
-Pool selection heuristic
-------------------------
-The engine estimates the pending workload as the total number of
-requests carried by un-memoised units and picks the cheapest adequate
-backend:
-
-* ``workers=1`` (or a workload below :data:`AUTO_SERIAL_NODES` under
-  auto-detection) runs the serial rung in the parent, unit by unit in
-  plan order;
-* a *thread* pool is used for mid-size workloads (cheap to spin up; the
-  solvers release no GIL, so this mainly overlaps the numpy portions);
-* a *process* pool (fork when available) takes over above
-  :data:`PROCESS_POOL_NODES`, where per-unit DP time dwarfs the
-  fork/pickle overhead.
+Pool selection
+--------------
+Serial unless asked: ``workers=None`` or ``workers=1`` runs the serial
+rung in the parent, unit by unit in plan order, at every workload size
+-- on a 2-core box no process pool beat it (``docs/engine.md``).
+``workers=N`` with ``N >= 2`` is an ``N``-process pool (fork when
+available), capped at the number of pending units.
 
 Grouping
 --------
@@ -44,8 +37,8 @@ Determinism guarantee
 ---------------------
 Every serve function is pure and each dispatch's reports are put back
 at their units' plan-order indices, so the report list is identical --
-including float bit patterns -- across serial, thread, and process
-execution, any ``workers`` value, and any grouping.  Memoisation
+including float bit patterns -- across serial and process execution,
+any ``workers`` value, and any grouping.  Memoisation
 preserves this too: a memo hit returns the exact float the solver
 produced when the entry was stored, and the miss path stores whatever
 the real solver returned.
@@ -65,7 +58,7 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -90,20 +83,10 @@ from .chaos import FaultPlan
 from .memo import SolverMemo, fingerprint_view
 
 __all__ = [
-    "AUTO_SERIAL_NODES",
     "GROUPS_PER_WORKER",
-    "PROCESS_POOL_NODES",
     "EngineStats",
     "serve_plan",
 ]
-
-#: Below this many pending request-nodes, auto-detection stays serial
-#: (pool startup would dominate the saved work).
-AUTO_SERIAL_NODES = 4_096
-
-#: At or above this many pending request-nodes, the engine prefers a
-#: process pool over threads.
-PROCESS_POOL_NODES = 16_384
 
 #: A pool dispatches at most this many groups of units per worker.
 GROUPS_PER_WORKER = 4
@@ -122,7 +105,7 @@ class EngineStats:
     The retry/timeout/fallback counters come from the resilient
     dispatcher (:mod:`repro.engine.resilience`), ``units_failed`` counts
     the units it skipped, and all four stay zero on a fault-free run;
-    ``pool`` always records the backend the heuristic *picked* -- pool
+    ``pool`` always records the backend ``workers`` picked -- pool
     degradation is visible through ``pool_fallbacks``.
     """
 
@@ -130,7 +113,7 @@ class EngineStats:
     packages: int
     singletons: int
     workers: int
-    pool: str  # "serial" | "thread" | "process"
+    pool: str  # "serial" | "process"
     dispatched: int  # units actually sent to the dispatcher (memo misses)
     memo_hits: int
     memo_misses: int
@@ -369,9 +352,8 @@ def _memo_probe(
 
 
 def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
-    """Carried-request count per unit (the pool-selection and grouping
-    size estimate), served from the sequence's cached per-item
-    projections."""
+    """Carried-request count per unit (the grouping size estimate),
+    served from the sequence's cached per-item projections."""
     counts = seq.item_counts()
     sizes: List[int] = []
     for kind, payload in units:
@@ -406,27 +388,13 @@ def _lpt_partition(sizes: Sequence[int], shards: int) -> List[List[int]]:
     return [sorted(g) for g in groups if g]
 
 
-def _resolve_backend(
-    workers: Optional[int], pending_nodes: int, pending_units: int, pool: Optional[str]
-) -> Tuple[int, str]:
-    """Apply the pool-selection heuristic; returns ``(workers, pool_kind)``."""
-    if pool not in (None, "serial", "thread", "process"):
-        raise ValueError(f"unknown pool kind {pool!r}")
+def _resolve_backend(workers: Optional[int], pending_units: int) -> Tuple[int, str]:
+    """``(workers, pool_kind)``: serial unless ``workers >= 2`` asks for a
+    process pool, whose width is capped at the pending unit count."""
     if workers is not None and workers < 1:
         raise ValueError("workers must be >= 1")
-    if workers is None:
-        if pool is None and pending_nodes < AUTO_SERIAL_NODES:
-            return 1, "serial"
-        workers = min(os.cpu_count() or 1, max(pending_units, 1))
-    workers = min(workers, max(pending_units, 1))
-    if pool is not None:
-        if pool == "serial" or workers == 1:
-            return 1, "serial"
-        return workers, pool
-    if workers == 1:
-        return 1, "serial"
-    kind = "process" if pending_nodes >= PROCESS_POOL_NODES else "thread"
-    return workers, kind
+    workers = min(workers or 1, max(pending_units, 1))
+    return (workers, "process") if workers > 1 else (1, "serial")
 
 
 def _pool_start_method() -> str:
@@ -452,16 +420,13 @@ def _pool_start_method() -> str:
 
 
 def _make_executor(
-    kind: str,
     workers: int,
     seq: RequestSequence,
     model: CostModel,
     alpha: float,
     build_schedules: bool,
     legs: Optional[Tuple[bool, bool, bool]] = None,
-) -> Executor:
-    if kind == "thread":
-        return ThreadPoolExecutor(max_workers=workers)
+) -> ProcessPoolExecutor:
     ctx = multiprocessing.get_context(_pool_start_method())
     return ProcessPoolExecutor(
         max_workers=workers,
@@ -570,7 +535,6 @@ def serve_plan(
     workers: Optional[int] = None,
     memo: Optional[SolverMemo] = None,
     build_schedules: bool = False,
-    pool: Optional[str] = None,
     resilience: "object | bool | None" = None,
     observer: Optional[Observer] = None,
     shards: Optional[int] = None,
@@ -581,16 +545,12 @@ def serve_plan(
     Parameters
     ----------
     workers:
-        ``1`` runs the serial rung in the parent; ``None`` auto-detects
-        from the workload size and CPU count; any other value caps the
-        pool width.
+        ``None`` or ``1`` runs the serial rung in the parent; ``N >= 2``
+        runs an ``N``-process pool, capped at the pending unit count.
     memo:
         Optional :class:`SolverMemo`.  Hits are served in the parent;
         only misses are dispatched, and their DP costs are stored back.
         Ignored when ``build_schedules=True`` (schedules are not cached).
-    pool:
-        Force a backend (``"serial"``/``"thread"``/``"process"``)
-        instead of the size heuristic; used by tests and benchmarks.
     resilience:
         The dispatcher's :class:`~repro.engine.resilience.ResilienceConfig`
         (``True`` for its defaults): per-dispatch timeouts, bounded
@@ -599,16 +559,16 @@ def serve_plan(
         is :data:`~repro.engine.resilience.NO_RETRY`: no retries, no
         timeout, no fault injection -- a failing unit raises
         :class:`~repro.errors.UnitSolveError` -- while a broken pool
-        still degrades process → thread → serial.
+        still degrades to serial.
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  The
         Observation-2 pass runs as a ``phase2.single_sided`` span and
         the dispatch as an ``engine.dispatch`` span; with ``spans``
         memo probes are ``engine.memo_probe`` spans with a
         ``memo=hit|miss`` attribute, and every per-unit DP is a
-        ``phase2.solve`` span -- including solves inside thread workers
-        (distinct ``tid``) and process workers (distinct ``pid``; their
-        observations ship back with the results).  With ``runtime`` the
+        ``phase2.solve`` span -- including solves inside process
+        workers (distinct ``pid``; their observations ship back with
+        the results).  With ``runtime`` the
         dispatch feeds its latency histograms and progress board.  With
         ``ledger`` every unit reports its cost attribution (memo
         entries then store cost and attribution together, and only
@@ -663,7 +623,6 @@ def serve_plan(
 
     # -- group the memo misses into dispatches ----------------------------
     pending_sizes = [sizes[i] for i in pending]
-    pending_nodes = sum(pending_sizes)
 
     def lpt_groups(n: int) -> List[List[int]]:
         return [[pending[j] for j in g] for g in _lpt_partition(pending_sizes, n)]
@@ -671,9 +630,7 @@ def serve_plan(
     if shards is not None:
         groups = lpt_groups(shards)
     else:
-        workers_used, kind = _resolve_backend(
-            workers, pending_nodes, len(pending), pool
-        )
+        workers_used, kind = _resolve_backend(workers, len(pending))
         cap = GROUPS_PER_WORKER * workers_used
         if kind == "serial" or len(pending) <= cap:
             groups = [[i] for i in pending]  # one unit per dispatch, plan order
@@ -700,9 +657,7 @@ def serve_plan(
         if pos not in resolved
     }
     if shards is not None:
-        workers_used, kind = _resolve_backend(
-            workers, pending_nodes, len(dispatch), pool
-        )
+        workers_used, kind = _resolve_backend(workers, len(dispatch))
 
     def on_result(pos: int, group_reports: Tuple[GroupReport, ...]) -> None:
         checkpoint.record(
@@ -721,7 +676,6 @@ def serve_plan(
         groups=len(dispatch),
     ):
         results, counters = dispatch_resilient(
-            kind=kind,
             workers=workers_used,
             seq=seq,
             model=model,

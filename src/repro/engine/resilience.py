@@ -3,10 +3,10 @@
 Every Phase-2 solve runs through :func:`dispatch_resilient`.  The
 driver (:func:`repro.engine.parallel.serve_plan`) hands it dispatches
 -- single units or groups of units -- and it runs them serially in the
-parent or on a ``concurrent.futures`` pool, in the retry/timeout/
-degradation shape a production serving stack uses, so one crashed
-worker (``BrokenProcessPool``), one hung DP solve, or one corrupted
-result does not abort a multi-hour sweep:
+parent or on a process pool, in the retry/timeout/degradation shape a
+production serving stack uses, so one crashed worker
+(``BrokenProcessPool``), one hung DP solve, or one corrupted result
+does not abort a multi-hour sweep:
 
 * **per-dispatch futures** with at most ``workers`` in flight, so a
   single dispatch's failure is *that dispatch's* problem;
@@ -14,9 +14,9 @@ result does not abort a multi-hour sweep:
   timed-out dispatch is re-run up to ``retries`` times (solves are
   pure, so a retried dispatch returns bit-identical reports);
 * **pool degradation**: a broken process pool (worker death,
-  initializer failure) falls back process → thread → serial,
-  re-dispatching only the unfinished work -- completed reports and
-  memo entries are never recomputed;
+  initializer failure) falls back to the serial rung, re-dispatching
+  only the unfinished work -- completed reports and memo entries are
+  never recomputed;
 * **result auditing**: a report with a non-finite cost is treated as
   corrupt and retried;
 * **an error taxonomy** (:mod:`repro.errors`) carrying unit labels and
@@ -43,9 +43,12 @@ Semantics worth pinning down:
   (Python pools cannot preempt); an abandoned future keeps occupying
   its worker until it finishes on its own, so it counts against
   dispatch capacity.  The serial rung cannot time out (there is nothing
-  to abandon it from).
+  to abandon it from), so only a process pool (``workers >= 2``)
+  enforces ``unit_timeout``: a dispatch that lands on the serial rung
+  with a timeout set -- from the start, or after its pool broke --
+  logs one WARNING saying so.
 * Retry attempt counts are charged on *dispatch* failures only.  When a
-  whole pool breaks, in-flight dispatches are re-run on the next rung
+  whole pool breaks, in-flight dispatches are re-run on the serial rung
   with their attempt counters untouched -- a dying neighbour is not
   their fault.
 * ``on_unit_error`` decides what happens once a dispatch exhausts its
@@ -57,8 +60,8 @@ Semantics worth pinning down:
   measured against); ``"skip"`` drops its units from the result and
   counts them in ``units_failed``.
 
-Fault injection (:mod:`repro.engine.chaos`) threads through every
-backend so all of the above is provable under test.
+Fault injection (:mod:`repro.engine.chaos`) threads through both rungs
+so all of the above is provable under test.
 """
 
 from __future__ import annotations
@@ -83,10 +86,6 @@ log = logging.getLogger(__name__)
 
 __all__ = ["NO_RETRY", "ResilienceConfig", "ResilienceCounters", "dispatch_resilient"]
 
-#: The degradation ladder, most- to least-parallel.  A broken pool
-#: falls to the next rung; the serial rung cannot break.
-DEGRADATION_LADDER = ("process", "thread", "serial")
-
 _ON_UNIT_ERROR = ("raise", "degrade", "skip")
 
 
@@ -99,7 +98,8 @@ class ResilienceConfig:
     unit_timeout:
         Per-dispatch wall-clock budget in seconds (a dispatch is one
         unit, or a group of units on a pool), measured from dispatch;
-        ``None`` disables timeouts.  Serial execution cannot enforce it.
+        ``None`` disables timeouts.  Only a process pool enforces it;
+        the serial rung warns that it cannot.
     retries:
         How many times a failed/timed-out/corrupt dispatch is re-run
         before the ``on_unit_error`` policy applies (total tries =
@@ -115,9 +115,9 @@ class ResilienceConfig:
         ``"degrade"`` (one final serial in-parent attempt), or
         ``"skip"`` (drop its units, count them in ``units_failed``).
     degrade_pool:
-        Walk the process → thread → serial ladder when a pool breaks
-        (default); ``False`` surfaces
-        :class:`~repro.errors.PoolBrokenError` instead.
+        Fall from a broken process pool to the serial rung (default);
+        ``False`` surfaces :class:`~repro.errors.PoolBrokenError`
+        instead.
     chaos:
         Fault injection: a :class:`~repro.engine.chaos.FaultPlan`,
         ``False`` to force injection off, or ``None`` (default) to
@@ -196,15 +196,6 @@ class _CorruptResult(ReproError):
     """Internal: a report failed the finite-cost audit."""
 
 
-class _PoolBroken(Exception):
-    """Internal: the current rung's executor died; carry the cause."""
-
-    def __init__(self, pool: str, cause: BaseException):
-        self.pool = pool
-        self.cause = cause
-        super().__init__(f"{pool} pool broke: {cause!r}")
-
-
 _TIMEOUT = "timeout"  # sentinel in the per-dispatch last-error slot
 
 
@@ -217,7 +208,6 @@ def _backoff_delay(config: ResilienceConfig, retry_no: int, rng: random.Random) 
 
 def dispatch_resilient(
     *,
-    kind: str,
     workers: int,
     seq,
     model,
@@ -234,8 +224,9 @@ def dispatch_resilient(
     :mod:`repro.engine.parallel`); retry, timeout, degradation, the
     finite-cost audit, and chaos draws apply per group.  Returns each
     group's reports by index (skipped groups absent) plus the counters.
-    ``kind`` is the pool the heuristic picked; broken pools degrade down
-    :data:`DEGRADATION_LADDER`, re-dispatching only unresolved groups.
+    ``workers >= 2`` runs a process pool of that width, ``1`` the
+    serial rung; a broken process pool degrades to the serial rung,
+    which re-dispatches only unresolved groups.
 
     ``on_result(idx, reports)``, when given, fires as each group's
     audited reports land -- including results recovered on a degraded
@@ -249,7 +240,8 @@ def dispatch_resilient(
     completions/retries/degradations in its progress board (the stall
     watchdog flags silent in-flight dispatches via the same board); and
     process workers ship one observation payload per dispatch back.
-    Every retry/timeout/degradation/skip also emits a WARNING-level
+    Every retry/timeout/degradation/skip, and a ``unit_timeout`` the
+    serial rung cannot enforce, also emits a WARNING-level
     ``repro.engine.resilience`` log record tagged with a per-dispatch
     run id.
     """
@@ -362,6 +354,13 @@ def dispatch_resilient(
     # -- the serial rung (also the workers<=1 fast path) -----------------
     def run_serial_rung() -> None:
         pending = deque(unresolved())
+        if pending and config.unit_timeout is not None:
+            log.warning(
+                "unit timeout not enforced [run=%s budget=%.3gs]: the serial "
+                "rung runs every dispatch to completion; set workers >= 2 "
+                "for a process pool that enforces it",
+                run_id, config.unit_timeout,
+            )
         backlog: list = []
         while pending or backlog:
             if not pending:
@@ -383,10 +382,12 @@ def dispatch_resilient(
             except Exception as exc:
                 on_failure(idx, exc, backlog)
 
-    # -- one pool rung: the only place Phase-2 work meets an executor ----
-    def run_pool_rung(rung: str) -> None:
+    # -- the process pool: the only place Phase-2 work meets an executor --
+    # A BrokenExecutor from submit() or a result ends the rung: the pool
+    # is dead, and the ladder below decides what happens next.
+    def run_process_rung() -> None:
         ex = _make_executor(
-            rung, workers, seq, model, alpha, build_schedules,
+            workers, seq, model, alpha, build_schedules,
             (observer.spans, observer.runtime, observer.ledger) if observer else None,
         )
         try:
@@ -407,16 +408,7 @@ def dispatch_resilient(
                 capacity = workers - len(abandoned) - len(inflight)
                 while pending and capacity > 0:
                     idx = pending.popleft()
-                    attempt = attempts[idx] + 1
-                    try:
-                        if rung == "process":
-                            fut = ex.submit(
-                                _serve_in_worker, units[idx], attempt, plan
-                            )
-                        else:
-                            fut = ex.submit(serial_attempt, idx, attempt, True)
-                    except BrokenExecutor as exc:
-                        raise _PoolBroken(rung, exc) from exc
+                    fut = ex.submit(_serve_in_worker, units[idx], attempts[idx] + 1, plan)
                     submitted = time.monotonic()
                     deadline = (
                         submitted + config.unit_timeout
@@ -424,11 +416,9 @@ def dispatch_resilient(
                         else None
                     )
                     inflight[fut] = (idx, deadline, submitted)
-                    # the thread rung's serial_attempt marks the start
-                    # itself; the process rung marks it at submit (the
-                    # dispatcher keeps at most `workers` in flight, so
-                    # submit coincides with execution start)
-                    if board is not None and rung == "process":
+                    # at most `workers` dispatches are in flight, so
+                    # submit coincides with execution start
+                    if board is not None:
                         board.unit_started(label(idx))
                     capacity -= 1
                 if not inflight and not abandoned:
@@ -467,18 +457,14 @@ def dispatch_resilient(
                     if runtime:
                         observer.record(H_DISPATCH, time.monotonic() - submitted)
                     try:
-                        payload = fut.result()
-                    except BrokenExecutor as exc:
-                        raise _PoolBroken(rung, exc) from exc
+                        reports, shipped = fut.result()
+                    except BrokenExecutor:
+                        raise
                     except Exception as exc:
                         on_failure(idx, exc, backlog)
                         continue
-                    if rung == "process":
-                        reports, shipped = payload
-                        if shipped is not None:
-                            observer.absorb(shipped)
-                    else:
-                        reports = payload
+                    if shipped is not None:
+                        observer.absorb(shipped)
                     try:
                         record_result(idx, check_finite(reports, idx))
                     except _CorruptResult as exc:
@@ -506,34 +492,25 @@ def dispatch_resilient(
         finally:
             ex.shutdown(wait=False, cancel_futures=True)
 
-    # -- the degradation ladder ------------------------------------------
-    if kind in DEGRADATION_LADDER:
-        ladder = list(DEGRADATION_LADDER[DEGRADATION_LADDER.index(kind):])
-    else:  # pragma: no cover - _resolve_backend only emits ladder kinds
-        ladder = ["serial"]
-    pos = 0
-    while True:
-        rung = ladder[pos]
-        if rung == "serial" or workers <= 1:
-            run_serial_rung()
-            break
+    # -- the degradation ladder: process -> serial -----------------------
+    if workers > 1:
         try:
-            run_pool_rung(rung)
-            break
-        except _PoolBroken as broken:
+            run_process_rung()
+            return results, counters
+        except BrokenExecutor as cause:
             counters.pool_fallbacks += 1
             log.warning(
-                "pool degraded [run=%s pool=%s cause=%s]: falling back",
-                run_id, rung, type(broken.cause).__name__,
+                "pool degraded [run=%s pool=process cause=%s]: falling back "
+                "to serial", run_id, type(cause).__name__,
             )
             if board is not None:
-                board.degraded(rung)
+                board.degraded("process")
             with maybe_span(
-                observer, "engine.pool_fallback", cat="engine", pool=rung,
-                cause=type(broken.cause).__name__,
+                observer, "engine.pool_fallback", cat="engine", pool="process",
+                cause=type(cause).__name__,
             ):
                 pass
-            pos += 1
-            if not config.degrade_pool or pos >= len(ladder):
-                raise PoolBrokenError(rung, broken.cause) from broken.cause
+            if not config.degrade_pool:
+                raise PoolBrokenError("process", cause) from cause
+    run_serial_rung()
     return results, counters

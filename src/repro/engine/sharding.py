@@ -88,7 +88,6 @@ def solve_dp_greedy_sharded(
     max_group_size: int = 3,
     plan: Optional[PackingPlan] = None,
     workers: Optional[int] = None,
-    pool: Optional[str] = None,
     memo: "SolverMemo | bool | None" = None,
     resilience: "ResilienceConfig | bool | None" = None,
     checkpoint: "object | None" = None,
@@ -104,10 +103,13 @@ def solve_dp_greedy_sharded(
     of :func:`shard_by_items`; default: one per CPU) and dispatches each
     through :func:`~repro.engine.resilience.dispatch_resilient` (a
     one-unit shard as the bare unit), so retries, timeouts,
-    process→thread→serial degradation, ``on_unit_error`` policies, and
-    chaos injection apply per *shard*.  Unlike ``solve_dp_greedy``, the
-    dispatcher defaults to ``ResilienceConfig()`` here: two retries,
-    and ``REPRO_CHAOS`` applies.  With a
+    process→serial degradation, ``on_unit_error`` policies, and chaos
+    injection apply per *shard*.  As in ``solve_dp_greedy``, an unset
+    ``workers`` runs the shards serially in this process and
+    ``workers=N >= 2`` runs them on an ``N``-process pool.  Unlike
+    ``solve_dp_greedy``, the dispatcher defaults to
+    ``ResilienceConfig()`` here: two retries, and ``REPRO_CHAOS``
+    applies.  With a
     store-backed sequence (:meth:`repro.trace.store.TraceStore.open`)
     process-pool workers receive the store *path* and re-mmap the
     columns, never a pickled request list.
@@ -143,7 +145,6 @@ def solve_dp_greedy_sharded(
         seq, model, theta=theta, alpha=alpha, packing=packing,
         max_group_size=max_group_size,
         build_schedules=False, plan=plan, workers=workers, memo=memo,
-        pool=pool,
         resilience=ResilienceConfig.coerce(resilience) or ResilienceConfig(),
         observer=observer, shards=shards,
         checkpoint=sweep_checkpoint(checkpoint, SHARD_CHECKPOINT_ID, resume),

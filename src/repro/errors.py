@@ -83,13 +83,13 @@ class UnitTimeoutError(ReproError):
 
 
 class PoolBrokenError(ReproError):
-    """A whole worker pool died and the degradation ladder was exhausted
-    (or disabled).
+    """A process pool died and ``degrade_pool=False`` forbade the fall to
+    the serial rung (which cannot break).
 
     Attributes
     ----------
     pool:
-        The pool kind that broke (``"process"`` / ``"thread"``).
+        The pool kind that broke (always ``"process"``).
     """
 
     def __init__(self, pool: str, cause: Optional[BaseException] = None):

@@ -175,9 +175,8 @@ PHASES = ("phase1.similarity", "phase1.packing", "phase2.serve")
 class Observer:
     """Spans, runtime telemetry and the cost ledger of one or more solves.
 
-    Thread-safe: thread-pool workers close spans into it directly, and
-    :meth:`absorb` folds in what a process-pool worker's own observer
-    handed over.  One solve at a time owns the open run.  ``stall_after``,
+    Thread-safe: any thread may close spans into it, and :meth:`absorb`
+    folds in what a process-pool worker's own observer handed over.  One solve at a time owns the open run.  ``stall_after``,
     ``sample_interval`` and ``max_samples`` configure the runtime parts.
     """
 

@@ -1,9 +1,9 @@
 """The parallel/memoized execution engine must be invisible in the output.
 
 Every test here pins the engine-served results -- across worker counts,
-pool backends, and memo states -- to the classic serial loop, down to
-dataclass equality of the per-unit reports (which compares every float
-bit-for-bit).
+the serial rung and the process pool, and memo states -- to the classic
+serial loop, down to dataclass equality of the per-unit reports (which
+compares every float bit-for-bit).
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ from repro.cache.model import CostModel
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
-from repro.engine.parallel import (
-    AUTO_SERIAL_NODES,
-    _resolve_backend,
-    serve_plan,
-)
+from repro.engine.parallel import _resolve_backend, serve_plan
+from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.engine.resilience import ResilienceConfig
 from repro.trace.workload import zipf_item_workload
 
@@ -56,22 +53,11 @@ class TestEquivalence:
             assert got.plan == ref.plan
             assert got.reports == ref.reports
 
-    def test_thread_pool_matches_serial(self, unit_model):
-        seq = _workload()
-        ref = _serial(seq, unit_model)
-        got = solve_dp_greedy(
-            seq, unit_model, theta=THETA, alpha=ALPHA, workers=3
-        )
-        assert got.reports == ref.reports
-        assert got.engine_stats.pool in ("thread", "serial")
-
     def test_process_pool_matches_serial(self, unit_model):
         seq = _workload()
         plan = _serial(seq, unit_model).plan
         ref, _ = serve_plan(seq, plan, unit_model, ALPHA, workers=1)
-        got, stats = serve_plan(
-            seq, plan, unit_model, ALPHA, workers=2, pool="process"
-        )
+        got, stats = serve_plan(seq, plan, unit_model, ALPHA, workers=2)
         assert got == ref
         assert stats.pool == "process"
         assert stats.workers == 2
@@ -140,10 +126,11 @@ class TestEngineApi:
             _serial(seq, unit_model, workers=0)
 
     def test_bad_pool_rejected(self, unit_model):
+        # one pool kind, picked by ``workers``: there is no pool= to pass
         seq = _workload(n=20, items=2)
         plan = _serial(seq, unit_model).plan
-        with pytest.raises(ValueError, match="pool"):
-            serve_plan(seq, plan, unit_model, ALPHA, pool="gpu")
+        with pytest.raises(TypeError, match="pool"):
+            serve_plan(seq, plan, unit_model, ALPHA, pool="thread")
 
     def test_stats_shape(self, unit_model):
         seq = _workload(n=60, items=5)
@@ -159,12 +146,11 @@ class TestExecutorHardening:
     """_make_executor must behave identically on fork-less platforms, and
     pool rungs must group units instead of paying one future per unit."""
 
-    @pytest.mark.parametrize("pool", ["thread", "process"])
     @pytest.mark.parametrize(
         "chaos", [None, FaultPlan(seed=7, crash=0.5)], ids=["clean", "crash"]
     )
     def test_pool_rungs_dispatch_at_most_four_groups_per_worker(
-        self, unit_model, monkeypatch, pool, chaos
+        self, unit_model, monkeypatch, chaos
     ):
         import repro.engine.parallel as parallel
 
@@ -176,9 +162,7 @@ class TestExecutorHardening:
                 self._ex = ex
 
             def submit(self, fn, *args, **kwargs):
-                # the dispatch: a group (process rung) or its index
-                # (thread rung)
-                submitted.append(args[0])
+                submitted.append(args[0])  # the dispatch: a group
                 return self._ex.submit(fn, *args, **kwargs)
 
             def shutdown(self, *args, **kwargs):
@@ -193,13 +177,13 @@ class TestExecutorHardening:
         ref = _serial(seq, unit_model)
         assert len(ref.reports) > 4 * 2
         got = _serial(
-            seq, unit_model, workers=2, pool=pool,
+            seq, unit_model, workers=2,
             resilience=ResilienceConfig(chaos=chaos) if chaos else None,
         )
         assert got.total_cost == ref.total_cost
         assert got.reports == ref.reports
         es = got.engine_stats
-        assert (es.pool, es.workers, es.dispatched) == (pool, 2, es.units)
+        assert (es.pool, es.workers, es.dispatched) == ("process", 2, es.units)
         assert 0 < len(set(submitted)) <= 4 * 2
         if chaos is None:
             assert len(submitted) <= 4 * 2
@@ -240,25 +224,47 @@ class TestExecutorHardening:
         seq = _workload(n=60, items=5)
         plan = _serial(seq, unit_model).plan
         ref, _ = serve_plan(seq, plan, unit_model, ALPHA, workers=1)
-        got, stats = serve_plan(
-            seq, plan, unit_model, ALPHA, workers=2, pool="process"
-        )
+        got, stats = serve_plan(seq, plan, unit_model, ALPHA, workers=2)
         assert got == ref
         assert stats.pool == "process"
 
 
 class TestPoolHeuristic:
+    """Serial unless asked: auto mode never forks a pool; ``workers >= 2``
+    is a process pool as wide as the pending units allow."""
+
     def test_small_workload_stays_serial(self):
-        workers, kind = _resolve_backend(None, AUTO_SERIAL_NODES - 1, 8, None)
-        assert (workers, kind) == (1, "serial")
+        assert _resolve_backend(None, 8) == (1, "serial")
 
     def test_workers_capped_by_units(self):
-        workers, _ = _resolve_backend(8, 10**6, 3, None)
-        assert workers == 3
+        assert _resolve_backend(8, 3) == (3, "process")
+        assert _resolve_backend(8, 1) == (1, "serial")
 
     def test_explicit_workers_one_is_serial(self):
-        assert _resolve_backend(1, 10**9, 50, None) == (1, "serial")
+        assert _resolve_backend(1, 50) == (1, "serial")
 
-    def test_large_workload_prefers_processes(self):
-        _, kind = _resolve_backend(4, 10**6, 50, None)
-        assert kind == "process"
+    @pytest.mark.parametrize("route", ["memo", "sharded"])
+    def test_auto_mode_stays_serial_above_the_old_pool_threshold(
+        self, unit_model, route
+    ):
+        # over 24k pending request nodes: auto mode once forked a process
+        # pool at 16,384; it now runs serially, with the reports of an
+        # explicit two-process solve
+        seq = zipf_item_workload(24_000, 8, 48, seed=5, cooccurrence=0.3)
+        assert sum(seq.item_counts().values()) >= 16_384
+
+        def solve(**kw):
+            if route == "memo":
+                return _serial(seq, unit_model, memo=SolverMemo(), **kw)
+            return solve_dp_greedy_sharded(
+                seq, unit_model, theta=THETA, alpha=ALPHA, shards=4, **kw
+            )
+
+        auto = solve()
+        assert (auto.engine_stats.pool, auto.engine_stats.workers) == ("serial", 1)
+        pooled = solve(workers=2)
+        assert (pooled.engine_stats.pool, pooled.engine_stats.workers) == (
+            "process", 2
+        )
+        assert auto.total_cost == pooled.total_cost
+        assert auto.reports == pooled.reports

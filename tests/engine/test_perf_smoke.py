@@ -42,7 +42,7 @@ def test_parallel_path_runs_on_two_workers():
     got = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8, workers=2)
     ref = solve_dp_greedy(seq, model, theta=0.3, alpha=0.8)
     assert got.engine_stats.workers == 2
-    assert got.engine_stats.pool == "thread"
+    assert got.engine_stats.pool == "process"
     assert got.total_cost == ref.total_cost
 
 

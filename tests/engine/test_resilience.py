@@ -9,6 +9,7 @@ deterministic even when CI exports ``REPRO_CHAOS``.
 
 from __future__ import annotations
 
+import logging
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -51,15 +52,34 @@ def _solve(seq, unit_model, **kw):
     return solve_dp_greedy(seq, unit_model, theta=THETA, alpha=ALPHA, **kw)
 
 
-class TestNoChaosEquivalence:
-    """resilience= on, chaos off: a pure pass-through at every pool kind."""
+@pytest.fixture
+def dead_pool(monkeypatch):
+    """Every process pool is down from its first submit."""
+    import repro.engine.parallel as parallel
 
-    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
-    def test_identical_at_every_pool(self, seq, baseline, unit_model, pool):
+    class _DeadExecutor:
+        def submit(self, *a, **k):
+            raise BrokenExecutor("process pool is down")
+
+        def shutdown(self, *a, **k):
+            pass
+
+    monkeypatch.setattr(parallel, "_make_executor", lambda *a, **kw: _DeadExecutor())
+
+
+#: The two rungs: ``workers=1`` is serial, ``workers=2`` a process pool.
+POOLS = pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+
+
+class TestNoChaosEquivalence:
+    """resilience= on, chaos off: a pure pass-through on both rungs."""
+
+    @POOLS
+    def test_identical_at_every_pool(self, seq, baseline, unit_model, workers):
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=False),
-            workers=2, pool=pool,
+            workers=workers,
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
@@ -77,13 +97,13 @@ class TestNoChaosEquivalence:
 class TestChaosEquivalence:
     """Injected faults are absorbed; the answer never changes."""
 
-    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
-    def test_crashes_at_every_pool(self, seq, baseline, unit_model, pool):
+    @POOLS
+    def test_crashes_at_every_pool(self, seq, baseline, unit_model, workers):
         plan = FaultPlan(seed=7, crash=0.5)
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool=pool,
+            workers=workers,
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
@@ -98,7 +118,7 @@ class TestChaosEquivalence:
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="process",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
@@ -110,7 +130,7 @@ class TestChaosEquivalence:
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="process",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.retries > 0
@@ -121,7 +141,7 @@ class TestChaosEquivalence:
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan, unit_timeout=0.05),
-            workers=2, pool="thread",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         es = got.engine_stats
@@ -133,10 +153,8 @@ class TestChaosEquivalence:
         plan = FaultPlan(seed=7, crash=0.5)
         memo = SolverMemo()
         cfg = ResilienceConfig(chaos=plan)
-        first = _solve(seq, unit_model, resilience=cfg, workers=2,
-                       pool="thread", memo=memo)
-        second = _solve(seq, unit_model, resilience=cfg, workers=2,
-                        pool="thread", memo=memo)
+        first = _solve(seq, unit_model, resilience=cfg, workers=2, memo=memo)
+        second = _solve(seq, unit_model, resilience=cfg, workers=2, memo=memo)
         assert first.total_cost == baseline.total_cost
         assert second.total_cost == baseline.total_cost
         assert second.engine_stats.dispatched == 0
@@ -144,48 +162,31 @@ class TestChaosEquivalence:
 
 
 class TestDegradationLadder:
-    def test_worker_kill_degrades_process_to_thread(self, seq, baseline,
+    def test_worker_kill_degrades_process_to_serial(self, seq, baseline,
                                                     unit_model):
-        # os._exit in a pool worker -> BrokenProcessPool -> next rung
+        # os._exit in a pool worker -> BrokenProcessPool -> serial rung,
+        # which cannot break: one step down the ladder, the exact answer
         plan = FaultPlan(seed=3, kill=0.4)
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="process",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
-        assert got.engine_stats.pool_fallbacks >= 1
+        assert got.engine_stats.pool_fallbacks == 1
 
-    def test_ladder_reaches_serial(self, seq, baseline, unit_model,
-                                   monkeypatch):
-        # break the thread rung too: the ladder must land on serial,
-        # which cannot break, and still produce the exact answer
-        import repro.engine.parallel as parallel
-
-        real_make = parallel._make_executor
-
-        class _DeadExecutor:
-            def submit(self, *a, **k):
-                raise BrokenExecutor("thread rung is down")
-
-            def shutdown(self, *a, **k):
-                pass
-
-        def broken_thread(kind, *args, **kw):
-            if kind == "thread":
-                return _DeadExecutor()
-            return real_make(kind, *args, **kw)
-
-        monkeypatch.setattr(parallel, "_make_executor", broken_thread)
+    def test_ladder_reaches_serial(self, seq, baseline, unit_model, dead_pool):
+        # a pool that is down from the first submit: the ladder lands on
+        # serial, which cannot break, and still produces the exact answer
         plan = FaultPlan(seed=3, kill=0.4)
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="process",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
-        assert got.engine_stats.pool_fallbacks == 2  # process -> thread -> serial
+        assert got.engine_stats.pool_fallbacks == 1  # process -> serial
 
     def test_degrade_pool_false_raises(self, seq, unit_model):
         plan = FaultPlan(seed=3, kill=0.4)
@@ -193,7 +194,7 @@ class TestDegradationLadder:
             _solve(
                 seq, unit_model,
                 resilience=ResilienceConfig(chaos=plan, degrade_pool=False),
-                workers=2, pool="process",
+                workers=2,
             )
 
     def test_workers_one_runs_serial_rung(self, seq, baseline, unit_model):
@@ -228,29 +229,62 @@ class TestDefaultPath:
         assert isinstance(err.__cause__, RuntimeError)
 
     def test_dead_process_pool_degrades(self, seq, baseline, unit_model,
-                                        monkeypatch):
-        import repro.engine.parallel as parallel
-
-        real_make = parallel._make_executor
-
-        class _DeadExecutor:
-            def submit(self, *a, **k):
-                raise BrokenExecutor("process rung is down")
-
-            def shutdown(self, *a, **k):
-                pass
-
-        def broken_process(kind, *args, **kw):
-            if kind == "process":
-                return _DeadExecutor()
-            return real_make(kind, *args, **kw)
-
-        monkeypatch.setattr(parallel, "_make_executor", broken_process)
-        got = _solve(seq, unit_model, workers=2, pool="process")
+                                        dead_pool):
+        got = _solve(seq, unit_model, workers=2)
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
         es = got.engine_stats
         assert (es.pool, es.pool_fallbacks, es.retries) == ("process", 1, 0)
+
+
+class TestUnenforcedTimeout:
+    """The serial rung runs every dispatch to completion, so it cannot
+    honour ``unit_timeout``; it says so once per call, naming the fix."""
+
+    CONFIG = ResilienceConfig(unit_timeout=5.0, chaos=False)
+
+    @staticmethod
+    def _warnings(caplog):
+        return [
+            r for r in caplog.records
+            if r.name == "repro.engine.resilience" and "not enforced" in r.getMessage()
+        ]
+
+    def test_serial_rung_warns_once(self, seq, baseline, unit_model, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.engine.resilience"):
+            got = _solve(seq, unit_model, resilience=self.CONFIG)
+        assert got.reports == baseline.reports
+        (record,) = self._warnings(caplog)
+        assert record.levelno == logging.WARNING
+        assert "workers >= 2" in record.getMessage()
+
+    def test_fall_from_a_broken_pool_warns_once(self, seq, baseline, unit_model,
+                                                caplog, dead_pool):
+        with caplog.at_level(logging.WARNING, logger="repro.engine.resilience"):
+            got = _solve(seq, unit_model, resilience=self.CONFIG, workers=2)
+        assert got.reports == baseline.reports
+        assert got.engine_stats.pool_fallbacks == 1
+        assert len(self._warnings(caplog)) == 1
+
+    def test_process_pool_enforces_it_silently(self, seq, unit_model, caplog):
+        with caplog.at_level(logging.WARNING, logger="repro.engine.resilience"):
+            got = _solve(seq, unit_model, resilience=self.CONFIG, workers=2)
+        assert got.engine_stats.pool == "process"
+        assert self._warnings(caplog) == []
+
+    def test_sharded_default_config_sets_no_timeout(self, seq, baseline, caplog,
+                                                     monkeypatch):
+        from repro.cache.model import CostModel
+        from repro.engine.sharding import solve_dp_greedy_sharded
+
+        monkeypatch.delenv("REPRO_CHAOS", raising=False)
+        with caplog.at_level(logging.WARNING, logger="repro.engine.resilience"):
+            got = solve_dp_greedy_sharded(
+                seq, CostModel(mu=1.0, lam=1.0), theta=THETA, alpha=ALPHA,
+                shards=4,
+            )
+        assert got.total_cost == baseline.total_cost
+        assert [r for r in caplog.records if r.name == "repro.engine.resilience"] == []
 
 
 class TestOnUnitError:
@@ -265,7 +299,7 @@ class TestOnUnitError:
                 resilience=ResilienceConfig(
                     chaos=self.PLAN, retries=1, on_unit_error="raise"
                 ),
-                workers=2, pool="thread",
+                workers=2,
             )
 
     def test_raise_surfaces_unit_timeout_error(self, seq, unit_model):
@@ -277,7 +311,7 @@ class TestOnUnitError:
                     chaos=plan, retries=1, unit_timeout=0.05,
                     on_unit_error="raise",
                 ),
-                workers=2, pool="thread",
+                workers=2,
             )
 
     def test_errors_are_repro_errors_with_context(self, seq, unit_model):
@@ -287,7 +321,7 @@ class TestOnUnitError:
                 resilience=ResilienceConfig(
                     chaos=self.PLAN, retries=1, on_unit_error="raise"
                 ),
-                workers=2, pool="thread",
+                workers=2,
             )
         except UnitSolveError as err:
             assert isinstance(err, ReproError)
@@ -302,7 +336,7 @@ class TestOnUnitError:
             resilience=ResilienceConfig(
                 chaos=self.PLAN, retries=1, on_unit_error="skip"
             ),
-            workers=2, pool="thread",
+            workers=2,
         )
         es = got.engine_stats
         assert es.units_failed > 0
@@ -322,7 +356,7 @@ class TestOnUnitError:
             resilience=ResilienceConfig(
                 chaos=self.PLAN, retries=1, on_unit_error="degrade"
             ),
-            workers=2, pool="thread",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
@@ -358,7 +392,7 @@ class TestConfig:
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(),
-            workers=2, pool="thread",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.retries > 0
@@ -369,15 +403,15 @@ class TestConfig:
         got = _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=False),
-            workers=2, pool="thread",
+            workers=2,
         )
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.retries == 0
 
     @pytest.mark.parametrize(
         "engine",
-        [dict(), dict(workers=2, pool="thread"), dict(workers=2, pool="process")],
-        ids=["default", "thread", "process"],
+        [dict(), dict(workers=2)],
+        ids=["default", "process"],
     )
     def test_env_chaos_stays_out_of_solves_without_resilience(
         self, seq, baseline, unit_model, monkeypatch, engine
@@ -400,7 +434,7 @@ class TestObservability:
         _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="thread", observer=observer,
+            workers=2, observer=observer,
         )
         counters = observer.runs[-1].counters
         assert counters["engine.retries"] > 0
@@ -416,7 +450,7 @@ class TestObservability:
         _solve(
             seq, unit_model,
             resilience=ResilienceConfig(chaos=plan),
-            workers=2, pool="thread", observer=observer,
+            workers=2, observer=observer,
         )
         names = [s.name for s in observer.records()]
         assert "engine.retry" in names

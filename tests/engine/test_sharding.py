@@ -84,9 +84,11 @@ class TestBitIdentity:
                 want = optimal_cost(seq.item_view(d), _MODEL, backend=backend)
             assert rep.package_cost == want
 
-    @pytest.mark.parametrize("pool", ["serial", "thread", "process"])
-    def test_every_pool_matches_serial(self, seq, baseline, pool):
-        got = _solve(seq, shards=3, workers=2, pool=pool)
+    @pytest.mark.parametrize(
+        "workers, pool", [(1, "serial"), (2, "process")], ids=["serial", "process"]
+    )
+    def test_every_pool_matches_serial(self, seq, baseline, workers, pool):
+        got = _solve(seq, shards=3, workers=workers)
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
         assert got.engine_stats.pool == pool
@@ -99,7 +101,7 @@ class TestBitIdentity:
         self, seq, baseline, tmp_path
     ):
         sseq = TraceStore.open(write_store(seq, tmp_path / "store"))
-        got = _solve(sseq, shards=3, workers=2, pool="process")
+        got = _solve(sseq, shards=3, workers=2)
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
 
@@ -218,7 +220,6 @@ class TestResilience:
             seq,
             shards=4,
             workers=2,
-            pool="thread",
             resilience=ResilienceConfig(chaos=FaultPlan(seed=7, crash=0.5)),
         )
         assert got.total_cost == baseline.total_cost
@@ -230,7 +231,6 @@ class TestResilience:
             seq,
             shards=4,
             workers=2,
-            pool="thread",
             resilience=ResilienceConfig(
                 chaos=FaultPlan(seed=3, crash=0.5, attempts=99),
                 retries=1,
@@ -362,6 +362,6 @@ class TestObservability:
         from repro.obs import Observer
 
         observer = Observer(spans=True)
-        _solve(seq, shards=2, workers=2, pool="thread", observer=observer)
+        _solve(seq, shards=2, workers=2, observer=observer)
         names = [s.name for s in observer.records()]
         assert "engine.dispatch" in names

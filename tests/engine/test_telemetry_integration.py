@@ -5,8 +5,8 @@ progress counts, stall flags, and (for process pools) worker resource
 stats.  That it never perturbs the answer is pinned for every leg and
 route by ``tests/obs/test_observer.py``; ``TestBitIdentity`` keeps the
 runtime-leg checks of the engine configurations outside that matrix:
-the classic solve, the serial pool at width 2, the resilient dispatcher
-without faults, and a crash storm on the auto-picked pool.
+the classic solve, both rungs at an explicit width, the resilient
+dispatcher without faults, and a crash storm on a process pool.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ class TestBitIdentity:
         lat = tele.cumulative_latency()
         assert lat[H_SOLVE]["count"] >= 1
 
-    @pytest.mark.parametrize("pool", ["serial"])
-    def test_engine_pools_with_telemetry(self, seq, baseline, pool):
+    @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "process"])
+    def test_engine_pools_with_telemetry(self, seq, baseline, workers):
         tele = _hub()
         got = solve_dp_greedy(
-            seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2, pool=pool,
+            seq, _MODEL, theta=THETA, alpha=ALPHA, workers=workers,
             observer=tele,
         )
         assert got.total_cost == baseline.total_cost
@@ -64,7 +64,7 @@ class TestBitIdentity:
         tele = _hub()
         got = solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2,
-            pool="process", observer=tele,
+            observer=tele,
             resilience=ResilienceConfig(retries=2, chaos=False),
         )
         assert got.total_cost == baseline.total_cost
@@ -89,7 +89,7 @@ class TestProgressAndStats:
         tele = _hub()
         solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2,
-            pool="thread", observer=tele,
+            observer=tele,
         )
         snap = tele.board.snapshot()
         assert snap["total"] >= 1
@@ -101,7 +101,7 @@ class TestProgressAndStats:
         tele = _hub()
         solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2,
-            pool="process", observer=tele,
+            observer=tele,
         )
         workers = tele.resources_snapshot()["workers"]
         assert workers  # at least one worker reported usage
@@ -112,7 +112,7 @@ class TestProgressAndStats:
         tele = _hub(stall_after=0.01)
         got = solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2,
-            pool="thread", observer=tele,
+            observer=tele,
             resilience=ResilienceConfig(
                 retries=1,
                 chaos=FaultPlan(seed=1, delay=1.0, delay_seconds=0.08),
@@ -125,7 +125,7 @@ class TestProgressAndStats:
         tele = _hub(stall_after=30.0)
         got = solve_dp_greedy(
             seq, _MODEL, theta=THETA, alpha=ALPHA, workers=2,
-            pool="thread", observer=tele,
+            observer=tele,
             resilience=ResilienceConfig(retries=1, chaos=False),
         )
         assert got.engine_stats.stalls == 0

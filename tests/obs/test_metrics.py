@@ -28,9 +28,8 @@ from ..conftest import cost_models, multi_item_sequences
 #: in-process path, the rest exercise serve_plan's pools and the memo.
 _CONFIGS = {
     "serial": dict(),
-    "engine-serial": dict(workers=1, pool="serial"),
-    "thread": dict(workers=2, pool="thread"),
-    "process": dict(workers=2, pool="process"),
+    "engine-serial": dict(workers=1),
+    "process": dict(workers=2),
     "memo": dict(workers=1, memo=True),
 }
 
@@ -78,7 +77,7 @@ class TestReconciliationProperty:
     @settings(max_examples=6, deadline=None)
     @given(
         seq=multi_item_sequences(max_requests=12),
-        config=st.sampled_from(["thread", "process"]),
+        config=st.sampled_from(["engine-serial", "process"]),
     )
     def test_ledger_reconciles_across_pools(self, seq, config):
         model = CostModel(mu=1.0, lam=1.0)
@@ -122,11 +121,10 @@ class TestRunObservation:
         "route",
         [
             dict(),
-            dict(workers=2, pool="thread"),
-            dict(workers=2, pool="process"),
-            dict(shards=3, workers=2, pool="process"),
+            dict(workers=2),
+            dict(shards=3, workers=2),
         ],
-        ids=["default", "thread-groups", "process-groups", "shards"],
+        ids=["default", "process-groups", "shards"],
     )
     def test_span_aggregates_count_each_unit_once(self, route):
         # one phase2.solve span per unit on every route, including units

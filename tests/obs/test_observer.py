@@ -49,15 +49,12 @@ LEGS = {
 #: deterministic crash storm.
 ROUTES = {
     "serial": (solve_dp_greedy, dict()),
-    "serial-memo": (solve_dp_greedy, dict(workers=1, pool="serial", memo="shared")),
-    "thread": (solve_dp_greedy, dict(workers=2, pool="thread")),
-    "thread-memo": (solve_dp_greedy, dict(workers=2, pool="thread", memo="shared")),
-    "process": (solve_dp_greedy, dict(workers=2, pool="process")),
+    "serial-memo": (solve_dp_greedy, dict(workers=1, memo="shared")),
+    "process": (solve_dp_greedy, dict(workers=2)),
     "resilient": (
         solve_dp_greedy,
         dict(
             workers=2,
-            pool="process",
             resilience=ResilienceConfig(retries=3, chaos=FaultPlan(seed=5, crash=0.5)),
         ),
     ),
@@ -113,7 +110,7 @@ def test_observation_does_not_change_the_answer(seq, leg, route):
     if observer.runtime:
         latency = observer.cumulative_latency()
         assert memo or latency[H_SOLVE]["count"] >= 1
-        if engine.get("pool") == "process":
+        if engine.get("workers") == 2:
             assert latency[H_DISPATCH]["count"] >= 1
         if route == "resilient":
             assert observer.board.retries >= 1
@@ -160,9 +157,8 @@ def _expected_charges(seq, model, alpha, reports):
 
 _LEDGER_ROUTES = {
     "serial": (solve_dp_greedy, dict()),
-    "thread": (solve_dp_greedy, dict(workers=2, pool="thread")),
-    "process": (solve_dp_greedy, dict(workers=2, pool="process")),
-    "sharded": (solve_dp_greedy_sharded, dict(shards=2, workers=2, pool="thread")),
+    "process": (solve_dp_greedy, dict(workers=2)),
+    "sharded": (solve_dp_greedy_sharded, dict(shards=2, workers=2)),
 }
 
 

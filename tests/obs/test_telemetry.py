@@ -199,7 +199,7 @@ class TestProgressBoard:
         b.unit_finished("u0", ok=True)
         b.unit_finished("u1", ok=False)
         b.unit_retried("u2")
-        b.degraded("thread")
+        b.degraded("process")
         snap = b.snapshot()
         assert snap["total"] == 3
         assert snap["done"] == 1

@@ -113,7 +113,7 @@ def _stats(**overrides):
         packages=1,
         singletons=3,
         workers=2,
-        pool="thread",
+        pool="process",
         dispatched=3,
         memo_hits=7,
         memo_misses=3,
@@ -139,7 +139,7 @@ class TestCounterRegistry:
             observer.begin_run()
             observer.end_run(0.0, units=4, engine_stats=_stats())
         snap = observer.metrics()
-        assert snap["runs"][0]["counters"]["engine.pool"] == "thread"
+        assert snap["runs"][0]["counters"]["engine.pool"] == "process"
         assert "engine.pool" not in snap["aggregate"]["counters"]
         assert snap["aggregate"]["counters"]["engine.memo_hits"] == 14
 
@@ -157,7 +157,7 @@ class TestCounterRegistry:
         observer.begin_run()
         run = observer.end_run(0.0, units=4, engine_stats=_stats())
         assert run.counters["engine.memo_hits"] == 7
-        assert run.counters["engine.pool"] == "thread"
+        assert run.counters["engine.pool"] == "process"
         assert run.counters["engine.workers"] == 2
         assert run.counters["engine.memo_hit_rate"] == pytest.approx(0.7)
 

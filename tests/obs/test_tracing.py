@@ -6,7 +6,7 @@ The golden-export tests pin the Chrome trace-event contract (Perfetto /
 answer is pinned for every leg and route by
 ``tests/obs/test_observer.py``; ``TestTracingEquivalence`` keeps the
 spans-leg check of the two engine configurations outside that matrix:
-the serial pool without a memo, and the process-wide default memo.
+the serial rung without a memo, and the process-wide default memo.
 """
 
 from __future__ import annotations
@@ -178,17 +178,8 @@ class TestChromeExport:
             assert s.start + s.duration <= serve.start + serve.duration + 1e-9
             assert s.args["unit"]  # e.g. "pkg(1,2)" / "item(7)"
 
-    def test_thread_pool_spans_carry_worker_tids(self):
-        observer, _ = self._trace_of(workers=2, pool="thread")
-        solves = [r for r in observer.records() if r.name == "phase2.solve"]
-        assert solves
-        # the solves ran on executor threads, not the main thread
-        main_tid = threading.get_ident()
-        assert all(r.tid != main_tid for r in solves)
-        assert len({r.tid for r in observer.records()}) >= 2
-
     def test_process_pool_spans_carry_worker_pids(self):
-        observer, chrome = self._trace_of(workers=2, pool="process")
+        observer, chrome = self._trace_of(workers=2)
         solves = [r for r in observer.records() if r.name == "phase2.solve"]
         assert solves
         parent = os.getpid()
@@ -227,7 +218,7 @@ class TestTracingEquivalence:
     @pytest.mark.parametrize(
         "engine",
         [
-            dict(workers=1, pool="serial"),
+            dict(workers=1),
             dict(workers=1, memo=True),
         ],
         ids=["engine-serial", "memo"],
