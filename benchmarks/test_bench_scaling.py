@@ -32,7 +32,9 @@ def test_bench_scaling_study(benchmark):
     # superlinear dense reference (theory ~2), near-linear sparse DP and
     # pre-scan (theory ~1 in n at fixed m)
     assert result.params["dp_dense_loglog_slope"] > 1.0
+    assert 0.4 < result.params["dp_loglog_slope"] < 2.0
     assert result.params["dp_loglog_slope"] < result.params["dp_dense_loglog_slope"]
+    assert result.params["prescan_loglog_slope"] < 2.0
     assert (
         result.params["prescan_loglog_slope"]
         < result.params["dp_dense_loglog_slope"] + 0.5

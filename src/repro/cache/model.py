@@ -668,18 +668,20 @@ class RequestSequence:
         """Cached co-occurrence view of an item group: the trajectory of
         ``restrict_to_items(mode="all")`` (requests containing *every*
         item), computed by intersecting the per-item position arrays,
-        with its links."""
+        with its links.  A one-item group's view is its
+        :meth:`item_view`."""
         group = frozenset(items)
         if not group:
             raise ValueError("item group must be non-empty")
-        if len(group) == 1:
-            return self.item_view(next(iter(group)))
         cache = self.__dict__.get("_gview_cache")
         if cache is None:
             cache = {}
             object.__setattr__(self, "_gview_cache", cache)
         view = cache.get(group)
-        if view is None:
+        if view is None and len(group) == 1:
+            (item,) = group
+            view = cache[group] = self.item_view(item)
+        elif view is None:
             members = sorted(group)
             idx = self.item_indices(members[0])
             for d in members[1:]:

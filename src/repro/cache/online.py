@@ -12,7 +12,10 @@ algorithmic landscape the paper situates itself in:
   designated copy (the most recently used) is never dropped, preserving
   persistence.  This is the standard 2-competitive ski-rental trade-off
   per server and mirrors the structure of the 3-competitive algorithm
-  described in [6].
+  described in [6].  The policy is one incremental stepper,
+  :class:`_SkiRentalUnit`, which on-line DP_Greedy
+  (:mod:`repro.core.online_dpg`) and the serving engine's degraded path
+  drive request by request; the solver replays it over a trajectory.
 * :func:`solve_online_always_transfer` -- the no-cache straw man: keep only
   the most recent copy and transfer on every server change.
 
@@ -56,13 +59,105 @@ def _coerce(view: "SingleItemView | RequestSequence") -> SingleItemView:
     return view
 
 
+class _SkiRentalUnit:
+    """Incremental ski-rental copy manager for one item or package.
+
+    Every copy remembers its birth and last use; a non-primary copy is
+    retired once idle longer than ``lam / mu`` (having paid exactly its
+    re-transfer cost in idle caching); serving a foreign server
+    transfers from the primary copy.  Costs accrue on retire/flush.
+    """
+
+    def __init__(self, origin: int, start: float, mu: float, lam: float) -> None:
+        self.mu = mu
+        self.lam = lam
+        self.threshold = lam / mu if mu > 0 else float("inf")
+        self.copies: Dict[int, Tuple[float, float]] = {origin: (start, start)}
+        self.primary = origin
+        self.cost = 0.0
+
+    def _retire(self, server: int, end: float) -> None:
+        birth, _last = self.copies.pop(server)
+        self.cost += self.mu * max(0.0, end - birth)
+
+    def _expire(self, now: float) -> None:
+        for server in list(self.copies):
+            if server == self.primary:
+                continue
+            _birth, last = self.copies[server]
+            if now - last > self.threshold:
+                self._retire(server, last + self.threshold)
+
+    def holds(self, server: int, now: float) -> bool:
+        """Live copy on ``server`` at time ``now`` (after expiry)?"""
+        info = self.copies.get(server)
+        if info is None:
+            return False
+        _birth, last = info
+        return server == self.primary or now - last <= self.threshold
+
+    def serve(self, server: int, now: float) -> bool:
+        """Serve a request at ``(server, now)``; returns whether it
+        transferred (paying ``lam`` now -- zero under ``lam == 0``, so
+        callers classify by this flag, never by the charge) rather than
+        hitting a live copy.  Caching accrues on retirement."""
+        self._expire(now)
+        if server in self.copies:
+            birth, _last = self.copies[server]
+            self.copies[server] = (birth, now)
+            transferred = False
+        else:
+            birth, _last = self.copies[self.primary]
+            self.copies[self.primary] = (birth, now)
+            self.copies[server] = (now, now)
+            self.cost += self.lam
+            transferred = True
+        self.primary = server
+        return transferred
+
+    def touch(self, server: int, now: float) -> None:
+        """Mark the copy on ``server`` as used at ``now`` so its caching
+        is paid through ``now`` (serving through a held copy keeps it
+        alive -- and billed)."""
+        birth, _last = self.copies[server]
+        self.copies[server] = (birth, now)
+
+    def adopt(self, server: int, now: float) -> None:
+        """Place a fresh copy at ``server`` (package formation)."""
+        self._expire(now)
+        if server not in self.copies:
+            self.copies[server] = (now, now)
+        self.primary = server
+
+    def flush(self) -> float:
+        """Retire every copy at its last use; return the total cost."""
+        for server in list(self.copies):
+            _birth, last = self.copies[server]
+            self._retire(server, last)
+        return self.cost
+
+
+class _RecordingUnit(_SkiRentalUnit):
+    """The stepper, keeping every retired copy as a cache interval."""
+
+    def __init__(self, origin: int, start: float, mu: float, lam: float) -> None:
+        super().__init__(origin, start, mu, lam)
+        self.intervals: List[CacheInterval] = []
+
+    def _retire(self, server: int, end: float) -> None:
+        birth, _last = self.copies[server]
+        super()._retire(server, end)
+        self.intervals.append(CacheInterval(server, birth, end))
+
+
 def solve_online_ski_rental(
     view: "SingleItemView | RequestSequence",
     model: CostModel,
     *,
     build_schedule: bool = True,
 ) -> OnlineResult:
-    """Replay the deterministic ski-rental on-line policy.
+    """Replay the deterministic ski-rental on-line policy
+    (:class:`_SkiRentalUnit`, born at the origin at ``t = 0``).
 
     Every copy tracks the time of its last use.  When a request arrives at
     time ``t``:
@@ -73,58 +168,24 @@ def solve_online_ski_rental(
     2. the request is served by cache when its server still holds a copy,
        otherwise by a transfer from the primary copy;
     3. the serving server becomes the primary copy holder.
+
+    The schedule's intervals are the stepper's retired copies, in
+    retirement order, and ``total_cache_time`` is their spans summed
+    left to right.
     """
     view = _coerce(view)
-    mu, lam = model.mu, model.lam
-    threshold = lam / mu if mu > 0 else float("inf")
-
-    # copy state: server -> (birth_time, last_use_time)
-    copies: Dict[int, Tuple[float, float]] = {view.origin: (0.0, 0.0)}
-    primary = view.origin
-    intervals: List[CacheInterval] = []
+    unit = _RecordingUnit(view.origin, 0.0, model.mu, model.lam)
     transfers: List[Transfer] = []
-    cost = 0.0
-    cache_time = 0.0
-
-    def retire(server: int, end: float) -> None:
-        nonlocal cost, cache_time
-        birth, _last = copies.pop(server)
-        span = end - birth
-        cost += mu * span
-        cache_time += span
-        intervals.append(CacheInterval(server, birth, end))
-
     for s_i, t_i in zip(view.servers, view.times):
-        # 1. drop expired secondary copies
-        for server in list(copies):
-            if server == primary:
-                continue
-            birth, last = copies[server]
-            if t_i - last > threshold:
-                retire(server, last + threshold)
-
-        # 2. serve
-        if s_i in copies:
-            birth, _last = copies[s_i]
-            copies[s_i] = (birth, t_i)
-        else:
-            # keep the primary alive up to now, then transfer from it
-            birth, _last = copies[primary]
-            copies[primary] = (birth, t_i)
-            cost += lam
-            transfers.append(Transfer(primary, s_i, t_i))
-            copies[s_i] = (t_i, t_i)
-
-        # 3. rotate primary to the serving server
-        primary = s_i
-
-    # close out remaining copies at their last useful instant
-    for server in list(copies):
-        _birth, last = copies[server]
-        retire(server, last)
-
+        source = unit.primary
+        if unit.serve(s_i, t_i):
+            transfers.append(Transfer(source, s_i, t_i))
+    cost = unit.flush()
+    cache_time = 0.0  # a plain loop: sum() is compensated from Python 3.12
+    for interval in unit.intervals:
+        cache_time += interval.end - interval.start
     schedule = (
-        Schedule(tuple(intervals), tuple(transfers)) if build_schedule else None
+        Schedule(tuple(unit.intervals), tuple(transfers)) if build_schedule else None
     )
     return OnlineResult(cost, schedule, len(transfers), cache_time)
 

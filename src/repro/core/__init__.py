@@ -16,8 +16,7 @@ from .baselines import (
 from .dp_greedy import (
     DPGreedyResult,
     GroupReport,
-    serve_package,
-    serve_singleton,
+    serve_unit,
     solve_dp_greedy,
 )
 from .online_dpg import OnlineDPGreedyResult, solve_online_dp_greedy
@@ -28,8 +27,7 @@ __all__ = [
     "DPGreedyResult",
     "GroupReport",
     "solve_dp_greedy",
-    "serve_package",
-    "serve_singleton",
+    "serve_unit",
     "BaselineResult",
     "solve_optimal_nonpacking",
     "solve_package_served",

@@ -4,7 +4,9 @@ Phase 1 (:mod:`repro.correlation`) scans the off-line request sequence,
 computes the pairwise Jaccard similarities, and greedily packs disjoint
 item pairs whose similarity exceeds the threshold ``theta``.
 
-Phase 2 serves each serving unit:
+Phase 2 serves each serving unit (:func:`serve_unit`; a unit is its
+sorted tuple of item ids, and a singleton is a one-item package whose
+rate is 1, Table II):
 
 * a **singleton** item is served over its own sub-sequence by the optimal
   off-line single-item algorithm (the substrate [6],
@@ -43,7 +45,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache.model import CostModel, RequestSequence, SingleItemView, package_rate
+from ..cache.model import CostModel, RequestSequence, package_rate
 from ..cache.optimal_dp import attribute_positions, optimal_cost, solve_optimal
 from ..cache.schedule import Schedule
 from ..obs.observer import maybe_span
@@ -62,8 +64,7 @@ __all__ = [
     "single_sided_pass",
     "DPGreedyResult",
     "solve_dp_greedy",
-    "serve_package",
-    "serve_singleton",
+    "serve_unit",
 ]
 
 #: Serving modes of single-sided package requests (Observation 2).
@@ -80,7 +81,7 @@ class GroupReport:
     package (zero for singletons).  ``modes`` records, per single-sided
     node in time order, which Observation-2 option won.
 
-    ``attribution`` (opt-in, ``attribute=True`` on the serve functions,
+    ``attribution`` (opt-in, ``attribute=True`` on :func:`serve_unit`,
     which an observer's cost ledger asks for) decomposes
     ``package_cost`` into ``(k, action, amount)`` ledger charges via
     :func:`repro.cache.optimal_dp.attribute_positions`, ``k`` being the
@@ -145,109 +146,44 @@ class DPGreedyResult:
         return out
 
 
-def _solve_unit(
-    view: "RequestSequence | SingleItemView",
-    model: CostModel,
-    rate: float,
-    *,
-    build_schedule: bool,
-    attribute: bool,
-) -> Tuple[float, Optional[Schedule], Optional[Tuple[Tuple[int, str, float], ...]]]:
-    """``(cost, schedule, attribution)`` of one unit's DP at ``rate``.
-
-    A unit that reports neither a schedule nor an attribution is priced
-    by :func:`~repro.cache.optimal_dp.optimal_cost`: the same recurrence
-    with ``O(m)`` live state and no per-event decision history to
-    backtrack, bit-identical to ``solve_optimal(...).cost``.
-    """
-    if not build_schedule and not attribute:
-        return optimal_cost(view, model, rate_multiplier=rate), None, None
-    res = solve_optimal(
-        view, model, build_schedule=build_schedule, rate_multiplier=rate
-    )
-    attribution = (
-        attribute_positions(view, model, res, rate_multiplier=rate)
-        if attribute
-        else None
-    )
-    return res.cost, res.schedule, attribution
-
-
-def _unit_report(
-    group: FrozenSet[int],
-    view: "RequestSequence | SingleItemView",
-    model: CostModel,
-    rate: float,
-    *,
-    build_schedule: bool,
-    dp_cost: Optional[float],
-    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]],
-    attribute: bool,
-) -> GroupReport:
-    """The DP half of a unit's report: ``view`` priced at ``rate`` (or
-    the injected ``dp_cost``), with no single-sided charges.  The
-    Phase-2 engine dispatches this for a package and adds the
-    single-sided charges of every package from one
-    :func:`single_sided_pass` in the parent."""
-    if dp_cost is not None:
-        if build_schedule:
-            raise ValueError("dp_cost injection is cost-only")
-        if attribute and dp_attribution is None:
-            raise ValueError(
-                "attribution requested but the injected dp_cost carries none"
-            )
-        cost, schedule = dp_cost, None
-        attribution = dp_attribution if attribute else None
-    else:
-        cost, schedule, attribution = _solve_unit(
-            view, model, rate, build_schedule=build_schedule, attribute=attribute
-        )
-    return GroupReport(
-        group=group,
-        package_cost=cost,
-        single_sided_cost=0.0,
-        num_cooccurrence=len(view),
-        num_single_sided=0,
-        modes=(),
-        package_schedule=schedule,
-        attribution=attribution,
-    )
-
-
-def serve_singleton(
+def _dp_half(
     seq: RequestSequence,
-    item: int,
+    unit: Sequence[int],
     model: CostModel,
+    alpha: float,
     *,
     build_schedule: bool = False,
-    sub: "RequestSequence | SingleItemView | None" = None,
-    dp_cost: Optional[float] = None,
-    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]] = None,
     attribute: bool = False,
 ) -> GroupReport:
-    """Serve one unpacked item with the optimal off-line algorithm.
+    """The DP half of ``unit``'s report, with no single-sided charges:
+    the unit's co-occurrence trajectory
+    (:meth:`~repro.cache.model.RequestSequence.group_view`, an item's
+    own rows for a one-item unit) priced at
+    :func:`~repro.cache.model.package_rate` ``(len(unit), alpha)``.
 
-    By default the item's trajectory comes from the sequence's cached
-    columnar projection (:meth:`~repro.cache.model.RequestSequence.item_view`),
-    so repeated serves stop re-scanning ``requests``.  ``sub`` lets
-    callers that already hold the restriction (a projected sequence or a
-    view) inject it; ``dp_cost`` injects a memoised solver result so the
-    DP is skipped entirely (cost-only mode: the two are mutually
-    exclusive with ``build_schedule=True``).  ``attribute`` additionally
-    decomposes the DP cost into per-request ledger charges (with
-    ``dp_cost`` injection the matching ``dp_attribution`` must be
-    supplied -- the memo stores both together).  Without a schedule or
-    an attribution to report, the DP runs cost-only (no decision path).
+    Without a schedule or an attribution to report the DP runs
+    cost-only (:func:`~repro.cache.optimal_dp.optimal_cost`: ``O(m)``
+    live state, no decision history, bit-identical to
+    ``solve_optimal(...).cost``).  The Phase-2 engine dispatches this
+    for every unit and adds the single-sided charges of every package
+    from one :func:`single_sided_pass` in the parent.
     """
-    return _unit_report(
-        frozenset((item,)),
-        seq.item_view(item) if sub is None else sub,
-        model,
-        1.0,
-        build_schedule=build_schedule,
-        dp_cost=dp_cost,
-        dp_attribution=dp_attribution,
-        attribute=attribute,
+    view = seq.group_view(unit)
+    rate = package_rate(len(unit), alpha)
+    schedule = attribution = None
+    if build_schedule or attribute:
+        res = solve_optimal(
+            view, model, build_schedule=build_schedule, rate_multiplier=rate
+        )
+        cost, schedule = res.cost, res.schedule
+        if attribute:
+            attribution = attribute_positions(
+                view, model, res, rate_multiplier=rate
+            )
+    else:
+        cost = optimal_cost(view, model, rate_multiplier=rate)
+    return GroupReport(
+        frozenset(unit), cost, 0.0, len(view), 0, (), schedule, attribution
     )
 
 
@@ -471,66 +407,37 @@ def single_sided_decisions(
         )
 
 
-def serve_package(
+def serve_unit(
     seq: RequestSequence,
-    package: FrozenSet[int],
+    unit: Sequence[int],
     model: CostModel,
     alpha: float,
     *,
     build_schedule: bool = False,
-    dp_cost: Optional[float] = None,
-    dp_attribution: Optional[Tuple[Tuple[int, str, float], ...]] = None,
     attribute: bool = False,
-    co_view: "RequestSequence | SingleItemView | None" = None,
 ) -> GroupReport:
-    """Serve one package per Phase 2 of Algorithm 1.
+    """Serve one serving unit per Phase 2 of Algorithm 1.
 
-    Works for packages of any size ``k >= 2`` (the paper's Remarks
-    extension): co-occurrence nodes are requests containing *all* items of
-    the package, served at rate ``alpha * k``; nodes carrying a strict
-    non-empty subset are served greedily per item with the package-ship
-    option costing ``alpha * k * lam``.
+    ``unit`` holds the unit's item ids (the engine plans each unit as
+    its sorted tuple).  A one-item unit is its item served alone by the
+    optimal off-line algorithm at the individual rates.  A package of
+    ``k >= 2`` items (``k > 2`` is the paper's Remarks extension) serves
+    its co-occurrence nodes -- requests carrying *every* item -- by the
+    same DP at rate ``alpha * k``, and each node carrying a strict
+    non-empty subset greedily per item, with the package-ship option
+    costing ``alpha * k * lam`` (Observation 2, :func:`single_sided_pass`
+    over this one unit; a one-item unit has no such node).
 
-    ``dp_cost`` injects a memoised co-occurrence DP result (cost-only:
-    incompatible with ``build_schedule=True``); without a schedule or an
-    attribution to report, the DP runs cost-only (no decision path).
-    The single-sided charges and their per-node mode ledger are
-    :func:`single_sided_pass` over this one package (a solve runs that
-    pass once over every package instead).  ``attribute`` decomposes
-    the co-occurrence DP cost into per-request ledger charges at package
-    rate (the single-sided charges are already carried by ``modes``);
-    with ``dp_cost`` injection the matching ``dp_attribution`` must be
-    supplied.  ``co_view`` lets callers that already restricted the
-    sequence to the package's co-occurrence nodes inject the
-    restriction -- a projected :class:`RequestSequence` or a bare
-    :class:`SingleItemView`; by default the trajectory comes from the
-    sequence's cached columnar projection
-    (:meth:`~repro.cache.model.RequestSequence.group_view`).
+    Without a schedule or an attribution to report, the DP runs
+    cost-only (no decision path).  ``attribute`` decomposes the DP cost
+    into per-request ledger charges at the unit's rate (the single-sided
+    charges are already carried by ``modes``).  An empty unit raises
+    :class:`ValueError`.
     """
-    k = len(package)
-    if k < 2:
-        raise ValueError("a package needs at least two items")
-    if co_view is None:
-        co_view = seq.group_view(package)
-    elif not isinstance(co_view, SingleItemView):
-        # the package is one pseudo-item: a bare (server, time) trajectory
-        co_view = SingleItemView(
-            servers=co_view.servers,
-            times=co_view.times,
-            num_servers=co_view.num_servers,
-            origin=co_view.origin,
-        )
-    report = _unit_report(
-        package,
-        co_view,
-        model,
-        package_rate(k, alpha),
-        build_schedule=build_schedule,
-        dp_cost=dp_cost,
-        dp_attribution=dp_attribution,
-        attribute=attribute,
+    report = _dp_half(
+        seq, unit, model, alpha, build_schedule=build_schedule, attribute=attribute
     )
-    (filled,) = single_sided_pass(seq, [package], model, alpha).fill([report])
+    (filled,) = single_sided_pass(seq, [unit], model, alpha).fill([report])
     return filled
 
 

@@ -13,7 +13,7 @@ time:
   from that moment on (packing is monotone -- packages never dissolve,
   and an item joins at most one package, mirroring ``package_flag``).
 * **Phase 2, on-line:** every serving unit runs the deterministic
-  ski-rental policy (:mod:`repro.cache.online`) -- a copy is dropped once
+  ski-rental stepper of :mod:`repro.cache.online` -- a copy is dropped once
   its idle caching cost reaches its transfer cost.  A package unit runs
   it at package rates ``2 alpha mu / 2 alpha lam``.  A single-sided
   request for a packed item is served by the cheapest currently-feasible
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..cache.model import CostModel, Request, RequestSequence
+from ..cache.online import _SkiRentalUnit
 from ..correlation.streaming import StreamingCorrelation
 
 __all__ = [
@@ -49,83 +50,6 @@ __all__ = [
     "StepOutcome",
     "solve_online_dp_greedy",
 ]
-
-
-class _SkiRentalUnit:
-    """Incremental ski-rental copy manager for one item or package.
-
-    Mirrors :func:`repro.cache.online.solve_online_ski_rental`: every copy
-    remembers its birth and last use; a non-primary copy is retired once
-    idle longer than ``lam / mu`` (having paid exactly its re-transfer
-    cost in idle caching); serving a foreign server transfers from the
-    primary copy.  Costs accrue on retire/flush.
-    """
-
-    def __init__(self, origin: int, start: float, mu: float, lam: float) -> None:
-        self.mu = mu
-        self.lam = lam
-        self.threshold = lam / mu if mu > 0 else float("inf")
-        self.copies: Dict[int, Tuple[float, float]] = {origin: (start, start)}
-        self.primary = origin
-        self.cost = 0.0
-
-    def _retire(self, server: int, end: float) -> None:
-        birth, _last = self.copies.pop(server)
-        self.cost += self.mu * max(0.0, end - birth)
-
-    def _expire(self, now: float) -> None:
-        for server in list(self.copies):
-            if server == self.primary:
-                continue
-            _birth, last = self.copies[server]
-            if now - last > self.threshold:
-                self._retire(server, last + self.threshold)
-
-    def holds(self, server: int, now: float) -> bool:
-        """Live copy on ``server`` at time ``now`` (after expiry)?"""
-        info = self.copies.get(server)
-        if info is None:
-            return False
-        _birth, last = info
-        return server == self.primary or now - last <= self.threshold
-
-    def serve(self, server: int, now: float) -> float:
-        """Serve a request at ``(server, now)``; returns the transfer cost
-        incurred now (caching accrues on retirement)."""
-        self._expire(now)
-        paid = 0.0
-        if server in self.copies:
-            birth, _last = self.copies[server]
-            self.copies[server] = (birth, now)
-        else:
-            birth, _last = self.copies[self.primary]
-            self.copies[self.primary] = (birth, now)
-            self.copies[server] = (now, now)
-            self.cost += self.lam
-            paid = self.lam
-        self.primary = server
-        return paid
-
-    def touch(self, server: int, now: float) -> None:
-        """Mark the copy on ``server`` as used at ``now`` so its caching
-        is paid through ``now`` (serving through a held copy keeps it
-        alive -- and billed)."""
-        birth, _last = self.copies[server]
-        self.copies[server] = (birth, now)
-
-    def adopt(self, server: int, now: float) -> None:
-        """Place a fresh copy at ``server`` (package formation)."""
-        self._expire(now)
-        if server not in self.copies:
-            self.copies[server] = (now, now)
-        self.primary = server
-
-    def flush(self) -> float:
-        """Retire every copy at its last use; return the total cost."""
-        for server in list(self.copies):
-            _birth, last = self.copies[server]
-            self._retire(server, last)
-        return self.cost
 
 
 @dataclass(frozen=True)
@@ -276,9 +200,9 @@ class OnlineDPGreedyState:
                     # formation request: serve both items individually
                     # (paying their caching up to now), then hand over
                     for member in sorted(pair):
-                        charge = self._item_unit(member).serve(s, t)
-                        paid += charge
-                        if charge:
+                        unit = self._item_unit(member)
+                        if unit.serve(s, t):
+                            paid += unit.lam
                             transfers += 1
                         else:
                             hits += 1
@@ -286,9 +210,9 @@ class OnlineDPGreedyState:
                         s, t, pack_rate * self.mu, pack_rate * self.lam
                     )
                 else:
-                    charge = self.package_units[pair].serve(s, t)
-                    paid += charge
-                    if charge:
+                    unit = self.package_units[pair]
+                    if unit.serve(s, t):
+                        paid += unit.lam
                         transfers += 1
                     else:
                         hits += 1
@@ -299,9 +223,9 @@ class OnlineDPGreedyState:
             if pair is not None and pair <= req.items:
                 continue  # handled as a package above
             if pair is None:
-                charge = self._item_unit(d).serve(s, t)
-                paid += charge
-                if charge:
+                unit = self._item_unit(d)
+                if unit.serve(s, t):
+                    paid += unit.lam
                     transfers += 1
                 else:
                     hits += 1
@@ -325,8 +249,8 @@ class OnlineDPGreedyState:
                 ships += 1
                 pkg_unit.adopt(s, t)
             else:
-                charge = unit.serve(s, t)
-                paid += charge
+                unit.serve(s, t)  # no live copy here: a transfer
+                paid += unit.lam
                 transfers += 1
         return StepOutcome(paid, hits, transfers, ships, tuple(formed))
 

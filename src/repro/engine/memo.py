@@ -118,15 +118,6 @@ class SolverMemo:
         self._misses = 0
         self._lock = threading.Lock()
 
-    # -- key construction ------------------------------------------------
-    @staticmethod
-    def fingerprint(
-        view: "SingleItemView | RequestSequence",
-        model: CostModel,
-        rate_multiplier: float = 1.0,
-    ) -> bytes:
-        return fingerprint_view(view, model, rate_multiplier)
-
     # -- storage ---------------------------------------------------------
     def get(
         self, key: bytes, *, with_attribution: bool = False

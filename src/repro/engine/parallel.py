@@ -1,8 +1,9 @@
 """The Phase-2 execution engine: the one driver of Phase 2.
 
-Phase 2 of DP_Greedy serves every *serving unit* (package or singleton)
-over its own disjoint sub-sequence -- the units share no state, so the
-phase is embarrassingly parallel by construction.  :func:`serve_plan`
+Phase 2 of DP_Greedy serves every *serving unit* (a package or a
+singleton, each the sorted tuple of its item ids) over its own disjoint
+sub-sequence -- the units share no state, so the phase is
+embarrassingly parallel by construction.  :func:`serve_plan`
 is the only Phase-2 driver: it runs Observation 2 for every package in
 one pass in the parent (:func:`~repro.core.dp_greedy.single_sided_pass`,
 which builds the sequence's same-server index before any worker
@@ -58,9 +59,10 @@ from __future__ import annotations
 import heapq
 import multiprocessing
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,8 +74,7 @@ from ..core.dp_greedy import (
     MODE_TRANSFER,
     GroupReport,
     SingleSidedPass,
-    _unit_report,
-    serve_singleton,
+    _dp_half,
     single_sided_pass,
 )
 from ..obs.ledger import MODE_ACTIONS, CostLedger, action_codes
@@ -91,11 +92,11 @@ __all__ = [
 #: A pool dispatches at most this many groups of units per worker.
 GROUPS_PER_WORKER = 4
 
-# Unit spec shipped to workers: ("package", (d1, d2, ...)) or
-# ("singleton", item).  A dispatch is a tuple of unit specs served in
-# order by one worker.  Tuples keep pickling cheap and deterministic.
-_UnitSpec = Tuple[str, Union[Tuple[int, ...], int]]
-_Group = Tuple[_UnitSpec, ...]
+# A serving unit is the sorted tuple of its item ids, one item for a
+# singleton.  A dispatch is a tuple of units served in order by one
+# worker.  Tuples keep pickling cheap and deterministic.
+_Unit = Tuple[int, ...]
+_Group = Tuple[_Unit, ...]
 
 
 @dataclass(frozen=True)
@@ -130,21 +131,18 @@ class EngineStats:
         return self.memo_hits / total if total else 0.0
 
 
-def _plan_units(plan: PackingPlan) -> List[_UnitSpec]:
+def _plan_units(plan: PackingPlan) -> List[_Unit]:
     """Serving units in plan order: packages, then singletons."""
-    units: List[_UnitSpec] = [
-        ("package", tuple(sorted(pkg))) for pkg in plan.packages
+    return [tuple(sorted(p)) for p in plan.packages] + [
+        (d,) for d in plan.singletons
     ]
-    units.extend(("singleton", d) for d in plan.singletons)
-    return units
 
 
-def _unit_label(spec: _UnitSpec) -> str:
+def _unit_label(unit: _Unit) -> str:
     """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"``."""
-    kind, payload = spec
-    if kind == "package":
-        return "pkg(" + ",".join(str(d) for d in payload) + ")"
-    return f"item({payload})"
+    if len(unit) > 1:
+        return "pkg(" + ",".join(map(str, unit)) + ")"
+    return f"item({unit[0]})"
 
 
 def _group_label(group: _Group) -> str:
@@ -153,33 +151,6 @@ def _group_label(group: _Group) -> str:
     if len(group) == 1:
         return _unit_label(group[0])
     return f"shard({len(group)}u@{_unit_label(group[0])})"
-
-
-def _serve_unit(
-    seq: RequestSequence,
-    spec: _UnitSpec,
-    model: CostModel,
-    alpha: float,
-    build_schedules: bool,
-    attribute: bool,
-) -> GroupReport:
-    """One unit's report; for a package only its DP half --
-    :func:`serve_plan` adds the single-sided charges in the parent."""
-    kind, payload = spec
-    if kind == "package":
-        return _unit_report(
-            frozenset(payload),
-            seq.group_view(payload),
-            model,
-            package_rate(len(payload), alpha),
-            build_schedule=build_schedules,
-            dp_cost=None,
-            dp_attribution=None,
-            attribute=attribute,
-        )
-    return serve_singleton(
-        seq, payload, model, build_schedule=build_schedules, attribute=attribute
-    )
 
 
 #: The attributes of a unit span no span record keeps (runtime leg only).
@@ -216,10 +187,14 @@ def _serve_group(
     timed = observer is not None and (observer.spans or observer.runtime)
     reports = []
     first = None
-    for spec in group:
+    for unit in group:
         if timed:  # no span or label on the default and ledger paths
             args = (
-                {"unit": _unit_label(spec), "kind": spec[0], "attempt": attempt}
+                {
+                    "unit": _unit_label(unit),
+                    "kind": "package" if len(unit) > 1 else "singleton",
+                    "attempt": attempt,
+                }
                 if observer.spans
                 else _NO_ARGS
             )
@@ -227,7 +202,10 @@ def _serve_group(
             first = start if first is None else first
         try:
             reports.append(
-                _serve_unit(seq, spec, model, alpha, build_schedules, attribute)
+                _dp_half(
+                    seq, unit, model, alpha,
+                    build_schedule=build_schedules, attribute=attribute,
+                )
             )
         finally:
             if timed:
@@ -295,73 +273,36 @@ def _serve_in_worker(group: _Group, attempt: int, plan: Optional[FaultPlan]):
 # ---------------------------------------------------------------------------
 def _memo_probe(
     seq: RequestSequence,
-    spec: _UnitSpec,
+    unit: _Unit,
     model: CostModel,
     alpha: float,
     memo: SolverMemo,
     attribute: bool = False,
 ) -> Tuple[Optional[GroupReport], Optional[bytes]]:
-    """Try to serve one unit from the memo (a package's DP half only).
+    """Try to serve one unit's DP half from the memo.
 
     Returns ``(report, None)`` on a hit and ``(None, key)`` on a miss;
     the key is re-used after the real solve to store the DP cost.  Under
     ``attribute=True`` only entries carrying a ledger attribution count
     as hits (the memo stores cost and attribution together).
     """
-    kind, payload = spec
-    if kind == "singleton":
-        sub = seq.item_view(payload)
-        key = fingerprint_view(sub, model, 1.0)
-        entry = memo.get(key, with_attribution=attribute)
-        if entry is None:
-            return None, key
-        cost, attr = entry if attribute else (entry, None)
-        return (
-            serve_singleton(
-                seq,
-                payload,
-                model,
-                sub=sub,
-                dp_cost=cost,
-                dp_attribution=attr,
-                attribute=attribute,
-            ),
-            None,
-        )
-    package = frozenset(payload)
-    pseudo = seq.group_view(package)  # cached columnar co-occurrence view
-    rate = package_rate(len(package), alpha)
-    key = fingerprint_view(pseudo, model, rate)
+    view = seq.group_view(unit)  # the cached columnar projection
+    key = fingerprint_view(view, model, package_rate(len(unit), alpha))
     entry = memo.get(key, with_attribution=attribute)
     if entry is None:
         return None, key
-    cost, attr = entry if attribute else (entry, None)
+    cost, attribution = entry if attribute else (entry, None)
     return (
-        _unit_report(
-            package,
-            pseudo,
-            model,
-            rate,
-            build_schedule=False,
-            dp_cost=cost,
-            dp_attribution=attr,
-            attribute=attribute,
-        ),
+        GroupReport(frozenset(unit), cost, 0.0, len(view), 0, (), None, attribution),
         None,
     )
 
 
-def _unit_sizes(seq: RequestSequence, units: Sequence[_UnitSpec]) -> List[int]:
+def _unit_sizes(seq: RequestSequence, units: Sequence[_Unit]) -> List[int]:
     """Carried-request count per unit (the grouping size estimate),
     served from the sequence's cached per-item projections."""
-    counts = seq.item_counts()
-    sizes: List[int] = []
-    for kind, payload in units:
-        if kind == "singleton":
-            sizes.append(counts.get(payload, 0))
-        else:
-            sizes.append(sum(counts.get(d, 0) for d in payload))
-    return sizes
+    counts = Counter(seq.item_counts())  # 0 for an item the trace lacks
+    return [sum(map(counts.__getitem__, unit)) for unit in units]
 
 
 def _lpt_partition(sizes: Sequence[int], shards: int) -> List[List[int]]:
@@ -490,7 +431,7 @@ _MODE_CODES = action_codes(
 def _charge(
     ledger: CostLedger,
     seq: RequestSequence,
-    units: Sequence[_UnitSpec],
+    units: Sequence[_Unit],
     reports: Sequence[Optional[GroupReport]],
     single_sided: SingleSidedPass,
 ) -> None:
@@ -509,15 +450,9 @@ def _charge(
     actions, amounts = [_MODE_CODES[single_sided.modes[live]]], [single_sided.costs[live]]
     for j, i in enumerate(kept):
         if reports[i].attribution:
-            kind, payload = units[i]
-            rows = (
-                seq.group_view(payload).rows
-                if kind == "package"
-                else seq.item_indices(payload)
-            )
             k, action, amount = zip(*reports[i].attribution)
             unit_of.append(np.full(len(k), j))
-            positions.append(rows[list(k)])
+            positions.append(seq.group_view(units[i]).rows[list(k)])
             actions.append(action_codes(action))
             amounts.append(amount)
     ledger.extend(
@@ -606,11 +541,11 @@ def serve_plan(
     miss_keys: Dict[int, bytes] = {}
     hits = 0
     if use_memo:
-        for idx, spec in enumerate(units):
+        for idx, unit in enumerate(units):
             with maybe_span(
-                probe_spans, "engine.memo_probe", cat="engine", unit=_unit_label(spec)
+                probe_spans, "engine.memo_probe", cat="engine", unit=_unit_label(unit)
             ) as span:
-                report, key = _memo_probe(seq, spec, model, alpha, memo, attribute)
+                report, key = _memo_probe(seq, unit, model, alpha, memo, attribute)
                 span.set("memo", "hit" if report is not None else "miss")
             if report is not None:
                 reports[idx] = report

@@ -220,9 +220,10 @@ def dispatch_resilient(
 ) -> Tuple[Dict[int, tuple], ResilienceCounters]:
     """Serve ``units`` (``index -> group``) fault-tolerantly.
 
-    A group is a tuple of unit specs served in order by one worker (see
-    :mod:`repro.engine.parallel`); retry, timeout, degradation, the
-    finite-cost audit, and chaos draws apply per group.  Returns each
+    A group is a tuple of units, each the sorted tuple of its item ids,
+    served in order by one worker (see :mod:`repro.engine.parallel`);
+    retry, timeout, degradation, the finite-cost audit, and chaos draws
+    apply per group.  Returns each
     group's reports by index (skipped groups absent) plus the counters.
     ``workers >= 2`` runs a process pool of that width, ``1`` the
     serial rung; a broken process pool degrades to the serial rung,

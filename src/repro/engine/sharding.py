@@ -61,15 +61,16 @@ def shard_by_items(
     Balancing is longest-processing-time over each unit's carried
     request count (from the sequence's cached per-item projections), so
     shard wall-times stay within a factor of ~4/3 of optimal.  Returns
-    a list of unit-spec tuples -- one per shard, as the sharded solve
-    dispatches it -- with units in plan order inside every shard.
+    one tuple of units per shard -- each unit the sorted tuple of its
+    item ids, as the sharded solve dispatches it -- with units in plan
+    order inside every shard.
     Fewer than ``shards`` tuples come back when there are fewer units
     than shards.
     """
     if plan is not None:
         units = _plan_units(plan)
     else:
-        units = [("singleton", int(d)) for d in sorted(seq.items)]
+        units = [(int(d),) for d in sorted(seq.items)]
     sizes = _unit_sizes(seq, units)
     return [
         tuple(units[i] for i in group)

@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..cache.model import CostModel, Request
-from ..core.online_dpg import OnlineDPGreedyState, _SkiRentalUnit
+from ..cache.online import _SkiRentalUnit
+from ..core.online_dpg import OnlineDPGreedyState
 from ..correlation.packing import PackingPlan, greedy_pair_packing
 from ..engine.chaos import FaultPlan, chaos_from_env
 from ..obs.observer import Observer, maybe_span
@@ -585,9 +586,8 @@ class ServingEngine:
                     unit = self._degraded_units[d] = _SkiRentalUnit(
                         origin, p.time, mu, lam
                     )
-                charge = unit.serve(p.server, p.time)
-                paid += charge
-                if charge:
+                if unit.serve(p.server, p.time):
+                    paid += unit.lam
                     transfers += 1
                 else:
                     hits += 1

@@ -18,8 +18,7 @@ from repro.cache.schedule import validate_schedule
 from repro.core.baselines import solve_optimal_nonpacking
 from repro.core.dp_greedy import (
     SingleSidedDecision,
-    serve_package,
-    serve_singleton,
+    serve_unit,
     single_sided_decisions,
     solve_dp_greedy,
 )
@@ -111,19 +110,19 @@ class TestServingUnits:
     def test_serve_singleton_equals_optimal(self, example, unit_model):
         from repro.cache.optimal_dp import optimal_cost
 
-        rep = serve_singleton(example, 1, unit_model)
+        rep = serve_unit(example, (1,), unit_model, alpha=0.8)
         assert rep.package_cost == pytest.approx(
             optimal_cost(example.restrict_to_item(1), unit_model)
         )
         assert rep.single_sided_cost == 0.0
         assert rep.num_cooccurrence == 5
 
-    def test_serve_package_rejects_singleton(self, example, unit_model):
-        with pytest.raises(ValueError, match="two items"):
-            serve_package(example, frozenset({1}), unit_model, alpha=0.8)
+    def test_serve_unit_rejects_empty_unit(self, example, unit_model):
+        with pytest.raises(ValueError, match="non-empty"):
+            serve_unit(example, (), unit_model, alpha=0.8)
 
     def test_serve_package_counts(self, example, unit_model):
-        rep = serve_package(example, frozenset({1, 2}), unit_model, alpha=0.8)
+        rep = serve_unit(example, (1, 2), unit_model, alpha=0.8)
         assert rep.num_cooccurrence == 3
         assert rep.num_single_sided == 4
         assert rep.total == rep.package_cost + rep.single_sided_cost
@@ -138,7 +137,7 @@ class TestServingUnits:
             ],
             num_servers=2,
         )
-        rep = serve_package(seq, frozenset({1, 2, 3}), unit_model, alpha=0.5)
+        rep = serve_unit(seq, (1, 2, 3), unit_model, alpha=0.5)
         # package rate = alpha * k = 1.5; ship constant = 1.5 * lam
         assert rep.num_cooccurrence == 2
         assert rep.num_single_sided == 2
@@ -246,9 +245,7 @@ class TestLargerGroups:
             ],
             num_servers=2,
         )
-        from repro.core.dp_greedy import serve_package
-
-        rep = serve_package(seq, frozenset({1, 2, 3, 4}), unit_model, 0.4)
+        rep = serve_unit(seq, (1, 2, 3, 4), unit_model, 0.4)
         assert rep.num_cooccurrence == 3
         assert rep.num_single_sided == 2
         # the {1,2} node charges two items; the {3} node one
@@ -435,26 +432,19 @@ class TestCostOnlyReports:
     but the schedule, and its DP cost must equal each reference sweep's
     (sparse and dense) run directly on the same unit view."""
 
-    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("reference", ["sparse", "dense"])
     @settings(max_examples=40, deadline=None)
     @given(seq=multi_item_sequences(max_items=4), model=cost_models(), alpha=ALPHAS)
     def test_cost_only_equals_full_report(self, reference, k, seq, model, alpha):
-        package = frozenset(range(k))
-        full = serve_package(seq, package, model, alpha, build_schedule=True)
-        cheap = serve_package(seq, package, model, alpha)
+        unit = tuple(range(k))
+        full = serve_unit(seq, unit, model, alpha, build_schedule=True)
+        cheap = serve_unit(seq, unit, model, alpha)
         assert cheap.package_schedule is None
         assert cheap == dataclasses.replace(full, package_schedule=None)
         assert cheap.package_cost == optimal_cost(
-            seq.group_view(package),
+            seq.group_view(unit),
             model,
             rate_multiplier=package_rate(k, alpha),
             backend=reference,
         )
-        for d in package:
-            full = serve_singleton(seq, d, model, build_schedule=True)
-            cheap = serve_singleton(seq, d, model)
-            assert cheap == dataclasses.replace(full, package_schedule=None)
-            assert cheap.package_cost == optimal_cost(
-                seq.item_view(d), model, backend=reference
-            )

@@ -5,11 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.model import CostModel, RequestSequence
+from repro.cache.model import CostModel, Request, RequestSequence
 from repro.cache.online import solve_online_ski_rental
 from repro.core.baselines import solve_optimal_nonpacking
 from repro.core.dp_greedy import solve_dp_greedy
-from repro.core.online_dpg import solve_online_dp_greedy
+from repro.core.online_dpg import OnlineDPGreedyState, solve_online_dp_greedy
 from repro.trace.workload import correlated_pair_sequence
 
 from ..conftest import cost_models, multi_item_sequences
@@ -44,6 +44,22 @@ class TestPackingDynamics:
         seq = correlated_pair_sequence(80, 6, 0.7, seed=4)
         res = solve_online_dp_greedy(seq, unit_model, theta=1.0, alpha=0.8)
         assert res.packages == ()
+
+
+class TestDecisionCounters:
+    def test_free_transfers_still_count_as_transfers(self):
+        # under lam == 0 a transfer costs nothing, yet it is no hit: item
+        # 7 starts at the origin, so the first two requests move it and
+        # the third finds it on server 2
+        state = OnlineDPGreedyState(CostModel(mu=1, lam=0), theta=0.3, alpha=0.8)
+        got = [
+            (out.paid, out.hits, out.transfers)
+            for out in (
+                state.step(Request(server, t, frozenset({7})))
+                for server, t in ((1, 1.0), (2, 2.0), (2, 2.5))
+            )
+        ]
+        assert got == [(0.0, 0, 1), (0.0, 0, 1), (0.0, 1, 0)]
 
 
 class TestCostProperties:

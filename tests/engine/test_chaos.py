@@ -77,13 +77,13 @@ class TestFaultPlan:
         assert plan.before_solve("pkg(0,1)", 1, in_subprocess=False) is False
 
     def test_corrupt_report_is_nonfinite(self):
-        from repro.core.dp_greedy import serve_singleton
+        from repro.core.dp_greedy import serve_unit
         from repro.cache.model import CostModel, RequestSequence
 
         seq = RequestSequence(
             [(0, 1.0, {1}), (1, 2.0, {1})], num_servers=2
         )
-        report = serve_singleton(seq, 1, CostModel(mu=1, lam=1))
+        report = serve_unit(seq, (1,), CostModel(mu=1, lam=1), 0.8)
         bad = FaultPlan.corrupt_report(report)
         assert bad.package_cost != bad.package_cost  # NaN
         assert report.package_cost == report.package_cost  # original intact

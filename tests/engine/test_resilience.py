@@ -216,10 +216,14 @@ class TestDefaultPath:
                                                        unit_model, monkeypatch):
         import repro.engine.parallel as parallel
 
-        def broken_solver(*args, **kwargs):
-            raise RuntimeError("solver bug")
+        dp_half = parallel._dp_half
 
-        monkeypatch.setattr(parallel, "serve_singleton", broken_solver)
+        def broken_solver(seq, unit, *args, **kwargs):
+            if len(unit) == 1:
+                raise RuntimeError("solver bug")
+            return dp_half(seq, unit, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "_dp_half", broken_solver)
         with pytest.raises(UnitSolveError) as info:
             _solve(seq, unit_model)
         err = info.value

@@ -120,27 +120,24 @@ class TestSharding:
         plan = baseline.plan
         shards = shard_by_items(seq, 4, plan=plan)
         # every plan unit appears exactly once, whole, in some shard
-        flat = [spec for shard in shards for spec in shard]
+        flat = [unit for shard in shards for unit in shard]
         assert sorted(flat) == sorted(_plan_units(plan))
+        packages = {tuple(sorted(p)) for p in plan.packages}
         for shard in shards:
-            for kind, payload in shard:
-                if kind == "package":
-                    assert tuple(payload) in {
-                        tuple(sorted(p)) for p in plan.packages
-                    } or frozenset(payload) in {
-                        frozenset(p) for p in plan.packages
-                    }
+            for unit in shard:
+                if len(unit) > 1:
+                    assert unit in packages
 
     def test_units_stay_in_plan_order_inside_a_shard(self, seq, baseline):
-        order = {spec: i for i, spec in enumerate(_plan_units(baseline.plan))}
+        order = {unit: i for i, unit in enumerate(_plan_units(baseline.plan))}
         for shard in shard_by_items(seq, 3, plan=baseline.plan):
-            ranks = [order[spec] for spec in shard]
+            ranks = [order[unit] for unit in shard]
             assert ranks == sorted(ranks)
 
     def test_without_a_plan_every_item_is_a_singleton(self, seq):
         shards = shard_by_items(seq, 2)
-        flat = sorted(spec for shard in shards for spec in shard)
-        assert flat == [("singleton", int(d)) for d in sorted(seq.items)]
+        flat = sorted(unit for shard in shards for unit in shard)
+        assert flat == [(int(d),) for d in sorted(seq.items)]
 
     def test_deterministic(self, seq, baseline):
         a = shard_by_items(seq, 5, plan=baseline.plan)
@@ -154,7 +151,7 @@ class TestSharding:
         units = _plan_units(plan)
         sizes = dict(zip(units, _unit_sizes(seq, units)))
         loads = sorted(
-            sum(sizes[spec] for spec in shard)
+            sum(sizes[unit] for unit in shard)
             for shard in shard_by_items(seq, 3, plan=plan)
         )
         perfect = sum(sizes.values()) / 3

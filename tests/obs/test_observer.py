@@ -199,11 +199,11 @@ def test_process_worker_ships_and_clears_its_spans(seq):
     installed = active()
     parallel._init_worker(seq, _MODEL, ALPHA, False, (True, True, False))
     try:
-        for spec in units:
-            reports, payload = parallel._serve_in_worker((spec,), 1, None)
+        for unit in units:
+            reports, payload = parallel._serve_in_worker((unit,), 1, None)
             _pid, records, hists, _peak, _cpu = payload
             # each payload carries only its own dispatch's spans ...
-            assert [r.args["unit"] for r in records] == [parallel._unit_label(spec)]
+            assert [r.args["unit"] for r in records] == [parallel._unit_label(unit)]
             assert hists[H_SOLVE]["count"] == 1
             # ... and the worker keeps none of them
             assert parallel._WORKER_OBSERVER.records() == ()

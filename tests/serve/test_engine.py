@@ -287,6 +287,34 @@ class TestChaosAndBreaker:
 
         assert run(go()) == 0
 
+    def test_degraded_free_transfers_count_as_transfers(self):
+        # the breaker-open fallback classifies by what the ski-rental
+        # unit did, not by what it paid: under lam == 0 moving item 7
+        # off the origin is a transfer that costs nothing
+        async def go():
+            engine = ServingEngine(
+                CostModel(mu=1.0, lam=0.0), theta=THETA, alpha=ALPHA,
+                config=quiet_config(
+                    chaos=STORM,
+                    batch_retries=0,
+                    admission=AdmissionConfig(
+                        breaker_threshold=1, breaker_cooldown=30.0
+                    ),
+                ),
+            )
+            await engine.start()
+            await engine.submit(0, {1}, time=1.0)  # shed; trips the breaker
+            answers = [
+                await engine.submit(server, {7}, time=t)
+                for server, t in ((1, 2.0), (2, 3.0))
+            ]
+            await engine.drain()
+            return answers
+
+        for a in run(go()):
+            assert a.status == "degraded"
+            assert (a.paid, a.hits, a.transfers) == (0.0, 0, 1)
+
     def test_chaos_delay_serves_after_the_stall(self):
         lagged = FaultPlan(seed=3, delay=1.0, delay_seconds=0.02, attempts=1)
 
