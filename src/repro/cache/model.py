@@ -315,12 +315,15 @@ class SameServerIndex(NamedTuple):
     ``prev``/``nxt`` give each slot's same-server predecessor and
     successor as an event index *within the item* (0 is the origin
     event, ``-1`` means none): ``p(i)`` of Definition 1 with the origin
-    carrying every item at ``t = 0``.
+    carrying every item at ``t = 0``.  ``first_copies[a]`` counts the
+    ``a``-th item's requests with no same-server predecessor, whose
+    first copy must arrive by transfer.
     """
 
     starts: np.ndarray
     prev: np.ndarray
     nxt: np.ndarray
+    first_copies: np.ndarray
 
     def item_links(self, a: int, count: int) -> ViewLinks:
         """The :class:`ViewLinks` of the ``a``-th inverted item, which
@@ -601,11 +604,11 @@ class RequestSequence:
         return proj
 
     def same_server_index(self) -> SameServerIndex:
-        """Section V's pre-scan: every item's same-server links, built
-        once by one :func:`same_server_links` sort over the inverted
-        columns (each item's trajectory with its origin event first)
-        and cached.  Every Phase-2 DP prologue and the Observation-2
-        pass read it."""
+        """Section V's pre-scan: every item's same-server links and
+        first-copy count, built once by one :func:`same_server_links`
+        sort over the inverted columns (each item's trajectory with its
+        origin event first) and cached.  Every Phase-2 DP prologue and
+        the Observation-2 pass read it."""
         index = self.__dict__.get("_links_cache")
         if index is None:
             cols = self._columns()
@@ -619,11 +622,14 @@ class RequestSequence:
             )
             prev, nxt = same_server_links(events, item_of)
             base = starts[item_of]
+            # every item's origin event has no predecessor either
+            first_copies = np.bincount(item_of[prev < 0], minlength=len(heads)) - 1
             del events, item_of
             index = SameServerIndex(
                 starts,
                 np.where(prev >= 0, prev - base, -1),
                 np.where(nxt >= 0, nxt - base, -1),
+                first_copies,
             )
             for arr in index:
                 arr.setflags(write=False)

@@ -86,6 +86,12 @@ __all__ = [
 
 _KEEP, _DROP, _NODECISION = 1, 0, -1
 
+#: Why the single-item solvers reject a trajectory starting at ``t <= 0``.
+NONPOSITIVE_TIMES = (
+    "single-item solvers require strictly positive request times "
+    "(time 0 is the initial placement instant)"
+)
+
 #: Timestamp slack mirrored from :mod:`repro.cache.schedule` (interval
 #: ``covers`` uses inclusive endpoints with this tolerance).
 _EPS = 1e-9
@@ -118,7 +124,7 @@ class OptimalResult:
 def _events(
     view: "SingleItemView | RequestSequence",
 ) -> Tuple[List[int], List[float], List[int], np.ndarray]:
-    """The DP prologue: ``(servers, times, nxt, first_copies)``.
+    """The DP prologue of a view: ``(servers, times, nxt, first_copies)``.
 
     ``servers``/``times`` list the events with the virtual origin event
     ``(origin, t = 0)`` first; ``nxt[i]`` is event ``i``'s same-server
@@ -132,16 +138,16 @@ def _events(
     its links from the same links function.
     Array-backed views are unpacked through ``tolist()`` so the scalar
     sweeps keep operating on plain Python ints/floats -- same values
-    bitwise, no numpy scalars leaking into solver outputs.
+    bitwise, no numpy scalars leaking into solver outputs.  A solve's
+    cost-only one-item units skip the view and this prologue: they read
+    the same inputs straight off the index
+    (:func:`repro.core.dp_greedy._unit_reporter`).
     """
     if isinstance(view, RequestSequence):
         view = view.single_item_view()
     view_servers, view_times = view.servers, view.times
     if len(view_times) and view_times[0] <= 0.0:
-        raise ValueError(
-            "single-item solvers require strictly positive request times "
-            "(time 0 is the initial placement instant)"
-        )
+        raise ValueError(NONPOSITIVE_TIMES)
     links = view.links
     if links is None:
         validate_trajectory(view_servers, view_times, view.num_servers, view.origin)

@@ -448,3 +448,77 @@ class TestCostOnlyReports:
             rate_multiplier=package_rate(k, alpha),
             backend=reference,
         )
+
+
+@st.composite
+def _index_sequences(draw) -> RequestSequence:
+    """Small multi-item sequences with the index's corner cases built in:
+    item 0 has exactly one request, item 1 is requested only on the
+    origin server, and items 2-5 fall anywhere."""
+    m = draw(st.integers(1, 4))
+    origin = draw(st.integers(0, m - 1))
+    n = draw(st.integers(1, 20))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    lone = draw(st.integers(0, n - 1))
+    rows, t = [], 0.0
+    for i, gap in enumerate(gaps):
+        t = round(t + gap, 6)
+        items = set(draw(st.sets(st.integers(2, 5), max_size=3)))
+        if i == lone:
+            items.add(0)
+        server = draw(st.integers(0, m - 1))
+        if draw(st.booleans()):
+            items.add(1)
+            server = origin
+        rows.append((server, t, items or {2}))
+    return RequestSequence(rows, num_servers=m, origin=origin)
+
+
+class TestIndexBackedSingletons:
+    """A cost-only solve prices a one-item unit from the same-server
+    index without building its view; every unit's DP cost must be
+    ``optimal_cost`` on the unit's view to the bit, in memory and off a
+    trace store (whose server column is int32)."""
+
+    MODELS = st.sampled_from(
+        [CostModel(mu=1, lam=0), CostModel(mu=0, lam=1)]
+    ) | cost_models()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seq=_index_sequences(),
+        model=MODELS,
+        alpha=ALPHAS,
+        theta=st.sampled_from([0.2, 0.5, 1.0]),
+    )
+    def test_unit_costs_are_optimal_cost_bit_for_bit(self, seq, model, alpha, theta):
+        with stored(seq) as store:
+            for s in (seq, store):
+                res = solve_dp_greedy(s, model, theta=theta, alpha=alpha)
+                for report in res.reports:
+                    unit = tuple(sorted(report.group))
+                    want = optimal_cost(
+                        s.group_view(unit),
+                        model,
+                        rate_multiplier=package_rate(len(unit), alpha),
+                    )
+                    assert type(report.package_cost) is float
+                    assert repr(report.package_cost) == repr(want)
+                full = solve_dp_greedy(
+                    s, model, theta=theta, alpha=alpha, build_schedules=True
+                )
+                assert res.reports == tuple(
+                    dataclasses.replace(r, package_schedule=None)
+                    for r in full.reports
+                )
+
+    @settings(max_examples=30, deadline=None)
+    @given(seq=_index_sequences(), model=MODELS)
+    def test_serve_unit_prices_every_item_alone(self, seq, model):
+        # item 6 never occurs: its unit costs nothing
+        with stored(seq) as store:
+            for s in (seq, store):
+                for d in range(7):
+                    got = serve_unit(s, (d,), model, 0.8).package_cost
+                    want = optimal_cost(s.item_view(d), model)
+                    assert type(got) is float and repr(got) == repr(want)

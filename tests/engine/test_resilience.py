@@ -216,14 +216,19 @@ class TestDefaultPath:
                                                        unit_model, monkeypatch):
         import repro.engine.parallel as parallel
 
-        dp_half = parallel._dp_half
+        unit_reporter = parallel._unit_reporter
 
-        def broken_solver(seq, unit, *args, **kwargs):
-            if len(unit) == 1:
-                raise RuntimeError("solver bug")
-            return dp_half(seq, unit, *args, **kwargs)
+        def broken_reporter(*args, **kwargs):
+            report = unit_reporter(*args, **kwargs)
 
-        monkeypatch.setattr(parallel, "_dp_half", broken_solver)
+            def broken_solver(unit):
+                if len(unit) == 1:
+                    raise RuntimeError("solver bug")
+                return report(unit)
+
+            return broken_solver
+
+        monkeypatch.setattr(parallel, "_unit_reporter", broken_reporter)
         with pytest.raises(UnitSolveError) as info:
             _solve(seq, unit_model)
         err = info.value
@@ -364,6 +369,78 @@ class TestOnUnitError:
         )
         assert got.total_cost == baseline.total_cost
         assert got.reports == baseline.reports
+
+    # The serial rung serves every unit as its own dispatch: each unit
+    # draws its own fault by its own label, fails alone, and is retried
+    # and settled alone.
+    SERIAL = pytest.mark.parametrize("workers", [1], ids=["serial"])
+
+    def _faulting(self, baseline):
+        """The plan's units whose own label draws a fault."""
+        from repro.engine.parallel import _plan_units, _unit_label
+
+        units = _plan_units(baseline.plan)
+        faulting = [u for u in units if self.PLAN.fault_for(_unit_label(u), 1)]
+        # the workload must exercise isolation: some units fault, some not
+        assert 0 < len(faulting) < len(units)
+        return faulting
+
+    @SERIAL
+    def test_skip_drops_exactly_the_faulting_units(self, seq, baseline,
+                                                   unit_model, workers):
+        faulting = self._faulting(baseline)
+        got = _solve(
+            seq, unit_model,
+            resilience=ResilienceConfig(
+                chaos=self.PLAN, retries=1, on_unit_error="skip"
+            ),
+            workers=workers,
+        )
+        dropped = {frozenset(u) for u in faulting}
+        assert [r.group for r in got.reports] == [
+            r.group for r in baseline.reports if r.group not in dropped
+        ]
+        by_group = {r.group: r for r in baseline.reports}
+        assert all(r == by_group[r.group] for r in got.reports)
+        es = got.engine_stats
+        assert (es.pool, es.units_failed) == ("serial", len(faulting))
+        assert es.retries == len(faulting)  # retries=1: one per faulting unit
+
+    @SERIAL
+    def test_raise_names_a_faulting_unit(self, seq, baseline, unit_model,
+                                         workers):
+        from repro.engine.parallel import _unit_label
+
+        labels = {_unit_label(u) for u in self._faulting(baseline)}
+        with pytest.raises(UnitSolveError) as info:
+            _solve(
+                seq, unit_model,
+                resilience=ResilienceConfig(
+                    chaos=self.PLAN, retries=1, on_unit_error="raise"
+                ),
+                workers=workers,
+            )
+        err = info.value
+        assert err.unit.startswith(("pkg(", "item("))
+        assert err.unit in labels
+        assert err.attempts == 2  # retries=1 -> two tries
+
+    @SERIAL
+    def test_degrade_heals_every_faulting_unit(self, seq, baseline, unit_model,
+                                               workers):
+        faulting = self._faulting(baseline)
+        got = _solve(
+            seq, unit_model,
+            resilience=ResilienceConfig(
+                chaos=self.PLAN, retries=1, on_unit_error="degrade"
+            ),
+            workers=workers,
+        )
+        assert got.total_cost == baseline.total_cost
+        assert got.reports == baseline.reports
+        es = got.engine_stats
+        assert (es.pool, es.units_failed) == ("serial", 0)
+        assert es.retries == len(faulting)
 
 
 class TestConfig:

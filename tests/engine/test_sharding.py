@@ -11,7 +11,11 @@ equality of the per-unit reports (bit-for-bit floats).
 
 from __future__ import annotations
 
+import heapq
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.model import CostModel, package_rate
 from repro.cache.optimal_dp import optimal_cost
@@ -181,6 +185,30 @@ class TestLptPartition:
         groups = _lpt_partition([10, 10, 1, 1], 2)
         loads = sorted(sum((10, 10, 1, 1)[i] for i in g) for g in groups)
         assert loads == [11, 11]
+
+    @staticmethod
+    def _key_sorted_placement(sizes, shards):
+        """The placement as first written: indices sorted by a Python
+        key (size descending, index ascending), then pop/push per unit."""
+        groups = [[] for _ in range(shards)]
+        heap = [(0, j) for j in range(shards)]
+        heapq.heapify(heap)
+        for i in sorted(range(len(sizes)), key=lambda i: (-sizes[i], i)):
+            load, j = heapq.heappop(heap)
+            groups[j].append(i)
+            heapq.heappush(heap, (load + max(int(sizes[i]), 1), j))
+        return [sorted(g) for g in groups if g]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # small sizes force ties and zeros; large ones spread the loads
+        sizes=st.lists(st.integers(0, 4) | st.integers(0, 10**9), max_size=60),
+        shards=st.integers(1, 12),
+    )
+    def test_matches_the_key_sorted_placement(self, sizes, shards):
+        assert _lpt_partition(sizes, shards) == self._key_sorted_placement(
+            sizes, shards
+        )
 
 
 class TestMemo:
