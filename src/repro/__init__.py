@@ -106,11 +106,9 @@ from .engine import (
     chaos_from_env,
     fingerprint_view,
     serve_plan,
-    shard_by_items,
     solve_dp_greedy_sharded,
 )
 from .errors import (
-    PoolBrokenError,
     ReproError,
     UnitSolveError,
     UnitTimeoutError,
@@ -186,7 +184,6 @@ __all__ = [
     "StoreSequence",
     "write_store",
     "convert_csv_to_store",
-    "shard_by_items",
     "solve_dp_greedy_sharded",
     # resilience + chaos
     "ResilienceConfig",
@@ -196,7 +193,6 @@ __all__ = [
     "ReproError",
     "UnitSolveError",
     "UnitTimeoutError",
-    "PoolBrokenError",
     # observability
     "CostLedger",
     "LedgerEntry",

@@ -7,7 +7,7 @@ from .memo import SolverMemo, fingerprint_view, get_default_memo
 from .parallel import EngineStats, serve_plan
 from .prescan import PreScan
 from .resilience import ResilienceConfig, dispatch_resilient
-from .sharding import shard_by_items, solve_dp_greedy_sharded
+from .sharding import solve_dp_greedy_sharded
 
 __all__ = [
     "PreScan",
@@ -16,7 +16,6 @@ __all__ = [
     "get_default_memo",
     "EngineStats",
     "serve_plan",
-    "shard_by_items",
     "solve_dp_greedy_sharded",
     "ResilienceConfig",
     "dispatch_resilient",

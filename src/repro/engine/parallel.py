@@ -9,7 +9,7 @@ one pass in the parent (:func:`~repro.core.dp_greedy.single_sided_pass`,
 which builds the sequence's same-server index before any worker
 starts), probes the content-addressed
 :class:`~repro.engine.memo.SolverMemo`, groups the memo misses into
-dispatches, and hands those to
+dispatches, and hands those, with the solve's reporter recipe, to
 :func:`repro.engine.resilience.dispatch_resilient`, the only code that
 runs the units' DPs (serially, or on a process pool).  Each unit's
 report is built once, where its DP runs
@@ -20,7 +20,8 @@ Pool selection
 --------------
 Serial unless asked: ``workers=None`` or ``workers=1`` runs the serial
 rung in the parent, unit by unit in plan order, at every workload size
--- on a 2-core box no process pool beat it (``docs/engine.md``).
+-- on a 2-core box a 2-process pool beat it only above about 200,000
+requests (``docs/engine.md``).
 ``workers=N`` with ``N >= 2`` is an ``N``-process pool (fork when
 available), capped at the number of pending units.
 
@@ -59,13 +60,11 @@ per call through :class:`EngineStats`.
 
 from __future__ import annotations
 
+import functools
 import heapq
-import multiprocessing
-import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,10 +82,9 @@ from ..core.dp_greedy import (
     single_sided_pass,
 )
 from ..obs.ledger import MODE_ACTIONS, CostLedger, action_codes
-from ..obs.observer import Observer, clock, install, maybe_span
-from ..obs.telemetry import H_SHARD
-from .chaos import FaultPlan
+from ..obs.observer import Observer, maybe_span
 from .memo import SolverMemo, fingerprint_view
+from .resilience import NO_RETRY, ResilienceConfig, _Unit, _unit_label, dispatch_resilient
 
 __all__ = [
     "GROUPS_PER_WORKER",
@@ -96,12 +94,6 @@ __all__ = [
 
 #: A pool dispatches at most this many groups of units per worker.
 GROUPS_PER_WORKER = 4
-
-# A serving unit is the sorted tuple of its item ids, one item for a
-# singleton.  A dispatch is a tuple of units served in order by one
-# worker.  Tuples keep pickling cheap and deterministic.
-_Unit = Tuple[int, ...]
-_Group = Tuple[_Unit, ...]
 
 
 @dataclass(frozen=True)
@@ -143,141 +135,8 @@ def _plan_units(plan: PackingPlan) -> List[_Unit]:
     ]
 
 
-def _unit_label(unit: _Unit) -> str:
-    """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"``."""
-    if len(unit) > 1:
-        return "pkg(" + ",".join(map(str, unit)) + ")"
-    return f"item({unit[0]})"
-
-
-def _group_label(group: _Group) -> str:
-    """A dispatch's label: its unit's own for a one-unit group, else
-    ``"shard(3u@item(7))"`` (member count + first member)."""
-    if len(group) == 1:
-        return _unit_label(group[0])
-    return f"shard({len(group)}u@{_unit_label(group[0])})"
-
-
-#: The attributes of a unit span no span record keeps (runtime leg only).
-_NO_ARGS: Dict[str, object] = {}
-
-#: Builds one unit's report (:func:`~repro.core.dp_greedy._unit_reporter`).
-_Reporter = Callable[[_Unit], GroupReport]
 #: Per-package Observation-2 fields, keyed by the package's unit tuple.
 _SingleSided = Dict[_Unit, SingleSidedFields]
-
-
-def _serve_group(
-    report: _Reporter,
-    group: _Group,
-    *,
-    attempt: int,
-    plan: Optional[FaultPlan],
-    in_subprocess: bool,
-    observer: Optional[Observer],
-    board=None,
-) -> Tuple[GroupReport, ...]:
-    """One attempt at a dispatch: its units' reports, in group order.
-
-    Marks the dispatch started on the dispatcher's progress ``board``
-    (the serial rung passes one; a pool marks it at submit), then fires
-    the fault ``plan``'s draw for the dispatch, and ``report`` builds
-    each unit's one report.  When the ``observer`` records spans or
-    runtime telemetry, every unit solves inside its own ``phase2.solve``
-    span, added with no span object per unit
-    (:meth:`~repro.obs.observer.Observer.add_span`), and a multi-unit
-    group records its whole solve, first span start to last span end, as
-    ``phase2.shard_seconds``.  A ``corrupt`` draw poisons the first
-    report.
-    """
-    if board is not None:
-        board.unit_started(_group_label(group))
-    corrupt = plan is not None and plan.before_solve(
-        _group_label(group), attempt, in_subprocess=in_subprocess
-    )
-    timed = observer is not None and (observer.spans or observer.runtime)
-    reports = []
-    first = None
-    for unit in group:
-        if timed:  # no span or label on the default and ledger paths
-            args = (
-                {
-                    "unit": _unit_label(unit),
-                    "kind": "package" if len(unit) > 1 else "singleton",
-                    "attempt": attempt,
-                }
-                if observer.spans
-                else _NO_ARGS
-            )
-            start = clock()
-            first = start if first is None else first
-        try:
-            reports.append(report(unit))
-        finally:
-            if timed:
-                end = clock()
-                observer.add_span("phase2.solve", "phase2", start, end, args)
-    if timed and observer.runtime and len(group) > 1:
-        observer.record(H_SHARD, end - first)
-    if corrupt:
-        reports[0] = FaultPlan.corrupt_report(reports[0])
-    return tuple(reports)
-
-
-# ---------------------------------------------------------------------------
-# process-pool worker side: the sequence is shipped once per worker via the
-# initializer (with fork it is inherited copy-on-write), not per dispatch.
-# ---------------------------------------------------------------------------
-_WORKER_REPORT: Optional[_Reporter] = None
-_WORKER_OBSERVER: Optional[Observer] = None
-
-
-def _init_worker(
-    seq: RequestSequence,
-    model: CostModel,
-    alpha: float,
-    build_schedules: bool,
-    legs: Optional[Tuple[bool, bool, bool]] = None,
-    single_sided: Optional[_SingleSided] = None,
-) -> None:
-    """Process-pool initializer; ``legs`` are the parent observer's
-    ``(spans, runtime, ledger)`` settings (``None`` unobserved) and
-    ``single_sided`` the solve's Observation-2 fields per package
-    (``None``: the worker's package reports carry only their DP)."""
-    global _WORKER_REPORT, _WORKER_OBSERVER
-    _WORKER_REPORT = _unit_reporter(
-        seq, model, alpha, single_sided or {},
-        build_schedule=build_schedules, attribute=legs is not None and legs[2],
-    )
-    _WORKER_OBSERVER = (
-        None
-        if legs is None
-        else Observer(spans=legs[0], runtime=legs[1], ledger=legs[2])
-    )
-    # under fork the worker inherits the parent's installed observer;
-    # its sampler/watchdog threads did not survive the fork, so clear
-    # it -- the worker observes through its own observer instead
-    install(None)
-
-
-def _serve_in_worker(group: _Group, attempt: int, plan: Optional[FaultPlan]):
-    """The process-pool entry: one attempt at ``group`` in this worker.
-
-    Returns ``(reports, payload)``: ``payload`` is the worker
-    observer's :meth:`~repro.obs.observer.Observer.handoff` -- the
-    spans and latency this dispatch recorded plus the worker's resource
-    peaks, cleared from the worker as they ship -- or ``None`` when the
-    solve is unobserved or keeps only a ledger.  The parent audits the
-    reports.
-    """
-    observer = _WORKER_OBSERVER
-    reports = _serve_group(
-        _WORKER_REPORT, group,
-        attempt=attempt, plan=plan, in_subprocess=True, observer=observer,
-    )
-    if observer is None or not (observer.spans or observer.runtime):
-        return reports, None
-    return reports, observer.handoff()
 
 
 # ---------------------------------------------------------------------------
@@ -352,46 +211,6 @@ def _resolve_backend(workers: Optional[int], pending_units: int) -> Tuple[int, s
         raise ValueError("workers must be >= 1")
     workers = min(workers or 1, max(pending_units, 1))
     return (workers, "process") if workers > 1 else (1, "serial")
-
-
-def _pool_start_method() -> str:
-    """The multiprocessing start method the process pool uses.
-
-    Prefers ``fork`` (workers inherit the sequence copy-on-write and the
-    span clock's wall anchor byte-for-byte) and falls back to ``spawn``
-    explicitly where fork is unavailable (macOS default, Windows) --
-    never to the ambient platform default, so the choice is testable.
-    The ``REPRO_START_METHOD`` env knob forces a method (tests exercise
-    the spawn path with it on fork platforms).
-    """
-    methods = multiprocessing.get_all_start_methods()
-    override = os.environ.get("REPRO_START_METHOD")
-    if override:
-        if override not in methods:
-            raise ValueError(
-                f"REPRO_START_METHOD={override!r} not available on this "
-                f"platform (have: {methods})"
-            )
-        return override
-    return "fork" if "fork" in methods else "spawn"
-
-
-def _make_executor(
-    workers: int,
-    seq: RequestSequence,
-    model: CostModel,
-    alpha: float,
-    build_schedules: bool,
-    legs: Optional[Tuple[bool, bool, bool]],
-    single_sided: _SingleSided,
-) -> ProcessPoolExecutor:
-    ctx = multiprocessing.get_context(_pool_start_method())
-    return ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=ctx,
-        initializer=_init_worker,
-        initargs=(seq, model, alpha, build_schedules, legs, single_sided),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +347,6 @@ def serve_plan(
         shard's reports through a
         :class:`~repro.experiments.base.SweepCheckpoint`.
     """
-    from .resilience import NO_RETRY, ResilienceConfig, dispatch_resilient
-
     config = ResilienceConfig.coerce(resilience) or NO_RETRY
     attribute = observer is not None and observer.ledger
     probe_spans = observer if observer is not None and observer.spans else None
@@ -547,6 +364,12 @@ def serve_plan(
         span.set("decisions", single_sided.offsets[-1])
     # units are planned packages first: package p is unit p
     fields = dict(zip(units, single_sided.fields()))
+    # the dispatcher builds the reporter from this, once in the parent
+    # and once in each pool worker
+    recipe = functools.partial(
+        _unit_reporter, seq, model, alpha, fields,
+        build_schedule=build_schedules, attribute=attribute,
+    )
 
     reports: List[Optional[GroupReport]] = [None] * len(units)
     pending: List[int] = []
@@ -623,15 +446,11 @@ def serve_plan(
     ):
         results, counters = dispatch_resilient(
             workers=workers_used,
-            seq=seq,
-            model=model,
-            alpha=alpha,
-            build_schedules=build_schedules,
+            recipe=recipe,
             units=dispatch,
             config=config,
             on_result=on_result if checkpoint is not None else None,
             observer=observer,
-            single_sided=fields,
         )
     resolved.update(results)
 

@@ -2,9 +2,12 @@
 
 Every Phase-2 solve runs through :func:`dispatch_resilient`.  The
 driver (:func:`repro.engine.parallel.serve_plan`) hands it dispatches
--- single units or groups of units -- and it runs them serially in the
-parent or on a process pool, in the retry/timeout/degradation shape a
-production serving stack uses, so one crashed worker
+-- single units or groups of units -- and the solve's reporter recipe,
+and it runs them serially in the parent or on a process pool, in the
+retry/timeout/degradation shape a production serving stack uses.  This
+module owns every step of a dispatch: the parent's loop, the pool
+workers' side (:func:`_init_worker`, :func:`_serve_in_worker`), and the
+one attempt both run (:func:`_serve_group`).  So one crashed worker
 (``BrokenProcessPool``), one hung DP solve, or one corrupted result
 does not abort a multi-hour sweep:
 
@@ -69,17 +72,20 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import multiprocessing
+import os
 import random
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from ..errors import PoolBrokenError, ReproError, UnitSolveError, UnitTimeoutError
+from ..core.dp_greedy import GroupReport
+from ..errors import ReproError, UnitSolveError, UnitTimeoutError
 from ..logutil import new_run_id
-from ..obs.observer import Observer, maybe_span
-from ..obs.telemetry import H_BACKOFF, H_DISPATCH
+from ..obs.observer import Observer, clock, install, maybe_span
+from ..obs.telemetry import H_BACKOFF, H_DISPATCH, H_SHARD
 from .chaos import FaultPlan, chaos_from_env
 
 log = logging.getLogger(__name__)
@@ -103,21 +109,12 @@ class ResilienceConfig:
     retries:
         How many times a failed/timed-out/corrupt dispatch is re-run
         before the ``on_unit_error`` policy applies (total tries =
-        ``retries + 1``).
-    backoff / backoff_max / jitter:
-        Exponential backoff between a dispatch's retries:
-        ``min(backoff * 2**(k-1), backoff_max)`` seconds before retry
-        ``k``, stretched by a seeded uniform jitter of up to
-        ``±jitter`` of itself (decorrelates retry storms without
-        hurting determinism of the *results*).
+        ``retries + 1``), after an exponential backoff
+        (:func:`_backoff_delay`).
     on_unit_error:
         Policy once retries are exhausted: ``"raise"`` (default),
         ``"degrade"`` (one final serial in-parent attempt), or
         ``"skip"`` (drop its units, count them in ``units_failed``).
-    degrade_pool:
-        Fall from a broken process pool to the serial rung (default);
-        ``False`` surfaces :class:`~repro.errors.PoolBrokenError`
-        instead.
     chaos:
         Fault injection: a :class:`~repro.engine.chaos.FaultPlan`,
         ``False`` to force injection off, or ``None`` (default) to
@@ -126,11 +123,7 @@ class ResilienceConfig:
 
     unit_timeout: Optional[float] = None
     retries: int = 2
-    backoff: float = 0.02
-    backoff_max: float = 0.5
-    jitter: float = 0.25
     on_unit_error: str = "raise"
-    degrade_pool: bool = True
     chaos: "FaultPlan | bool | None" = None
 
     def __post_init__(self) -> None:
@@ -138,10 +131,6 @@ class ResilienceConfig:
             raise ValueError("unit_timeout must be positive (or None)")
         if self.retries < 0:
             raise ValueError("retries must be >= 0")
-        if self.backoff < 0 or self.backoff_max < 0:
-            raise ValueError("backoff/backoff_max must be non-negative")
-        if not 0 <= self.jitter <= 1:
-            raise ValueError("jitter must be in [0, 1]")
         if self.on_unit_error not in _ON_UNIT_ERROR:
             raise ValueError(
                 f"on_unit_error must be one of {_ON_UNIT_ERROR}, "
@@ -199,26 +188,194 @@ class _CorruptResult(ReproError):
 _TIMEOUT = "timeout"  # sentinel in the per-dispatch last-error slot
 
 
-def _backoff_delay(config: ResilienceConfig, retry_no: int, rng: random.Random) -> float:
-    base = min(config.backoff * (2.0 ** (retry_no - 1)), config.backoff_max)
-    if config.jitter and base:
-        base *= 1.0 + config.jitter * (2.0 * rng.random() - 1.0)
-    return base
+#: Exponential backoff between a dispatch's retries: the first waits
+#: ``_BACKOFF`` seconds, each next one twice as long, up to
+#: ``_BACKOFF_MAX``; a seeded uniform jitter of up to ``±_JITTER`` of the
+#: delay decorrelates retry storms without touching the results.
+_BACKOFF, _BACKOFF_MAX, _JITTER = 0.02, 0.5, 0.25
+
+
+def _backoff_delay(retry_no: int, rng: random.Random) -> float:
+    """Seconds to wait before retry ``retry_no`` (1-based)."""
+    base = min(_BACKOFF * (2.0 ** (retry_no - 1)), _BACKOFF_MAX)
+    return base * (1.0 + _JITTER * (2.0 * rng.random() - 1.0))
+
+
+# A serving unit is the sorted tuple of its item ids, one item for a
+# singleton.  A dispatch is a tuple of units served in order by one
+# worker.  Tuples keep pickling cheap and deterministic.
+_Unit = Tuple[int, ...]
+_Group = Tuple[_Unit, ...]
+#: Builds one unit's report (:func:`~repro.core.dp_greedy._unit_reporter`).
+_Reporter = Callable[[_Unit], GroupReport]
+#: Builds a solve's reporter: once in the parent, once in each pool worker.
+_Recipe = Callable[[], _Reporter]
+
+
+def _unit_label(unit: _Unit) -> str:
+    """Human-readable span label: ``"pkg(1,2)"`` / ``"item(7)"``."""
+    if len(unit) > 1:
+        return "pkg(" + ",".join(map(str, unit)) + ")"
+    return f"item({unit[0]})"
+
+
+def _group_label(group: _Group) -> str:
+    """A dispatch's label: its unit's own for a one-unit group, else
+    ``"shard(3u@item(7))"`` (member count + first member)."""
+    if len(group) == 1:
+        return _unit_label(group[0])
+    return f"shard({len(group)}u@{_unit_label(group[0])})"
+
+
+#: The attributes of a unit span no span record keeps (runtime leg only).
+_NO_ARGS: Dict[str, object] = {}
+
+
+def _serve_group(
+    report: _Reporter,
+    group: _Group,
+    *,
+    attempt: int,
+    plan: Optional[FaultPlan],
+    in_subprocess: bool,
+    observer: Optional[Observer],
+    board=None,
+) -> Tuple[GroupReport, ...]:
+    """One attempt at a dispatch: its units' reports, in group order.
+
+    Marks the dispatch started on the dispatcher's progress ``board``
+    (the serial rung passes one; a pool marks it at submit), then fires
+    the fault ``plan``'s draw for the dispatch, and ``report`` builds
+    each unit's one report.  When the ``observer`` records spans or
+    runtime telemetry, every unit solves inside its own ``phase2.solve``
+    span, added with no span object per unit
+    (:meth:`~repro.obs.observer.Observer.add_span`), and a multi-unit
+    group records its whole solve, first span start to last span end, as
+    ``phase2.shard_seconds``.  A ``corrupt`` draw poisons the first
+    report.
+    """
+    if board is not None:
+        board.unit_started(_group_label(group))
+    corrupt = plan is not None and plan.before_solve(
+        _group_label(group), attempt, in_subprocess=in_subprocess
+    )
+    timed = observer is not None and (observer.spans or observer.runtime)
+    reports = []
+    first = None
+    for unit in group:
+        if timed:  # no span or label on the default and ledger paths
+            args = (
+                {
+                    "unit": _unit_label(unit),
+                    "kind": "package" if len(unit) > 1 else "singleton",
+                    "attempt": attempt,
+                }
+                if observer.spans
+                else _NO_ARGS
+            )
+            start = clock()
+            first = start if first is None else first
+        try:
+            reports.append(report(unit))
+        finally:
+            if timed:
+                end = clock()
+                observer.add_span("phase2.solve", "phase2", start, end, args)
+    if timed and observer.runtime and len(group) > 1:
+        observer.record(H_SHARD, end - first)
+    if corrupt:
+        reports[0] = FaultPlan.corrupt_report(reports[0])
+    return tuple(reports)
+
+
+# ---------------------------------------------------------------------------
+# process-pool worker side: the recipe (and the sequence it binds) is shipped
+# once per worker via the initializer (with fork it is inherited), not per dispatch.
+# ---------------------------------------------------------------------------
+_WORKER_REPORT: Optional[_Reporter] = None
+_WORKER_OBSERVER: Optional[Observer] = None
+
+
+def _init_worker(recipe: _Recipe, legs: Optional[Tuple[bool, bool, bool]]) -> None:
+    """Process-pool initializer: builds this worker's reporter from the
+    solve's ``recipe``; ``legs`` are the parent observer's
+    ``(spans, runtime, ledger)`` settings (``None`` unobserved)."""
+    global _WORKER_REPORT, _WORKER_OBSERVER
+    _WORKER_REPORT = recipe()
+    _WORKER_OBSERVER = (
+        None
+        if legs is None
+        else Observer(spans=legs[0], runtime=legs[1], ledger=legs[2])
+    )
+    # under fork the worker inherits the parent's installed observer;
+    # its sampler/watchdog threads did not survive the fork, so clear
+    # it -- the worker observes through its own observer instead
+    install(None)
+
+
+def _serve_in_worker(group: _Group, attempt: int, plan: Optional[FaultPlan]):
+    """The process-pool entry: one attempt at ``group`` in this worker.
+
+    Returns ``(reports, payload)``: ``payload`` is the worker
+    observer's :meth:`~repro.obs.observer.Observer.handoff` -- the
+    spans and latency this dispatch recorded plus the worker's resource
+    peaks, cleared from the worker as they ship -- or ``None`` when the
+    solve is unobserved or keeps only a ledger.  The parent audits the
+    reports.
+    """
+    observer = _WORKER_OBSERVER
+    reports = _serve_group(
+        _WORKER_REPORT, group,
+        attempt=attempt, plan=plan, in_subprocess=True, observer=observer,
+    )
+    if observer is None or not (observer.spans or observer.runtime):
+        return reports, None
+    return reports, observer.handoff()
+
+
+def _pool_start_method() -> str:
+    """The multiprocessing start method the process pool uses.
+
+    Prefers ``fork`` (workers inherit the sequence copy-on-write and the
+    span clock's wall anchor byte-for-byte) and falls back to ``spawn``
+    explicitly where fork is unavailable (macOS default, Windows) --
+    never to the ambient platform default, so the choice is testable.
+    The ``REPRO_START_METHOD`` env knob forces a method (tests exercise
+    the spawn path with it on fork platforms).
+    """
+    methods = multiprocessing.get_all_start_methods()
+    override = os.environ.get("REPRO_START_METHOD")
+    if override:
+        if override not in methods:
+            raise ValueError(
+                f"REPRO_START_METHOD={override!r} not available on this "
+                f"platform (have: {methods})"
+            )
+        return override
+    return "fork" if "fork" in methods else "spawn"
+
+
+def _make_executor(
+    workers: int, recipe: _Recipe, legs: Optional[Tuple[bool, bool, bool]]
+) -> ProcessPoolExecutor:
+    ctx = multiprocessing.get_context(_pool_start_method())
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=ctx,
+        initializer=_init_worker,
+        initargs=(recipe, legs),
+    )
 
 
 def dispatch_resilient(
     *,
     workers: int,
-    seq,
-    model,
-    alpha: float,
-    build_schedules: bool,
-    units: Dict[int, tuple],
+    recipe: _Recipe,
+    units: Dict[int, _Group],
     config: ResilienceConfig,
-    single_sided: dict,
     on_result=None,
     observer: Optional[Observer] = None,
-) -> Tuple[Dict[int, tuple], ResilienceCounters]:
+) -> Tuple[Dict[int, Tuple[GroupReport, ...]], ResilienceCounters]:
     """Serve ``units`` (``index -> group``) fault-tolerantly.
 
     A group is a tuple of units, each the sorted tuple of its item ids,
@@ -230,17 +387,18 @@ def dispatch_resilient(
     serial rung; a broken process pool degrades to the serial rung,
     which re-dispatches only unresolved groups.
 
+    ``recipe()`` builds the solve's unit reporter (a bound
+    :func:`~repro.core.dp_greedy._unit_reporter`, a package's report
+    with its Observation-2 fields in): the parent calls it once, on
+    first use, and each pool worker once, in its initializer.
+
     ``on_result(idx, reports)``, when given, fires as each group's
     audited reports land -- including results recovered on a degraded
     rung -- and never for skipped groups.  The sharded driver uses it to
     record completed shards into a crash-safe checkpoint as they finish.
 
-    ``single_sided`` maps each package to its Observation-2 report
-    fields (:meth:`~repro.core.dp_greedy.SingleSidedPass.fields`), so a
-    package's report is built once, where its DP runs.
-
     ``observer`` watches the dispatch: every unit solves in its span
-    (see :func:`~repro.engine.parallel._serve_group`); retries,
+    (see :func:`_serve_group`); retries,
     degradations and skips are marker spans; with the runtime leg
     dispatch roundtrips and backoff delays land in its histograms and
     completions/retries/degradations in its progress board (the stall
@@ -251,14 +409,6 @@ def dispatch_resilient(
     ``repro.engine.resilience`` log record tagged with a per-dispatch
     run id.
     """
-    from .parallel import (
-        _group_label,
-        _make_executor,
-        _serve_group,
-        _serve_in_worker,
-        _unit_reporter,
-    )
-
     plan = config.resolve_chaos()
     counters = ResilienceCounters()
     rng = random.Random(plan.seed if plan is not None else 0)
@@ -300,11 +450,7 @@ def dispatch_resilient(
     def parent_reporter():
         nonlocal reporter
         if reporter is None:
-            reporter = _unit_reporter(
-                seq, model, alpha, single_sided,
-                build_schedule=build_schedules,
-                attribute=observer is not None and observer.ledger,
-            )
+            reporter = recipe()
         return reporter
 
     def finalize_failure(idx: int, error) -> None:
@@ -356,7 +502,7 @@ def dispatch_resilient(
                 attempt=attempts[idx], reason=reason,
             ):
                 pass
-            delay = _backoff_delay(config, attempts[idx], rng)
+            delay = _backoff_delay(attempts[idx], rng)
             log.warning(
                 "retrying [run=%s unit=%s attempt=%d reason=%s backoff=%.3gs]",
                 run_id, label(idx), attempts[idx], reason, delay,
@@ -405,9 +551,8 @@ def dispatch_resilient(
     # is dead, and the ladder below decides what happens next.
     def run_process_rung() -> None:
         ex = _make_executor(
-            workers, seq, model, alpha, build_schedules,
+            workers, recipe,
             (observer.spans, observer.runtime, observer.ledger) if observer else None,
-            single_sided,
         )
         try:
             pending = deque(unresolved())
@@ -529,7 +674,5 @@ def dispatch_resilient(
                 cause=type(cause).__name__,
             ):
                 pass
-            if not config.degrade_pool:
-                raise PoolBrokenError("process", cause) from cause
     run_serial_rung()
     return results, counters

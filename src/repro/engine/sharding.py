@@ -27,55 +27,20 @@ indices, and the final ``total`` is the same left-to-right
 from __future__ import annotations
 
 import os
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from ..cache.model import CostModel, RequestSequence
 from ..core.dp_greedy import DPGreedyResult, _solve
 from ..correlation.packing import PackingPlan
 from ..obs.observer import Observer
 from .memo import SolverMemo
-from .parallel import _lpt_partition, _plan_units, _unit_sizes
 from .resilience import ResilienceConfig
 
-__all__ = ["shard_by_items", "solve_dp_greedy_sharded"]
+__all__ = ["solve_dp_greedy_sharded"]
 
 #: Checkpoint experiment id of the sharded driver (see
 #: :func:`repro.experiments.base.sweep_checkpoint`).
 SHARD_CHECKPOINT_ID = "dp_greedy_sharded"
-
-
-def shard_by_items(
-    seq: RequestSequence,
-    shards: int,
-    *,
-    plan: Optional[PackingPlan] = None,
-) -> List[Tuple[tuple, ...]]:
-    """Partition ``seq``'s serving units into ``shards`` balanced shards.
-
-    With a :class:`~repro.correlation.packing.PackingPlan` the shard
-    members are the plan's serving units -- whole packages and
-    singletons -- so package boundaries are always respected: a package
-    is one indivisible unit and lands entirely inside one shard.
-    Without a plan every item is its own singleton unit.
-
-    Balancing is longest-processing-time over each unit's carried
-    request count (from the sequence's cached per-item projections), so
-    shard wall-times stay within a factor of ~4/3 of optimal.  Returns
-    one tuple of units per shard -- each unit the sorted tuple of its
-    item ids, as the sharded solve dispatches it -- with units in plan
-    order inside every shard.
-    Fewer than ``shards`` tuples come back when there are fewer units
-    than shards.
-    """
-    if plan is not None:
-        units = _plan_units(plan)
-    else:
-        units = [(int(d),) for d in sorted(seq.items)]
-    sizes = _unit_sizes(seq, units)
-    return [
-        tuple(units[i] for i in group)
-        for group in _lpt_partition(sizes, shards)
-    ]
 
 
 def solve_dp_greedy_sharded(
@@ -100,8 +65,9 @@ def solve_dp_greedy_sharded(
     Semantically identical to
     :func:`~repro.core.dp_greedy.solve_dp_greedy` -- same Phase 1, same
     per-unit serves, bit-identical ``total_cost`` -- but Phase 2 groups
-    the memo misses into ``shards`` balanced shards (the LPT partition
-    of :func:`shard_by_items`; default: one per CPU) and dispatches each
+    the memo misses into ``shards`` balanced shards (longest-processing-
+    time first by carried request count; default: one per CPU) and
+    dispatches each
     through :func:`~repro.engine.resilience.dispatch_resilient` (a
     one-unit shard as the bare unit), so retries, timeouts,
     process→serial degradation, ``on_unit_error`` policies, and chaos
@@ -110,7 +76,8 @@ def solve_dp_greedy_sharded(
     ``workers=N >= 2`` runs them on an ``N``-process pool.  Unlike
     ``solve_dp_greedy``, the dispatcher defaults to
     ``ResilienceConfig()`` here: two retries, and ``REPRO_CHAOS``
-    applies.  With a
+    applies; ``resilience=False`` opts out as it does there (no
+    retries, no fault injection).  With a
     store-backed sequence (:meth:`repro.trace.store.TraceStore.open`)
     process-pool workers receive the store *path* and re-mmap the
     columns, never a pickled request list.
@@ -140,13 +107,16 @@ def solve_dp_greedy_sharded(
         shards = max(1, os.cpu_count() or 1)
     elif shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    # only None picks the sharded default; False is NO_RETRY, as on
+    # solve_dp_greedy, and a bad value is refused before Phase 1
+    config = ResilienceConfig() if resilience is None else ResilienceConfig.coerce(resilience)
     from ..experiments.base import sweep_checkpoint
 
     return _solve(
         seq, model, theta=theta, alpha=alpha, packing=packing,
         max_group_size=max_group_size,
         build_schedules=False, plan=plan, workers=workers, memo=memo,
-        resilience=ResilienceConfig.coerce(resilience) or ResilienceConfig(),
+        resilience=config,
         observer=observer, shards=shards,
         checkpoint=sweep_checkpoint(checkpoint, SHARD_CHECKPOINT_ID, resume),
     )

@@ -4,8 +4,10 @@ Every failure the resilience layer (:mod:`repro.engine.resilience`) can
 surface derives from :class:`ReproError`, so callers can catch the whole
 family with one ``except`` clause while tests and logs still see the
 precise failure kind.  Each subclass carries enough context to act on --
-the serving-unit label, how many attempts were burned, which pool broke
--- instead of a bare traceback from deep inside a DP recurrence.
+the serving-unit label and how many attempts were burned -- instead of
+a bare traceback from deep inside a DP recurrence.  A broken process
+pool raises nothing: the dispatcher always falls back to its serial
+rung.
 
 The hierarchy::
 
@@ -13,10 +15,7 @@ The hierarchy::
     ├── UnitSolveError      one serving unit kept failing after retries
     │   └── (ChaosError is the usual *cause* under fault injection;
     │        see repro.engine.chaos)
-    ├── UnitTimeoutError    one serving unit exceeded its per-unit timeout
-    └── PoolBrokenError     a whole executor died (BrokenProcessPool,
-                            worker death, initializer failure) and no
-                            fallback rung was allowed to absorb it
+    └── UnitTimeoutError    one serving unit exceeded its per-unit timeout
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ __all__ = [
     "ReproError",
     "UnitSolveError",
     "UnitTimeoutError",
-    "PoolBrokenError",
 ]
 
 
@@ -81,20 +79,3 @@ class UnitTimeoutError(ReproError):
             f"on each of {attempts} attempt(s)"
         )
 
-
-class PoolBrokenError(ReproError):
-    """A process pool died and ``degrade_pool=False`` forbade the fall to
-    the serial rung (which cannot break).
-
-    Attributes
-    ----------
-    pool:
-        The pool kind that broke (always ``"process"``).
-    """
-
-    def __init__(self, pool: str, cause: Optional[BaseException] = None):
-        self.pool = pool
-        detail = f": {cause!r}" if cause is not None else ""
-        super().__init__(f"{pool} pool broke and no fallback remained{detail}")
-        if cause is not None:
-            self.__cause__ = cause

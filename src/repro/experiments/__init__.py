@@ -29,6 +29,9 @@ run_report           run everything, write REPORT.md
 ========== ==========================================================
 """
 
+import inspect
+from typing import Dict, Optional
+
 from .ablation import run_option_ablation, run_packing_ablation, run_theta_ablation
 from .base import ExperimentResult
 from .capacity_study import run_capacity_study
@@ -89,3 +92,58 @@ ALL_EXPERIMENTS = {
     "ledger_gap": run_ledger_gap,
     "hetero_study": run_hetero_study,
 }
+
+
+#: Smaller workloads per experiment id for ``--quick`` smoke runs.
+_QUICK_OVERRIDES = {
+    "online_study": dict(n_requests=120, repeats=1),
+    "robustness": dict(n_requests=150, error_rates=(0.0, 0.3, 0.6)),
+    "capacity_study": dict(n_requests=200, capacities=(1, 4)),
+    "trace_study": dict(alphas=(0.2, 0.8)),
+    "ledger_gap": dict(n_requests=120, alphas=(0.2, 0.8), jaccards=(0.2, 0.6)),
+    "hetero_study": dict(trials=4, spreads=(0.0, 0.5, 1.0)),
+    "ablation_theta": dict(n_per_pair=60),
+    "ablation_options": dict(n_requests=120),
+    "ablation_packing": dict(n_requests=150),
+    "fig11": dict(n_requests=120, repeats=1),
+    "fig12": dict(n_requests=120, repeats=1),
+    "fig13": dict(n_requests=120, repeats=1),
+    "ratio_study": dict(trials=5, n_requests=60),
+    "scaling": dict(sizes=(100, 200)),
+}
+
+
+def _engine_kwargs(
+    fn,
+    workers: Optional[int],
+    memo: bool,
+    metrics: bool = False,
+    trace: bool = False,
+    resilience=None,
+    checkpoint=None,
+    resume: bool = False,
+) -> Dict[str, object]:
+    """Engine kwargs for harnesses that expose the knobs; {} otherwise."""
+    params = inspect.signature(fn).parameters
+    out: Dict[str, object] = {}
+    if "workers" in params and workers is not None:
+        out["workers"] = workers
+    if "memo" in params and memo:
+        out["memo"] = True
+    if "metrics" in params and metrics:
+        out["metrics"] = True
+    if "resilience" in params and resilience is not None:
+        out["resilience"] = resilience
+    if "checkpoint" in params and checkpoint is not None:
+        out["checkpoint"] = checkpoint
+        if "resume" in params and resume:
+            out["resume"] = True
+    # the span-tracing knob is the boolean trace=False kwarg; fig09/fig10
+    # use "trace" for the taxi-trace input, so match on the default too
+    if (
+        trace
+        and "trace" in params
+        and params["trace"].default is False
+    ):
+        out["trace"] = True
+    return out

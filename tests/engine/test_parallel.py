@@ -152,9 +152,9 @@ class TestExecutorHardening:
     def test_pool_rungs_dispatch_at_most_four_groups_per_worker(
         self, unit_model, monkeypatch, chaos
     ):
-        import repro.engine.parallel as parallel
+        import repro.engine.resilience as resilience
 
-        real_make = parallel._make_executor
+        real_make = resilience._make_executor
         submitted = []
 
         class _CountingExecutor:
@@ -169,7 +169,7 @@ class TestExecutorHardening:
                 self._ex.shutdown(*args, **kwargs)
 
         monkeypatch.setattr(
-            parallel,
+            resilience,
             "_make_executor",
             lambda *a, **kw: _CountingExecutor(real_make(*a, **kw)),
         )
@@ -193,7 +193,7 @@ class TestExecutorHardening:
     def test_start_method_defaults_to_fork_when_available(self, monkeypatch):
         import multiprocessing
 
-        from repro.engine.parallel import _pool_start_method
+        from repro.engine.resilience import _pool_start_method
 
         monkeypatch.delenv("REPRO_START_METHOD", raising=False)
         expected = (
@@ -204,13 +204,13 @@ class TestExecutorHardening:
         assert _pool_start_method() == expected
 
     def test_start_method_env_override(self, monkeypatch):
-        from repro.engine.parallel import _pool_start_method
+        from repro.engine.resilience import _pool_start_method
 
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         assert _pool_start_method() == "spawn"
 
     def test_start_method_bad_override_rejected(self, monkeypatch):
-        from repro.engine.parallel import _pool_start_method
+        from repro.engine.resilience import _pool_start_method
 
         monkeypatch.setenv("REPRO_START_METHOD", "osmosis")
         with pytest.raises(ValueError, match="REPRO_START_METHOD"):
@@ -219,14 +219,29 @@ class TestExecutorHardening:
     def test_spawn_process_pool_matches_serial(self, unit_model, monkeypatch):
         # the explicit fork-unavailable path (macOS/Windows default):
         # spawn workers re-import the module, so everything shipped to
-        # them must be picklable and the result must stay bit-identical
+        # them -- the reporter recipe, attribution on or off -- must be
+        # picklable and the result must stay bit-identical
+        from repro.obs import Observer
+
         monkeypatch.setenv("REPRO_START_METHOD", "spawn")
         seq = _workload(n=60, items=5)
         plan = _serial(seq, unit_model).plan
-        ref, _ = serve_plan(seq, plan, unit_model, ALPHA, workers=1)
-        got, stats = serve_plan(seq, plan, unit_model, ALPHA, workers=2)
-        assert got == ref
-        assert stats.pool == "process"
+        for ledger in (False, True):
+            observers = [Observer(ledger=True) if ledger else None for _ in range(2)]
+            for observer in filter(None, observers):
+                observer.begin_run()
+            ref, _ = serve_plan(
+                seq, plan, unit_model, ALPHA, workers=1, observer=observers[0]
+            )
+            got, stats = serve_plan(
+                seq, plan, unit_model, ALPHA, workers=2, observer=observers[1]
+            )
+            assert got == ref
+            assert (stats.pool, stats.pool_fallbacks) == ("process", 0)
+            if ledger:
+                assert all(r.attribution is not None for r in got)
+                total = sum(r.total for r in got)
+                assert observers[1].run.ledger.reconcile(total) <= 1e-9
 
 
 class TestPoolHeuristic:

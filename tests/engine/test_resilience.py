@@ -9,17 +9,20 @@ deterministic even when CI exports ``REPRO_CHAOS``.
 
 from __future__ import annotations
 
+import ast
 import logging
+import random
 from concurrent.futures import BrokenExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
+from repro.engine import resilience
 from repro.engine.resilience import ResilienceConfig
 from repro.errors import (
-    PoolBrokenError,
     ReproError,
     UnitSolveError,
     UnitTimeoutError,
@@ -55,7 +58,6 @@ def _solve(seq, unit_model, **kw):
 @pytest.fixture
 def dead_pool(monkeypatch):
     """Every process pool is down from its first submit."""
-    import repro.engine.parallel as parallel
 
     class _DeadExecutor:
         def submit(self, *a, **k):
@@ -64,7 +66,7 @@ def dead_pool(monkeypatch):
         def shutdown(self, *a, **k):
             pass
 
-    monkeypatch.setattr(parallel, "_make_executor", lambda *a, **kw: _DeadExecutor())
+    monkeypatch.setattr(resilience, "_make_executor", lambda *a, **kw: _DeadExecutor())
 
 
 #: The two rungs: ``workers=1`` is serial, ``workers=2`` a process pool.
@@ -187,15 +189,6 @@ class TestDegradationLadder:
         )
         assert got.total_cost == baseline.total_cost
         assert got.engine_stats.pool_fallbacks == 1  # process -> serial
-
-    def test_degrade_pool_false_raises(self, seq, unit_model):
-        plan = FaultPlan(seed=3, kill=0.4)
-        with pytest.raises(PoolBrokenError, match="process"):
-            _solve(
-                seq, unit_model,
-                resilience=ResilienceConfig(chaos=plan, degrade_pool=False),
-                workers=2,
-            )
 
     def test_workers_one_runs_serial_rung(self, seq, baseline, unit_model):
         plan = FaultPlan(seed=7, crash=0.5)
@@ -377,7 +370,8 @@ class TestOnUnitError:
 
     def _faulting(self, baseline):
         """The plan's units whose own label draws a fault."""
-        from repro.engine.parallel import _plan_units, _unit_label
+        from repro.engine.parallel import _plan_units
+        from repro.engine.resilience import _unit_label
 
         units = _plan_units(baseline.plan)
         faulting = [u for u in units if self.PLAN.fault_for(_unit_label(u), 1)]
@@ -409,7 +403,7 @@ class TestOnUnitError:
     @SERIAL
     def test_raise_names_a_faulting_unit(self, seq, baseline, unit_model,
                                          workers):
-        from repro.engine.parallel import _unit_label
+        from repro.engine.resilience import _unit_label
 
         labels = {_unit_label(u) for u in self._faulting(baseline)}
         with pytest.raises(UnitSolveError) as info:
@@ -458,14 +452,33 @@ class TestConfig:
             ResilienceConfig(unit_timeout=0.0)
         with pytest.raises(ValueError, match="retries"):
             ResilienceConfig(retries=-1)
-        with pytest.raises(ValueError, match="jitter"):
-            ResilienceConfig(jitter=2.0)
         with pytest.raises(ValueError, match="on_unit_error"):
             ResilienceConfig(on_unit_error="panic")
         with pytest.raises(ValueError, match="ambiguous"):
             ResilienceConfig(chaos=True)
         with pytest.raises(TypeError, match="chaos"):
             ResilienceConfig(chaos="0.5")
+
+    def test_fields_are_the_four_policies(self):
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(ResilienceConfig)] == [
+            "unit_timeout", "retries", "on_unit_error", "chaos",
+        ]
+
+    def test_backoff_delays_are_pinned(self):
+        # exponential from 0.02 s, capped at 0.5 s, with a seeded +-25%
+        # jitter: the same delays, bit for bit, as when the three were
+        # ResilienceConfig fields with these defaults
+        rng = random.Random(7)
+        assert [resilience._backoff_delay(k, rng) for k in range(1, 7)] == [
+            0.018238327648331627,
+            0.03301698347849004,
+            0.08603737892159416,
+            0.12579490293340342,
+            0.3257411206890703,
+            0.46642222922814636,
+        ]
 
     def test_env_chaos_applies_when_unpinned(self, seq, baseline, unit_model,
                                              monkeypatch):
@@ -541,3 +554,47 @@ class TestObservability:
             if s.name == "phase2.solve"
         ]
         assert any(a is not None and a > 1 for a in solve_attempts)
+
+
+class TestModuleShape:
+    """The executor stands alone: the planner imports it, never the
+    other way round, and neither hides an import in a function body."""
+
+    @staticmethod
+    def _imports(name):
+        """``(tree, [(module, node)])`` for every import statement of
+        ``engine/<name>.py``, function bodies included, relative names
+        made absolute (``from . import x`` is ``repro.engine.x``)."""
+        source = Path(resilience.__file__).with_name(f"{name}.py").read_text()
+        tree = ast.parse(source)
+        found = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                found += [(alias.name, node) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ("", "repro.engine", "repro")[node.level]
+                module = ".".join(filter(None, (base, node.module)))
+                if node.module is None:
+                    found += [(f"{module}.{alias.name}", node) for alias in node.names]
+                else:
+                    found.append((module, node))
+        return tree, found
+
+    def test_executor_imports_nothing_from_the_planner(self):
+        _tree, found = self._imports("resilience")
+        assert [
+            (module, node.lineno)
+            for module, node in found
+            if module.startswith("repro.engine.parallel")
+        ] == []
+
+    def test_planner_imports_the_executor_at_module_top(self):
+        tree, found = self._imports("parallel")
+        top = [module for module, node in found if node in tree.body]
+        nested = [
+            (module, node.lineno)
+            for module, node in found
+            if node not in tree.body and module.startswith("repro.engine.resilience")
+        ]
+        assert "repro.engine.resilience" in top
+        assert nested == []

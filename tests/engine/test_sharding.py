@@ -22,13 +22,10 @@ from repro.cache.optimal_dp import optimal_cost
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.chaos import FaultPlan
 from repro.engine.memo import SolverMemo
-from repro.engine.parallel import _plan_units
+from repro.engine import parallel
+from repro.engine.parallel import _lpt_partition, _plan_units, _unit_sizes
 from repro.engine.resilience import ResilienceConfig
-from repro.engine.sharding import (
-    _lpt_partition,
-    shard_by_items,
-    solve_dp_greedy_sharded,
-)
+from repro.engine.sharding import solve_dp_greedy_sharded
 from repro.trace.store import TraceStore, write_store
 from repro.trace.workload import zipf_item_workload
 
@@ -56,6 +53,20 @@ def _solve(seq, **kw):
     return solve_dp_greedy_sharded(
         seq, _MODEL, theta=THETA, alpha=ALPHA, **kw
     )
+
+
+@pytest.fixture
+def dispatches(monkeypatch):
+    """The groups every solve hands the dispatcher, one list per solve."""
+    real = parallel.dispatch_resilient
+    calls = []
+
+    def recording(**kwargs):
+        calls.append(list(kwargs["units"].values()))
+        return real(**kwargs)
+
+    monkeypatch.setattr(parallel, "dispatch_resilient", recording)
+    return calls
 
 
 class TestBitIdentity:
@@ -120,9 +131,17 @@ class TestBitIdentity:
 
 
 class TestSharding:
-    def test_packages_are_never_split(self, seq, baseline):
+    """The partition a sharded solve actually dispatches."""
+
+    @staticmethod
+    def _shards(seq, dispatches, shards):
+        _solve(seq, shards=shards)
+        return dispatches.pop()
+
+    def test_packages_are_never_split(self, seq, baseline, dispatches):
         plan = baseline.plan
-        shards = shard_by_items(seq, 4, plan=plan)
+        shards = self._shards(seq, dispatches, 4)
+        assert len(shards) == 4
         # every plan unit appears exactly once, whole, in some shard
         flat = [unit for shard in shards for unit in shard]
         assert sorted(flat) == sorted(_plan_units(plan))
@@ -132,31 +151,24 @@ class TestSharding:
                 if len(unit) > 1:
                     assert unit in packages
 
-    def test_units_stay_in_plan_order_inside_a_shard(self, seq, baseline):
+    def test_units_stay_in_plan_order_inside_a_shard(self, seq, baseline,
+                                                     dispatches):
         order = {unit: i for i, unit in enumerate(_plan_units(baseline.plan))}
-        for shard in shard_by_items(seq, 3, plan=baseline.plan):
+        for shard in self._shards(seq, dispatches, 3):
             ranks = [order[unit] for unit in shard]
             assert ranks == sorted(ranks)
 
-    def test_without_a_plan_every_item_is_a_singleton(self, seq):
-        shards = shard_by_items(seq, 2)
-        flat = sorted(unit for shard in shards for unit in shard)
-        assert flat == [(int(d),) for d in sorted(seq.items)]
-
-    def test_deterministic(self, seq, baseline):
-        a = shard_by_items(seq, 5, plan=baseline.plan)
-        b = shard_by_items(seq, 5, plan=baseline.plan)
+    def test_deterministic(self, seq, dispatches):
+        a = self._shards(seq, dispatches, 5)
+        b = self._shards(seq, dispatches, 5)
         assert a == b
 
-    def test_balanced_within_lpt_bound(self, seq, baseline):
-        from repro.engine.parallel import _unit_sizes
-
-        plan = baseline.plan
-        units = _plan_units(plan)
+    def test_balanced_within_lpt_bound(self, seq, baseline, dispatches):
+        units = _plan_units(baseline.plan)
         sizes = dict(zip(units, _unit_sizes(seq, units)))
         loads = sorted(
             sum(sizes[unit] for unit in shard)
-            for shard in shard_by_items(seq, 3, plan=plan)
+            for shard in self._shards(seq, dispatches, 3)
         )
         perfect = sum(sizes.values()) / 3
         # LPT guarantees max load <= 4/3 OPT; OPT >= perfect split
@@ -240,6 +252,20 @@ class TestMemo:
 
 
 class TestResilience:
+    def test_resilience_false_opts_out_of_retries_and_chaos(
+        self, seq, baseline, monkeypatch
+    ):
+        # as on solve_dp_greedy: False is no retries and no fault
+        # injection, even with REPRO_CHAOS set; only None picks the
+        # sharded default
+        monkeypatch.setenv("REPRO_CHAOS", "seed=1,crash=1.0,attempts=1")
+        got = _solve(seq, shards=3, resilience=False)
+        assert got.reports == baseline.reports
+        assert got.engine_stats.retries == 0
+        again = _solve(seq, shards=3)
+        assert again.reports == baseline.reports
+        assert again.engine_stats.retries == 3  # one per shard: the default
+
     def test_chaos_crashes_are_absorbed(self, seq, baseline):
         got = _solve(
             seq,
@@ -273,25 +299,16 @@ class TestResilience:
 
 class TestCheckpoint:
     def test_resume_replays_without_dispatching(
-        self, seq, baseline, tmp_path, monkeypatch
+        self, seq, baseline, tmp_path, dispatches
     ):
         first = _solve(seq, shards=3, checkpoint=tmp_path)
         assert first.reports == baseline.reports
+        assert len(dispatches.pop()) == 3
 
         # a resumed run must not solve anything: the dispatcher the
         # shared driver calls must receive no unit
-        import repro.engine.resilience as resilience
-
-        real = resilience.dispatch_resilient
-        dispatched = []
-
-        def recording(**kwargs):
-            dispatched.extend(kwargs["units"].values())
-            return real(**kwargs)
-
-        monkeypatch.setattr(resilience, "dispatch_resilient", recording)
         second = _solve(seq, shards=3, checkpoint=tmp_path, resume=True)
-        assert dispatched == []
+        assert dispatches == [[]]
         assert second.total_cost == baseline.total_cost
         assert second.reports == baseline.reports
 
@@ -341,6 +358,14 @@ class TestApi:
         ).plan
         with pytest.raises(ValueError, match="cover"):
             _solve(seq, plan=other_plan)
+
+    def test_bad_resilience_rejected_before_phase_1(self, seq):
+        from repro.obs import Observer
+
+        observer = Observer(spans=True)
+        with pytest.raises(TypeError, match="resilience"):
+            _solve(seq, resilience="yes", observer=observer)
+        assert observer.records() == ()
 
     @pytest.mark.parametrize("shards", [0, -3])
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm-memo"])

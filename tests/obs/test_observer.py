@@ -191,22 +191,28 @@ def test_ledger_positions_match_the_timestamp_search(seq, route, on_store, alpha
 # the process-pool worker's one payload
 # ---------------------------------------------------------------------------
 def test_process_worker_ships_and_clears_its_spans(seq):
-    from repro.engine import parallel
+    import functools
+
+    from repro.core.dp_greedy import _unit_reporter
+    from repro.engine import parallel, resilience
     from repro.obs import active, install
 
     plan = solve_dp_greedy(seq, _MODEL, theta=THETA, alpha=ALPHA).plan
     units = parallel._plan_units(plan)[:3]
     installed = active()
-    parallel._init_worker(seq, _MODEL, ALPHA, False, (True, True, False))
+    recipe = functools.partial(
+        _unit_reporter, seq, _MODEL, ALPHA, {}, build_schedule=False, attribute=False
+    )
+    resilience._init_worker(recipe, (True, True, False))
     try:
         for unit in units:
-            reports, payload = parallel._serve_in_worker((unit,), 1, None)
+            reports, payload = resilience._serve_in_worker((unit,), 1, None)
             _pid, records, hists, _peak, _cpu = payload
             # each payload carries only its own dispatch's spans ...
-            assert [r.args["unit"] for r in records] == [parallel._unit_label(unit)]
+            assert [r.args["unit"] for r in records] == [resilience._unit_label(unit)]
             assert hists[H_SOLVE]["count"] == 1
             # ... and the worker keeps none of them
-            assert parallel._WORKER_OBSERVER.records() == ()
+            assert resilience._WORKER_OBSERVER.records() == ()
     finally:
-        parallel._init_worker(seq, _MODEL, ALPHA, False, None)
+        resilience._init_worker(recipe, None)
         install(installed)

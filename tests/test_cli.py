@@ -132,6 +132,39 @@ class TestMetricsFlag:
         assert snap["aggregate"]["max_reconciliation_error"] <= 1e-9
 
 
+class TestLayering:
+    def test_library_never_imports_the_cli(self):
+        # the CLI sits on top of the library: only the command-line
+        # modules (repro/cli.py, serve/cli.py, __main__.py) may import
+        # it, and no other module may, not even inside a function body
+        import ast
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            if path.name in ("cli.py", "__main__.py"):
+                continue
+            package = path.relative_to(root.parent).with_suffix("").parts[:-1]
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    base = package[: len(package) - node.level + 1] if node.level else ()
+                    names = [".".join(base + tuple(filter(None, [node.module])))]
+                    if node.module is None:
+                        names = [f"{names[0]}.{a.name}" for a in node.names]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                offenders += [
+                    (str(path.relative_to(root)), node.lineno)
+                    for name in names
+                    if name == "repro.cli" or name.startswith("repro.cli.")
+                ]
+        assert offenders == []
+
+
 class TestResilienceFlags:
     def _args(self, argv):
         return build_parser().parse_args(argv)
@@ -163,7 +196,7 @@ class TestResilienceFlags:
         assert cfg.on_unit_error == "raise"
 
     def test_engine_kwargs_forward_only_supported_knobs(self):
-        from repro.cli import _engine_kwargs
+        from repro.experiments import _engine_kwargs
         from repro.engine.resilience import ResilienceConfig
 
         cfg = ResilienceConfig(retries=1)
@@ -182,7 +215,7 @@ class TestResilienceFlags:
         assert _engine_kwargs(legacy, None, False, resilience=cfg) == {}
 
     def test_resume_only_rides_with_checkpoint(self):
-        from repro.cli import _engine_kwargs
+        from repro.experiments import _engine_kwargs
 
         def harness(checkpoint=None, resume=False):
             pass

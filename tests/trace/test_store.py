@@ -488,7 +488,7 @@ class TestSolveOffTheStore:
     ):
         # every shard replays from the checkpoint: the dispatcher the
         # shared driver calls must receive no unit
-        import repro.engine.resilience as resilience
+        from repro.engine import parallel
         from repro.engine.sharding import solve_dp_greedy_sharded
 
         model = CostModel(mu=1.0, lam=1.0)
@@ -496,19 +496,19 @@ class TestSolveOffTheStore:
         first = solve_dp_greedy_sharded(
             sseq, model, theta=0.3, alpha=0.8, shards=3, checkpoint=tmp_path
         )
-        real = resilience.dispatch_resilient
+        real = parallel.dispatch_resilient
         dispatched = []
 
         def recording(**kwargs):
-            dispatched.extend(kwargs["units"].values())
+            dispatched.append(list(kwargs["units"].values()))
             return real(**kwargs)
 
-        monkeypatch.setattr(resilience, "dispatch_resilient", recording)
+        monkeypatch.setattr(parallel, "dispatch_resilient", recording)
         again = solve_dp_greedy_sharded(
             sseq, model, theta=0.3, alpha=0.8, shards=3, checkpoint=tmp_path,
             resume=True,
         )
-        assert dispatched == []
+        assert dispatched == [[]]  # called once, with no unit
         assert again.total_cost == first.total_cost
         assert again.reports == first.reports
         assert again.engine_stats.shards == 3
