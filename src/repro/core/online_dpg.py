@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from ..cache.model import CostModel, Request, RequestSequence
 from ..cache.online import _SkiRentalUnit
@@ -155,7 +155,7 @@ class OnlineDPGreedyState:
         """
         if self._result is not None:
             raise RuntimeError("state already finalized")
-        t, s = req.time, req.server
+        t, s, req_items = req.time, req.server, req.items
         if t <= self.last_time:
             raise ValueError(
                 f"request times must be strictly increasing "
@@ -163,67 +163,89 @@ class OnlineDPGreedyState:
             )
         self.last_time = t
         self.requests_seen += 1
-        self.item_requests += len(req.items)
+        self.item_requests += len(req_items)
         pack_rate = self.pack_rate
         paid = 0.0
         hits = transfers = ships = 0
-        formed: List[FrozenSet[int]] = []
+        formed: Tuple[FrozenSet[int], ...] = ()
 
         # ---- phase 1 (on-line): update statistics, maybe form packages
         stats, packed_into, formation = self.stats, self.packed_into, self.formation
         stats.observe(req)
-        items = sorted(req.items)
-        for i, a in enumerate(items):
-            for b in items[i + 1 :]:
-                if (
-                    a not in packed_into
-                    and b not in packed_into
-                    and stats.ready(a, b)
-                ):
-                    if stats.similarity(a, b) > self.theta:
+        if len(req_items) > 1:
+            # read the counts observe just wrote: both items past the
+            # warm-up, then the prefix Jaccard (Eq. 5, as
+            # StreamingCorrelation.similarity computes it; the union is
+            # positive because this request co-counted the pair)
+            counts, co_counts = stats.counts, stats.co_counts
+            warm = stats.min_observations
+            items = sorted(req_items)
+            for i, a in enumerate(items):
+                for b in items[i + 1 :]:
+                    if (
+                        a not in packed_into
+                        and b not in packed_into
+                        and counts[a] >= warm
+                        and counts[b] >= warm
+                    ):
                         pair = frozenset((a, b))
-                        packed_into[a] = pair
-                        packed_into[b] = pair
-                        formation[pair] = t
-                        formed.append(pair)
-                        # the package materialises at this request's
-                        # server *after* the request itself is served at
-                        # individual rates (the discount starts with the
-                        # next co-occurrence)
+                        co = co_counts[pair]
+                        if co / (counts[a] + counts[b] - co) > self.theta:
+                            packed_into[a] = pair
+                            packed_into[b] = pair
+                            formation[pair] = t
+                            formed += (pair,)
+                            # the package materialises at this request's
+                            # server *after* the request itself is served
+                            # at individual rates (the discount starts
+                            # with the next co-occurrence)
 
         # ---- phase 2 (on-line): serve ------------------------------
-        served_by_package: set = set()
-        for d in req.items:
+        # packages first, then everything else: ``paid`` adds up in this
+        # order.  Probing ``packed_into`` again in the second pass is
+        # cheaper than keeping a per-request list of the first pass's
+        # lookups at one or two items a request.
+        item_units, package_units = self.item_units, self.package_units
+        served_by_package = None
+        for d in req_items:
             pair = packed_into.get(d)
-            if pair is not None and pair <= req.items and pair not in served_by_package:
-                if formation.get(pair) == t:
-                    # formation request: serve both items individually
-                    # (paying their caching up to now), then hand over
-                    for member in sorted(pair):
-                        unit = self._item_unit(member)
-                        if unit.serve(s, t):
-                            paid += unit.lam
-                            transfers += 1
-                        else:
-                            hits += 1
-                    self.package_units[pair] = _SkiRentalUnit(
-                        s, t, pack_rate * self.mu, pack_rate * self.lam
-                    )
-                else:
-                    unit = self.package_units[pair]
+            if pair is None or not pair <= req_items:
+                continue
+            if served_by_package is None:
+                served_by_package = {pair}
+            elif pair in served_by_package:
+                continue
+            else:
+                served_by_package.add(pair)
+            if formation.get(pair) == t:
+                # formation request: serve both items individually
+                # (paying their caching up to now), then hand over
+                for member in sorted(pair):
+                    unit = self._item_unit(member)
                     if unit.serve(s, t):
                         paid += unit.lam
                         transfers += 1
                     else:
                         hits += 1
-                served_by_package.add(pair)
+                package_units[pair] = _SkiRentalUnit(
+                    s, t, pack_rate * self.mu, pack_rate * self.lam
+                )
+            else:
+                unit = package_units[pair]
+                if unit.serve(s, t):
+                    paid += unit.lam
+                    transfers += 1
+                else:
+                    hits += 1
 
-        for d in req.items:
+        for d in req_items:
             pair = packed_into.get(d)
-            if pair is not None and pair <= req.items:
+            if served_by_package is not None and pair in served_by_package:
                 continue  # handled as a package above
-            if pair is None:
+            unit = item_units.get(d)
+            if unit is None:
                 unit = self._item_unit(d)
+            if pair is None:
                 if unit.serve(s, t):
                     paid += unit.lam
                     transfers += 1
@@ -231,15 +253,15 @@ class OnlineDPGreedyState:
                     hits += 1
                 continue
             # single-sided request for a packed item (Observation 2 on-line)
-            unit = self._item_unit(d)
-            pkg_unit = self.package_units[pair]
-            if pkg_unit.holds(s, t) or unit.holds(s, t):
-                # a live copy already sits here: cache-serve through a
-                # holder, extending its (billed) lifetime to now
-                if unit.holds(s, t):
-                    unit.serve(s, t)
-                else:
-                    pkg_unit.touch(s, t)
+            pkg_unit = package_units[pair]
+            # a live copy already sits here: cache-serve through a
+            # holder, extending its (billed) lifetime to now
+            if unit.holds(s, t):
+                unit.serve(s, t)
+                hits += 1
+                continue
+            if pkg_unit.holds(s, t):
+                pkg_unit.touch(s, t)
                 hits += 1
                 continue
             if pack_rate * self.lam < self.lam:
@@ -252,7 +274,7 @@ class OnlineDPGreedyState:
                 unit.serve(s, t)  # no live copy here: a transfer
                 paid += unit.lam
                 transfers += 1
-        return StepOutcome(paid, hits, transfers, ships, tuple(formed))
+        return StepOutcome(paid, hits, transfers, ships, formed)
 
     # ------------------------------------------------------------------
     def adopt_package(self, pair: FrozenSet[int], time: float) -> bool:

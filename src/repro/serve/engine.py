@@ -23,11 +23,19 @@ ingress -> admission -> bounded queue -> batch collector -> batch solve
   flags, and copy states never half-mutate.
 * **Degradation ladder**: rate-limit reject -> queue-full reject ->
   deadline shed -> circuit breaker.  ``breaker_threshold`` consecutive
-  batch failures (chaos/solver errors or deadline sheds) trip the
+  batch failures (chaos-failed batches or deadline sheds) trip the
   breaker: background Phase-1 re-packing pauses and serving falls back
   to the plain per-item ski-rental policy of :mod:`repro.cache.online`
   (no packages, no correlation updates) until a cooldown probe batch
   succeeds and re-closes it.
+* **Errors end serving**: a malformed request (empty item set, negative
+  server, non-finite or negative ``time=`` hint) raises ``ValueError``
+  from ``submit`` before it is counted or queued.  An exception that
+  escapes a batch (a solver error) is not a breaker failure: the state
+  may be half-stepped, so the engine fails that batch's callers and
+  everyone queued behind them with the exception, stops admission
+  (later submits reject with reason ``draining``), and ``drain()``
+  re-raises it.
 * **Background re-packing**: a periodic task runs the *offline-quality*
   Phase-1 packing (:func:`~repro.correlation.packing.greedy_pair_packing`)
   over the streaming statistics and publishes the refreshed plan; with
@@ -61,7 +69,7 @@ import math
 import signal
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..cache.model import CostModel, Request
 from ..cache.online import _SkiRentalUnit
@@ -153,18 +161,20 @@ class ServeAnswer:
         return self.status in (STATUS_OK, STATUS_DEGRADED)
 
 
+#: What a batch resolves a request's future with: the answer's plain
+#: fields ``(status, reason, paid, hits, transfers, ships)``.  ``submit``
+#: builds the one :class:`ServeAnswer` from them.
+_Result = Tuple[str, Optional[str], float, int, int, int]
+
+
 class _Pending:
     """One admitted request waiting for its batch."""
 
-    __slots__ = ("server", "items", "time", "submitted", "enqueued", "deadline",
-                 "future")
+    __slots__ = ("request", "submitted", "deadline", "future")
 
-    def __init__(self, server, items, time_, submitted, deadline, future):
-        self.server = server
-        self.items = items
-        self.time = time_
+    def __init__(self, request, submitted, deadline, future):
+        self.request = request
         self.submitted = submitted
-        self.enqueued = submitted
         self.deadline = deadline
         self.future = future
 
@@ -257,33 +267,6 @@ class ServingEngine:
         self._repack_task: Optional[asyncio.Task] = None
         self._final_total: Optional[float] = None
 
-    # -- small helpers ---------------------------------------------------
-    def _record(self, name: str, seconds: float) -> None:
-        if self._runtime is not None:
-            self._runtime.record(name, seconds)
-
-    def _count(self, name: str, delta: float = 1) -> None:
-        self._counters[name] = self._counters.get(name, 0) + delta
-
-    def _assign_time(self, hint: Optional[float]) -> float:
-        """Strictly increasing logical time for the next request.
-
-        Explicit hints (trace replay) are honoured when they advance the
-        clock; otherwise wall seconds since engine start, bumped past
-        the previously *assigned* instant -- assignment happens at
-        admission, before the batch executes, so queued requests already
-        hold ordered times (the paper's one-request-per-instant
-        assumption, enforced end to end)."""
-        last = self._last_assigned
-        if hint is not None and hint > last:
-            t = float(hint)
-        else:
-            t = max(0.0, self.clock() - self._t0)
-            if t <= last:
-                t = math.nextafter(last, math.inf)
-        self._last_assigned = t
-        return t
-
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> "ServingEngine":
         if self._batch_task is None:
@@ -373,83 +356,108 @@ class ServingEngine:
     ) -> ServeAnswer:
         """Offer one request; resolves with the serving decision.
 
+        The request is validated at the door: an empty item set, a
+        negative server or a non-finite or negative ``time`` hint raises
+        ``ValueError`` before anything is counted or queued.
         ``deadline`` (seconds of budget, default from the admission
         config) bounds queue + batching + solve; an expired request is
         shed, never half-served.  Rejections return immediately.
         """
-        t_submit = self.clock()
-        self._count("serve.submitted")
-        if self._draining:
-            self._count("serve.rejected")
-            return ServeAnswer(
-                STATUS_REJECTED, reason="draining", retry_after=None
+        if time is not None and not 0.0 <= time < math.inf:
+            raise ValueError(
+                f"time hint must be finite and non-negative, got {time!r}"
             )
+        t_submit = self.clock()
+        # strictly increasing logical time: a hint (trace replay) is
+        # honoured when it advances the clock, otherwise wall seconds
+        # since engine start, bumped past the last *assigned* instant.
+        # Assignment happens at admission, so queued requests already
+        # hold ordered times (the paper's one-request-per-instant
+        # assumption, enforced end to end).
+        last = self._last_assigned
+        if time is not None and time > last:
+            logical = float(time)
+        else:
+            logical = max(0.0, t_submit - self._t0)
+            if logical <= last:
+                logical = math.nextafter(last, math.inf)
+        request = Request(int(server), logical, frozenset(items))
+        counters = self._counters
+        counters["serve.submitted"] += 1
+        if self._draining:
+            counters["serve.rejected"] += 1
+            return ServeAnswer(STATUS_REJECTED, "draining")
         retry = self.bucket.try_acquire(t_submit)
         if retry > 0.0:
-            self._count("serve.rejected")
-            self._count("serve.rate_limited")
-            return ServeAnswer(
-                STATUS_REJECTED, reason="rate-limit", retry_after=retry
-            )
+            counters["serve.rejected"] += 1
+            counters["serve.rate_limited"] += 1
+            return ServeAnswer(STATUS_REJECTED, "rate-limit", retry)
+        self._last_assigned = logical
         budget = deadline if deadline is not None else self.config.admission.deadline
-        abs_deadline = t_submit + budget if budget is not None else None
-        logical = self._assign_time(time)
+        future = asyncio.get_running_loop().create_future()
         pending = _Pending(
-            int(server),
-            frozenset(items),
-            logical,
+            request,
             t_submit,
-            abs_deadline,
-            asyncio.get_running_loop().create_future(),
+            t_submit + budget if budget is not None else None,
+            future,
         )
         try:
             self.queue.put_nowait(pending)
         except asyncio.QueueFull:
-            self._count("serve.rejected")
-            self._count("serve.queue_full")
+            counters["serve.rejected"] += 1
+            counters["serve.queue_full"] += 1
             return ServeAnswer(
-                STATUS_REJECTED,
-                reason="queue-full",
-                retry_after=self.config.admission.retry_after,
+                STATUS_REJECTED, "queue-full", self.config.admission.retry_after
             )
-        self._count("serve.admitted")
-        self._record(H_ADMIT, self.clock() - t_submit)
-        answer: ServeAnswer = await pending.future
+        counters["serve.admitted"] += 1
+        runtime = self._runtime
+        if runtime is not None:
+            runtime.record(H_ADMIT, self.clock() - t_submit)
+        status, reason, paid, hits, transfers, ships = await future
         latency = self.clock() - t_submit
-        self._record(H_E2E, latency)
+        if runtime is not None:
+            runtime.record(H_E2E, latency)
         return ServeAnswer(
-            answer.status,
-            reason=answer.reason,
-            retry_after=answer.retry_after,
-            time=answer.time,
-            paid=answer.paid,
-            hits=answer.hits,
-            transfers=answer.transfers,
-            ships=answer.ships,
-            latency=latency,
+            status, reason, None, logical, paid, hits, transfers, ships, latency
         )
 
     # -- the batch loop --------------------------------------------------
     async def _batch_loop(self) -> None:
-        while True:
-            batch = await self.collector.collect()
-            if batch:
-                await self._process_batch(batch)
-            if self._draining and self.queue.empty():
-                break
+        batch: List[_Pending] = []
+        try:
+            while True:
+                batch = await self.collector.collect()
+                if batch:
+                    await self._process_batch(batch)
+                if self._draining and self.queue.empty():
+                    break
+        except Exception as exc:
+            # the state may be half-stepped: stop admission and fail
+            # this batch's callers and everyone queued behind them
+            log.error("serve: batch failed, stopping: %r", exc)
+            self._draining = True
+            self._shutdown.set()
+            stranded = list(batch)
+            while not self.queue.empty():
+                item = self.queue.get_nowait()
+                if item is not None:
+                    stranded.append(item)
+            for p in stranded:
+                if not p.future.done():
+                    p.future.set_exception(exc)
+            raise
 
     def _shed(self, pending: _Pending, reason: str) -> None:
-        self._count("serve.shed")
-        self._count(f"serve.shed_{reason}")
-        self._count("serve.answered")
+        counters = self._counters
+        counters["serve.shed"] += 1
+        counters[f"serve.shed_{reason}"] += 1
+        counters["serve.answered"] += 1
         if not pending.future.done():
-            pending.future.set_result(
-                ServeAnswer(STATUS_SHED, reason=reason, time=pending.time)
-            )
+            pending.future.set_result((STATUS_SHED, reason, 0.0, 0, 0, 0))
 
     async def _process_batch(self, batch: List[_Pending]) -> None:
         self._batch_seq += 1
-        self._count("serve.batches")
+        self._counters["serve.batches"] += 1
         label = f"batch({self._batch_seq})"
         self.board.begin(1)
         self.board.unit_started(label)
@@ -486,7 +494,7 @@ class ServingEngine:
                 kind = self.chaos.fault_for(label, attempt)
                 if kind is None:
                     break
-                self._count("serve.chaos_injected")
+                self._counters["serve.chaos_injected"] += 1
                 log.warning(
                     "serve chaos: injected %s [%s attempt=%d]", kind, label, attempt
                 )
@@ -518,54 +526,49 @@ class ServingEngine:
         if not live:
             return
 
-        for p in live:
-            self._record(H_BATCH_WAIT, now - p.enqueued)
-
-        t0 = self.clock()
+        runtime = self._runtime
+        if runtime is not None:
+            for p in live:
+                runtime.record(H_BATCH_WAIT, now - p.submitted)
+            t0 = self.clock()
         if packaged:
-            answers = self._apply_packaged(live)
+            results = self._apply_packaged(live)
             if not expired and failed_attempts == 0:
                 self.breaker.record_success()
         else:
-            answers = self._apply_degraded(live)
-        self._record(H_SERVE_SOLVE, self.clock() - t0)
-        for p, answer in zip(live, answers):
-            self._count("serve.answered")
+            results = self._apply_degraded(live)
+        if runtime is not None:
+            runtime.record(H_SERVE_SOLVE, self.clock() - t0)
+        self._counters["serve.answered"] += len(live)
+        for p, result in zip(live, results):
             if not p.future.done():
-                p.future.set_result(answer)
+                p.future.set_result(result)
 
     def _record_breaker_failure(self) -> None:
         before = self.breaker.state
         self.breaker.record_failure()
         if self.breaker.state == "open" and before != "open":
-            self._count("serve.breaker_open")
+            self._counters["serve.breaker_open"] += 1
             log.warning(
                 "serve: circuit breaker OPEN after %d consecutive failures "
                 "-- degrading to plain ski-rental, re-packing paused",
                 self.breaker.failures,
             )
 
-    def _apply_packaged(self, live: List[_Pending]) -> List[ServeAnswer]:
+    def _apply_packaged(self, live: List[_Pending]) -> List[_Result]:
         """The healthy path: one atomic sweep of on-line DP_Greedy steps."""
-        answers = []
+        results = []
         step = self.state.step
         for p in live:
-            out = step(Request(p.server, p.time, p.items))
+            out = step(p.request)
             if out.formed:
-                self._count("serve.packages_formed", len(out.formed))
-            answers.append(
-                ServeAnswer(
-                    STATUS_OK,
-                    time=p.time,
-                    paid=out.paid,
-                    hits=out.hits,
-                    transfers=out.transfers,
-                    ships=out.ships,
-                )
+                self._counters["serve.packages_formed"] += len(out.formed)
+            results.append(
+                (STATUS_OK, None, out.paid, out.hits, out.transfers, out.ships)
             )
-        return answers
+        return results
 
-    def _apply_degraded(self, live: List[_Pending]) -> List[ServeAnswer]:
+    def _apply_degraded(self, live: List[_Pending]) -> List[_Result]:
         """Breaker-open fallback: plain per-item ski-rental serving.
 
         Runs on a *separate* unit map at individual rates -- the
@@ -573,34 +576,26 @@ class ServingEngine:
         touches the packaged state or the correlation counts, so a
         degraded interval cannot corrupt Phase-1 statistics.
         """
-        answers = []
+        results = []
         mu, lam = self.model.mu, self.model.lam
         origin = self.state.origin
+        units = self._degraded_units
         for p in live:
-            self._count("serve.degraded")
+            s, t, items = p.request.server, p.request.time, p.request.items
             paid = 0.0
             hits = transfers = 0
-            for d in sorted(p.items):
-                unit = self._degraded_units.get(d)
+            for d in sorted(items):
+                unit = units.get(d)
                 if unit is None:
-                    unit = self._degraded_units[d] = _SkiRentalUnit(
-                        origin, p.time, mu, lam
-                    )
-                if unit.serve(p.server, p.time):
+                    unit = units[d] = _SkiRentalUnit(origin, t, mu, lam)
+                if unit.serve(s, t):
                     paid += unit.lam
                     transfers += 1
                 else:
                     hits += 1
-            answers.append(
-                ServeAnswer(
-                    STATUS_DEGRADED,
-                    time=p.time,
-                    paid=paid,
-                    hits=hits,
-                    transfers=transfers,
-                )
-            )
-        return answers
+            results.append((STATUS_DEGRADED, None, paid, hits, transfers, 0))
+        self._counters["serve.degraded"] += len(live)
+        return results
 
     # -- background re-packing ------------------------------------------
     async def _repack_loop(self) -> None:
@@ -628,12 +623,12 @@ class ServingEngine:
             return None
         plan = greedy_pair_packing(self.state.stats, self.state.theta)
         self.last_plan = plan
-        self._count("serve.repacks")
+        self._counters["serve.repacks"] += 1
         if self.config.repack_adopt:
             t = math.nextafter(self.state.last_time, math.inf)
             for pair in plan.packages:
                 if self.state.adopt_package(pair, t):
-                    self._count("serve.packages_adopted")
+                    self._counters["serve.packages_adopted"] += 1
                     t = math.nextafter(t, math.inf)
         return plan
 

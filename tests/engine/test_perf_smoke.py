@@ -106,3 +106,60 @@ def test_phase2_python_calls_per_unit_stay_bounded():
     units = len(result.reports)
     assert len(result.plan.singletons) > 0.9 * units > 500
     assert calls / units <= 8, f"{calls} calls for {units} units"
+
+
+def test_serve_python_calls_per_request_stay_bounded():
+    """A warm closed-loop pass through the serving engine makes at most
+    17 Python-level calls per request in ``repro`` frames and in
+    dataclass-generated ``__init__``s (compiled from ``"<string>"``):
+    one ``Request`` at the door, one ``step``, one ``ServeAnswer``, and
+    no per-request counter or histogram helper.  Two answers per
+    request and six such helper calls make about 23.7.  asyncio's own
+    frames are left out: they differ between Python 3.10 and 3.12.
+    With ``max_wait=0`` and no injected faults the batching, and so the
+    count, repeats exactly run to run."""
+    import asyncio
+    import os
+    import sys
+
+    import repro
+    from repro.engine.chaos import FaultPlan
+    from repro.serve import ServeConfig, ServingEngine
+
+    seq = zipf_item_workload(3000, 20, 16, seed=11, cooccurrence=0.4)
+    model = CostModel(mu=1.0, lam=1.0)
+    src = os.path.dirname(repro.__file__)
+
+    async def serve():
+        engine = ServingEngine(
+            model, theta=0.3, alpha=0.8, origin=seq.origin,
+            config=ServeConfig(max_wait=0.0, chaos=FaultPlan()),
+        )
+        await engine.start()
+        requests = iter(seq)
+
+        async def client():
+            for req in requests:
+                answer = await engine.submit(req.server, req.items, time=req.time)
+                assert answer.status == "ok"
+
+        await asyncio.gather(*(client() for _ in range(16)))
+        await engine.drain()
+
+    asyncio.run(serve())  # warm
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            name = frame.f_code.co_filename
+            if name == "<string>" or name.startswith(src):
+                calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        asyncio.run(serve())
+    finally:
+        sys.setprofile(previous)
+    assert calls / len(seq) <= 17, f"{calls} calls for {len(seq)} requests"

@@ -9,6 +9,7 @@ deterministic.
 from __future__ import annotations
 
 import asyncio
+import math
 
 import pytest
 
@@ -474,6 +475,83 @@ class TestDrain:
             return total
 
         assert run(go()) == 0.0
+
+
+class TestFailuresNeverHang:
+    """A bad request or a failing batch must never leave a caller waiting.
+
+    Every await that could hang is bounded by ``asyncio.wait_for``, so a
+    regression fails with ``TimeoutError`` instead of stalling the suite.
+    """
+
+    def test_malformed_submit_raises_at_the_door(self):
+        async def go():
+            engine = ServingEngine(
+                MODEL, theta=THETA, alpha=ALPHA, config=quiet_config(),
+            )
+            await engine.start()
+            before = asyncio.ensure_future(engine.submit(0, {1}, time=1.0))
+            bad = [
+                ((2, []), {}, "item"),
+                ((-1, {1}), {}, "server"),
+                ((0, {1}), {"time": math.nan}, "time"),
+                ((0, {1}), {"time": math.inf}, "time"),
+                ((0, {1}), {"time": -1.0}, "time"),
+            ]
+            for args, kwargs, field in bad:
+                with pytest.raises(ValueError, match=field):
+                    await asyncio.wait_for(engine.submit(*args, **kwargs), 2.0)
+            after = asyncio.ensure_future(engine.submit(1, {2}, time=2.0))
+            answers = await asyncio.wait_for(asyncio.gather(before, after), 2.0)
+            await asyncio.wait_for(engine.drain(), 2.0)
+            return answers, engine.counters()
+
+        answers, counters = run(go())
+        assert [(a.status, a.time) for a in answers] == [("ok", 1.0), ("ok", 2.0)]
+        # the malformed requests were never counted, admitted or queued
+        assert counters["serve.submitted"] == 2
+        assert counters["serve.admitted"] == counters["serve.answered"] == 2
+
+    def test_batch_error_fails_its_callers_and_stops_admission(self):
+        async def go():
+            engine = ServingEngine(
+                MODEL, theta=THETA, alpha=ALPHA,
+                config=quiet_config(max_batch=2),
+            )
+            real_step = engine.state.step
+            stepped = 0
+
+            def step(req):
+                nonlocal stepped
+                stepped += 1
+                if stepped == 3:
+                    raise RuntimeError("solver blew up")
+                return real_step(req)
+
+            engine.state.step = step
+            # six queued before the loop starts: batches (1, 2), (3, 4)
+            # and (5, 6), the second of which fails on request 3
+            tasks = [
+                asyncio.ensure_future(engine.submit(0, {i}, time=float(i)))
+                for i in range(1, 7)
+            ]
+            await asyncio.sleep(0)
+            await engine.start()
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), 2.0
+            )
+            await asyncio.wait_for(engine.wait_shutdown(), 2.0)
+            late = await engine.submit(0, {9}, time=10.0)
+            with pytest.raises(RuntimeError, match="solver blew up"):
+                await asyncio.wait_for(engine.drain(), 2.0)
+            return outcomes, late
+
+        outcomes, late = run(go())
+        assert [o.status for o in outcomes[:2]] == ["ok", "ok"]
+        # the failing batch and everything queued behind it
+        for o in outcomes[2:]:
+            assert isinstance(o, RuntimeError)
+        assert (late.status, late.reason) == ("rejected", "draining")
 
 
 class TestConfigValidation:

@@ -5,7 +5,8 @@ Two invariants the always-on engine must never lose:
 * a serial, shed-free replay of any request sequence through the engine
   is **bit-identical** in cost to :func:`solve_online_dp_greedy` (the
   engine is the solver's loop body behind admission control, nothing
-  more);
+  more), and so is every answer: each ``ServeAnswer`` carries exactly
+  the ``StepOutcome`` of stepping the request serially;
 * re-packing epochs are **read-only** on the streaming statistics --
   interleaving :func:`greedy_pair_packing` calls at arbitrary prefixes
   must not perturb the prefix-equivalence of
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.model import CostModel, RequestSequence
-from repro.core.online_dpg import solve_online_dp_greedy
+from repro.core.online_dpg import OnlineDPGreedyState, solve_online_dp_greedy
 from repro.correlation import correlation_stats
 from repro.correlation.packing import greedy_pair_packing
 from repro.correlation.streaming import StreamingCorrelation
@@ -93,6 +94,51 @@ class TestEngineReplayParity:
             repack_every_n=every,
         )
         assert total == ref.total_cost
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seq=multi_item_sequences(),
+        model=cost_models(),
+        theta=st.sampled_from([0.0, 0.3, 0.6]),
+        alpha=st.sampled_from([0.2, 0.45, 1.0]),
+        warmup=st.integers(1, 4),
+    )
+    def test_every_answer_is_the_serial_step_outcome(
+        self, seq, model, theta, alpha, warmup
+    ):
+        state = OnlineDPGreedyState(
+            model, theta=theta, alpha=alpha, origin=seq.origin,
+            min_observations=warmup,
+        )
+        outcomes = [state.step(req) for req in seq]
+
+        async def go():
+            engine = ServingEngine(
+                model, theta=theta, alpha=alpha, origin=seq.origin,
+                config=ServeConfig(
+                    chaos=NO_CHAOS, max_wait=0.0, min_observations=warmup
+                ),
+            )
+            await engine.start()
+            # all in flight at once: admission runs in submission order,
+            # and batches hold many requests
+            answers = await asyncio.gather(
+                *(engine.submit(r.server, r.items, time=r.time) for r in seq)
+            )
+            await engine.drain()
+            return answers, engine.counters()
+
+        answers, counters = asyncio.run(go())
+        served = [
+            (a.status, a.time, a.paid, a.hits, a.transfers, a.ships)
+            for a in answers
+        ]
+        assert served == [
+            ("ok", r.time, o.paid, o.hits, o.transfers, o.ships)
+            for r, o in zip(seq, outcomes)
+        ]
+        formed = sum(len(o.formed) for o in outcomes)
+        assert counters["serve.packages_formed"] == formed == len(state.formation)
 
 
 class TestStreamingPrefixEquivalenceUnderEpochs:
