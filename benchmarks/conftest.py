@@ -13,6 +13,16 @@ is ``BENCH_perfbench.json`` at the repository root, written from
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
+# the ILP certification benchmark times the test-side oracle in
+# tests/oracles.py; make the repository root importable however pytest
+# was started
+_ROOT = str(Path(__file__).resolve().parent.parent)
+if _ROOT not in sys.path:
+    sys.path.append(_ROOT)
+
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a heavy harness with a single measured round."""

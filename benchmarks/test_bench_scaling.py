@@ -108,7 +108,7 @@ def test_bench_prescan_n2000_m50(benchmark):
 
 def test_bench_ilp_certification_n200(benchmark):
     """The independent ILP certifier at its test scale."""
-    from repro.cache.ilp import ilp_optimal_cost
+    from tests.oracles import ilp_optimal_cost
 
     view = random_single_item_view(200, 30, seed=3, horizon=200.0)
     cost = benchmark(ilp_optimal_cost, view, MODEL)

@@ -11,7 +11,6 @@ from .bounds import BoundBreakdown, analytic_lower_bound, bound_breakdown
 from .brute_force import brute_force_cost
 from .capacity import POLICIES, CapacityCacheSimulator, CapacityReplayResult
 from .greedy import GreedyResult, solve_greedy
-from .ilp import ilp_optimal_cost
 from .heterogeneous import (
     HeteroCostModel,
     HeteroGreedyResult,
@@ -73,5 +72,4 @@ __all__ = [
     "BoundBreakdown",
     "analytic_lower_bound",
     "bound_breakdown",
-    "ilp_optimal_cost",
 ]

@@ -81,12 +81,15 @@ class _SkiRentalUnit:
         self.cost += self.mu * max(0.0, end - birth)
 
     def _expire(self, now: float) -> None:
-        for server in list(self.copies):
-            if server == self.primary:
-                continue
-            _birth, last = self.copies[server]
-            if now - last > self.threshold:
-                self._retire(server, last + self.threshold)
+        # one walk over the copies, in copy order; retiring pops, so the
+        # walk only notes what to retire
+        threshold, primary = self.threshold, self.primary
+        expired = []
+        for server, (_birth, last) in self.copies.items():
+            if now - last > threshold and server != primary:
+                expired.append((server, last + threshold))
+        for server, end in expired:
+            self._retire(server, end)
 
     def holds(self, server: int, now: float) -> bool:
         """Live copy on ``server`` at time ``now`` (after expiry)?"""

@@ -45,6 +45,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .._records import dict_init
 from ..cache.model import CostModel, RequestSequence, package_rate
 from ..cache.optimal_dp import (
     NONPOSITIVE_TIMES,
@@ -77,6 +78,7 @@ __all__ = [
 MODE_CACHE, MODE_TRANSFER, MODE_PACKAGE = "cache", "transfer", "package"
 
 
+@dict_init
 @dataclass(frozen=True)
 class GroupReport:
     """Cost breakdown for one serving unit (package or singleton).
@@ -369,11 +371,12 @@ def single_sided_pass(
         first_entry - np.cumsum(count) + count, count
     )
 
-    # order the pairs by (package, row); the stable sort keeps a row's
-    # members in item order.  A row is single-sided when fewer than all
-    # of its package's members carry it.
+    # order the pairs by (package, row): one stable sort of a combined
+    # key (a row is below len(seq)), which keeps a row's members in item
+    # order.  A row is single-sided when fewer than all of its
+    # package's members carry it.
     row = cols.inv_positions[entry]
-    order = np.lexsort((row, owner_of[member]))
+    order = np.argsort(owner_of[member] * (len(seq) + 1) + row, kind="stable")
     member, entry, row = member[order], entry[order], row[order]
     package = owner_of[member]
     opens = np.ones(len(row), dtype=bool)

@@ -40,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Tuple
 
+from .._records import dict_init
 from ..cache.model import CostModel, Request, RequestSequence
 from ..cache.online import _SkiRentalUnit
 from ..correlation.streaming import StreamingCorrelation
@@ -67,6 +68,7 @@ class OnlineDPGreedyResult:
         return self.total_cost / self.denominator if self.denominator else 0.0
 
 
+@dict_init
 @dataclass(frozen=True)
 class StepOutcome:
     """The serving decision one :meth:`OnlineDPGreedyState.step` made.

@@ -42,8 +42,11 @@ class StreamingCorrelation:
         if not items:
             raise ValueError("a request must carry at least one item")
         self.num_requests += 1
+        counts = self.counts
         for d in items:
-            self.counts[d] = self.counts.get(d, 0) + 1
+            counts[d] = counts.get(d, 0) + 1
+        if len(items) == 1:
+            return  # no pair to co-count
         ordered = sorted(items)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1 :]:

@@ -7,14 +7,14 @@ long-running asyncio service that accepts a stream of requests and
 answers cache/transfer decisions while it runs, degrading gracefully
 when traffic exceeds capacity:
 
-ingress -> admission -> bounded queue -> batch collector -> batch solve
+ingress -> admission -> batch collector (bounded queue) -> batch solve
 
 * **Admission** (:mod:`repro.serve.admission`): a token bucket rate
   limits at the door; the ingress queue is bounded and a full queue
   rejects with a retry-after hint (backpressure) instead of growing.
-* **Batching** (:mod:`repro.serve.collector`): max-batch-size +
-  max-wait grouping with per-request deadline budgets propagated into
-  the grouping wait.
+* **Batching** (:mod:`repro.serve.collector`): the collector owns the
+  bounded ingress deque and groups it by max-batch-size + max-wait,
+  with per-request deadline budgets propagated into the grouping wait.
 * **Atomic state updates**: the only state mutator is
   ``OnlineDPGreedyState.step``, called synchronously inside
   ``_process_batch`` for exactly the requests that survived admission,
@@ -71,6 +71,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from .._records import dict_init
 from ..cache.model import CostModel, Request
 from ..cache.online import _SkiRentalUnit
 from ..core.online_dpg import OnlineDPGreedyState
@@ -133,6 +134,7 @@ class ServeConfig:
             raise ValueError("batch_retries must be non-negative")
 
 
+@dict_init
 @dataclass(frozen=True)
 class ServeAnswer:
     """What the engine tells a client about one request.
@@ -226,9 +228,8 @@ class ServingEngine:
         self.board: ProgressBoard = (
             self._runtime.board if self._runtime is not None else ProgressBoard()
         )
-        self.queue: "asyncio.Queue" = asyncio.Queue(maxsize=adm.queue_limit)
         self.collector = BatchCollector(
-            self.queue,
+            limit=adm.queue_limit,
             max_batch=self.config.max_batch,
             max_wait=self.config.max_wait,
             clock=clock,
@@ -285,11 +286,10 @@ class ServingEngine:
             log.info("serve: shutdown requested, draining")
             self._shutdown.set()
             self._draining = True
-            # wake the collector without violating the queue bound
-            try:
-                self.queue.put_nowait(None)
-            except asyncio.QueueFull:
-                pass  # the batch loop is behind; it will see _draining
+            # wake the collector without violating the queue bound; a
+            # full queue means the batch loop is behind, and it will see
+            # _draining once the queue empties
+            self.collector.put(None)
 
     async def drain(self) -> float:
         """Stop admission, flush in-flight batches, finalize costs.
@@ -401,9 +401,7 @@ class ServingEngine:
             t_submit + budget if budget is not None else None,
             future,
         )
-        try:
-            self.queue.put_nowait(pending)
-        except asyncio.QueueFull:
+        if not self.collector.put(pending):
             counters["serve.rejected"] += 1
             counters["serve.queue_full"] += 1
             return ServeAnswer(
@@ -429,7 +427,7 @@ class ServingEngine:
                 batch = await self.collector.collect()
                 if batch:
                     await self._process_batch(batch)
-                if self._draining and self.queue.empty():
+                if self._draining and len(self.collector) == 0:
                     break
         except Exception as exc:
             # the state may be half-stepped: stop admission and fail
@@ -438,10 +436,7 @@ class ServingEngine:
             self._draining = True
             self._shutdown.set()
             stranded = list(batch)
-            while not self.queue.empty():
-                item = self.queue.get_nowait()
-                if item is not None:
-                    stranded.append(item)
+            stranded += [p for p in self.collector.take_all() if p is not None]
             for p in stranded:
                 if not p.future.done():
                     p.future.set_exception(exc)
@@ -638,7 +633,7 @@ class ServingEngine:
         out = dict(self._counters)
         out["serve.breaker_trips"] = self.breaker.trips
         out["serve.breaker_reopens"] = self.breaker.reopens
-        out["serve.queue_depth"] = self.queue.qsize()
+        out["serve.queue_depth"] = len(self.collector)
         out["serve.packages_live"] = len(self.state.package_units)
         out["engine.stalls"] = self.board.stalls
         return out

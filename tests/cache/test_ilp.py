@@ -1,15 +1,21 @@
-"""Tests pinning the ILP formulation to the DP (medium-scale certification)."""
+"""Tests pinning the ILP formulation to the DP (medium-scale certification).
+
+The ILP oracle needs scipy, a test-only dependency (the ``test`` extra);
+without it this module is skipped.
+"""
 
 from __future__ import annotations
 
 import pytest
 from hypothesis import given, settings
 
-from repro.cache.ilp import ilp_optimal_cost
-from repro.cache.model import CostModel, RequestSequence, SingleItemView
+from repro.cache.model import RequestSequence, SingleItemView
 from repro.cache.optimal_dp import optimal_cost
 
 from ..conftest import cost_models, single_item_views
+from ..oracles import ilp_optimal_cost
+
+pytest.importorskip("scipy")
 
 
 def view(servers, times, m=4, origin=0):

@@ -137,7 +137,7 @@ class TestAdmissionLadder:
             assert all(a.status == "rejected" for a in rejected)
             assert all(a.reason == "queue-full" for a in rejected)
             assert all(a.retry_after > 0 for a in rejected)
-            assert engine.queue.qsize() == 4  # the bound held
+            assert engine.counters()["serve.queue_depth"] == 4  # the bound held
             # now start and drain: the four queued must still be answered
             await engine.start()
             total = await engine.drain()

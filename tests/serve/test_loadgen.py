@@ -77,7 +77,7 @@ class TestRunLoadTest:
                 engine, clients=64, requests=5000, num_items=32
             )
             await engine.drain()
-            return report, engine.queue.qsize()
+            return report, engine.counters()["serve.queue_depth"]
 
         report, depth = run(go())
         # 2x-overload acceptance: pressure surfaces as sheds/rejections,
