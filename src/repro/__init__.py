@@ -110,6 +110,7 @@ from .engine import (
 )
 from .errors import (
     ReproError,
+    TraceRowError,
     UnitSolveError,
     UnitTimeoutError,
 )
@@ -191,6 +192,7 @@ __all__ = [
     "ChaosError",
     "chaos_from_env",
     "ReproError",
+    "TraceRowError",
     "UnitSolveError",
     "UnitTimeoutError",
     # observability

@@ -1,7 +1,8 @@
-"""Structured error taxonomy of the fault-tolerant execution layer.
+"""Structured error taxonomy of the library.
 
-Every failure the resilience layer (:mod:`repro.engine.resilience`) can
-surface derives from :class:`ReproError`, so callers can catch the whole
+Every failure the resilience layer (:mod:`repro.engine.resilience`) or
+the trace loaders (:mod:`repro.trace.io`) raise on purpose derives from
+:class:`ReproError`, so callers can catch the whole
 family with one ``except`` clause while tests and logs still see the
 precise failure kind.  Each subclass carries enough context to act on --
 the serving-unit label and how many attempts were burned -- instead of
@@ -15,7 +16,9 @@ The hierarchy::
     ├── UnitSolveError      one serving unit kept failing after retries
     │   └── (ChaosError is the usual *cause* under fault injection;
     │        see repro.engine.chaos)
-    └── UnitTimeoutError    one serving unit exceeded its per-unit timeout
+    ├── UnitTimeoutError    one serving unit exceeded its per-unit timeout
+    └── TraceRowError       a trace file line the CSV loaders refuse
+                            (also a ValueError)
 """
 
 from __future__ import annotations
@@ -24,14 +27,36 @@ from typing import Optional
 
 __all__ = [
     "ReproError",
+    "TraceRowError",
     "UnitSolveError",
     "UnitTimeoutError",
 ]
 
 
 class ReproError(Exception):
-    """Base class of every structured error raised by this library's
-    fault-tolerant execution layer."""
+    """Base class of every structured error raised by this library."""
+
+
+class TraceRowError(ReproError, ValueError):
+    """A trace file line the CSV loaders refuse: a dirty row in raise
+    mode, a wrong header, or a bad or misplaced metadata line.
+
+    Attributes
+    ----------
+    line:
+        The 1-based line number (:mod:`csv`'s ``line_num``: the last
+        physical line of the record).
+    message:
+        What is wrong with that line; ``str()`` prefixes the line.
+    """
+
+    def __init__(self, line: int, message: str):
+        self.line = line
+        self.message = message
+        super().__init__(f"line {line}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.line, self.message)
 
 
 class UnitSolveError(ReproError):

@@ -34,23 +34,22 @@ shared sequence class over the mapped columns.  ``solve_dp_greedy`` and
 the memo fingerprints consume it unchanged (fingerprints normalise int32
 columns through ``np.asarray(..., int64)``, so store-backed and
 in-memory views share memo entries bit-for-bit).  Pickling a store
-sequence ships only the store *path*: pool workers re-open the mmap
-instead of receiving a pickled payload.
+sequence ships only the store *path*: pool workers re-open the mmap.
 
-The streaming converter (:func:`convert_csv_to_store`) parses the CSV
-dialect of :mod:`repro.trace.io` row by row and appends fixed-size
-chunks to the column files -- the full Python row list is never
-materialised.  Its tolerant-loading semantics mirror
-:func:`~repro.trace.io.sequence_from_csv_report`, including inferring
-``num_servers`` from *accepted* rows only.
+:func:`convert_csv_to_store` runs the CSV reader of
+:mod:`repro.trace.io` and appends each chunk's checked columns straight
+to the column files, so it loads the rows, raises the errors and
+reports the :class:`~repro.trace.io.LoadReport` of
+:func:`~repro.trace.io.sequence_from_csv_report` without ever holding
+more than one chunk of Python rows.
 """
 
 from __future__ import annotations
 
-import csv
 import json
+from contextlib import closing
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
@@ -61,7 +60,7 @@ from ..cache.model import (
     TraceColumns,
     invert_items,
 )
-from .io import LoadReport
+from .io import LoadReport, TraceRows, _check_options, read_trace_csv
 
 __all__ = [
     "STORE_SCHEMA",
@@ -87,9 +86,6 @@ _COLUMNS: Dict[str, np.dtype] = {
     "inv_times": np.dtype("<f8"),
 }
 
-#: Rows buffered per flush in the streaming converter.
-CONVERT_CHUNK_ROWS = 65_536
-
 #: Elements gathered per chunk when building the inverted columns.
 _GATHER_CHUNK = 1 << 20
 
@@ -114,25 +110,6 @@ def _read_column(
         )
     arr.setflags(write=False)
     return arr
-
-
-class _ColumnWriter:
-    """Buffered append-only writer of one raw binary column."""
-
-    def __init__(self, directory: Path, name: str):
-        self.dtype = _COLUMNS[name]
-        self.path = directory / f"{name}.bin"
-        self._fh = open(self.path, "wb")
-        self.count = 0
-
-    def append(self, values) -> None:
-        arr = np.asarray(values, dtype=self.dtype)
-        if arr.size:
-            self._fh.write(arr.tobytes())
-            self.count += arr.size
-
-    def close(self) -> None:
-        self._fh.close()
 
 
 def _reopen_sequence(path: str, mmap: bool) -> "StoreSequence":
@@ -294,99 +271,61 @@ class TraceStore:
 
 
 class _StoreBuilder:
-    """Streaming writer of the request-major columns + inverted build.
-
-    ``add`` appends one request; ``finish`` closes the request-major
-    files, derives the item-major inverted columns from them (one
-    stable argsort of the item ids -- the only transient O(nnz)
-    allocation of the whole conversion), and writes ``meta.json``.
-    """
+    """Append-only writer of the store's column files: ``append`` writes
+    request-major chunks; ``finish`` derives the item-major inverted
+    columns from them (one stable argsort of the item ids, the only
+    transient O(nnz) allocation) and writes ``meta.json``."""
 
     def __init__(self, dest: Union[str, Path]):
         self.dest = Path(dest)
         self.dest.mkdir(parents=True, exist_ok=True)
-        self._servers = _ColumnWriter(self.dest, "servers")
-        self._times = _ColumnWriter(self.dest, "times")
-        self._offsets = _ColumnWriter(self.dest, "item_offsets")
-        self._ids = _ColumnWriter(self.dest, "item_ids")
-        self._buf_servers: List[int] = []
-        self._buf_times: List[float] = []
-        self._buf_offsets: List[int] = [0]
-        self._buf_ids: List[int] = []
+        self._files = {name: open(self.dest / f"{name}.bin", "wb") for name in _COLUMNS}
+        self._write("item_offsets", [0])
         self.n = 0
         self.nnz = 0
 
-    def add(self, server: int, time: float, items_sorted: List[int]) -> None:
-        self._buf_servers.append(server)
-        self._buf_times.append(time)
-        self._buf_ids.extend(items_sorted)
-        self.nnz += len(items_sorted)
-        self._buf_offsets.append(self.nnz)
-        self.n += 1
-        if len(self._buf_servers) >= CONVERT_CHUNK_ROWS:
-            self._flush()
+    def close(self) -> None:
+        for fh in self._files.values():
+            fh.close()
 
-    def _flush(self) -> None:
-        self._servers.append(self._buf_servers)
-        self._times.append(self._buf_times)
-        self._offsets.append(self._buf_offsets)
-        self._ids.append(self._buf_ids)
-        self._buf_servers.clear()
-        self._buf_times.clear()
-        self._buf_offsets.clear()
-        self._buf_ids.clear()
+    def _write(self, name: str, values) -> None:
+        self._files[name].write(np.asarray(values, dtype=_COLUMNS[name]).tobytes())
+
+    def append(self, rows: "TraceRows | TraceColumns") -> None:
+        """Append request-major columns whose ``item_offsets`` start at 0."""
+        self._write("servers", rows.servers)
+        self._write("times", rows.times)
+        self._write("item_offsets", rows.item_offsets[1:] + self.nnz)
+        self._write("item_ids", rows.item_ids)
+        self.n += len(rows.servers)
+        self.nnz += int(rows.item_offsets[-1])
 
     def finish(self, *, num_servers: int, origin: int) -> Path:
-        self._flush()
-        for w in (self._servers, self._times, self._offsets, self._ids):
-            w.close()
         n, nnz = self.n, self.nnz
-
-        # -- inverted (item-major) columns -------------------------------
-        inv_pos_w = _ColumnWriter(self.dest, "inv_positions")
-        inv_srv_w = _ColumnWriter(self.dest, "inv_servers")
-        inv_tim_w = _ColumnWriter(self.dest, "inv_times")
-        if nnz:
-            inv_items, inv_offsets, inv_positions = invert_items(
-                np.fromfile(
-                    self.dest / "item_offsets.bin", dtype=_COLUMNS["item_offsets"]
-                ),
-                np.fromfile(self.dest / "item_ids.bin", dtype=_COLUMNS["item_ids"]),
-            )
-            inv_pos_w.append(inv_positions)
-            servers_col = np.memmap(
-                self.dest / "servers.bin", dtype=_COLUMNS["servers"], mode="r"
-            )
-            times_col = np.memmap(
-                self.dest / "times.bin", dtype=_COLUMNS["times"], mode="r"
-            )
-            # gather chunk-wise so the per-item server/time columns never
-            # cost a second full-nnz resident allocation
-            for lo in range(0, nnz, _GATHER_CHUNK):
-                sel = inv_positions[lo : lo + _GATHER_CHUNK]
-                inv_srv_w.append(servers_col[sel])
-                inv_tim_w.append(times_col[sel])
-            del inv_positions, servers_col, times_col
-        else:
-            inv_items = np.empty(0, dtype=_COLUMNS["inv_items"])
-            inv_offsets = np.zeros(1, dtype=np.int64)
-        for w in (inv_pos_w, inv_srv_w, inv_tim_w):
-            w.close()
-        k = len(inv_items)
-        np.asarray(inv_items, dtype=_COLUMNS["inv_items"]).tofile(
-            self.dest / "inv_items.bin"
+        for name in ("servers", "times", "item_offsets", "item_ids"):
+            self._files[name].close()
+        inverted = invert_items(
+            _read_column(self.dest, "item_offsets", n + 1, mmap=False),
+            _read_column(self.dest, "item_ids", nnz, mmap=False),
         )
-        np.asarray(inv_offsets, dtype=_COLUMNS["inv_offsets"]).tofile(
-            self.dest / "inv_offsets.bin"
-        )
-
+        for name, column in zip(("inv_items", "inv_offsets", "inv_positions"), inverted):
+            self._write(name, column)
+        servers = _read_column(self.dest, "servers", n, mmap=True)
+        times = _read_column(self.dest, "times", n, mmap=True)
+        # gather chunk-wise so the per-item server/time columns never
+        # cost a second full-nnz resident allocation
+        for lo in range(0, nnz, _GATHER_CHUNK):
+            sel = inverted[2][lo : lo + _GATHER_CHUNK]
+            self._write("inv_servers", servers[sel])
+            self._write("inv_times", times[sel])
+        self.close()
         meta = {
             "schema": STORE_SCHEMA,
             "num_servers": int(num_servers),
             "origin": int(origin),
             "num_requests": int(n),
             "nnz": int(nnz),
-            "num_items": int(k),
+            "num_items": len(inverted[0]),
             "columns": {name: str(dt) for name, dt in _COLUMNS.items()},
         }
         # meta.json is written last: its presence marks a complete store
@@ -396,10 +335,14 @@ class _StoreBuilder:
 
 def write_store(seq: RequestSequence, path: Union[str, Path]) -> Path:
     """Persist ``seq`` as a columnar store directory; returns the path."""
-    builder = _StoreBuilder(path)
-    for r in seq:
-        builder.add(int(r.server), float(r.time), sorted(int(d) for d in r.items))
-    return builder.finish(num_servers=seq.num_servers, origin=seq.origin)
+    cols = seq.columns
+    for name in ("servers", "item_ids"):
+        col = getattr(cols, name)
+        if len(col) and not (-(2**31) <= col.min() and col.max() < 2**31):
+            raise ValueError(f"{name} do not fit the store's int32 column")
+    with closing(_StoreBuilder(path)) as builder:
+        builder.append(cols)
+        return builder.finish(num_servers=seq.num_servers, origin=seq.origin)
 
 
 def convert_csv_to_store(
@@ -410,113 +353,21 @@ def convert_csv_to_store(
     origin: Optional[int] = None,
     on_error: str = "raise",
 ) -> Tuple[Path, LoadReport]:
-    """Stream a :mod:`repro.trace.io` CSV into a columnar store.
+    """Convert a :mod:`repro.trace.io` CSV into a columnar store;
+    returns ``(store_path, LoadReport)``.
 
-    The file is parsed row by row and flushed to the column files in
-    :data:`CONVERT_CHUNK_ROWS` chunks -- the full row list is never
-    materialised, so conversion memory is bounded regardless of trace
-    size (the inverted-index build at the end is the only transient
-    O(nnz) allocation).
-
-    Semantics mirror :func:`~repro.trace.io.sequence_from_csv_report`:
-    ``# key=value`` header metadata, explicit arguments override the
-    header, ``on_error="skip"`` drops and counts dirty rows, and an
-    inferred ``num_servers`` (no header, no argument) is computed from
-    *accepted* rows only.  Returns ``(store_path, LoadReport)``.
+    :func:`~repro.trace.io.read_trace_csv` checks the file in
+    :data:`~repro.trace.io.CONVERT_CHUNK_ROWS`-row chunks, and each
+    chunk's accepted columns are appended to the column files, so memory
+    stays bounded by one chunk whatever the trace size (the inverted
+    build at the end is the only transient O(nnz) allocation).  Rows,
+    errors, overrides and report are those of
+    :func:`~repro.trace.io.sequence_from_csv_report` on the same text.
     """
-    if on_error not in ("raise", "skip"):
-        raise ValueError(
-            f"on_error must be 'raise' or 'skip', got {on_error!r}"
+    _check_options(on_error, num_servers)
+    with open(csv_path, newline="") as fh, closing(_StoreBuilder(store_path)) as builder:
+        num_servers, origin, report = read_trace_csv(
+            fh, builder.append,
+            num_servers=num_servers, origin=origin, on_error=on_error,
         )
-    skip = on_error == "skip"
-    report = LoadReport()
-    builder = _StoreBuilder(store_path)
-
-    meta: Dict[str, str] = {}
-    header_seen = False
-    resolved_servers = num_servers  # None = infer from accepted rows
-    resolved_origin = origin
-    max_server = -1
-    prev_time: Optional[float] = None
-
-    def reject(line: int, message: str) -> None:
-        if skip:
-            report.note(line, message)
-        else:
-            raise ValueError(message)
-
-    with open(csv_path, "r", newline="") as fh:
-        reader = csv.reader(fh)
-        for raw in reader:
-            line = reader.line_num
-            if not raw:
-                continue
-            if raw[0].lstrip().startswith("#"):
-                entry = raw[0].lstrip("# ").strip()
-                if "=" in entry:
-                    k, v = entry.split("=", 1)
-                    meta[k.strip()] = v.strip()
-                    if k.strip() == "num_servers" and num_servers is None:
-                        resolved_servers = int(v.strip())
-                    if k.strip() == "origin" and origin is None:
-                        resolved_origin = int(v.strip())
-                continue
-            if not header_seen:
-                expected = [c.strip().lower() for c in raw]
-                if expected[:3] != ["server", "time", "items"]:
-                    raise ValueError(
-                        f"unrecognised CSV header {raw!r}; "
-                        "expected server,time,items"
-                    )
-                header_seen = True
-                continue
-            report.rows_total += 1
-            if len(raw) < 3:
-                reject(line, f"malformed row {raw!r}")
-                continue
-            try:
-                server = int(raw[0])
-                time = float(raw[1])
-                items = sorted(
-                    {int(tok) for tok in raw[2].split("|") if tok != ""}
-                )
-            except ValueError as exc:
-                reject(line, f"unparseable row {raw!r}: {exc}")
-                continue
-            if not items:
-                reject(line, f"row at t={time} has no items")
-                continue
-            if server < 0:
-                reject(line, f"server index must be non-negative, got {server}")
-                continue
-            if resolved_servers is not None and server >= resolved_servers:
-                reject(
-                    line, f"server {server} outside [0, {resolved_servers})"
-                )
-                continue
-            if not (time >= 0 and np.isfinite(time)):
-                reject(line, f"row time must be finite and non-negative, got {time!r}")
-                continue
-            if prev_time is not None and time <= prev_time:
-                reject(
-                    line, f"time {time!r} not increasing past {prev_time!r}"
-                )
-                continue
-            builder.add(server, time, items)
-            prev_time = time
-            if server > max_server:
-                max_server = server
-    report.rows_loaded = builder.n
-
-    if resolved_servers is None:
-        resolved_servers = max(max_server, 0) + 1
-    if resolved_origin is None:
-        resolved_origin = 0
-    if not 0 <= resolved_origin < resolved_servers:
-        raise ValueError(
-            f"origin server {resolved_origin} outside [0, {resolved_servers})"
-        )
-    dest = builder.finish(
-        num_servers=resolved_servers, origin=resolved_origin
-    )
-    return dest, report
+        return builder.finish(num_servers=num_servers, origin=origin), report

@@ -23,6 +23,7 @@ from repro.cache.model import CostModel, Request, RequestSequence, SingleItemVie
 from repro.cache.optimal_dp import optimal_cost
 from repro.core.dp_greedy import solve_dp_greedy
 from repro.engine.memo import fingerprint_view
+from repro.errors import TraceRowError
 from repro.trace.io import sequence_from_csv_report, sequence_to_csv
 from repro.trace.store import (
     STORE_SCHEMA,
@@ -158,20 +159,47 @@ class TestConverter:
         "0,4.0,1|2\n"
     )
 
+    # a range rejection before a parse rejection: errors stay in line order
+    DIRTY_ORDER = (
+        "# num_servers=3\n"
+        "server,time,items\n"
+        "9,0.5,1\n"
+        "0,1.0,1\n"
+        "x,2.0,1\n"
+    )
+
     def test_skip_mode_mirrors_in_memory_loader(self, tmp_path: Path):
+        for text in (self.DIRTY, self.DIRTY_ORDER):
+            csv_path = tmp_path / "dirty.csv"
+            csv_path.write_text(text)
+            mem, mem_report = sequence_from_csv_report(text, on_error="skip")
+            dest, report = convert_csv_to_store(
+                csv_path, tmp_path / "store", on_error="skip"
+            )
+            sseq = TraceStore.open(dest)
+            assert sseq.requests == mem.requests
+            assert sseq.num_servers == mem.num_servers
+            assert report.rows_total == mem_report.rows_total
+            assert report.rows_loaded == mem_report.rows_loaded
+            assert report.rows_skipped == mem_report.rows_skipped
+            assert report.errors == mem_report.errors
+            lines = [line for line, _msg in report.errors]
+            assert lines == sorted(lines)
+
+    @pytest.mark.parametrize(
+        "text, line, match",
+        [(DIRTY, 4, "malformed"), (DIRTY_ORDER, 3, r"server 9 outside \[0, 3\)")],
+        ids=["dirty", "order"],
+    )
+    def test_raise_mode_mirrors_in_memory_loader(self, tmp_path: Path, text, line, match):
         csv_path = tmp_path / "dirty.csv"
-        csv_path.write_text(self.DIRTY)
-        mem, mem_report = sequence_from_csv_report(self.DIRTY, on_error="skip")
-        dest, report = convert_csv_to_store(
-            csv_path, tmp_path / "store", on_error="skip"
-        )
-        sseq = TraceStore.open(dest)
-        assert sseq.requests == mem.requests
-        assert sseq.num_servers == mem.num_servers
-        assert report.rows_total == mem_report.rows_total
-        assert report.rows_loaded == mem_report.rows_loaded
-        assert report.rows_skipped == mem_report.rows_skipped
-        assert report.errors == mem_report.errors
+        csv_path.write_text(text)
+        with pytest.raises(TraceRowError, match=match) as mem:
+            sequence_from_csv_report(text)
+        with pytest.raises(TraceRowError, match=match) as conv:
+            convert_csv_to_store(csv_path, tmp_path / "store")
+        assert mem.value.line == conv.value.line == line
+        assert str(mem.value) == str(conv.value)
 
     def test_raise_mode_surfaces_the_first_dirty_row(self, tmp_path: Path):
         csv_path = tmp_path / "dirty.csv"
