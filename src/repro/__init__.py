@@ -110,6 +110,7 @@ from .engine import (
 )
 from .errors import (
     ReproError,
+    RequestRowError,
     TraceRowError,
     UnitSolveError,
     UnitTimeoutError,
@@ -192,6 +193,7 @@ __all__ = [
     "ChaosError",
     "chaos_from_env",
     "ReproError",
+    "RequestRowError",
     "TraceRowError",
     "UnitSolveError",
     "UnitTimeoutError",

@@ -10,9 +10,9 @@ built on:
   requests together with the server universe and the origin server that
   initially stores every data item.  Every pass over the trace (the
   audit, Phase 1's counts, the per-item and per-group projections)
-  reads one columnar layout, :class:`TraceColumns`, which an in-memory
-  sequence builds once from its requests and a trace store maps from
-  disk.
+  reads one columnar layout, :class:`TraceColumns`, which the
+  constructor builds from its rows in one vectorised pass and a trace
+  store maps from disk.
 * :class:`CostModel` -- the homogeneous cost model of Section III-B:
   caching one item costs ``mu`` per time unit, transferring one item
   between any pair of servers costs ``lam``, and a package of ``k`` packed
@@ -31,14 +31,16 @@ used interchangeably with the request index, exactly as the paper does.
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from itertools import chain, compress
 from typing import (
     Dict, FrozenSet, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
+
+from ..errors import RequestRowError
 
 __all__ = [
     "Request",
@@ -68,11 +70,13 @@ _EMPTY_FLOAT = np.empty(0, dtype=np.float64)
 _EMPTY_INT.setflags(write=False)
 _EMPTY_FLOAT.setflags(write=False)
 
-#: Instance-dict keys of the lazily built columnar caches; dropped on
-#: pickling (cheap to rebuild, heavy to ship to pool workers).
-_CACHE_KEYS = (
-    "_cols_cache", "_proj_cache", "_links_cache", "_iview_cache", "_gview_cache",
-)
+#: A server or item id is a Python or numpy integer in int64; a time,
+#: a Python or numpy real.  Item sets of other types than ``_ID_SETS``
+#: are copied to tuples, and a value that is no collection is one id.
+_INTEGERS = (int, np.integer)
+_INT64 = (int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max))
+_REALS = (int, float, np.integer, np.floating)
+_ID_SETS = (frozenset, set, tuple, list)
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,9 +132,24 @@ def validate_trajectory(
     :meth:`RequestSequence.validate` audits a sequence: ``num_servers``
     positive, ``origin`` and every server in ``[0, num_servers)``, times
     finite, non-negative and strictly increasing, and -- with ``empty``
-    (a per-row mask) -- no empty item set.  Raises ``ValueError`` naming
-    the first failing row and, for that row, the first failing check.
+    (a per-row mask) -- no empty item set.  Raises
+    :class:`~repro.errors.RequestRowError` naming the first failing row
+    and, for that row, the first failing check.
     """
+    ok, prev = _trajectory_mask(servers, times, num_servers, origin)
+    if empty is not None:
+        ok &= ~empty
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _row_error(
+            i, int(servers[i]), float(times[i]), prev[i], num_servers,
+            () if empty is not None and empty[i] else None,
+        )
+
+
+def _trajectory_mask(servers, times, num_servers: int, origin: int):
+    """``(ok, prev)``: the rows passing every server and time check, and
+    each row's previous time; a bad universe or origin raises."""
     if num_servers <= 0:
         raise ValueError(f"num_servers must be positive, got {num_servers}")
     if not 0 <= origin < num_servers:
@@ -141,43 +160,114 @@ def validate_trajectory(
     prev[:1] = -math.inf
     prev[1:] = times[:-1]
     # one mask passes exactly the rows every check passes (NaN fails
-    # every comparison); the message is formatted for the first row
-    # that fails it
+    # every comparison)
     with np.errstate(invalid="ignore"):
         ok = (times >= 0) & (times < math.inf) & (times > prev)
-    ok &= (servers >= 0) & (servers < num_servers)
-    if empty is not None:
-        ok &= ~empty
-    bad = np.flatnonzero(~ok)
-    if len(bad):
-        i = int(bad[0])
-        _raise_invalid(
-            i, int(servers[i]), float(times[i]), float(prev[i]), num_servers,
-            empty is not None and bool(empty[i]),
-        )
+    return ok & (servers >= 0) & (servers < num_servers), prev
 
 
-def _raise_invalid(
-    i: int, server: int, t: float, prev: float, num_servers: int, empty: bool
-) -> None:
-    """Raise the indexed :func:`validate_trajectory` message for
-    ``request[i]``, checking its conditions in their documented order."""
-    where = f"request[{i}] (server {server}, t={t!r})"
+def _row_error(i: int, server, time, prev, num_servers: int, ids) -> RequestRowError:
+    """The error of ``request[i]``, a row a mask rejected: the first rule
+    its values, as given, break (``ids=None``: the mask read no ids)."""
+    server = int(server) if isinstance(server, _INTEGERS) else server
+    if not isinstance(time, _REALS):
+        return RequestRowError(i, server, time, "time is not a number")
+    t, prev = float(time), float(prev)
     if math.isnan(t):
-        raise ValueError(f"{where}: time is NaN")
-    if math.isinf(t):
-        raise ValueError(f"{where}: time is infinite")
-    if t < 0:
-        raise ValueError(f"{where}: time is negative")
-    if t <= prev:
-        raise ValueError(
-            f"{where}: times must be strictly increasing "
-            f"(previous was {prev!r})"
-        )
-    if not 0 <= server < num_servers:
-        raise ValueError(f"{where}: server id outside [0, {num_servers})")
-    if empty:
-        raise ValueError(f"{where}: empty item set")
+        rule = "time is NaN"
+    elif math.isinf(t):
+        rule = "time is infinite"
+    elif t < 0:
+        rule = "time is negative"
+    elif t <= prev:
+        rule = f"times must be strictly increasing (previous was {prev!r})"
+    elif not isinstance(server, _INTEGERS):
+        rule = "server id is not an integer"
+    elif not 0 <= server < num_servers:
+        rule = f"server id outside [0, {num_servers})"
+    elif not len(ids):
+        rule = "empty item set"
+    else:
+        d = next(d for d in ids if not (isinstance(d, _INTEGERS) and _INT64[0] <= d <= _INT64[1]))
+        what = "outside int64" if isinstance(d, _INTEGERS) else "is not an integer"
+        rule = f"item id {d!r} {what}"
+    return RequestRowError(i, server, t, rule)
+
+
+def _column(values: Sequence, dtype, kinds: str, types, bounds):
+    """``values`` as a ``dtype`` column, and the mask of the entries that
+    are not ``types`` within ``bounds`` (they read 0).  One dtype test
+    passes a clean column; only a failed test walks the entries."""
+    try:
+        column = np.array(values)
+    except ValueError:  # ragged nested sequences
+        column = None
+    if column is not None and column.ndim == 1 and column.dtype.kind in kinds:
+        return column.astype(dtype, copy=False), np.zeros(len(column), dtype=bool)
+    good = [isinstance(v, types) and bounds[0] <= v <= bounds[1] for v in values]
+    column = np.array([v if ok else 0 for v, ok in zip(values, good)], dtype=dtype)
+    return column, ~np.array(good, dtype=bool)
+
+
+def _transpose(rows: Sequence):
+    """The ``(servers, times, items)`` columns of the constructor's rows,
+    every value as given."""
+    if not rows:
+        return (), (), ()
+    if Request in set(map(type, rows)):
+        rows = [(r.server, r.time, r.items) if isinstance(r, Request) else r for r in rows]
+    try:
+        columns = tuple(zip(*rows, strict=True))
+    except (TypeError, ValueError):  # a row is no sequence, or rows differ in length
+        columns = ()
+    if len(columns) == 3:
+        return columns
+    i = next(i for i, r in enumerate(rows) if not (hasattr(r, "__len__") and len(r) == 3))
+    raise RequestRowError(i, None, None, f"malformed request {rows[i]!r}")
+
+
+def _sort_row_ids(row_of: np.ndarray, ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort every row's ids and drop repeats (``ids[j]`` is in row
+    ``row_of[j]``, rows in order): one test passes rows already sorted
+    and repeat-free, else one ``np.lexsort`` by (row, id) does it."""
+    inner = row_of[1:] == row_of[:-1]
+    if (ids[1:][inner] > ids[:-1][inner]).all():
+        return row_of, ids
+    order = np.lexsort((ids, row_of))
+    row_of, ids = row_of[order], ids[order]
+    fresh = np.ones(len(ids), dtype=bool)
+    fresh[1:] = (row_of[1:] != row_of[:-1]) | (ids[1:] != ids[:-1])
+    return row_of[fresh], ids[fresh]
+
+
+def _request_csr(requests: Iterable, num_servers: int, origin: int):
+    """``(servers, times, item_offsets, item_ids)`` of the constructor's
+    rows, transposed once and checked by one mask; only the first row
+    the mask rejects is looked at alone, for its message."""
+    rows = requests if isinstance(requests, (tuple, list)) else tuple(requests)
+    server_of, time_of, id_sets = _transpose(rows)
+    if not set(map(type, id_sets)).issubset(_ID_SETS):
+        id_sets = [
+            d if isinstance(d, _ID_SETS) else tuple(d)
+            if hasattr(d, "__iter__") and not isinstance(d, (str, bytes)) else (d,)
+            for d in id_sets
+        ]
+    sizes = np.fromiter(map(len, id_sets), np.int64, len(rows))
+    servers, bad_servers = _column(server_of, np.int64, "i", _INTEGERS, _INT64)
+    times, bad_times = _column(time_of, np.float64, "iuf", _REALS, (-math.inf, math.inf))
+    flat = list(chain.from_iterable(id_sets))
+    ids, bad_ids = _column(flat, np.int64, "i", _INTEGERS, _INT64)
+    row_of = np.repeat(np.arange(len(rows)), sizes)
+    ok, prev = _trajectory_mask(servers, times, num_servers, origin)
+    ok &= (sizes > 0) & ~bad_servers & ~bad_times
+    ok[row_of[bad_ids]] = False
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _row_error(i, server_of[i], time_of[i], prev[i], num_servers, id_sets[i])
+    row_of, ids = _sort_row_ids(row_of, ids)
+    item_offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row_of, minlength=len(rows)), out=item_offsets[1:])
+    return servers, times, item_offsets, ids
 
 
 class TraceColumns(NamedTuple):
@@ -188,9 +278,10 @@ class TraceColumns(NamedTuple):
     and de-duplicated.  The item-major *inverted* columns list, for each
     distinct item ``inv_items[a]``, the ascending request positions
     carrying it (``inv_positions[inv_offsets[a]:inv_offsets[a + 1]]``)
-    and those requests' servers and times.  In-memory sequences build
-    these once from their requests (:func:`columns_of`); a trace store
-    maps the same columns from disk (:mod:`repro.trace.store`).
+    and those requests' servers and times.  The sequence constructor
+    builds them from its rows (:func:`invert_items` does the inversion);
+    a trace store maps the same columns from disk
+    (:mod:`repro.trace.store`).
     """
 
     servers: np.ndarray
@@ -226,17 +317,10 @@ def invert_items(
     return sorted_ids[starts], np.append(starts, len(sorted_ids)), positions
 
 
-def columns_of(requests: Sequence[Request]) -> TraceColumns:
-    """Build the :class:`TraceColumns` of a tuple of requests."""
-    n = len(requests)
-    rows = [sorted(r.items) for r in requests]
-    item_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, rows), np.int64, n), out=item_offsets[1:])
-    item_ids = np.fromiter(
-        itertools.chain.from_iterable(rows), np.int64, int(item_offsets[-1])
-    )
-    servers = np.fromiter((r.server for r in requests), np.int64, n)
-    times = np.fromiter((r.time for r in requests), np.float64, n)
+def _columns(
+    servers: np.ndarray, times: np.ndarray, item_offsets: np.ndarray, item_ids: np.ndarray
+) -> TraceColumns:
+    """The read-only :class:`TraceColumns` of request-major columns."""
     inv_items, inv_offsets, inv_positions = invert_items(item_offsets, item_ids)
     cols = TraceColumns(
         servers, times, item_offsets, item_ids, inv_items, inv_offsets,
@@ -332,17 +416,6 @@ class SameServerIndex(NamedTuple):
         return _view_links(self.prev[lo : lo + count + 1], self.nxt[lo : lo + count + 1])
 
 
-def _as_request(obj: "Request | Tuple") -> Request:
-    """Coerce ``(server, time, items)`` tuples into :class:`Request`."""
-    if isinstance(obj, Request):
-        return obj
-    server, time, items = obj
-    if isinstance(items, int):
-        items = (items,)
-    return Request(server=int(server), time=float(time), items=frozenset(items))
-
-
-@dataclass(frozen=True)
 class RequestSequence:
     """A time-ordered request sequence over ``m`` servers and ``k`` items.
 
@@ -352,58 +425,96 @@ class RequestSequence:
     ``s_1``).
 
     The constructor accepts :class:`Request` instances or plain
-    ``(server, time, items)`` tuples and validates that
-
-    * timestamps are strictly increasing (at most one request per instant),
-    * every server index is within ``[0, num_servers)``,
-    * the origin server is within range.
+    ``(server, time, items)`` tuples (``items`` a collection of ids, or
+    one bare id), transposes them in one vectorised pass into its state,
+    the read-only ``columns`` (:class:`TraceColumns`), and validates that
+    timestamps are finite, non-negative and strictly increasing (at most
+    one request per instant), server ids (and the origin) integers in
+    ``[0, num_servers)``, item sets non-empty and item ids integers in
+    int64, raising :class:`~repro.errors.RequestRowError` for the first
+    row that breaks a rule.  ``Request`` objects are built only when
+    ``requests``, iteration or indexing asks.  Sequences are immutable,
+    and compare and hash by ``num_servers``, ``origin`` and columns.
     """
 
-    requests: Tuple[Request, ...]
     num_servers: int
-    origin: int = 0
-    _item_universe: FrozenSet[int] = field(init=False, repr=False, default=frozenset())
+    origin: int
+    columns: TraceColumns
+    items: FrozenSet[int]  #: the distinct data items of the sequence
 
-    def __post_init__(self) -> None:
-        reqs = tuple(_as_request(r) for r in self.requests)
-        object.__setattr__(self, "requests", reqs)
-        if self.num_servers <= 0:
-            raise ValueError("num_servers must be positive")
-        if not 0 <= self.origin < self.num_servers:
-            raise ValueError(
-                f"origin server {self.origin} outside [0, {self.num_servers})"
-            )
-        prev = -math.inf
-        for r in reqs:
-            if r.server >= self.num_servers:
-                raise ValueError(
-                    f"request at server {r.server} but only {self.num_servers} servers"
-                )
-            if r.time <= prev:
-                raise ValueError(
-                    "request times must be strictly increasing "
-                    f"(got {r.time} after {prev})"
-                )
-            prev = r.time
-        universe = frozenset(itertools.chain.from_iterable(r.items for r in reqs))
-        object.__setattr__(self, "_item_universe", universe)
+    def __init__(self, requests: Iterable, num_servers: int, origin: int = 0) -> None:
+        csr = _request_csr(requests, num_servers, origin)
+        self._adopt(_columns(*csr), num_servers, origin)
+
+    @classmethod
+    def _from_csr(cls, csr: Tuple[np.ndarray, ...], num_servers: int, origin: int):
+        """A sequence over checked CSR rows (the CSV reader's)."""
+        seq = cls.__new__(cls)
+        seq._adopt(_columns(*csr), num_servers, origin)
+        return seq
+
+    def _adopt(self, columns: TraceColumns, num_servers: int, origin: int) -> None:
+        vars(self).update(
+            num_servers=num_servers, origin=origin, columns=columns,
+            items=frozenset(columns.inv_items.tolist()),
+        )
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        n, m = len(self), self.num_servers
+        return f"{type(self).__name__}(n={n}, num_servers={m}, origin={self.origin})"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestSequence):
+            return NotImplemented
+        return (self.num_servers, self.origin) == (other.num_servers, other.origin) and all(
+            map(np.array_equal, self.columns[:4], other.columns[:4])
+        )
+
+    def __hash__(self) -> int:
+        cols = self.columns
+        key = (np.asarray(c, np.int64).tobytes() for c in (cols.servers, cols.item_ids))
+        return hash((self.num_servers, self.origin, *key))
 
     # ------------------------------------------------------------------
-    # basic container protocol
+    # container protocol: Request objects built on demand
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.requests)
+        return len(self.columns.servers)
+
+    def _built(self, lo: int, hi: int) -> Tuple[Request, ...]:
+        """Rows ``lo`` to ``hi - 1`` as :class:`Request` objects."""
+        cols = self.columns
+        start, stop = cols.item_offsets[lo], cols.item_offsets[hi]
+        ids = cols.item_ids[start:stop].tolist()
+        bounds = (cols.item_offsets[lo : hi + 1] - start).tolist()
+        return tuple(map(
+            Request, cols.servers[lo:hi].tolist(), cols.times[lo:hi].tolist(),
+            map(frozenset, map(ids.__getitem__, map(slice, bounds, bounds[1:]))),
+        ))
+
+    @property
+    def requests(self) -> Tuple[Request, ...]:
+        """Every request as a :class:`Request`, built from the columns on
+        first use and kept (O(n) Python objects; no solve reads them)."""
+        if "_req_cache" not in vars(self):
+            vars(self)["_req_cache"] = self._built(0, len(self))
+        return vars(self)["_req_cache"]
 
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
-    def __getitem__(self, idx: int) -> Request:
-        return self.requests[idx]
-
-    @property
-    def items(self) -> FrozenSet[int]:
-        """The set of distinct data items appearing in the sequence."""
-        return self._item_universe
+    def __getitem__(self, idx):
+        """A request, or a tuple for a slice: only the rows asked for are
+        built, unless :attr:`requests` already holds them all."""
+        if "_req_cache" in vars(self):
+            return self.requests[idx]
+        rows = range(len(self))[idx]
+        if isinstance(rows, range):
+            return tuple(self._built(i, i + 1)[0] for i in rows)
+        return self._built(rows, rows + 1)[0]
 
     @property
     def times(self) -> Tuple[float, ...]:
@@ -414,60 +525,44 @@ class RequestSequence:
         return tuple(self.servers_array.tolist())
 
     # ------------------------------------------------------------------
-    # the columnar layout (built lazily, once)
+    # the columnar layout
     # ------------------------------------------------------------------
     #
-    # Every derived operation below reads :class:`TraceColumns`.  An
-    # in-memory sequence builds them from its requests on first use --
-    # not in the constructor, so :meth:`validate` audits the requests
-    # as they are when it runs -- and keeps them, with the per-item and
-    # per-group views, in the instance ``__dict__`` (the dataclass is
-    # frozen but not slotted).  The caches are dropped on pickling: pool
-    # workers rebuild them on first use instead of paying the ship
-    # cost.  Concurrent first calls from several threads can at worst
-    # duplicate a build; the results are equivalent, so the race is
-    # benign.
-
-    def _columns(self) -> TraceColumns:
-        cols = self.__dict__.get("_cols_cache")
-        if cols is None:
-            cols = columns_of(self.requests)
-            object.__setattr__(self, "_cols_cache", cols)
-        return cols
-
-    @property
-    def columns(self) -> TraceColumns:
-        """The sequence's :class:`TraceColumns` (read-only)."""
-        return self._columns()
+    # Every derived operation below reads :attr:`columns`; the per-item
+    # and per-group views are built lazily, kept in the instance
+    # ``__dict__`` and dropped on pickling (pool workers rebuild them on
+    # first use instead of paying the ship cost).  Concurrent first calls
+    # from several threads can at worst duplicate a build; the results
+    # are equivalent, so the race is benign.
 
     @property
     def servers_array(self) -> np.ndarray:
         """Whole-sequence server ids as a read-only integer column."""
-        return self._columns().servers
+        return self.columns.servers
 
     @property
     def times_array(self) -> np.ndarray:
         """Whole-sequence timestamps as a read-only ``float64`` column."""
-        return self._columns().times
+        return self.columns.times
 
     def item_csr(self) -> Tuple[np.ndarray, np.ndarray]:
         """The request-major CSR ``(item_offsets, item_ids)``: row ``i``'s
         item set is ``item_ids[item_offsets[i]:item_offsets[i + 1]]``,
         sorted ascending and de-duplicated."""
-        cols = self._columns()
+        cols = self.columns
         return cols.item_offsets, cols.item_ids
 
     # ------------------------------------------------------------------
     # integrity audit
     # ------------------------------------------------------------------
     def validate(self) -> "RequestSequence":
-        """Re-audit every sequence invariant; raise ``ValueError`` with
-        the offending request's index on the first violation.
+        """Re-audit every sequence invariant; raise
+        :class:`~repro.errors.RequestRowError` (a ``ValueError``) with the
+        offending request's index on the first violation.
 
         The constructor already enforces these for sequences built the
         normal way, but corrupt data can still arrive -- deserialised
-        payloads, hand-built tuples mutated after the fact, NaN times
-        smuggled in through numpy scalars, tampered store columns.
+        payloads, tampered columns in memory or in a store.
         :func:`solve_dp_greedy` calls this once at entry so such inputs
         fail fast with a precise, indexed message instead of surfacing
         as an opaque IndexError or a silently wrong cost deep inside a
@@ -475,7 +570,7 @@ class RequestSequence:
         for that row, the first failing check.  Returns ``self`` so
         call sites can chain.
         """
-        cols = self._columns()
+        cols = self.columns
         validate_trajectory(
             cols.servers, cols.times, self.num_servers, self.origin,
             empty=np.diff(cols.item_offsets) <= 0,
@@ -487,7 +582,7 @@ class RequestSequence:
     # ------------------------------------------------------------------
     def item_counts(self) -> Dict[int, int]:
         """``|d_i|`` of Eq. (5): number of requests containing each item."""
-        cols = self._columns()
+        cols = self.columns
         return dict(zip(cols.inv_items.tolist(), np.diff(cols.inv_offsets).tolist()))
 
     def cooccurrence(self, d_i: int, d_j: int) -> int:
@@ -501,7 +596,7 @@ class RequestSequence:
 
     def total_item_requests(self) -> int:
         """``|d_1| + |d_2| + ... + |d_k|``, the ``ave_cost`` denominator."""
-        return len(self._columns().item_ids)
+        return len(self.columns.item_ids)
 
     # ------------------------------------------------------------------
     # projections
@@ -513,13 +608,7 @@ class RequestSequence:
         this is the per-item view on which the single-item optimal off-line
         algorithm of [6] operates.
         """
-        view = self.item_view(item)
-        only = frozenset((int(item),))
-        reqs = tuple(
-            Request(s, t, only)
-            for s, t in zip(view.servers.tolist(), view.times.tolist())
-        )
-        return RequestSequence(reqs, self.num_servers, self.origin)
+        return self.restrict_to_items((item,))
 
     def restrict_to_items(
         self, items: Iterable[int], mode: str = "any"
@@ -551,15 +640,12 @@ class RequestSequence:
             hits = carried.sum(axis=1)
             keep = hits == (len(members) if mode == "all" else 1)
             rows, carried = rows[keep], carried[keep]
-        reqs = tuple(
-            Request(s, t, frozenset(d for d, has in zip(members, flags) if has))
-            for s, t, flags in zip(
-                self.servers_array[rows].tolist(),
-                self.times_array[rows].tolist(),
-                carried.tolist(),
-            )
+        kept = zip(
+            self.servers_array[rows].tolist(),
+            self.times_array[rows].tolist(),
+            [list(compress(members, flags)) for flags in carried.tolist()],
         )
-        return RequestSequence(reqs, self.num_servers, self.origin)
+        return RequestSequence(kept, self.num_servers, self.origin)
 
     def single_item_view(self) -> "SingleItemView":
         """Flatten to (servers, times) tuples for the single-item solvers.
@@ -576,7 +662,7 @@ class RequestSequence:
         )
 
     def _check_single_item(self) -> None:
-        if np.any(np.diff(self._columns().item_offsets) != 1):
+        if np.any(np.diff(self.columns.item_offsets) != 1):
             raise ValueError("single_item_view requires single-item requests")
 
     # ------------------------------------------------------------------
@@ -589,7 +675,7 @@ class RequestSequence:
         ``a`` in the inverted columns and zero-copy slices of them."""
         proj = self.__dict__.get("_proj_cache")
         if proj is None:
-            cols = self._columns()
+            cols = self.columns
             offs = cols.inv_offsets.tolist()
             proj = {
                 d: (
@@ -611,7 +697,7 @@ class RequestSequence:
         the Observation-2 pass read it."""
         index = self.__dict__.get("_links_cache")
         if index is None:
-            cols = self._columns()
+            cols = self.columns
             heads = cols.inv_offsets[:-1]
             starts = heads + np.arange(len(heads))
             events = np.insert(
@@ -710,18 +796,17 @@ class RequestSequence:
         return view
 
     # ------------------------------------------------------------------
-    # pickling: ship the model, not the derived caches
+    # pickling: ship the columns, not the derived caches
     # ------------------------------------------------------------------
     def __getstate__(self) -> Dict[str, object]:
-        return {k: v for k, v in self.__dict__.items() if k not in _CACHE_KEYS}
+        return {k: vars(self)[k] for k in ("num_servers", "origin", "columns")}
 
     def __setstate__(self, state: Dict[str, object]) -> None:
-        # strip cache keys defensively: a foreign/future pickle that does
-        # carry them would alias writable buffers across processes --
-        # rebuild locally instead of trusting shipped state
-        self.__dict__.update(
-            {k: v for k, v in state.items() if k not in _CACHE_KEYS}
-        )
+        # adopt the model only: cache keys a foreign/future pickle carries
+        # would alias buffers across processes, so they are rebuilt here
+        for column in state["columns"]:
+            column.setflags(write=False)
+        self._adopt(state["columns"], state["num_servers"], state["origin"])
 
 
 @dataclass(frozen=True, slots=True)

@@ -284,26 +284,17 @@ def correlation_stats(
     if backend != "dense":
         raise ValueError(f"unknown similarity backend {backend!r}")
     items = tuple(sorted(seq.items))
-    k = len(items)
-    idx = {d: a for a, d in enumerate(items)}
     n = len(seq)
 
-    # Flatten (request, item) memberships once and scatter them into the
+    # Scatter the (request, item) memberships of the item CSR into the
     # incidence matrix with a single fancy-indexed assignment; the matrix
     # is float64 so the co-occurrence product below runs through BLAS
     # instead of numpy's slow integer matmul.  Counts are sums of 0/1
     # entries, far below 2**53, so the float accumulation is exact.
-    total = seq.total_item_requests()
-    rows = np.empty(total, dtype=np.intp)
-    cols = np.empty(total, dtype=np.intp)
-    pos = 0
-    for row, r in enumerate(seq):
-        for d in r.items:
-            rows[pos] = row
-            cols[pos] = idx[d]
-            pos += 1
-    incidence = np.zeros((n, k), dtype=np.float64)
-    incidence[rows, cols] = 1.0
+    offsets, ids = seq.item_csr()
+    rows = np.repeat(np.arange(n), np.diff(offsets))
+    incidence = np.zeros((n, len(items)), dtype=np.float64)
+    incidence[rows, np.searchsorted(items, ids)] = 1.0
 
     co_f = incidence.T @ incidence  # co[a, b] = |(d_a, d_b)|, diag = |d_a|
     co = np.rint(co_f).astype(np.int64)

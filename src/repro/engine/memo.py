@@ -59,26 +59,19 @@ def fingerprint_view(
     the same trajectory -- a store-backed solve hits the same memo
     entries as the in-memory solve of the same trace.
 
-    A :class:`RequestSequence` whose columnar cache is already
-    materialised hashes ``servers_array``/``times_array`` directly via
-    ``ndarray.tobytes()`` (they are already int64/float64) instead of
-    rebuilding the trajectory as tuples through ``single_item_view`` --
-    same bytes, same digest, no per-request Python objects.  Item sets
-    are non-empty by construction, so a ≤1-item universe is exactly the
-    ``single_item_view`` validity condition.
+    A :class:`RequestSequence` hashes its ``servers_array`` /
+    ``times_array`` columns directly, with no per-request Python
+    objects.  Item sets are non-empty by construction, so a ≤1-item
+    universe is exactly the ``single_item_view`` validity condition.
     """
     if isinstance(view, RequestSequence):
-        cols = view.__dict__.get("_cols_cache")
-        if cols is not None and len(view.items) <= 1:
-            servers_bytes = cols.servers.tobytes()
-            times_bytes = cols.times.tobytes()
-        else:
-            view = view.single_item_view()
-            servers_bytes = np.asarray(view.servers, dtype=np.int64).tobytes()
-            times_bytes = np.asarray(view.times, dtype=np.float64).tobytes()
+        if len(view.items) > 1:
+            view.single_item_view()  # raises: not a single-item sequence
+        servers, times = view.servers_array, view.times_array
     else:
-        servers_bytes = np.asarray(view.servers, dtype=np.int64).tobytes()
-        times_bytes = np.asarray(view.times, dtype=np.float64).tobytes()
+        servers, times = view.servers, view.times
+    servers_bytes = np.asarray(servers, dtype=np.int64).tobytes()
+    times_bytes = np.asarray(times, dtype=np.float64).tobytes()
     h = hashlib.blake2b(digest_size=16)
     h.update(
         struct.pack(

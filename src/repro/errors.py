@@ -17,7 +17,9 @@ The hierarchy::
     │   └── (ChaosError is the usual *cause* under fault injection;
     │        see repro.engine.chaos)
     ├── UnitTimeoutError    one serving unit exceeded its per-unit timeout
-    └── TraceRowError       a trace file line the CSV loaders refuse
+    ├── TraceRowError       a trace file line the CSV loaders refuse
+    │                       (also a ValueError)
+    └── RequestRowError     a request a sequence refuses, by its index
                             (also a ValueError)
 """
 
@@ -27,6 +29,7 @@ from typing import Optional
 
 __all__ = [
     "ReproError",
+    "RequestRowError",
     "TraceRowError",
     "UnitSolveError",
     "UnitTimeoutError",
@@ -57,6 +60,21 @@ class TraceRowError(ReproError, ValueError):
 
     def __reduce__(self):
         return type(self), (self.line, self.message)
+
+
+class RequestRowError(ReproError, ValueError):
+    """A request a :class:`~repro.cache.model.RequestSequence` (or a DP
+    solver's trajectory audit) refuses: ``index``, ``server`` and
+    ``time`` as given (``None`` for a row that is no ``(server, time,
+    items)``), and ``message``, the first rule it breaks."""
+
+    def __init__(self, index: int, server, time, message: str):
+        self.index, self.server, self.time, self.message = index, server, time, message
+        where = "" if server is None and time is None else f" (server {server}, t={time!r})"
+        super().__init__(f"request[{index}]{where}: {message}")
+
+    def __reduce__(self):
+        return type(self), (self.index, self.server, self.time, self.message)
 
 
 class UnitSolveError(ReproError):

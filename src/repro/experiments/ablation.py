@@ -54,22 +54,13 @@ def _mixed_similarity_workload(seed: int, n_per_pair: int, num_servers: int):
                 hotspot_skew=0.15,
             )
         )
-    merged = []
-    offset = 0.0
-    for s in seqs:
-        # interleave by jittering each sub-sequence's times slightly
-        merged.extend(s.requests)
-    merged.sort(key=lambda r: r.time)
+    merged = sorted((r for s in seqs for r in s), key=lambda r: r.time)
     # enforce strict monotonicity after the merge
-    from ..cache.model import Request
-
-    out = []
-    prev = 0.0
+    rows, prev = [], 0.0
     for r in merged:
-        t = max(r.time, prev + 1e-6)
-        out.append(Request(r.server, t, r.items))
-        prev = t
-    return RequestSequence(tuple(out), num_servers=num_servers, origin=0)
+        prev = max(r.time, prev + 1e-6)
+        rows.append((r.server, prev, r.items))
+    return RequestSequence(rows, num_servers=num_servers, origin=0)
 
 
 def run_theta_ablation(

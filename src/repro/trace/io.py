@@ -41,7 +41,7 @@ from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from ..cache.model import Request, RequestSequence
+from ..cache.model import RequestSequence, _sort_row_ids
 from ..errors import TraceRowError
 
 __all__ = [
@@ -94,6 +94,12 @@ class TraceRows(NamedTuple):
     item_ids: np.ndarray
 
 
+#: A chunk of no rows: what :func:`_load` joins the reader's chunks onto.
+_NO_ROWS = TraceRows(
+    np.empty(0, np.int64), np.empty(0), np.zeros(1, np.int64), np.empty(0, np.int64)
+)
+
+
 def sequence_to_csv(seq: RequestSequence) -> str:
     """Serialise ``seq`` (with metadata header) to CSV text."""
     buf = io.StringIO()
@@ -101,13 +107,11 @@ def sequence_to_csv(seq: RequestSequence) -> str:
     buf.write(f"# origin={seq.origin}\n")
     writer = csv.writer(buf)
     writer.writerow(["server", "time", "items"])
-    for r in seq:
-        items = "|".join(str(int(d)) for d in sorted(r.items))
-        # normalise through float()/int(): columnar sequences hand out
-        # numpy scalars, whose repr under numpy>=2 is "np.float64(0.5)"
-        # -- unparseable on reload.  repr(float(t)) is the shortest
-        # round-tripping decimal, so the reload is bit-exact.
-        writer.writerow([int(r.server), repr(float(r.time)), items])
+    offsets, ids = seq.item_csr()
+    ids, bounds = ids.tolist(), offsets.tolist()
+    cells = ("|".join(map(str, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    # repr(float) is the shortest round-tripping decimal: reloads are bit-exact
+    writer.writerows(zip(seq.servers_array.tolist(), map(repr, seq.times_array.tolist()), cells))
     return buf.getvalue()
 
 
@@ -254,14 +258,7 @@ def _check_chunk(rows: List[List[str]], sizes: np.ndarray, bound: int, last: flo
     accept = ~bad & (times > prev)
 
     keep = accept[row_of]
-    ids, row_of = ids[keep], row_of[keep]
-    inner = row_of[1:] == row_of[:-1]
-    if not (ids[1:][inner] > ids[:-1][inner]).all():
-        order = np.lexsort((ids, row_of))
-        ids, row_of = ids[order], row_of[order]
-        fresh = np.ones(len(ids), dtype=bool)
-        fresh[1:] = (row_of[1:] != row_of[:-1]) | (ids[1:] != ids[:-1])
-        ids, row_of = ids[fresh], row_of[fresh]
+    row_of, ids = _sort_row_ids(row_of[keep], ids[keep])
     offsets = np.zeros(int(accept.sum()) + 1, dtype=np.int64)
     np.cumsum(np.bincount(row_of, minlength=n)[accept], out=offsets[1:])
     return accept, prev, TraceRows(servers[accept], times[accept], offsets, ids)
@@ -339,15 +336,15 @@ def read_trace_csv(
 
 
 def _load(lines: Iterable[str], **options) -> Tuple[RequestSequence, LoadReport]:
-    """Build a :class:`RequestSequence` from the reader's columns."""
-    chunks: List[TraceRows] = []
+    """Build a :class:`RequestSequence` from the reader's chunks, joined
+    into one set of columns in one step."""
+    chunks: List[TraceRows] = [_NO_ROWS]
     num_servers, origin, report = read_trace_csv(lines, chunks.append, **options)
-    reqs = []
-    for servers, times, offsets, ids in chunks:
-        ids, offsets = ids.tolist(), offsets.tolist()
-        for s, t, lo, hi in zip(servers.tolist(), times.tolist(), offsets, offsets[1:]):
-            reqs.append(Request(s, t, frozenset(ids[lo:hi])))
-    return RequestSequence(tuple(reqs), num_servers=num_servers, origin=origin), report
+    servers, times, _offsets, ids = map(np.concatenate, zip(*chunks))
+    offsets = np.zeros(len(servers) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate([np.diff(c.item_offsets) for c in chunks]), out=offsets[1:])
+    seq = RequestSequence._from_csr((servers, times, offsets, ids), num_servers, origin)
+    return seq, report
 
 
 def sequence_from_csv_report(

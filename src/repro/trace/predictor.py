@@ -44,18 +44,14 @@ class MarkovZonePredictor:
     _global_counts: Optional[np.ndarray] = field(default=None, repr=False)
 
     def fit(self, seq: RequestSequence) -> "MarkovZonePredictor":
-        self._global_counts = np.zeros(self.num_zones, dtype=np.int64)
-        per_item_last: Dict[int, int] = {}
-        for r in seq:
-            self._global_counts[r.server] += 1
-            for d in r.items:
-                prev = per_item_last.get(d)
-                if prev is not None:
-                    mat = self._transitions.setdefault(
-                        d, np.zeros((self.num_zones, self.num_zones), np.int64)
-                    )
-                    mat[prev, r.server] += 1
-                per_item_last[d] = r.server
+        self._global_counts = np.bincount(seq.servers_array, minlength=self.num_zones)
+        for d in seq.items:
+            zones = np.asarray(seq.item_view(d).servers)
+            if len(zones) > 1:
+                mat = self._transitions.setdefault(
+                    d, np.zeros((self.num_zones, self.num_zones), np.int64)
+                )
+                np.add.at(mat, (zones[:-1], zones[1:]), 1)
         return self
 
     def predict(self, item: int, current_zone: int) -> int:

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.cache.model.RequestSequence` runs on one columnar
 layout, :class:`~repro.cache.model.TraceColumns`.  An in-memory sequence
-builds it from its Python requests; a trace store *is* that layout on
+builds it from its rows; a trace store *is* that layout on
 disk: a directory of raw little-endian numpy column files plus a JSON
 sidecar, memory-mappable as-is, so a 10^7-request trace opens in
 milliseconds and only the pages a solve actually touches become
@@ -49,17 +49,11 @@ from __future__ import annotations
 import json
 from contextlib import closing
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ..cache.model import (
-    Request,
-    RequestSequence,
-    SingleItemView,
-    TraceColumns,
-    invert_items,
-)
+from ..cache.model import RequestSequence, SingleItemView, TraceColumns, invert_items
 from .io import LoadReport, TraceRows, _check_options, read_trace_csv
 
 __all__ = [
@@ -121,70 +115,21 @@ class StoreSequence(RequestSequence):
     """A :class:`RequestSequence` over an opened trace store.
 
     The store's files *are* the sequence's :class:`TraceColumns`, so
-    every derived operation -- validation, Phase 1's join, the per-item
-    and per-group views, ``restrict_to_*`` -- runs the shared
-    implementation on zero-copy mmap slices.  What differs is kept
-    here: ``Request`` objects are built on demand and only for the rows
-    actually touched, and pickling ships the store path, not the data
+    every derived operation, ``Request`` objects included, runs the
+    shared implementation on zero-copy mmap slices, and opening does no
+    per-row work (``.validate()`` re-audits what the converter
+    enforced).  What differs is kept here: a single-item view over the
+    store's own columns, and pickling ships the store path, not the data
     -- pool workers re-open the mmap on their side.
     """
 
-    # Not a @dataclass: instances are assembled field-by-field from the
-    # store handle, bypassing the parent constructor's full O(n) Python
-    # validation (the converter already enforced the invariants; use
-    # .validate() to re-audit vectorised).
-
     def __init__(self, store: "TraceStore"):
-        object.__setattr__(self, "_store", store)
-        object.__setattr__(self, "num_servers", store.num_servers)
-        object.__setattr__(self, "origin", store.origin)
-        object.__setattr__(
-            self, "_item_universe", frozenset(store.columns.inv_items.tolist())
-        )
-
-    def _columns(self) -> TraceColumns:
-        # int32 servers straight off the store; every consumer
-        # normalises through np.asarray(..., int64) (solvers, memo
-        # fingerprints), so the narrower dtype is observationally
+        # int32 server and item columns straight off the store; every
+        # consumer normalises through np.asarray(..., int64) (solvers,
+        # memo fingerprints), so the narrower dtype is observationally
         # identical and stays zero-copy
-        return self._store.columns
-
-    # -- container protocol over lazy Request objects -------------------
-    def __len__(self) -> int:
-        return self._store.num_requests
-
-    def _request_at(self, i: int) -> Request:
-        cols = self._store.columns
-        lo, hi = int(cols.item_offsets[i]), int(cols.item_offsets[i + 1])
-        return Request(
-            server=int(cols.servers[i]),
-            time=float(cols.times[i]),
-            items=frozenset(cols.item_ids[lo:hi].tolist()),
-        )
-
-    def __iter__(self) -> Iterator[Request]:
-        for i in range(self._store.num_requests):
-            yield self._request_at(i)
-
-    def __getitem__(self, idx):
-        n = self._store.num_requests
-        if isinstance(idx, slice):
-            return tuple(self._request_at(i) for i in range(*idx.indices(n)))
-        if idx < 0:
-            idx += n
-        if not 0 <= idx < n:
-            raise IndexError(idx)
-        return self._request_at(idx)
-
-    @property
-    def requests(self) -> Tuple[Request, ...]:
-        """Full materialisation (cached).  O(n) Python objects -- only
-        for callers that genuinely need the tuple surface."""
-        reqs = self.__dict__.get("_req_cache")
-        if reqs is None:
-            reqs = tuple(self._request_at(i) for i in range(len(self)))
-            object.__setattr__(self, "_req_cache", reqs)
-        return reqs
+        vars(self)["_store"] = store
+        self._adopt(store.columns, store.num_servers, store.origin)
 
     def __repr__(self) -> str:
         st = self._store
@@ -261,13 +206,6 @@ class TraceStore:
 
     def sequence(self) -> StoreSequence:
         return StoreSequence(self)
-
-    @staticmethod
-    def from_sequence(
-        seq: RequestSequence, path: Union[str, Path]
-    ) -> Path:
-        """Persist an in-memory sequence as a store (see :func:`write_store`)."""
-        return write_store(seq, path)
 
 
 class _StoreBuilder:

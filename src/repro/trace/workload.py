@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache.model import Request, RequestSequence
+from ..cache.model import RequestSequence
 
 __all__ = [
     "correlated_pair_sequence",
@@ -40,6 +40,18 @@ def _strict_times(rng: np.random.Generator, n: int, horizon: float) -> np.ndarra
     eps = horizon * 1e-9 + 1e-12
     ts = ts + eps * np.arange(1, n + 1)
     return ts
+
+
+def _partnered_rows(servers, times, primaries, co, num_items: int):
+    """``(server, time, items)`` rows whose items are the primary, plus
+    its partner ``primary ^ 1`` where ``co`` draws one that exists."""
+    partner = primaries ^ 1
+    paired = (co & (partner < num_items)).tolist()
+    items = [
+        (p, q) if both else (p,)
+        for p, q, both in zip(primaries.tolist(), partner.tolist(), paired)
+    ]
+    return zip(servers.tolist(), times.tolist(), items)
 
 
 def correlated_pair_sequence(
@@ -86,16 +98,9 @@ def correlated_pair_sequence(
     times = _strict_times(rng, n, horizon)
     servers = _skewed_servers(rng, n, num_servers, hotspot_skew)
 
-    reqs = []
-    for kind, t, s in zip(kinds, times, servers):
-        if kind == 0:
-            it = frozenset((d1, d2))
-        elif kind == 1:
-            it = frozenset((d1,))
-        else:
-            it = frozenset((d2,))
-        reqs.append(Request(server=int(s), time=float(t), items=it))
-    return RequestSequence(tuple(reqs), num_servers=num_servers, origin=origin)
+    sets = ((d1, d2), (d1,), (d2,))
+    rows = zip(servers.tolist(), times.tolist(), [sets[k] for k in kinds.tolist()])
+    return RequestSequence(rows, num_servers=num_servers, origin=origin)
 
 
 def _skewed_servers(
@@ -145,15 +150,8 @@ def zipf_item_workload(
     times = _strict_times(rng, n_requests, horizon)
     servers = rng.integers(0, num_servers, size=n_requests)
 
-    reqs = []
-    for p, has_co, t, s in zip(primaries, co, times, servers):
-        partner = int(p) ^ 1
-        if has_co and partner < num_items:
-            it = frozenset((int(p), partner))
-        else:
-            it = frozenset((int(p),))
-        reqs.append(Request(server=int(s), time=float(t), items=it))
-    return RequestSequence(tuple(reqs), num_servers=num_servers, origin=origin)
+    rows = _partnered_rows(servers, times, primaries, co, num_items)
+    return RequestSequence(rows, num_servers=num_servers, origin=origin)
 
 
 def diurnal_workload(
@@ -222,15 +220,8 @@ def diurnal_workload(
     primaries = rng.choice(num_items, size=n_requests, p=weights)
     co = rng.random(n_requests) < cooccurrence
 
-    reqs = []
-    for p, has_co, t, s in zip(primaries, co, times, servers):
-        partner = int(p) ^ 1
-        if has_co and partner < num_items:
-            it = frozenset((int(p), partner))
-        else:
-            it = frozenset((int(p),))
-        reqs.append(Request(server=int(s), time=float(t), items=it))
-    return RequestSequence(tuple(reqs), num_servers=num_servers, origin=origin)
+    rows = _partnered_rows(servers, times, primaries, co, num_items)
+    return RequestSequence(rows, num_servers=num_servers, origin=origin)
 
 
 def random_single_item_view(

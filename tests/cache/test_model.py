@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from repro.cache.model import (
     SingleItemView,
     package_rate,
 )
+from repro.errors import ReproError, RequestRowError
 
-from ..conftest import multi_item_sequences, stored
+from ..conftest import multi_item_sequences, stored, tamper
 
 
 class TestRequest:
@@ -68,11 +70,18 @@ class TestRequestSequence:
         assert seq[1].items == {2}
 
     def test_rejects_nonincreasing_times(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
+        with pytest.raises(
+            RequestRowError,
+            match=r"^request\[1\] \(server 1, t=1\.0\): times must be strictly "
+            r"increasing \(previous was 1\.0\)$",
+        ):
             RequestSequence([(0, 1.0, {1}), (1, 1.0, {1})], num_servers=2)
 
     def test_rejects_out_of_range_server(self):
-        with pytest.raises(ValueError, match="servers"):
+        with pytest.raises(
+            RequestRowError,
+            match=r"^request\[0\] \(server 5, t=1\.0\): server id outside \[0, 2\)$",
+        ):
             RequestSequence([(5, 1.0, {1})], num_servers=2)
 
     def test_rejects_bad_origin(self):
@@ -163,6 +172,182 @@ class TestRequestSequence:
         assert len(seq) == 0
         assert seq.items == frozenset()
         assert seq.total_item_requests() == 0
+
+
+def _as_request(obj):
+    """The row coercion the constructor used to run on every row."""
+    if isinstance(obj, Request):
+        return obj
+    server, time, items = obj
+    if isinstance(items, int):
+        items = (items,)
+    return Request(server=int(server), time=float(time), items=frozenset(items))
+
+
+def _columns_row_by_row(rows):
+    """Reference build, one row at a time: a :class:`Request` per row,
+    then every column from those requests."""
+    reqs = tuple(_as_request(r) for r in rows)
+    id_rows = [sorted(r.items) for r in reqs]
+    servers = np.array([r.server for r in reqs], dtype=np.int64)
+    times = np.array([r.time for r in reqs], dtype=np.float64)
+    offsets = np.cumsum([0] + [len(row) for row in id_rows], dtype=np.int64)
+    ids = np.array([d for row in id_rows for d in row], dtype=np.int64)
+    universe = sorted({d for row in id_rows for d in row})
+    carriers = [[i for i, row in enumerate(id_rows) if d in row] for d in universe]
+    positions = np.array([i for rows_of in carriers for i in rows_of], dtype=np.int64)
+    columns = (
+        servers, times, offsets, ids,
+        np.array(universe, dtype=np.int64),
+        np.cumsum([0] + [len(c) for c in carriers], dtype=np.int64),
+        positions, servers[positions], times[positions],
+    )
+    return reqs, columns
+
+
+def _triple(row):
+    """A row as ``(server, time, item ids)``, ids as given."""
+    if isinstance(row, Request):
+        return row.server, row.time, tuple(row.items)
+    server, time, items = row
+    return server, time, (items,) if isinstance(items, int) else tuple(items)
+
+
+@st.composite
+def _drawn_rows(draw):
+    """``(rows, m)``: up to 8 rows over ``m`` servers as Requests, tuples,
+    lists and bare ids, item ids unsorted and repeated; sometimes one or
+    two rows damaged (tuples then)."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 8))
+    gaps = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    ids = st.integers(-3, 9) | st.sampled_from([-(2**63), 2**63 - 1, 2**31])
+    rows = []
+    for t in itertools.accumulate(round(g, 6) for g in gaps):
+        server = draw(st.integers(0, m - 1))
+        members = draw(st.lists(ids, min_size=1, max_size=4))
+        form = draw(st.sampled_from(["request", "tuple", "list", "set", "bare"]))
+        rows.append({
+            "request": Request(server, t, frozenset(members)),
+            "tuple": (server, t, tuple(members)),
+            "list": [server, t, list(members)],
+            "set": (server, t, set(members)),
+            "bare": (server, t, members[0]),
+        }[form])
+    damage = st.sampled_from([
+        (1, math.nan), (1, math.inf), (1, -1.0), (1, 0.0), (0, m), (0, -1),
+        (2, ()), (2, (1.5,)), (2, (2, 2**70)), (2, ("a",)), (2, (1, 2**63)),
+    ])
+    if n:
+        for idx, (field, value) in draw(
+            st.lists(st.tuples(st.integers(0, n - 1), damage), max_size=2)
+        ):
+            row = list(_triple(rows[idx]))
+            row[field] = value
+            rows[idx] = tuple(row)
+    return rows, m
+
+
+class TestConstruction:
+    """The constructor transposes its rows into the columns in one
+    vectorised pass; a row-at-a-time build is the reference."""
+
+    @given(drawn=_drawn_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_row_at_a_time_build(self, drawn):
+        rows, m = drawn
+        expected = TestSequenceValidate._audit_row_by_row(map(_triple, rows), m)
+        if expected is not None:
+            with pytest.raises(RequestRowError) as info:
+                RequestSequence(rows, num_servers=m)
+            assert str(info.value) == expected
+            return
+        seq = RequestSequence(rows, num_servers=m)
+        reqs, columns = _columns_row_by_row(rows)
+        for got, want in zip(seq.columns, columns, strict=True):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        assert seq.requests == reqs
+        assert seq.items == {d for r in reqs for d in r.items}
+
+    @pytest.mark.parametrize(
+        "items, message",
+        [
+            ({1.5}, "item id 1.5 is not an integer"),
+            ({2**70}, f"item id {2**70} outside int64"),
+            ({"a"}, "item id 'a' is not an integer"),
+        ],
+    )
+    def test_ids_the_columns_cannot_hold_are_refused_at_construction(
+        self, items, message
+    ):
+        with pytest.raises(RequestRowError) as info:
+            RequestSequence([(1, 0.5, {3}), (0, 1.0, items), (1, 2.0, {1})], num_servers=2)
+        err = info.value
+        assert (err.index, err.server, err.time, err.message) == (1, 0, 1.0, message)
+        assert str(err) == f"request[1] (server 0, t=1.0): {message}"
+
+    def test_numpy_integer_ids_and_servers_are_accepted(self):
+        seq = RequestSequence(
+            [(np.int32(1), np.float64(0.5), (np.uint64(7), np.int64(-2)))], num_servers=2
+        )
+        assert seq.requests == (Request(1, 0.5, frozenset({7, -2})),)
+        assert seq.columns.item_ids.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (
+                (1.5, 1.0, {1}),
+                r"^request\[0\] \(server 1\.5, t=1\.0\): server id is not an integer$",
+            ),
+            ((0, "x", {1}), r"^request\[0\] \(server 0, t='x'\): time is not a number$"),
+            ((0, 1.0), r"^request\[0\]: malformed request \(0, 1\.0\)"),
+        ],
+    )
+    def test_unreadable_rows_are_refused_with_their_index(self, row, message):
+        with pytest.raises(RequestRowError, match=message):
+            RequestSequence([row], num_servers=2)
+
+    def test_request_row_error_is_an_indexed_value_error(self):
+        with pytest.raises(ValueError) as info:
+            RequestSequence([(0, 1.0, {1}), (3, 2.0, {1})], num_servers=2)
+        err = info.value
+        assert isinstance(err, RequestRowError) and isinstance(err, ReproError)
+        assert (err.index, err.server, err.time) == (1, 3, 2.0)
+        assert err.message == "server id outside [0, 2)"
+        back = pickle.loads(pickle.dumps(err))
+        assert (type(back), back.index, str(back)) == (RequestRowError, 1, str(err))
+
+    def test_requests_are_built_on_demand_and_kept(self):
+        seq = RequestSequence([(0, 1.0, (2, 1, 2)), (1, 2.0, 3)], num_servers=2)
+        assert seq[-1] == Request(1, 2.0, frozenset({3}))
+        assert seq[::-1] == (seq[1], Request(0, 1.0, frozenset({1, 2})))
+        assert "_req_cache" not in vars(seq)  # only the rows asked for
+        assert seq.requests is seq.requests
+        assert list(seq) == list(seq.requests) == [seq[0], seq[1]]
+        assert seq[0:1] == seq.requests[0:1]
+        with pytest.raises(IndexError):
+            RequestSequence([(0, 1.0, 1)], num_servers=1)[1]
+
+    def test_equality_and_hash_read_the_columns(self):
+        rows = [(0, 1.0, {1, 2}), (1, 2.0, {2})]
+        seq = RequestSequence(rows, num_servers=2)
+        twin = RequestSequence([(0, 1.0, (2, 1)), Request(1, 2.0, frozenset({2}))], 2)
+        assert seq == twin and hash(seq) == hash(twin)
+        assert "_req_cache" not in vars(seq) and "_req_cache" not in vars(twin)
+        assert seq != RequestSequence(rows, num_servers=3)
+        assert seq != RequestSequence(rows, num_servers=2, origin=1)
+        assert seq != RequestSequence([(0, 1.0, {1}), (1, 2.0, {2})], num_servers=2)
+        assert seq != RequestSequence([(0, 1.0, {1, 2}), (1, 2.5, {2})], num_servers=2)
+        with stored(seq) as store:
+            assert store == seq and hash(store) == hash(seq)
+
+    def test_sequences_are_immutable(self):
+        seq = RequestSequence([(0, 1.0, {1})], num_servers=1)
+        with pytest.raises(AttributeError):
+            seq.origin = 0  # type: ignore[misc]
 
 
 class TestColumnarViews:
@@ -397,8 +582,8 @@ class TestCostModel:
 
 class TestSequenceValidate:
     """validate() re-audits invariants the constructor cannot guard
-    forever -- frozen dataclasses can still be mutated via
-    object.__setattr__, and deserialised payloads arrive pre-built."""
+    forever -- columns can still be swapped via object.__setattr__, and
+    deserialised payloads arrive pre-built."""
 
     def _seq(self):
         return RequestSequence(
@@ -406,11 +591,7 @@ class TestSequenceValidate:
         )
 
     def _corrupt(self, seq, idx, **fields):
-        reqs = list(seq.requests)
-        for key, value in fields.items():
-            object.__setattr__(reqs[idx], key, value)
-        object.__setattr__(seq, "requests", tuple(reqs))
-        return seq
+        return tamper(seq, idx, **fields)
 
     def test_valid_sequence_passes_and_chains(self):
         seq = self._seq()
@@ -460,27 +641,44 @@ class TestSequenceValidate:
         )
 
     @staticmethod
-    def _audit_row_by_row(seq):
-        """Reference audit: the first failing row's first failing check."""
+    def _audit_row_by_row(rows, m):
+        """Reference audit of ``(server, time, item ids)`` rows over
+        ``m`` servers: the first failing row's first failing check."""
         prev = -math.inf
-        m = seq.num_servers
-        for i, r in enumerate(seq.requests):
+        for i, (server, time, items) in enumerate(rows):
             checks = (
-                (math.isnan(r.time), "time is NaN"),
-                (math.isinf(r.time), "time is infinite"),
-                (r.time < 0, "time is negative"),
+                (math.isnan(time), "time is NaN"),
+                (math.isinf(time), "time is infinite"),
+                (time < 0, "time is negative"),
                 (
-                    r.time <= prev,
+                    time <= prev,
                     f"times must be strictly increasing (previous was {prev!r})",
                 ),
-                (not 0 <= r.server < m, f"server id outside [0, {m})"),
-                (not r.items, "empty item set"),
+                (not 0 <= server < m, f"server id outside [0, {m})"),
+                (not items, "empty item set"),
             )
-            for failed, what in checks:
-                if failed:
-                    return f"request[{i}] (server {r.server}, t={r.time!r}): {what}"
-            prev = r.time
+            faults = [what for failed, what in checks if failed]
+            for d in items:
+                if not isinstance(d, (int, np.integer)):
+                    faults.append(f"item id {d!r} is not an integer")
+                elif not -(2**63) <= d < 2**63:
+                    faults.append(f"item id {d} outside int64")
+            if faults:
+                return f"request[{i}] (server {server}, t={time!r}): {faults[0]}"
+            prev = time
         return None
+
+    @staticmethod
+    def _rows(seq):
+        """``seq``'s rows read straight off its (possibly tampered) columns."""
+        cols = seq.columns
+        bounds = cols.item_offsets.tolist()
+        return [
+            (s, t, cols.item_ids[lo:hi].tolist())
+            for s, t, lo, hi in zip(
+                cols.servers.tolist(), cols.times.tolist(), bounds, bounds[1:]
+            )
+        ]
 
     @given(seq=multi_item_sequences(), data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -499,7 +697,7 @@ class TestSequenceValidate:
         rows = st.integers(0, len(seq) - 1)
         for idx, (key, value) in data.draw(st.lists(st.tuples(rows, damage), max_size=3)):
             self._corrupt(seq, idx, **{key: value})
-        expected = self._audit_row_by_row(seq)
+        expected = self._audit_row_by_row(self._rows(seq), seq.num_servers)
         if expected is None:
             assert seq.validate() is seq
         else:

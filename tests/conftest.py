@@ -6,6 +6,7 @@ import tempfile
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -31,6 +32,30 @@ def stored(seq: RequestSequence):
     (usable inside hypothesis examples, unlike ``tmp_path``)."""
     with tempfile.TemporaryDirectory() as tmp:
         yield TraceStore.open(write_store(seq, Path(tmp) / "store"))
+
+
+def tamper(seq: RequestSequence, idx: int, **fields) -> RequestSequence:
+    """``seq`` with request ``idx``'s ``server``, ``time`` or ``items``
+    overwritten in a copy of its request-major columns: the corrupt state
+    a deserialised payload can arrive in, which the constructor refuses
+    and :meth:`~RequestSequence.validate` must catch."""
+    cols = seq.columns
+    servers, times = cols.servers.copy(), cols.times.copy()
+    offsets, ids = cols.item_offsets.copy(), cols.item_ids
+    if "server" in fields:
+        servers[idx] = fields["server"]
+    if "time" in fields:
+        times[idx] = fields["time"]
+    if "items" in fields:
+        row = np.array(sorted(fields["items"]), dtype=ids.dtype)
+        lo, hi = offsets[idx], offsets[idx + 1]
+        ids = np.concatenate([ids[:lo], row, ids[hi:]])
+        offsets[idx + 1 :] += len(row) - (hi - lo)
+    tampered = cols._replace(
+        servers=servers, times=times, item_offsets=offsets, item_ids=ids
+    )
+    object.__setattr__(seq, "columns", tampered)
+    return seq
 
 
 # ---------------------------------------------------------------------------

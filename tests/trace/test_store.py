@@ -34,7 +34,7 @@ from repro.trace.store import (
 )
 from repro.trace.workload import zipf_item_workload
 
-from ..conftest import multi_item_sequences, stored
+from ..conftest import multi_item_sequences, stored, tamper
 
 
 def _workload(n=120, servers=8, items=9, seed=7):
@@ -352,13 +352,10 @@ class TestFacade:
         assert "mmap=True" in text
 
 
-def _corrupt_requests(seq, tmp_path, server, time):
-    """Mutate the in-memory requests before the columns are built."""
-    reqs = list(seq.requests)
-    object.__setattr__(reqs[server[0]], "server", server[1])
-    object.__setattr__(reqs[time[0]], "time", time[1])
-    object.__setattr__(seq, "requests", tuple(reqs))
-    return seq
+def _corrupt_columns(seq, tmp_path, server, time):
+    """Overwrite a copy of the in-memory sequence's columns."""
+    tamper(seq, server[0], server=server[1])
+    return tamper(seq, time[0], time=time[1])
 
 
 def _corrupt_store_columns(seq, tmp_path, server, time):
@@ -394,7 +391,7 @@ class TestSharedColumns:
 
     @pytest.mark.parametrize(
         "corrupt",
-        [_corrupt_requests, _corrupt_store_columns],
+        [_corrupt_columns, _corrupt_store_columns],
         ids=["memory", "store"],
     )
     def test_validate_reports_the_first_failing_row(self, tmp_path, corrupt):
